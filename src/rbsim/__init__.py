@@ -26,13 +26,10 @@ from .channels import (
     apply_channel,
     depolarizing_parameter,
     measurement_success_probability,
-    sample_pauli_fault,
 )
 from .engines import (
     SequenceSpec,
-    TrajectoryOutcome,
     run_sequence_exact,
-    run_sequence_trajectory,
     survival_probability,
 )
 from .fitting import DecayFit, fit_decay, r_from_p

@@ -1,7 +1,8 @@
 """Noise channels, SPAM models and density-matrix helpers.
 
 Channels act on dense density matrices (the exact engine's representation)
-and, when Pauli-diagonal, expose fault sampling for the trajectory engine.
+and, when Pauli-diagonal, expose their Pauli fault distribution for the
+trajectory engine.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "check_cptp",
     "average_fidelity",
     "depolarizing_parameter",
-    "sample_pauli_fault",
     "measurement_success_probability",
     "channel_from_spec",
     "rotation_unitary",
@@ -366,13 +366,6 @@ def depolarizing_parameter(ch: NoiseChannel, n: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pauli_from_index(idx: int, n: int) -> PauliString:
-    """Index packing: bit q of low n bits = x on qubit q, high n bits = z."""
-    x = [(idx >> q) & 1 for q in range(n)]
-    z = [(idx >> (n + q)) & 1 for q in range(n)]
-    return PauliString(np.array(x, dtype=np.uint8), np.array(z, dtype=np.uint8), 0)
-
-
 def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
     """Probabilities over all 4^n Pauli fault indices for a diagonal channel."""
     if isinstance(ch, Ideal):
@@ -408,13 +401,6 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
     raise UnsupportedChannelError(
         f"{type(ch).__name__} is not Pauli-diagonal; trajectory sampling unsupported"
     )
-
-
-def sample_pauli_fault(ch: NoiseChannel, n: int, rng: np.random.Generator) -> PauliString:
-    """Draw one Pauli fault with the channel's exact probabilities."""
-    probs = fault_distribution(ch, n)
-    idx = int(rng.choice(probs.size, p=probs))
-    return _pauli_from_index(idx, n)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +459,11 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"channel spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
+    required = {"depolarizing": ("epsilon",), "pauli": ("probabilities",),
+                "delta_depolarizing": ("delta", "p_prime")}.get(kind, ())
+    missing = [key for key in required if key not in spec]
+    if missing:
+        raise ValueError(f"channel kind {kind!r} needs field(s) {', '.join(missing)}")
     if kind == "ideal":
         return Ideal()
     if kind == "depolarizing":

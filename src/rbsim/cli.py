@@ -23,7 +23,7 @@ from .channels import NoiseModel, SpamModel, channel_from_spec
 from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, fit_rb_data, run_standard_rb
-from .rbsv import RBSVConfig, RBSVResult, RPolicy, run_rbsv
+from .rbsv import FailureSignatureError, RBSVConfig, RBSVResult, RPolicy, run_rbsv
 from .resources import ResourcePlan
 from .seeding import seed_plan
 
@@ -33,6 +33,18 @@ __all__ = ["main", "load_config", "build_rb_config", "build_rbsv_config",
 log = logging.getLogger("rbsim")
 
 DEFAULT_LENGTHS = tuple(range(5, 51, 5))
+
+# top-level config fields each subcommand reads; anything else is a typo
+_RB_FIELDS = frozenset({"protocol", "n", "lengths", "K_m", "shots", "mode", "noise",
+                        "rb_mode", "b", "seed", "fit_strategy"})
+_RBSV_FIELDS = _RB_FIELDS | {"N_m", "R_policy", "include_identity_stabilizer"}
+_CONFIG_FIELDS = {
+    "rb": _RB_FIELDS,
+    "rbsv": _RBSV_FIELDS,
+    "compare": _RBSV_FIELDS,
+    "irbgs": frozenset({"protocol", "n", "lengths", "K_m", "noise", "noise_n", "recipe",
+                        "seed", "fit_strategy"}),
+}
 
 
 class ConfigError(ValueError):
@@ -48,11 +60,21 @@ def _setup_logging():
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
+
+
+def _reject_unknown(obj: dict, known, prefix: str = ""):
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ConfigError("unknown config field "
+                          + ", ".join(repr(prefix + k) for k in unknown))
 
 
 def _field(cfg: dict, name: str, default=None, required: bool = False):
@@ -67,6 +89,7 @@ def _noise_model(cfg: dict, n: int) -> NoiseModel:
     spec = _field(cfg, "noise", required=True)
     if not isinstance(spec, dict):
         raise ConfigError("field 'noise' must be an object")
+    _reject_unknown(spec, ("gate", "prep", "meas", "p_meas"), "noise.")
     try:
         gate = channel_from_spec(spec.get("gate", {"kind": "ideal"}), n)
         prep = channel_from_spec(spec.get("prep"), n)
@@ -84,12 +107,15 @@ def _noise_model(cfg: dict, n: int) -> NoiseModel:
 
 def _common_rb_fields(cfg: dict, overrides) -> dict:
     n = int(_field(cfg, "n", 2))
+    mode = _field(cfg, "mode", "sampled")
+    if mode not in ("exact", "sampled"):
+        raise ConfigError(f"field 'mode' must be 'exact' or 'sampled', not {mode!r}")
     fields = dict(
         n=n,
         lengths=tuple(_field(cfg, "lengths", DEFAULT_LENGTHS)),
         k_m=int(_field(cfg, "K_m", 100)),
         shots=int(_field(cfg, "shots", 100)),
-        exact=bool(_field(cfg, "mode", "sampled") == "exact"),
+        exact=mode == "exact",
         noise=_noise_model(cfg, n),
         mode=str(_field(cfg, "rb_mode", "clifford")),
         generator_block=int(_field(cfg, "b", 10)),
@@ -115,6 +141,7 @@ def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
     policy_spec = _field(cfg, "R_policy", {"kind": "optimal"})
     if not isinstance(policy_spec, dict):
         raise ConfigError("field 'R_policy' must be an object")
+    _reject_unknown(policy_spec, ("kind", "R", "cap"), "R_policy.")
     try:
         policy = RPolicy(
             kind=str(policy_spec.get("kind", "optimal")),
@@ -167,6 +194,7 @@ def build_irbgs_config(cfg: dict, overrides) -> IRBGSConfig:
             noise_n=noise_n,
             recipe=_resolve_recipe(cfg),
             n=n,
+            fit_strategy=str(_field(cfg, "fit_strategy", "auto")),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -233,7 +261,7 @@ def _emit_json(path: str, payload: dict):
 def _cmd_rb(cfg: dict, args) -> int:
     config = build_rb_config(cfg, args)
     t0 = time.perf_counter()
-    data = run_standard_rb(config, threads=args.threads)
+    data = run_standard_rb(config)
     fit, r_rb = fit_rb_data(data, 2 ** config.n, coefficient_bounds=config.fit_bounds)
     wall = time.perf_counter() - t0
     out = args.out or "."
@@ -248,7 +276,7 @@ def _cmd_rb(cfg: dict, args) -> int:
 def _cmd_rbsv(cfg: dict, args) -> int:
     config = build_rbsv_config(cfg, args)
     t0 = time.perf_counter()
-    result = run_rbsv(config, threads=args.threads)
+    result = run_rbsv(config)
     wall = time.perf_counter() - t0
     out = args.out or "."
     _write_text(os.path.join(out, "rbsv.csv"), rbsv_csv(result))
@@ -267,9 +295,9 @@ def _cmd_compare(cfg: dict, args) -> int:
     rb_config = build_rb_config(cfg, args)
     rbsv_config = build_rbsv_config(cfg, args)
     t0 = time.perf_counter()
-    data = run_standard_rb(rb_config, threads=args.threads)
+    data = run_standard_rb(rb_config)
     fit, r_rb = fit_rb_data(data, 2 ** rb_config.n, coefficient_bounds=rb_config.fit_bounds)
-    result = run_rbsv(rbsv_config, threads=args.threads)
+    result = run_rbsv(rbsv_config)
     wall = time.perf_counter() - t0
     out = args.out or "."
     _write_text(os.path.join(out, "rb.csv"), rb_csv(data))
@@ -291,7 +319,7 @@ def _cmd_compare(cfg: dict, args) -> int:
 def _cmd_irbgs(cfg: dict, args) -> int:
     config = build_irbgs_config(cfg, args)
     t0 = time.perf_counter()
-    estimate = run_irbgs(config, threads=args.threads)
+    estimate = run_irbgs(config)
     wall = time.perf_counter() - t0
     out = args.out or "."
     _write_text(os.path.join(out, "irbgs_baseline.csv"), rb_csv(estimate.baseline_data))
@@ -347,7 +375,8 @@ def _cmd_verify_synthesis(args) -> int:
 def _add_common(parser: argparse.ArgumentParser, config_required=True):
     parser.add_argument("--config", required=config_required, help="JSON config path")
     parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, choices=[1],
+                        help="worker threads; runs are single-threaded, so only 1")
     parser.add_argument("--out", default=None, help="artifact directory")
     parser.add_argument("--exact", action="store_true", help="force exact mode")
 
@@ -376,10 +405,12 @@ def main(argv=None) -> int:
         if protocol != args.command and args.command != "compare":
             raise ConfigError(
                 f"config 'protocol' is {protocol!r} but subcommand is {args.command!r}")
+        _reject_unknown(cfg, _CONFIG_FIELDS[args.command])
         handler = {"rb": _cmd_rb, "rbsv": _cmd_rbsv,
                    "compare": _cmd_compare, "irbgs": _cmd_irbgs}[args.command]
         return handler(cfg, args)
-    except ConfigError as exc:
+    except (ValueError, FailureSignatureError) as exc:
+        # ConfigError, UnsupportedChannelError and other run-time ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -175,9 +175,6 @@ class CliffordElement:
     def __hash__(self) -> int:
         return hash(self.key())
 
-    def is_identity(self) -> bool:
-        return self == CliffordElement.identity(self.n)
-
     def is_valid(self) -> bool:
         """Check the symplectic condition and Hermitian image phases."""
         if np.any(self.phases % 2):

@@ -1,14 +1,13 @@
 """Execution backends for noisy Clifford sequences.
 
-Two paths with matched semantics:
+Two engines with matched semantics:
 
-* an exact density-matrix engine (small registers, no shot noise), and
-* a stochastic Pauli-fault trajectory engine on the tableau representation
-  (Pauli-diagonal noise only, cheap enough for large shot counts).
-
-The trajectory engine additionally exposes a vectorized per-sequence batch
-used by the protocol drivers; it propagates packed Pauli indices through
-precomputed conjugation tables.
+* an exact density-matrix engine (small registers, no shot noise), which
+  is also the oracle the tests check the other engine against, and
+* ``CompiledSequence``, a vectorized Pauli-fault trajectory engine
+  (Pauli-diagonal noise only, cheap enough for large shot counts) that
+  propagates a batch of packed fault indices through precomputed
+  per-element conjugation tables.
 """
 
 from __future__ import annotations
@@ -17,29 +16,19 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paulis import PauliString, pauli_multiply
-from .cliffords import (
-    CliffordElement,
-    MAX_DENSE_QUBITS,
-    clifford_to_matrix,
-    conjugate_pauli,
-)
+from .cliffords import CliffordElement, MAX_DENSE_QUBITS, clifford_to_matrix
 from .channels import (
     NoiseChannel,
     Ideal,
     SpamModel,
-    UnsupportedChannelError,
     apply_channel,
     fault_distribution,
-    sample_pauli_fault,
     zero_state,
 )
 
 __all__ = [
     "SequenceSpec",
-    "TrajectoryOutcome",
     "run_sequence_exact",
-    "run_sequence_trajectory",
     "survival_probability",
     "CompiledSequence",
 ]
@@ -86,15 +75,6 @@ class SequenceSpec:
         return self.noise[i] if isinstance(self.noise, list) else self.noise
 
 
-@dataclass(frozen=True)
-class TrajectoryOutcome:
-    """One stabilizer-measurement sample from the trajectory engine."""
-
-    accept: bool
-    measured_stabilizer: PauliString
-    fault_record: PauliString
-
-
 # ---------------------------------------------------------------------------
 # Exact engine
 # ---------------------------------------------------------------------------
@@ -122,51 +102,7 @@ def survival_probability(rho: np.ndarray, spam: SpamModel | None = None) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Trajectory engine: single-sample reference implementation
-# ---------------------------------------------------------------------------
-
-
-def _sample_measurement_flip(s: PauliString, p_meas: float, rng: np.random.Generator) -> bool:
-    """Parity of outcome flips from per-qubit X/Y/Z errors before measurement."""
-    flip = False
-    for q in range(s.n):
-        sx, sz = int(s.x[q]), int(s.z[q])
-        if not (sx or sz):
-            continue
-        if rng.random() >= p_meas:
-            continue
-        code = int(rng.integers(1, 4))  # 1=X, 2=Z, 3=Y
-        ex, ez = code & 1, code >> 1
-        if (ex & sz) ^ (ez & sx):
-            flip = not flip
-    return flip
-
-
-def run_sequence_trajectory(spec: SequenceSpec, s: PauliString,
-                            rng: np.random.Generator) -> TrajectoryOutcome:
-    """One Bernoulli sample of the stabilizer measurement of ``s``.
-
-    Propagates sampled Pauli faults through the tableau; the success
-    probability matches the exact engine for Pauli-diagonal noise.
-    """
-    if s.n != spec.n:
-        raise ValueError("stabilizer register size mismatch")
-    if not s.is_hermitian:
-        raise ValueError("measured stabilizer must be Hermitian")
-    fault = sample_pauli_fault(spec.spam.prep, spec.n, rng)
-    for i, element in enumerate(spec.elements):
-        fault = conjugate_pauli(element, fault)
-        fault = pauli_multiply(sample_pauli_fault(spec.channel_for(i), spec.n, rng), fault)
-    fault = pauli_multiply(sample_pauli_fault(spec.spam.meas, spec.n, rng), fault)
-    accept = fault.commutes_with(s)
-    if spec.spam.meas_flip:
-        if _sample_measurement_flip(s, spec.spam.meas_flip, rng):
-            accept = not accept
-    return TrajectoryOutcome(accept=accept, measured_stabilizer=s, fault_record=fault)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized batch path on packed Pauli indices
+# Trajectory engine: vectorized batches on packed Pauli indices
 # ---------------------------------------------------------------------------
 
 

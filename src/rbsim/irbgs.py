@@ -24,12 +24,11 @@ from .channels import (
     NoiseModel,
     PauliChannel,
 )
-from .cliffords import CliffordElement, compose, inverse, random_clifford
-from .engines import SequenceSpec, run_sequence_exact, survival_probability
+from .cliffords import CliffordElement, random_clifford
 from .fitting import DecayFit
 from .paulis import PauliString
-from .rb import RBConfig, fit_rb_data, run_standard_rb
-from .seeding import generator_for, parallel_map
+from .rb import RBConfig, RBData, _survival_exact, fit_rb_data, run_standard_rb
+from .seeding import run_ensemble
 
 __all__ = [
     "cp_matrix",
@@ -97,10 +96,6 @@ class RecipeGate:
         else:
             raise ValueError(f"unknown recipe gate {self.gate!r}")
 
-    @property
-    def is_nonclifford(self) -> bool:
-        return self.gate in ("CP", "CPDAG") and self.k != 1
-
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix on the two-qubit register (qubit 0 leftmost)."""
         if self.gate in ("CP", "CPDAG"):
@@ -163,11 +158,6 @@ class SynthesisRecipe:
         """L: number of CP/CP† instances (counting k = 1, which is Clifford,
         as an instance too, matching the construction's bookkeeping)."""
         return sum(1 for g in self.gates if g.gate in ("CP", "CPDAG"))
-
-    @property
-    def rotation_index(self) -> int | None:
-        ks = {g.k for g in self.gates if g.gate in ("CP", "CPDAG")}
-        return ks.pop() if len(ks) == 1 else None
 
     def product(self) -> np.ndarray:
         """Dense product of the gate matrices, rightmost factor applied first."""
@@ -438,8 +428,8 @@ class IrbEstimate:
     noise_class: str
     baseline_fit: DecayFit | None = None
     interleaved_fit: DecayFit | None = None
-    baseline_data: object = None      # RBData of the plain run
-    interleaved_data: object = None   # RBData of the interleaved run
+    baseline_data: RBData | None = None      # the plain run
+    interleaved_data: RBData | None = None   # the interleaved run
 
 
 @dataclass(frozen=True)
@@ -473,7 +463,7 @@ class IRBGSConfig:
         return self.noise_n if self.cpdag_shares_noise else self.noise_n_dagger
 
 
-def run_irbgs(config: IRBGSConfig, threads: int = 1) -> IrbEstimate:
+def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
     """Baseline + interleaved exact-mode runs, fits, estimate and bound.
 
     The fixed element is the recipe's ideal Clifford product; its channel is
@@ -496,7 +486,7 @@ def run_irbgs(config: IRBGSConfig, threads: int = 1) -> IrbEstimate:
         n=config.n, lengths=config.lengths, k_m=config.k_m, exact=True,
         noise=config.noise, seed=config.seed, fit_strategy=config.fit_strategy,
     )
-    baseline = run_standard_rb(base_cfg, threads=threads)
+    baseline = run_standard_rb(base_cfg)
     baseline_fit, _ = fit_rb_data(baseline, d, coefficient_bounds=base_cfg.fit_bounds)
 
     gate_channel = config.noise.gate
@@ -511,40 +501,16 @@ def run_irbgs(config: IRBGSConfig, threads: int = 1) -> IrbEstimate:
         + [config.recipe_clifford_noise]
     )
 
-    def one_sequence(task):
-        index, m = task
-        rng = generator_for(config.seed ^ 0x1B9, index)
+    def one_sequence(m, rng, index):
         elements, channels = [], []
         for _ in range(m):
-            elements.append(random_clifford(config.n, rng))
-            channels.append(gate_channel)
-            elements.append(fixed_element)
-            channels.append(fixed_channel)
-        product = elements[0]
-        for e in elements[1:]:
-            product = compose(product, e)
-        elements.append(inverse(product))
-        channels.append(gate_channel)
-        spec = SequenceSpec(n=config.n, elements=elements,
-                            noise=channels, spam=config.noise.spam)
-        return survival_probability(run_sequence_exact(spec), config.noise.spam)
+            elements += [random_clifford(config.n, rng), fixed_element]
+            channels += [gate_channel, fixed_channel]
+        return _survival_exact(base_cfg, elements, channels + [gate_channel])
 
-    tasks = [(im * config.k_m + j, m)
-             for im, m in enumerate(config.lengths) for j in range(config.k_m)]
-    values = parallel_map(one_sequence, tasks, threads)
-
-    per_sequence, means, errs = [], [], []
-    for im, m in enumerate(config.lengths):
-        vals = np.array(values[im * config.k_m:(im + 1) * config.k_m])
-        per_sequence.append(vals)
-        means.append(float(np.mean(vals)))
-        errs.append(float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0)
-    from .rb import RBData
-
-    interleaved_data = RBData(
-        lengths=list(config.lengths), p_m=np.array(means), stderr=np.array(errs),
-        per_sequence=per_sequence, k_m=config.k_m, shots=0, exact=True,
-    )
+    # its own stream, so the interleaved sequences are not the baseline's
+    chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_sequence)
+    interleaved_data = RBData.from_chunks(config.lengths, chunks, shots=0, exact=True)
     interleaved_fit, _ = fit_rb_data(interleaved_data, d,
                                      coefficient_bounds=base_cfg.fit_bounds)
 

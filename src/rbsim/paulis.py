@@ -101,16 +101,8 @@ class PauliString:
         return int(np.count_nonzero(self.x | self.z))
 
     @property
-    def is_identity(self) -> bool:
-        return self.weight == 0 and self.phase == 0
-
-    @property
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
-
-    @property
-    def sign(self) -> complex:
-        return 1j ** self.phase
 
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:

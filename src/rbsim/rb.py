@@ -16,8 +16,8 @@ from .cliffords import (
     random_clifford,
 )
 from .engines import CompiledSequence, SequenceSpec, run_sequence_exact, survival_probability
-from .fitting import DecayFit, fit_decay, r_from_p
-from .seeding import generator_for, parallel_map
+from .fitting import fit_decay, r_from_p
+from .seeding import run_ensemble
 
 __all__ = [
     "RBConfig",
@@ -25,6 +25,7 @@ __all__ = [
     "sample_rb_sequence",
     "sample_generator_sequence",
     "run_standard_rb",
+    "length_stats",
     "fit_rb_data",
     "driver_fit_bounds",
     "PHYSICAL_COEFFICIENT_BOUNDS",
@@ -33,6 +34,10 @@ __all__ = [
 # survival probabilities and fidelity bounds live on this scale; the decay
 # fit in the drivers is constrained to it to keep the estimate identifiable
 PHYSICAL_COEFFICIENT_BOUNDS = ((0.0, 1.0), (0.0, 1.0))
+
+# a per-length standard error at or below this is floating-point round-off
+# (exact mode with sequence-independent values), not a statistical spread
+ROUNDOFF_STDERR = 1e-12
 
 
 def driver_fit_bounds(d: int, strategy: str, spam_trivial: bool):
@@ -95,6 +100,16 @@ class RBConfig:
                                  self.noise.spam.is_trivial)
 
 
+def length_stats(chunks) -> tuple:
+    """Per-length mean and standard error of the per-sequence values."""
+    means, errs = [], []
+    for vals in chunks:
+        vals = np.asarray(vals, dtype=float)
+        means.append(float(np.mean(vals)))
+        errs.append(float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0)
+    return np.array(means), np.array(errs)
+
+
 @dataclass
 class RBData:
     """Per-length averaged survival probabilities."""
@@ -106,6 +121,14 @@ class RBData:
     k_m: int
     shots: int
     exact: bool
+
+    @classmethod
+    def from_chunks(cls, lengths, chunks: list, shots: int, exact: bool) -> "RBData":
+        """Aggregate one list of per-sequence survivals per length."""
+        per_sequence = [np.array(c) for c in chunks]
+        p_m, stderr = length_stats(per_sequence)
+        return cls(lengths=list(lengths), p_m=p_m, stderr=stderr, per_sequence=per_sequence,
+                   k_m=len(per_sequence[0]), shots=shots, exact=exact)
 
     def points(self):
         return list(zip(self.lengths, self.p_m))
@@ -150,14 +173,19 @@ def _sequence_elements(config: RBConfig, m: int, rng: np.random.Generator) -> li
     return [CliffordElement.from_gates(config.n, [g]) for g in gates]
 
 
-def _survival_exact(config: RBConfig, elements: list) -> float:
+def _survival_exact(config: RBConfig, elements: list, channels=None) -> float:
+    """Exact survival of ``elements`` closed by the inverse of their product.
+
+    ``channels`` holds one channel per element plus one for the inverse;
+    by default each of them is the gate channel.
+    """
     product = elements[0]
     for e in elements[1:]:
         product = compose(product, e)
     seq = SequenceSpec(
         n=config.n,
         elements=elements + [inverse(product)],
-        noise=config.noise.gate,
+        noise=config.noise.gate if channels is None else channels,
         spam=config.noise.spam,
     )
     return survival_probability(run_sequence_exact(seq), config.noise.spam)
@@ -170,7 +198,7 @@ def _survival_sampled_dense_fallback(config: RBConfig, elements: list,
     return float(rng.binomial(config.shots, min(max(p, 0.0), 1.0))) / config.shots
 
 
-def run_standard_rb(config: RBConfig, threads: int = 1) -> RBData:
+def run_standard_rb(config: RBConfig) -> RBData:
     """Run the full protocol and average survival over k_m sequences per length.
 
     Exact mode computes each sequence's survival analytically (no shot
@@ -184,9 +212,7 @@ def run_standard_rb(config: RBConfig, threads: int = 1) -> RBData:
         and config.noise.spam.meas.is_pauli_diagonal
     )
 
-    def one_sequence(task):
-        index, m = task
-        rng = generator_for(config.seed, index)
+    def one_sequence(m, rng, index):
         elements = _sequence_elements(config, m, rng)
         if config.exact:
             return _survival_exact(config, elements)
@@ -198,38 +224,19 @@ def run_standard_rb(config: RBConfig, threads: int = 1) -> RBData:
             return float(np.mean(compiled.survival_samples(config.shots, rng)))
         return _survival_sampled_dense_fallback(config, elements, rng)
 
-    tasks = [(im * config.k_m + j, m)
-             for im, m in enumerate(config.lengths) for j in range(config.k_m)]
-    values = parallel_map(one_sequence, tasks, threads)
-
-    per_sequence, means, errs = [], [], []
-    for im, m in enumerate(config.lengths):
-        vals = np.array(values[im * config.k_m:(im + 1) * config.k_m])
-        per_sequence.append(vals)
-        means.append(float(np.mean(vals)))
-        errs.append(float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0)
-    return RBData(
-        lengths=list(config.lengths),
-        p_m=np.array(means),
-        stderr=np.array(errs),
-        per_sequence=per_sequence,
-        k_m=config.k_m,
-        shots=0 if config.exact else config.shots,
-        exact=config.exact,
-    )
+    chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_sequence)
+    return RBData.from_chunks(config.lengths, chunks,
+                              shots=0 if config.exact else config.shots, exact=config.exact)
 
 
-def fit_rb_data(data: RBData, d: int, weighted: bool = True, coefficient_bounds="box"):
-    """Fit the decay curve and return (DecayFit, r).
+def fit_rb_data(data, d: int, coefficient_bounds):
+    """Fit the decay curve of per-length averages and return (DecayFit, r).
 
-    ``coefficient_bounds`` may be explicit bounds, None for a free fit, or
-    "box" for the [0, 1] physical box.
+    ``data`` is an ``RBData`` or ``RBSVResult``; ``coefficient_bounds`` are
+    explicit bounds, or None for a free fit.  Points are weighted by
+    1/stderr^2 only when every stderr is above round-off.
     """
-    weights = None
-    if weighted and np.all(data.stderr > 0):
-        weights = 1.0 / np.asarray(data.stderr) ** 2
-    if isinstance(coefficient_bounds, str):
-        coefficient_bounds = PHYSICAL_COEFFICIENT_BOUNDS
-    fit = fit_decay(data.points(), weights=weights,
-                    coefficient_bounds=coefficient_bounds)
+    stderr = np.asarray(data.stderr, dtype=float)
+    weights = 1.0 / stderr ** 2 if np.all(stderr > ROUNDOFF_STDERR) else None
+    fit = fit_decay(data.points(), weights=weights, coefficient_bounds=coefficient_bounds)
     return fit, r_from_p(fit.p, d)

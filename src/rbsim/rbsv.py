@@ -16,9 +16,9 @@ import numpy as np
 from .channels import measurement_success_probability
 from .cliffords import CliffordElement, compose, stabilizer_group
 from .engines import CompiledSequence, SequenceSpec, run_sequence_exact
-from .fitting import DecayFit, fit_decay, r_from_p
-from .rb import RBConfig, _sequence_elements
-from .seeding import generator_for, parallel_map
+from .fitting import DecayFit
+from .rb import RBConfig, _sequence_elements, fit_rb_data, length_stats
+from .seeding import run_ensemble
 
 __all__ = [
     "FailureSignatureError",
@@ -201,14 +201,11 @@ def run_rbsv_sequence(spec: SequenceSpec, n_reps: int, rng: np.random.Generator,
     return AcceptanceRecord(j=j, m=m, n_reps=n_reps, n_acc=n_acc, p_acc=n_acc / n_reps)
 
 
-def run_rbsv(config: RBSVConfig, threads: int = 1) -> RBSVResult:
+def run_rbsv(config: RBSVConfig) -> RBSVResult:
     """Full verification-based benchmarking run: sample sequences, estimate
     acceptance per sequence, convert to fidelity lower bounds, average and fit."""
-    d = 2 ** config.n
 
-    def one_sequence(task):
-        index, m = task
-        rng = generator_for(config.seed, index)
+    def one_sequence(m, rng, index):
         elements = _sequence_elements(config, m, rng)
         spec = SequenceSpec(n=config.n, elements=elements,
                             noise=config.noise.gate, spam=config.noise.spam)
@@ -224,47 +221,26 @@ def run_rbsv(config: RBSVConfig, threads: int = 1) -> RBSVResult:
                 "the noise is too strong for verification to proceed"
             )
         copies, saturated = config.r_policy.choose(record.p_acc)
-        bound = fidelity_lower_bound(record.p_acc, copies)
-        return record, copies, saturated, bound
+        return record.p_acc, copies, saturated, fidelity_lower_bound(record.p_acc, copies)
 
-    tasks = [(im * config.k_m + j, m)
-             for im, m in enumerate(config.lengths) for j in range(config.k_m)]
-    results = parallel_map(one_sequence, tasks, threads)
-
-    f_bar, stderr, per_seq, per_seq_p, mean_p, mean_r, n_sat = [], [], [], [], [], [], []
-    for im, m in enumerate(config.lengths):
-        chunk = results[im * config.k_m:(im + 1) * config.k_m]
-        bounds = np.array([c[3] for c in chunk])
-        p_accs = np.array([c[0].p_acc for c in chunk])
-        per_seq.append(bounds)
-        per_seq_p.append(p_accs)
-        f_bar.append(float(np.mean(bounds)))
-        stderr.append(float(np.std(bounds, ddof=1) / np.sqrt(bounds.size))
-                      if bounds.size > 1 else 0.0)
-        mean_p.append(float(np.mean(p_accs)))
-        mean_r.append(float(np.mean([c[1] for c in chunk])))
-        n_sat.append(int(sum(1 for c in chunk if c[2])))
-
+    chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_sequence)
+    per_seq_p = [np.array([c[0] for c in chunk]) for chunk in chunks]
+    per_seq = [np.array([c[3] for c in chunk]) for chunk in chunks]
+    f_bar, stderr = length_stats(per_seq)
     result = RBSVResult(
         lengths=list(config.lengths),
-        f_bar=np.array(f_bar),
-        stderr=np.array(stderr),
+        f_bar=f_bar,
+        stderr=stderr,
         per_sequence_bounds=per_seq,
         per_sequence_p_acc=per_seq_p,
-        mean_p_acc=np.array(mean_p),
-        mean_copies=np.array(mean_r),
-        n_saturated=np.array(n_sat),
+        mean_p_acc=np.array([float(np.mean(p)) for p in per_seq_p]),
+        mean_copies=np.array([float(np.mean([c[1] for c in chunk])) for chunk in chunks]),
+        n_saturated=np.array([sum(1 for c in chunk if c[2]) for chunk in chunks]),
         k_m=config.k_m,
         n_m=config.n_m,
         exact=config.exact,
     )
-
-    weights = None
-    if np.all(result.stderr > 0):
-        weights = 1.0 / result.stderr ** 2
-    fit = fit_decay(result.points(), weights=weights,
-                    coefficient_bounds=config.fit_bounds)
+    fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)
     result.fit = fit
     result.degenerate = fit.degenerate or fit.at_boundary
-    result.r_rbsv = r_from_p(fit.p, d)
     return result

@@ -1,17 +1,15 @@
-"""Deterministic seed derivation and the parallel-map execution shape.
+"""Deterministic seed derivation and the one per-length ensemble driver.
 
 Every unit of work (one sequence, one repetition stream) owns a generator
-seeded from ``seed_plan(master, j, rep)``, so results are bit-identical
-regardless of thread count or scheduling.
+seeded from ``seed_plan(master, j, rep)``, so a result depends only on the
+master seed and the unit's index, never on the order units run in.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-__all__ = ["seed_plan", "generator_for", "parallel_map"]
+__all__ = ["seed_plan", "generator_for", "parallel_map", "run_ensemble"]
 
 _MASK = (1 << 64) - 1
 
@@ -35,10 +33,19 @@ def generator_for(master_seed: int, j: int, rep: int = 0) -> np.random.Generator
     return np.random.Generator(np.random.PCG64(seed_plan(master_seed, j, rep)))
 
 
-def parallel_map(fn, items, threads: int = 1) -> list:
+def parallel_map(fn, items) -> list:
     """Order-preserving map; items must be independent for determinism."""
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+    return [fn(item) for item in items]
+
+
+def run_ensemble(seed: int, lengths, k_m: int, one_sequence) -> list:
+    """``k_m`` independent sequences per length, one result each.
+
+    Sequence ``j`` at the ``im``-th length is work unit ``im * k_m + j``; it
+    calls ``one_sequence(m, rng, index)`` with ``rng = generator_for(seed,
+    index)``.  Returns one list of ``k_m`` results per length.
+    """
+    tasks = [(im * k_m + j, m) for im, m in enumerate(lengths) for j in range(k_m)]
+    results = parallel_map(
+        lambda task: one_sequence(task[1], generator_for(seed, task[0]), task[0]), tasks)
+    return [results[im * k_m:(im + 1) * k_m] for im in range(len(lengths))]

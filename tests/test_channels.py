@@ -20,7 +20,6 @@ from rbsim.channels import (
     maximally_mixed_state,
     measurement_success_probability,
     rotation_unitary,
-    sample_pauli_fault,
     zero_state,
 )
 from rbsim.cliffords import clifford_to_matrix, random_clifford, stabilizer_group
@@ -116,48 +115,50 @@ class TestDepolarizingParameter:
         assert abs(p - 0.97 * 0.93) < 1e-12
 
 
+def _packed_label(idx: int, n: int) -> str:
+    """Label of packed fault index ``idx``: bit q = x_q, bit n+q = z_q."""
+    return "".join("IXZY"[((idx >> q) & 1) | (((idx >> (n + q)) & 1) << 1)]
+                   for q in range(n))
+
+
 class TestFaultSampling:
-    def test_zero_strength_always_identity(self, rng):
-        for _ in range(50):
-            assert sample_pauli_fault(Depolarizing(0.0), 2, rng).is_identity
+    """``fault_distribution`` is the law the trajectory engine samples faults from."""
+
+    def test_zero_strength_always_identity(self):
+        dist = fault_distribution(Depolarizing(0.0), 2)
+        assert dist[0] == 1.0
+        assert np.all(dist[1:] == 0.0)
 
     def test_depolarizing_single_qubit_rates(self):
-        rng = np.random.default_rng(42)
         eps = 0.2
-        counts = {"I": 0, "X": 0, "Y": 0, "Z": 0}
-        n_draw = 100_000
         dist = fault_distribution(Depolarizing(eps), 1)
-        assert abs(dist[0] - (1 - eps * 3 / 4)) < 1e-12
-        for _ in range(n_draw):
-            f = sample_pauli_fault(Depolarizing(eps), 1, rng)
-            counts[f.label()[1:]] += 1
-        p_x = eps / 4
-        sigma = np.sqrt(p_x * (1 - p_x) / n_draw)
-        assert abs(counts["X"] / n_draw - p_x) < 3 * sigma
+        assert [_packed_label(i, 1) for i in range(4)] == ["I", "X", "Z", "Y"]
+        assert np.allclose(dist, [1 - eps * 3 / 4, eps / 4, eps / 4, eps / 4], atol=1e-15)
 
     def test_fifty_fifty_channel(self):
-        rng = np.random.default_rng(3)
-        ch = PauliChannel({"I": 0.5, "X": 0.5})
-        hits = sum(sample_pauli_fault(ch, 1, rng).weight for _ in range(10_000))
-        assert abs(hits / 10_000 - 0.5) < 3 * np.sqrt(0.25 / 10_000)
+        dist = fault_distribution(PauliChannel({"I": 0.5, "X": 0.5}), 1)
+        assert np.array_equal(dist, [0.5, 0.5, 0.0, 0.0])
 
     def test_trajectory_matches_channel_in_expectation(self, rng):
-        # sampled faults reproduce apply_channel on average
-        ch = PauliChannel({"II": 0.8, "XZ": 0.15, "YY": 0.05})
-        rho = zero_state(2)
-        avg = np.zeros((4, 4), dtype=complex)
-        n_draw = 20_000
-        for _ in range(n_draw):
-            f = sample_pauli_fault(ch, 2, rng).to_matrix()
-            avg += f @ rho @ f.conj().T
-        avg /= n_draw
-        exact = apply_channel(ch, rho)
-        assert np.max(np.abs(avg - exact)) < 3 * np.sqrt(0.2 / n_draw) + 0.01
+        # averaging P rho P over the fault law reproduces apply_channel
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        rho = a @ a.conj().T
+        rho /= np.trace(rho)
+        pauli = PauliChannel({"II": 0.8, "XZ": 0.15, "YY": 0.05})
+        for ch in (pauli, Depolarizing(0.3),
+                   ComposedChannel([pauli, Depolarizing(0.1), Ideal()])):
+            dist = fault_distribution(ch, 2)
+            assert abs(float(np.sum(dist)) - 1.0) < 1e-12
+            avg = np.zeros((4, 4), dtype=complex)
+            for idx, prob in enumerate(dist):
+                f = pauli_matrix(_packed_label(idx, 2))
+                avg += prob * (f @ rho @ f.conj().T)
+            assert np.max(np.abs(avg - apply_channel(ch, rho))) < 1e-12
 
-    def test_non_pauli_channel_rejected(self, rng):
+    def test_non_pauli_channel_rejected(self):
         ch = DeltaDepolarizing(0.1, 0.9, rotation_unitary(1, 0, "X", 0.5))
         with pytest.raises(UnsupportedChannelError):
-            sample_pauli_fault(ch, 1, rng)
+            fault_distribution(ch, 1)
 
 
 class TestMeasurementSuccess:
@@ -213,6 +214,10 @@ class TestConfigSpecs:
             channel_from_spec({"kind": "pauli", "probabilities": {"X": 1.0}}, 2)
         with pytest.raises(ValueError):
             channel_from_spec({"kind": "depolarizing", "epsilon": 2.0}, 1)
+        with pytest.raises(ValueError, match="epsilon"):
+            channel_from_spec({"kind": "depolarizing", "epsilonn": 0.1}, 1)
+        with pytest.raises(ValueError, match="p_prime"):
+            channel_from_spec({"kind": "delta_depolarizing", "delta": 0.1}, 1)
 
     def test_spam_and_noise_model_validation(self):
         NoiseModel(gate=Depolarizing(0.1), spam=SpamModel(meas_flip=0.2)).validate()

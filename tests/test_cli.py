@@ -26,6 +26,23 @@ def small_rbsv_config(seed=11):
     }
 
 
+IRBGS_CONFIG = {
+    "protocol": "irbgs",
+    "lengths": [2, 5, 8],
+    "K_m": 2,
+    "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.002}},
+    "noise_n": {"kind": "depolarizing", "epsilon": 0.001},
+    "recipe": "phase-on-j",
+    "seed": 3,
+}
+
+
+def assert_one_error(capsys, fragment):
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert fragment in lines[0]
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, capsys):
         assert main(["rb", "--config", "/nonexistent.json"]) == 2
@@ -54,6 +71,69 @@ class TestConfigErrors:
         assert main(["rb", "--config", str(path)]) == 2
         assert "JSON" in capsys.readouterr().err
 
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        path = write_config(tmp_path, "list.json", [1, 2])
+        assert main(["rb", "--config", path]) == 2
+        assert_one_error(capsys, "JSON object")
+
+    @pytest.mark.parametrize("command, edit, field", [
+        ("rb", {"k_m": 3}, "'k_m'"),
+        ("rb", {"N_m": 24}, "'N_m'"),
+        ("rbsv", {"R_policy": {"cpa": 5}}, "'R_policy.cpa'"),
+        ("rbsv", {"noise": {"gate": {"kind": "ideal"}, "p_mesa": 0.1}}, "'noise.p_mesa'"),
+        ("compare", {"mode_": "exact"}, "'mode_'"),
+    ])
+    def test_unknown_fields_rejected(self, tmp_path, capsys, command, edit, field):
+        cfg = dict(small_rbsv_config(), protocol=command)
+        if command == "rb":
+            del cfg["N_m"]
+        cfg.update(edit)
+        path = write_config(tmp_path, "typo.json", cfg)
+        assert main([command, "--config", path]) == 2
+        assert_one_error(capsys, f"unknown config field {field}")
+
+    def test_irbgs_rejects_rbsv_fields(self, tmp_path, capsys):
+        cfg = dict(IRBGS_CONFIG, N_m=100)
+        path = write_config(tmp_path, "irbgs.json", cfg)
+        assert main(["irbgs", "--config", path]) == 2
+        assert_one_error(capsys, "unknown config field 'N_m'")
+
+    def test_missing_channel_field(self, tmp_path, capsys):
+        cfg = small_rbsv_config()
+        cfg["noise"] = {"gate": {"kind": "depolarizing", "epsilonn": 0.01}}
+        path = write_config(tmp_path, "eps.json", cfg)
+        assert main(["rbsv", "--config", path]) == 2
+        assert_one_error(capsys, "needs field(s) epsilon")
+
+    def test_misspelled_mode_rejected(self, tmp_path, capsys):
+        path = write_config(tmp_path, "mode.json", dict(small_rbsv_config(), mode="exakt"))
+        assert main(["rbsv", "--config", path]) == 2
+        assert_one_error(capsys, "'exakt'")
+
+    def test_threads_other_than_one_rejected(self, tmp_path):
+        path = write_config(tmp_path, "rbsv.json", small_rbsv_config())
+        with pytest.raises(SystemExit) as exc:
+            main(["rbsv", "--config", path, "--threads", "2"])
+        assert exc.value.code == 2
+
+
+class TestRunFailures:
+    def test_non_pauli_noise_in_sampled_rbsv(self, tmp_path, capsys):
+        cfg = small_rbsv_config()
+        cfg["noise"] = {"gate": {"kind": "delta_depolarizing", "delta": 0.01,
+                                 "p_prime": 0.99}}
+        path = write_config(tmp_path, "delta.json", cfg)
+        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert_one_error(capsys, "not Pauli-diagonal")
+
+    def test_too_noisy_device(self, tmp_path, capsys):
+        cfg = {"protocol": "rbsv", "n": 1, "lengths": [2, 4, 6], "K_m": 6, "N_m": 2,
+               "include_identity_stabilizer": False, "seed": 5,
+               "noise": {"gate": {"kind": "depolarizing", "epsilon": 1.0}}}
+        path = write_config(tmp_path, "noisy.json", cfg)
+        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert_one_error(capsys, "too strong for verification")
+
 
 class TestRuns:
     def test_rbsv_artifacts(self, tmp_path):
@@ -72,6 +152,7 @@ class TestRuns:
 
     def test_rb_artifacts(self, tmp_path):
         cfg = dict(small_rbsv_config(), protocol="rb")
+        del cfg["N_m"]  # an rbsv field; rb rejects it
         path = write_config(tmp_path, "rb.json", cfg)
         out = str(tmp_path / "out")
         assert main(["rb", "--config", path, "--out", out]) == 0
@@ -104,21 +185,12 @@ class TestRuns:
         outs = []
         for sub in ("x", "y"):
             out = str(tmp_path / sub)
-            assert main(["rbsv", "--config", path, "--out", out, "--threads", "3"]) == 0
+            assert main(["rbsv", "--config", path, "--out", out]) == 0
             outs.append(open(os.path.join(out, "rbsv.csv"), "rb").read())
         assert outs[0] == outs[1]
 
     def test_irbgs_run(self, tmp_path):
-        cfg = {
-            "protocol": "irbgs",
-            "lengths": [2, 5, 8],
-            "K_m": 2,
-            "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.002}},
-            "noise_n": {"kind": "depolarizing", "epsilon": 0.001},
-            "recipe": "phase-on-j",
-            "seed": 3,
-        }
-        path = write_config(tmp_path, "irbgs.json", cfg)
+        path = write_config(tmp_path, "irbgs.json", IRBGS_CONFIG)
         out = str(tmp_path / "out")
         assert main(["irbgs", "--config", path, "--out", out]) == 0
         summary = json.load(open(os.path.join(out, "irbgs_summary.json")))

@@ -121,13 +121,6 @@ class TestRunStandardRB:
         fit, _ = fit_rb_data(data, 4, coefficient_bounds=cfg.fit_bounds)
         assert abs(fit.p - (1 - eps) ** b) < 1e-6
 
-    def test_threads_do_not_change_results(self):
-        cfg = RBConfig(n=2, lengths=(3, 6, 9), k_m=6, shots=50,
-                       noise=depolarizing_model(0.01), seed=17)
-        a = run_standard_rb(cfg, threads=1)
-        b = run_standard_rb(cfg, threads=4)
-        assert np.array_equal(a.p_m, b.p_m)
-
     def test_non_pauli_noise_uses_exact_fallback(self):
         from rbsim.channels import DeltaDepolarizing, SpamModel, rotation_unitary
 

@@ -225,14 +225,6 @@ class TestRunRBSV:
             RBSVConfig(n=2, lengths=(2, 4, 6), k_m=1, n_m=3,
                        noise=depolarizing_model(0.01))
 
-    def test_determinism_across_threads(self):
-        cfg = RBSVConfig(n=2, lengths=(3, 6, 9), k_m=4, n_m=40,
-                         noise=depolarizing_model(0.01), seed=19)
-        a = run_rbsv(cfg, threads=1)
-        b = run_rbsv(cfg, threads=4)
-        assert np.array_equal(a.f_bar, b.f_bar)
-        assert a.r_rbsv == b.r_rbsv
-
 
 def test_rbsv_supports_generator_mode_exact():
     # per-generator depolarizing: acceptance follows 1 - (3/8)(1 - p^(m*b))
@@ -298,8 +290,6 @@ def test_exact_run_matches_closed_form_curve(eps, include_identity):
     p_acc, f_bar = depolarizing_rbsv_curve(eps, LENGTHS, include_identity)
     assert np.all(np.abs(result.mean_p_acc - p_acc) < 1e-12)
     assert np.all(np.abs(result.f_bar - f_bar) < 1e-12)
-    # the driver weights its fit by 1/stderr^2, and here stderr is round-off
-    # (1e-16 to 1e-15), so the fits agree only up to that weighting's effect
     oracle = pinned_offset_infidelity(LENGTHS, f_bar)
-    assert abs(result.r_rbsv - oracle) < 1e-2 * oracle
+    assert abs(result.r_rbsv - oracle) < 1e-6 * oracle
 

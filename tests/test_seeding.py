@@ -1,6 +1,6 @@
 import numpy as np
 
-from rbsim.seeding import generator_for, parallel_map, seed_plan
+from rbsim.seeding import generator_for, parallel_map, run_ensemble, seed_plan
 
 
 def test_same_inputs_same_seed():
@@ -35,5 +35,19 @@ def test_generator_streams_are_reproducible():
 
 def test_parallel_map_preserves_order():
     items = list(range(50))
-    assert parallel_map(lambda v: v * v, items, threads=1) == [v * v for v in items]
-    assert parallel_map(lambda v: v * v, items, threads=8) == [v * v for v in items]
+    assert parallel_map(lambda v: v * v, items) == [v * v for v in items]
+
+
+def test_run_ensemble_chunk_layout_and_seeding():
+    lengths, k_m, seed = (4, 1, 9), 3, 123
+
+    def one_sequence(m, rng, index):
+        return m, index, rng.random()
+
+    chunks = run_ensemble(seed, lengths, k_m, one_sequence)
+    assert len(chunks) == len(lengths)
+    for im, (m, chunk) in enumerate(zip(lengths, chunks)):
+        assert [c[:2] for c in chunk] == [(m, im * k_m + j) for j in range(k_m)]
+        # each unit draws from its own stream, whatever ran before it
+        assert [c[2] for c in chunk] == [generator_for(seed, im * k_m + j).random()
+                                         for j in range(k_m)]
