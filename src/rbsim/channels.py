@@ -380,11 +380,7 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
             raise ValueError("channel register size mismatch")
         probs = np.zeros(4 ** n)
         for key, prob in ch.probabilities:
-            idx = 0
-            for q in range(n):
-                idx |= int(key.x[q]) << q
-                idx |= int(key.z[q]) << (n + q)
-            probs[idx] += prob
+            probs[key.packed()] += prob
         return probs
     if isinstance(ch, ComposedChannel):
         # XOR convolution of the component fault distributions
@@ -447,23 +443,36 @@ def measurement_success_probability(rho: np.ndarray, s: PauliString,
 # ---------------------------------------------------------------------------
 
 
+# required and optional fields of each channel kind, besides "kind"
+_CHANNEL_FIELDS = {
+    "ideal": ((), ()),
+    "depolarizing": (("epsilon",), ()),
+    "pauli": (("probabilities",), ()),
+    "delta_depolarizing": (("delta", "p_prime"), ("qubit", "axis", "angle")),
+}
+
+
 def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     """Build a channel from its JSON config form.
 
     Kinds: ``ideal``, ``depolarizing`` {epsilon}, ``pauli`` {probabilities:
     {"XI": 0.01, ...}}, ``delta_depolarizing`` {delta, p_prime, qubit?,
-    axis?, angle?}.
+    axis?, angle?}.  Any other field is rejected.
     """
     if spec is None:
         return Ideal()
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ValueError(f"channel spec must be an object with a 'kind': {spec!r}")
     kind = spec["kind"]
-    required = {"depolarizing": ("epsilon",), "pauli": ("probabilities",),
-                "delta_depolarizing": ("delta", "p_prime")}.get(kind, ())
+    if kind not in _CHANNEL_FIELDS:
+        raise ValueError(f"unknown channel kind {kind!r}")
+    required, optional = _CHANNEL_FIELDS[kind]
     missing = [key for key in required if key not in spec]
     if missing:
         raise ValueError(f"channel kind {kind!r} needs field(s) {', '.join(missing)}")
+    unknown = sorted(set(spec) - {"kind", *required, *optional})
+    if unknown:
+        raise ValueError("unknown channel field " + ", ".join(repr(k) for k in unknown))
     if kind == "ideal":
         return Ideal()
     if kind == "depolarizing":
@@ -491,7 +500,6 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
         ch = DeltaDepolarizing(float(spec["delta"]), float(spec["p_prime"]), u)
         ch.validate()
         return ch
-    raise ValueError(f"unknown channel kind {kind!r}")
 
 
 def apply_channel(ch: NoiseChannel, rho: np.ndarray) -> np.ndarray:

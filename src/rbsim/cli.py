@@ -372,13 +372,15 @@ def _cmd_verify_synthesis(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required=True):
-    parser.add_argument("--config", required=config_required, help="JSON config path")
-    parser.add_argument("--seed", type=int, default=None, help="override master seed")
-    parser.add_argument("--threads", type=int, default=1, choices=[1],
-                        help="worker threads; runs are single-threaded, so only 1")
+def _add_common(parser: argparse.ArgumentParser, run: bool = True):
+    """``--config`` and ``--out``; with ``run``, also the flags a protocol run reads."""
+    parser.add_argument("--config", required=True, help="JSON config path")
     parser.add_argument("--out", default=None, help="artifact directory")
-    parser.add_argument("--exact", action="store_true", help="force exact mode")
+    if run:
+        parser.add_argument("--seed", type=int, default=None, help="override master seed")
+        parser.add_argument("--threads", type=int, default=1, choices=[1],
+                            help="worker threads; runs are single-threaded, so only 1")
+        parser.add_argument("--exact", action="store_true", help="force exact mode")
 
 
 def main(argv=None) -> int:
@@ -389,8 +391,9 @@ def main(argv=None) -> int:
                     "and interleaved protocols plus resource planning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("rb", "rbsv", "compare", "irbgs", "plan"):
+    for name in ("rb", "rbsv", "compare", "irbgs"):
         _add_common(sub.add_parser(name))
+    _add_common(sub.add_parser("plan"), run=False)
     vs = sub.add_parser("verify-synthesis")
     vs.add_argument("--recipes", default=None, help="recipe JSON (default: bundled)")
     args = parser.parse_args(argv)

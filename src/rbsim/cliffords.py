@@ -1,9 +1,16 @@
 """Clifford elements as conjugation images of the Pauli generators.
 
 A Clifford unitary ``C`` on n qubits is stored by the 2n Pauli strings
-``C X_i C†`` and ``C Z_i C†``.  This makes sequence products, inverses and
-stabilizer groups O(n^2)-ish bit operations regardless of circuit depth, and
-it doubles as an Aaronson-Gottesman style tableau (rows = generator images).
+``C X_i C†`` and ``C Z_i C†``, each one packed int (bit q = x_q, bit n+q =
+z_q, the layout of the trajectory engine's fault indices) plus its exponent
+of i: an Aaronson-Gottesman tableau with one word per row.  Sequence
+products, inverses and conjugations are word-level bit operations whose
+cost does not depend on circuit depth: the symplectic inner product is one
+``int.bit_count``, and phases follow the Aaronson-Gottesman rule in its
+bit-mask form (``paulis.packed_phase_exponent``).  The uniform sampler
+(Koenig-Smolin transvections) emits packed rows directly.  ``x_bits`` /
+``z_bits`` and the ``PauliString`` images are read-only views for the dense
+oracle and the public API.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import PauliString, pauli_multiply, _phase_exponents
+from .paulis import PauliString, packed_phase_exponent, pauli_multiply
 
 __all__ = [
     "GeneratorGate",
@@ -64,68 +71,80 @@ class GeneratorGate:
         return f"{self.name} {' '.join(str(q) for q in self.qubits)}"
 
 
-def _apply_gate_rows(gate: GeneratorGate, x: np.ndarray, z: np.ndarray, ph: np.ndarray):
-    """Conjugate Pauli rows in place by one generator gate: row -> G row G†.
+def _apply_gate_rows(gate: GeneratorGate, n: int, rows: list, phases: list):
+    """Conjugate packed Pauli rows in place by one generator gate: row -> G row G†.
 
-    ``x``/``z`` are (rows, n) bit arrays, ``ph`` the (rows,) phase exponents.
+    ``rows`` holds packed strings (bit q = x_q, bit n+q = z_q), ``phases``
+    their exponents of i.
     """
     name = gate.name
-    if name == "H":
-        (q,) = gate.qubits
-        ph += 2 * (x[:, q] & z[:, q])
-        x[:, q], z[:, q] = z[:, q].copy(), x[:, q].copy()
-    elif name == "P":
-        (q,) = gate.qubits
-        ph += 2 * (x[:, q] & z[:, q])
-        z[:, q] ^= x[:, q]
-    elif name == "PDAG":
-        (q,) = gate.qubits
-        ph += 2 * (x[:, q] & (z[:, q] ^ 1))
-        z[:, q] ^= x[:, q]
-    elif name == "X":
-        (q,) = gate.qubits
-        ph += 2 * z[:, q]
-    elif name == "CNOT":
+    if name == "CNOT":
         c, t = gate.qubits
-        ph += 2 * (x[:, c] & z[:, t] & (x[:, t] ^ z[:, c] ^ 1))
-        x[:, t] ^= x[:, c]
-        z[:, c] ^= z[:, t]
-    else:  # pragma: no cover - guarded by GeneratorGate
-        raise ValueError(f"unknown gate {name!r}")
-    ph %= 4
+        for r, v in enumerate(rows):
+            xc, xt = (v >> c) & 1, (v >> t) & 1
+            zc, zt = (v >> (n + c)) & 1, (v >> (n + t)) & 1
+            if xc & zt & (xt ^ zc ^ 1):
+                phases[r] = (phases[r] + 2) & 3
+            rows[r] = v ^ (xc << t) ^ (zt << (n + c))
+        return
+    (q,) = gate.qubits
+    for r, v in enumerate(rows):
+        x, z = (v >> q) & 1, (v >> (n + q)) & 1
+        if name == "H":
+            flip = x & z
+            v ^= (x ^ z) * ((1 << q) | (1 << (n + q)))
+        elif name == "P":
+            flip = x & z
+            v ^= x << (n + q)
+        elif name == "PDAG":
+            flip = x & (z ^ 1)
+            v ^= x << (n + q)
+        elif name == "X":
+            flip = z
+        else:  # pragma: no cover - guarded by GeneratorGate
+            raise ValueError(f"unknown gate {name!r}")
+        if flip:
+            phases[r] = (phases[r] + 2) & 3
+        rows[r] = v
 
 
 class CliffordElement:
     """An n-qubit Clifford group element in generator-image form.
 
-    Rows ``0..n-1`` hold the images of ``X_i``, rows ``n..2n-1`` the images
-    of ``Z_i``.  All valid elements have Hermitian images (phases 0 or 2).
+    ``rows[r]`` is the packed image of ``X_r`` for ``r < n`` and of
+    ``Z_{r-n}`` for ``r >= n`` (bit q = x_q, bit n+q = z_q), ``phases[r]``
+    its exponent of i.  All valid elements have Hermitian images (phases 0
+    or 2).  ``x_bits`` / ``z_bits`` are read-only (2n, n) views of the rows
+    for the dense oracle.
     """
 
-    __slots__ = ("n", "x_bits", "z_bits", "phases")
+    __slots__ = ("n", "rows", "phases", "_bits")
 
-    def __init__(self, n: int, x_bits: np.ndarray, z_bits: np.ndarray, phases: np.ndarray):
+    def __init__(self, n: int, rows, phases):
         self.n = int(n)
-        self.x_bits = np.asarray(x_bits, dtype=np.uint8)
-        self.z_bits = np.asarray(z_bits, dtype=np.uint8)
-        self.phases = np.asarray(phases, dtype=np.uint8) % 4
-        if self.x_bits.shape != (2 * n, n) or self.z_bits.shape != (2 * n, n):
-            raise ValueError("image bit arrays must have shape (2n, n)")
-        if self.phases.shape != (2 * n,):
-            raise ValueError("phase vector must have shape (2n,)")
+        self.rows = tuple(int(v) for v in rows)
+        self.phases = tuple(int(p) & 3 for p in phases)
+        self._bits = None
+        if len(self.rows) != 2 * n or any(v < 0 or v >> (2 * n) for v in self.rows):
+            raise ValueError("need 2n packed image rows of 2n bits")
+        if len(self.phases) != 2 * n:
+            raise ValueError("need one phase per image row")
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, n: int, rows: tuple, phases: tuple) -> "CliffordElement":
+        """Skip the checks of ``__init__``: ``rows`` and ``phases`` are
+        tuples of 2n in-range ints, as this module's operations produce."""
+        elem = object.__new__(cls)
+        elem.n, elem.rows, elem.phases, elem._bits = n, rows, phases, None
+        return elem
 
     @classmethod
     def identity(cls, n: int) -> "CliffordElement":
         if n < 1:
             raise ValueError("need at least one qubit")
-        x = np.zeros((2 * n, n), dtype=np.uint8)
-        z = np.zeros((2 * n, n), dtype=np.uint8)
-        for i in range(n):
-            x[i, i] = 1
-            z[n + i, i] = 1
-        return cls(n, x, z, np.zeros(2 * n, dtype=np.uint8))
+        return cls._trusted(n, tuple(1 << r for r in range(2 * n)), (0,) * (2 * n))
 
     @classmethod
     def from_gates(cls, n: int, gates) -> "CliffordElement":
@@ -136,9 +155,7 @@ class CliffordElement:
         return elem
 
     def copy(self) -> "CliffordElement":
-        return CliffordElement(
-            self.n, self.x_bits.copy(), self.z_bits.copy(), self.phases.copy()
-        )
+        return CliffordElement._trusted(self.n, self.rows, self.phases)
 
     # -- mutation (append a gate to the circuit) -------------------------
 
@@ -146,26 +163,41 @@ class CliffordElement:
         """Left-compose one generator gate: self -> gate ∘ self."""
         if max(gate.qubits) >= self.n:
             raise ValueError(f"gate {gate!r} out of range for n={self.n}")
-        ph = self.phases.astype(np.int64)
-        _apply_gate_rows(gate, self.x_bits, self.z_bits, ph)
-        self.phases = ph.astype(np.uint8)
+        rows, phases = list(self.rows), list(self.phases)
+        _apply_gate_rows(gate, self.n, rows, phases)
+        self.rows, self.phases, self._bits = tuple(rows), tuple(phases), None
 
     # -- row access -------------------------------------------------------
 
+    def _bit_views(self) -> tuple:
+        if self._bits is None:
+            width = 2 * self.n
+            bits = np.array([[(v >> b) & 1 for b in range(width)] for v in self.rows],
+                            dtype=np.uint8)
+            bits.setflags(write=False)
+            self._bits = (bits[:, :self.n], bits[:, self.n:])
+        return self._bits
+
+    @property
+    def x_bits(self) -> np.ndarray:
+        """(2n, n) x bits of the image rows (read-only view)."""
+        return self._bit_views()[0]
+
+    @property
+    def z_bits(self) -> np.ndarray:
+        """(2n, n) z bits of the image rows (read-only view)."""
+        return self._bit_views()[1]
+
     def image_of_x(self, i: int) -> PauliString:
-        return PauliString(self.x_bits[i], self.z_bits[i], int(self.phases[i]))
+        return PauliString.from_packed(self.rows[i], self.n, self.phases[i])
 
     def image_of_z(self, i: int) -> PauliString:
         r = self.n + i
-        return PauliString(self.x_bits[r], self.z_bits[r], int(self.phases[r]))
-
-    def symplectic(self) -> np.ndarray:
-        """(2n, 2n) GF(2) matrix, rows = (x bits | z bits) of the images."""
-        return np.concatenate([self.x_bits, self.z_bits], axis=1)
+        return PauliString.from_packed(self.rows[r], self.n, self.phases[r])
 
     def key(self) -> tuple:
         """Hashable identity of the element (global phase excluded)."""
-        return (self.x_bits.tobytes(), self.z_bits.tobytes(), self.phases.tobytes())
+        return (self.rows, self.phases)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CliffordElement):
@@ -177,14 +209,14 @@ class CliffordElement:
 
     def is_valid(self) -> bool:
         """Check the symplectic condition and Hermitian image phases."""
-        if np.any(self.phases % 2):
+        if any(p & 1 for p in self.phases):
             return False
-        m = self.symplectic().astype(np.int64)
-        n = self.n
-        omega = np.zeros((2 * n, 2 * n), dtype=np.int64)
-        omega[:n, n:] = np.eye(n, dtype=np.int64)
-        omega[n:, :n] = np.eye(n, dtype=np.int64)
-        return bool(np.array_equal((m @ omega @ m.T) % 2, omega))
+        n, rows = self.n, self.rows
+        # images of X_i and Z_i anticommute; every other pair commutes
+        return all(
+            _symplectic_inner(rows[i], rows[j], n) == (j == i + n)
+            for i in range(2 * n) for j in range(i, 2 * n)
+        )
 
     def __repr__(self) -> str:
         rows = [self.image_of_x(i).label() for i in range(self.n)]
@@ -192,53 +224,69 @@ class CliffordElement:
         return f"CliffordElement(n={self.n}, images={rows})"
 
 
+def _symplectic_inner(v: int, w: int, n: int) -> int:
+    """Symplectic inner product of packed strings: 1 iff they anticommute."""
+    return ((v & (w >> n)) ^ (w & (v >> n))).bit_count() & 1
+
+
+def _conjugate_row(c: CliffordElement, v: int, phase: int) -> tuple:
+    """Packed ``C (i^phase v) C†``: the product of the images of v's letters."""
+    n, rows, phases = c.n, c.rows, c.phases
+    # extra i for each Y letter: letter_q = i^{x z} X^x Z^z; the X letters of
+    # v come before its Z letters, which reorders only commuting factors
+    phase += (v & (v >> n)).bit_count()
+    acc = 0
+    b = 0
+    while v:
+        if v & 1:
+            row = rows[b]
+            phase += phases[b] + packed_phase_exponent(acc, row, n)
+            acc ^= row
+        v >>= 1
+        b += 1
+    return acc, phase & 3
+
+
 def conjugate_pauli(c: CliffordElement, s: PauliString) -> PauliString:
     """Exact conjugation ``C s C†`` of a Pauli string by a Clifford element."""
     if c.n != s.n:
         raise ValueError(f"qubit count mismatch: {c.n} != {s.n}")
-    n = c.n
-    acc_x = np.zeros(n, dtype=np.uint8)
-    acc_z = np.zeros(n, dtype=np.uint8)
-    # extra i for each Y letter: letter_q = i^{x z} X^x Z^z
-    acc_ph = int(s.phase) + int(np.sum(s.x & s.z))
-    for q in range(n):
-        for row in ((q,) if s.x[q] else ()) + ((n + q,) if s.z[q] else ()):
-            rx, rz = c.x_bits[row], c.z_bits[row]
-            acc_ph += int(c.phases[row]) + int(np.sum(_phase_exponents(acc_x, acc_z, rx, rz)))
-            acc_x ^= rx
-            acc_z ^= rz
-    return PauliString(acc_x, acc_z, acc_ph % 4)
+    acc, phase = _conjugate_row(c, s.packed(), s.phase)
+    return PauliString.from_packed(acc, c.n, phase)
 
 
 def compose(first: CliffordElement, then: CliffordElement) -> CliffordElement:
     """Element applying ``first`` and then ``then`` (unitary ``then @ first``)."""
     if first.n != then.n:
         raise ValueError("qubit count mismatch")
-    n = first.n
-    x = np.empty_like(first.x_bits)
-    z = np.empty_like(first.z_bits)
-    ph = np.empty_like(first.phases)
-    for r in range(2 * n):
-        img = conjugate_pauli(then, PauliString(first.x_bits[r], first.z_bits[r], int(first.phases[r])))
-        x[r], z[r], ph[r] = img.x, img.z, img.phase
-    return CliffordElement(n, x, z, ph)
+    rows, phases = zip(*[_conjugate_row(then, v, p) for v, p in zip(first.rows, first.phases)])
+    return CliffordElement._trusted(first.n, rows, phases)
+
+
+def _symplectic_inverse_rows(rows, n: int) -> list:
+    """Packed rows of M^{-1} = Omega M^T Omega, Omega = [[0, I], [I, 0]].
+
+    Row i of the inverse has bit j set iff row σ(j) of M has bit σ(i) set,
+    where σ swaps the x and z halves (i <-> i ± n).
+    """
+    inv = [0] * (2 * n)
+    for r, v in enumerate(rows):
+        col = 1 << (r + n if r < n else r - n)
+        b = 0
+        while v:
+            if v & 1:
+                inv[b + n if b < n else b - n] |= col
+            v >>= 1
+            b += 1
+    return inv
 
 
 def inverse(c: CliffordElement) -> CliffordElement:
     """Inverse element: ``compose(c, inverse(c))`` is the identity."""
-    n = c.n
-    m = c.symplectic().astype(np.uint8)
-    # symplectic inverse: M^{-1} = Omega M^T Omega with Omega = [[0,I],[I,0]]
-    omega = np.zeros((2 * n, 2 * n), dtype=np.uint8)
-    omega[:n, n:] = np.eye(n, dtype=np.uint8)
-    omega[n:, :n] = np.eye(n, dtype=np.uint8)
-    minv = (omega @ m.T @ omega) % 2
-    inv = CliffordElement(n, minv[:, :n], minv[:, n:], np.zeros(2 * n, dtype=np.uint8))
+    rows = _symplectic_inverse_rows(c.rows, c.n)
     # fix signs: conjugating each candidate image by c must return the bare generator
-    for r in range(2 * n):
-        back = conjugate_pauli(c, PauliString(inv.x_bits[r], inv.z_bits[r], 0))
-        inv.phases[r] = (-back.phase) % 4
-    return inv
+    phases = tuple(-_conjugate_row(c, v, 0)[1] & 3 for v in rows)
+    return CliffordElement._trusted(c.n, tuple(rows), phases)
 
 
 # ---------------------------------------------------------------------------
@@ -246,22 +294,25 @@ def inverse(c: CliffordElement) -> CliffordElement:
 # ---------------------------------------------------------------------------
 
 
-def _symplectic_inner(v: int, w: int, n: int) -> int:
-    """Symplectic inner product of interleaved (x1, z1, x2, z2, ...) vectors."""
-    t = 0
-    for j in range(n):
-        t ^= (v >> (2 * j)) & (w >> (2 * j + 1)) & 1
-        t ^= (w >> (2 * j)) & (v >> (2 * j + 1)) & 1
-    return t
-
-
 def _transvection(k: int, v: int, n: int) -> int:
-    return v ^ (k if _symplectic_inner(k, v, n) else 0)
+    return v ^ k if _symplectic_inner(k, v, n) else v
 
 
 def _anticommuting_local(u: int) -> int:
-    """2-bit local Pauli anticommuting with nonzero local u."""
+    """2-bit local Pauli (1 = X, 2 = Z, 3 = Y) anticommuting with nonzero local u."""
     return 1 if u == 3 else 3
+
+
+def _local(v: int, q: int, n: int) -> int:
+    return ((v >> q) & 1) | (((v >> (n + q)) & 1) << 1)
+
+
+def _place(u: int, q: int, n: int) -> int:
+    return ((u & 1) << q) | ((u >> 1) << (n + q))
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def _find_transvection(x: int, y: int, n: int) -> tuple:
@@ -271,57 +322,59 @@ def _find_transvection(x: int, y: int, n: int) -> tuple:
     if _symplectic_inner(x, y, n):
         return x ^ y, 0
     # find z with <x,z> = <y,z> = 1, then hop x -> z -> y
-    z = 0
-    for j in range(n):
-        u = (x >> (2 * j)) & 3
-        w = (y >> (2 * j)) & 3
-        if u and w:
-            v = u ^ w if u != w else _anticommuting_local(u)
-            z = v << (2 * j)
-            break
+    mask = (1 << n) - 1
+    sx = (x | (x >> n)) & mask  # qubits where x acts
+    sy = (y | (y >> n)) & mask
+    if sx & sy:
+        q = _lowest(sx & sy)
+        u, w = _local(x, q, n), _local(y, q, n)
+        z = _place(u ^ w if u != w else _anticommuting_local(u), q, n)
     else:
-        for j in range(n):
-            u = (x >> (2 * j)) & 3
-            if u and not ((y >> (2 * j)) & 3):
-                z |= _anticommuting_local(u) << (2 * j)
-                break
-        for j in range(n):
-            w = (y >> (2 * j)) & 3
-            if w and not ((x >> (2 * j)) & 3):
-                z |= _anticommuting_local(w) << (2 * j)
-                break
+        qx, qy = _lowest(sx), _lowest(sy)
+        z = (_place(_anticommuting_local(_local(x, qx, n)), qx, n)
+             | _place(_anticommuting_local(_local(y, qy, n)), qy, n))
     return x ^ z, z ^ y
 
 
-def _random_symplectic_rows(n: int, rng: np.random.Generator) -> list:
-    """Rows of a uniformly random element of Sp(2n, 2), interleaved packing.
-
-    Row 2i is the image of x_i, row 2i+1 the image of z_i.  Implements the
-    standard row-by-row transvection construction, drawing each step's index
-    uniformly instead of decoding one big group-element index.
-    """
-    nn = 2 * n
-    if n == 0:
-        return []
-    f1 = int(rng.integers(1, 1 << nn))  # image of e1, any nonzero vector
-    e1 = 1
-    t1, t2 = _find_transvection(e1, f1, n)
-    bits = int(rng.integers(0, 1 << (nn - 1)))
-    eprime = e1 | ((bits >> 1) << 2)  # e1 with random bits on coords 3..2n
-    h0 = _transvection(t1, eprime, n)
-    h0 = _transvection(t2, h0, n)
-    if bits & 1:
-        f1 = 0  # drop the Z_f1 factor
-    inner = _random_symplectic_rows(n - 1, rng)
-    rows = [e1, 1 << 1] + [v << 2 for v in inner]
-    out = []
-    for v in rows:
-        v = _transvection(t1, v, n)
-        v = _transvection(t2, v, n)
-        v = _transvection(h0, v, n)
-        v = _transvection(f1, v, n)
-        out.append(v)
+def _spread(v: int, k: int, n: int) -> int:
+    """Packed string on qubits k.. from an interleaved draw (x_k, z_k, x_k+1, ...)."""
+    out = 0
+    while v:
+        out |= (v & 1) << k | ((v >> 1) & 1) << (n + k)
+        v >>= 2
+        k += 1
     return out
+
+
+def _random_symplectic_rows(n: int, rng: np.random.Generator) -> tuple:
+    """Packed rows of a uniformly random element of Sp(2n, 2).
+
+    The standard transvection construction (Koenig-Smolin), one level per
+    qubit: level k fixes the images of x_k and z_k inside qubits k..n-1 and
+    draws each step's index uniformly instead of decoding one big
+    group-element index.  Each level draws two integers whose bits run over
+    qubits k.. in (x, z) pairs; the draws and their order are part of the
+    seed contract.
+    """
+    levels = []
+    for k in range(n):
+        width = 2 * (n - k)
+        e_k = 1 << k
+        f1 = _spread(int(rng.integers(1, 1 << width)), k, n)  # image of x_k, any nonzero
+        t1, t2 = _find_transvection(e_k, f1, n)
+        bits = int(rng.integers(0, 1 << (width - 1)))
+        eprime = e_k | _spread(bits >> 1, k + 1, n)  # x_k plus random bits on qubits k+1..
+        h0 = _transvection(t2, _transvection(t1, eprime, n), n)
+        levels.append((t1, t2, h0, 0 if bits & 1 else f1))  # bit 0 drops the Z_f1 factor
+    rows = [1 << r for r in range(2 * n)]
+    for k in reversed(range(n)):
+        steps = [t for t in levels[k] if t]
+        for r in (*range(k, n), *range(n + k, 2 * n)):
+            v = rows[r]
+            for t in steps:
+                v = _transvection(t, v, n)
+            rows[r] = v
+    return tuple(rows)
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
@@ -333,14 +386,8 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     if n < 1:
         raise ValueError("need at least one qubit")
     rows = _random_symplectic_rows(n, rng)
-    # interleaved (X_1, Z_1, X_2, Z_2, ...) -> block (all X images, all Z images)
-    order = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    arr = np.array([rows[r] for r in order], dtype=np.int64)[:, None]
-    shifts = 2 * np.arange(n, dtype=np.int64)
-    x = ((arr >> shifts) & 1).astype(np.uint8)
-    z = ((arr >> (shifts + 1)) & 1).astype(np.uint8)
-    phases = (2 * rng.integers(0, 2, size=2 * n)).astype(np.uint8)
-    return CliffordElement(n, x, z, phases)
+    phases = tuple((2 * rng.integers(0, 2, size=2 * n)).tolist())
+    return CliffordElement._trusted(n, rows, phases)
 
 
 # ---------------------------------------------------------------------------

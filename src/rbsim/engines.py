@@ -7,7 +7,9 @@ Two engines with matched semantics:
 * ``CompiledSequence``, a vectorized Pauli-fault trajectory engine
   (Pauli-diagonal noise only, cheap enough for large shot counts) that
   propagates a batch of packed fault indices through precomputed
-  per-element conjugation tables.
+  per-element conjugation tables.  The tables are built straight from each
+  element's packed rows (the fault-index layout: bit q = x_q, bit n+q =
+  z_q), and fault propagation is sign-blind, so the phases are not read.
 """
 
 from __future__ import annotations
@@ -16,7 +18,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cliffords import CliffordElement, MAX_DENSE_QUBITS, clifford_to_matrix
+from .cliffords import (
+    CliffordElement,
+    MAX_DENSE_QUBITS,
+    _symplectic_inverse_rows,
+    clifford_to_matrix,
+)
 from .channels import (
     NoiseChannel,
     Ideal,
@@ -106,23 +113,26 @@ def survival_probability(rho: np.ndarray, spam: SpamModel | None = None) -> floa
 # ---------------------------------------------------------------------------
 
 
-def _pack_rows(element: CliffordElement) -> np.ndarray:
-    """Packed index of each image row: bit q = x_q, bit n+q = z_q."""
-    n = element.n
-    weights_x = (1 << np.arange(n)).astype(np.int64)
-    weights_z = (1 << (n + np.arange(n))).astype(np.int64)
-    return element.x_bits.astype(np.int64) @ weights_x + element.z_bits.astype(np.int64) @ weights_z
+def _conjugation_table(rows, n: int) -> np.ndarray:
+    """Unsigned conjugation map on all 4^n packed Pauli indices.
 
-
-def _conjugation_table(element: CliffordElement) -> np.ndarray:
-    """Unsigned conjugation map on all 4^n packed Pauli indices."""
-    n = element.n
-    rows = _pack_rows(element)
+    ``rows`` are the packed images of the 2n generators; the image of index
+    ``f`` is the XOR of the rows of its set bits.
+    """
     table = np.zeros(4 ** n, dtype=np.int64)
     for b in range(2 * n):
         step = 1 << b
         table[step:2 * step] = table[:step] ^ rows[b]
     return table
+
+
+def _stabilizer_indices(rows: np.ndarray, n: int) -> np.ndarray:
+    """Packed stabilizer group of product|0..0>: all XOR combinations of z-rows."""
+    group = np.zeros(2 ** n, dtype=np.int64)
+    for i in range(n):
+        step = 1 << i
+        group[step:2 * step] = group[:step] ^ rows[n + i]
+    return group
 
 
 def _anticommutation(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
@@ -140,8 +150,9 @@ def _anticommutation(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
 class CompiledSequence:
     """Per-sequence precomputation for vectorized trajectory batches.
 
-    Holds one unsigned conjugation table per element, the packed stabilizer
-    group of the ideal product, and the fault CDF per element.
+    Holds one unsigned conjugation table per element, built from the
+    element's packed rows, the packed stabilizer group of the ideal product,
+    and the fault CDF per element (computed once per distinct channel).
     """
 
     def __init__(self, spec: SequenceSpec):
@@ -150,29 +161,28 @@ class CompiledSequence:
             raise ValueError(f"batch trajectories limited to n <= {MAX_TABLE_QUBITS}")
         self.n = n
         self.spec = spec
-        self.tables = [_conjugation_table(e) for e in spec.elements]
+        self.tables = [_conjugation_table(e.rows, n) for e in spec.elements]
         # ideal product as a GF(2) matrix on packed rows
-        rows = _pack_rows(CliffordElement.identity(n))
+        rows = 1 << np.arange(2 * n, dtype=np.int64)
         for t in self.tables:
             rows = t[rows]
         self.product_rows = rows
-        # packed stabilizer group of product|0..0>: all XOR combinations of z-rows
-        group = np.zeros(2 ** n, dtype=np.int64)
-        for i in range(n):
-            step = 1 << i
-            group[step:2 * step] = group[:step] ^ rows[n + i]
-        self.stabilizer_indices = group
-        self._fault_cdfs = [
-            np.cumsum(fault_distribution(spec.channel_for(i), n))
-            for i in range(spec.m)
-        ]
+        self.stabilizer_indices = _stabilizer_indices(rows, n)
+        self._cdfs = {}
+        self._fault_cdfs = [self._cdf(spec.channel_for(i)) for i in range(spec.m)]
         self._prep_cdf = self._cdf_or_none(spec.spam.prep)
         self._meas_cdf = self._cdf_or_none(spec.spam.meas)
 
+    def _cdf(self, ch: NoiseChannel) -> np.ndarray:
+        """Fault CDF of a channel, computed once per channel object."""
+        hit = self._cdfs.get(id(ch))
+        if hit is None:
+            # the channel is kept alongside so its id stays unique while cached
+            hit = self._cdfs[id(ch)] = (ch, np.cumsum(fault_distribution(ch, self.n)))
+        return hit[1]
+
     def _cdf_or_none(self, ch: NoiseChannel):
-        if isinstance(ch, Ideal):
-            return None
-        return np.cumsum(fault_distribution(ch, self.n))
+        return None if isinstance(ch, Ideal) else self._cdf(ch)
 
     def _sample_faults(self, cdf: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
         return np.searchsorted(cdf, rng.random(reps), side="right").astype(np.int64)
@@ -225,21 +235,11 @@ class CompiledSequence:
         """Append the (unsigned) inverse of the current product as one more
         noisy element, turning the ideal circuit into the identity."""
         n = self.n
-        shifts = np.arange(2 * n, dtype=np.int64)
-        m_bits = ((self.product_rows[:, None] >> shifts) & 1).astype(np.uint8)
-        # symplectic inverse: swap x/z blocks of the transpose
-        swap = np.concatenate([np.arange(n, 2 * n), np.arange(n)])
-        minv = m_bits.T[np.ix_(swap, swap)]
-        inv = CliffordElement(n, minv[:, :n], minv[:, n:], np.zeros(2 * n, dtype=np.uint8))
-        table = _conjugation_table(inv)
+        table = _conjugation_table(_symplectic_inverse_rows(self.product_rows.tolist(), n), n)
         self.tables.append(table)
-        self._fault_cdfs.append(np.cumsum(fault_distribution(channel, n)))
+        self._fault_cdfs.append(self._cdf(channel))
         self.product_rows = table[self.product_rows]
-        group = np.zeros(2 ** n, dtype=np.int64)
-        for i in range(n):
-            step = 1 << i
-            group[step:2 * step] = group[:step] ^ self.product_rows[n + i]
-        self.stabilizer_indices = group
+        self.stabilizer_indices = _stabilizer_indices(self.product_rows, n)
 
     def survival_samples(self, reps: int, rng: np.random.Generator) -> np.ndarray:
         """Return-to-|0..0> samples (the plain-RB observable)."""

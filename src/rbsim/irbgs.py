@@ -387,9 +387,8 @@ def clifford_element_from_unitary(u: np.ndarray, n: int) -> CliffordElement:
     d = 2 ** n
     if u.shape != (d, d):
         raise ValueError("unitary dimension mismatch")
-    x = np.zeros((2 * n, n), dtype=np.uint8)
-    z = np.zeros((2 * n, n), dtype=np.uint8)
-    ph = np.zeros(2 * n, dtype=np.uint8)
+    rows = [0] * (2 * n)
+    ph = [0] * (2 * n)
     for row in range(2 * n):
         if row < n:
             gen = PauliString.single(n, row, "X")
@@ -397,18 +396,16 @@ def clifford_element_from_unitary(u: np.ndarray, n: int) -> CliffordElement:
             gen = PauliString.single(n, row - n, "Z")
         img = u @ gen.to_matrix() @ u.conj().T
         for idx in range(4 ** n):
-            xb = np.array([(idx >> q) & 1 for q in range(n)], dtype=np.uint8)
-            zb = np.array([(idx >> (n + q)) & 1 for q in range(n)], dtype=np.uint8)
-            cand = PauliString(xb, zb, 0).to_matrix()
+            cand = PauliString.from_packed(idx, n).to_matrix()
             if np.allclose(img, cand, atol=1e-9):
-                x[row], z[row], ph[row] = xb, zb, 0
+                rows[row], ph[row] = idx, 0
                 break
             if np.allclose(img, -cand, atol=1e-9):
-                x[row], z[row], ph[row] = xb, zb, 2
+                rows[row], ph[row] = idx, 2
                 break
         else:
             raise ValueError("unitary does not map Paulis to Paulis; not a Clifford")
-    elem = CliffordElement(n, x, z, ph)
+    elem = CliffordElement(n, rows, ph)
     if not elem.is_valid():
         raise ValueError("recovered tableau is not symplectically valid")
     return elem

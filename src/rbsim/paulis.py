@@ -8,6 +8,11 @@ where qubit ``q`` carries ``X`` iff ``x[q]``, ``Z`` iff ``z[q]`` and ``Y``
 (the Hermitian Pauli matrix) iff both bits are set.  With this convention a
 string is Hermitian exactly when ``phase`` is even, i.e. the prefactor is
 ``+1`` or ``-1``.
+
+The Clifford core and the trajectory engine work on the packed form of the
+same letters: one int with bit ``q`` = ``x[q]`` and bit ``n+q`` = ``z[q]``
+(``PauliString.packed`` / ``PauliString.from_packed``), and multiply packed
+strings with ``packed_phase_exponent``.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PauliString", "pauli_multiply"]
+__all__ = ["PauliString", "pauli_multiply", "packed_phase_exponent"]
 
 _I2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -157,6 +162,18 @@ class PauliString:
     def __repr__(self) -> str:
         return f"PauliString({self.label()!r})"
 
+    # -- packed form -----------------------------------------------------
+
+    @classmethod
+    def from_packed(cls, v: int, n: int, phase: int = 0) -> "PauliString":
+        """String of packed index ``v``: bit q = x_q, bit n+q = z_q."""
+        return cls([(v >> q) & 1 for q in range(n)], [(v >> (n + q)) & 1 for q in range(n)], phase)
+
+    def packed(self) -> int:
+        """Packed index of the letters (the phase is not part of it)."""
+        n = self.n
+        return sum((int(self.x[q]) << q) | (int(self.z[q]) << (n + q)) for q in range(n))
+
 
 def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
     """Per-qubit exponent of i picked up when multiplying two Pauli letters.
@@ -172,6 +189,20 @@ def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
         + x1 * (1 - z1) * z2 * (2 * x2 - 1)
         + (1 - x1) * z1 * x2 * (1 - 2 * z2)
     )
+
+
+def packed_phase_exponent(v: int, w: int, n: int) -> int:
+    """Exponent of i (mod 4) picked up by the packed product ``v @ w``.
+
+    ``_phase_exponents`` summed over the qubits, one bit mask per sign:
+    Y*Z, X*Y and Z*X give +1, Y*X, X*Z and Z*Y give -1.
+    """
+    mask = (1 << n) - 1
+    x1, z1 = v & mask, v >> n
+    x2, z2 = w & mask, w >> n
+    plus = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (~x1 & z1 & x2 & ~z2)
+    minus = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & z2 & ~x2) | (~x1 & z1 & x2 & z2)
+    return (plus.bit_count() - minus.bit_count()) & 3
 
 
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:

@@ -1,16 +1,20 @@
 """What the benchmark in ``bench/`` relies on from the program.
 
 ``bench/tracing.py`` wraps rbsim callables by module and qualified name,
-``bench/child.py`` builds each workload's config with the CLI builders and
-then runs ``rbsim.cli.main`` with ``--threads 1``.  A rename or removal that
-breaks one of these shows up here rather than as a failed benchmark run.
+and its observers read ``CliffordElement.key()``, ``spec.n`` and
+``spec.elements``; ``bench/child.py`` builds each workload's config with the
+CLI builders and then runs ``rbsim.cli.main`` with ``--threads 1``.  A rename
+or removal that breaks one of these shows up here rather than as a failed
+benchmark run.
 """
 
 import argparse
 import importlib
 import importlib.util
 import json
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -65,3 +69,30 @@ def test_main_accepts_threads_one(tmp_path):
     path.write_text(json.dumps(cfg))
     assert cli.main(["rb", "--config", str(path), "--out", str(tmp_path / "out"),
                      "--threads", "1"]) == 0
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_traced_child_run_feeds_the_observers(mode, tmp_path):
+    # sampled runs compile trajectory tables; exact runs build dense matrices
+    lengths, k_m = [1, 2, 3], 2
+    cfg = {"protocol": "rbsv", "n": 2, "lengths": lengths, "K_m": k_m, "N_m": 8,
+           "shots": 8, "mode": mode, "seed": 5,
+           "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.01}}}
+    path = tmp_path / "compare.json"
+    path.write_text(json.dumps(cfg))
+    result = tmp_path / "result.json"
+    proc = subprocess.run(
+        [sys.executable, str(BENCH / "child.py"), "--command", "compare",
+         "--config", str(path), "--out", str(tmp_path / "out"), "--result", str(result),
+         "--t-spawn", repr(time.perf_counter()), "--trace", str(tmp_path / "spans.npz")],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    record = json.loads(result.read_text())
+    assert record["exit_code"] == 0, proc.stderr
+    counters = record["counters"]
+    assert counters["rbsv.sequences"] == k_m * len(lengths)
+    if mode == "sampled":
+        assert counters["engines.table_entries"] > 0
+        assert counters["channels.fault_distribution.distinct"] == 1
+    else:
+        assert counters["cliffords.clifford_to_matrix.distinct"] > 0

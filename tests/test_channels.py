@@ -218,6 +218,15 @@ class TestConfigSpecs:
             channel_from_spec({"kind": "depolarizing", "epsilonn": 0.1}, 1)
         with pytest.raises(ValueError, match="p_prime"):
             channel_from_spec({"kind": "delta_depolarizing", "delta": 0.1}, 1)
+        with pytest.raises(ValueError, match="unknown channel field 'epsilom'"):
+            channel_from_spec({"kind": "depolarizing", "epsilon": 0.01, "epsilom": 0.5}, 1)
+        with pytest.raises(ValueError, match="unknown channel field 'epsilon'"):
+            channel_from_spec({"kind": "ideal", "epsilon": 0.01}, 1)
+        with pytest.raises(ValueError, match="unknown channel field 'qubit'"):
+            channel_from_spec({"kind": "pauli", "probabilities": {"X": 1.0}, "qubit": 0}, 1)
+        with pytest.raises(ValueError, match="unknown channel field 'axes'"):
+            channel_from_spec({"kind": "delta_depolarizing", "delta": 0.1, "p_prime": 0.9,
+                               "axes": "Z"}, 1)
 
     def test_spam_and_noise_model_validation(self):
         NoiseModel(gate=Depolarizing(0.1), spam=SpamModel(meas_flip=0.2)).validate()

@@ -105,6 +105,13 @@ class TestConfigErrors:
         assert main(["rbsv", "--config", path]) == 2
         assert_one_error(capsys, "needs field(s) epsilon")
 
+    def test_unknown_channel_field(self, tmp_path, capsys):
+        cfg = small_rbsv_config()
+        cfg["noise"] = {"gate": {"kind": "depolarizing", "epsilon": 0.01, "epsilom": 0.5}}
+        path = write_config(tmp_path, "epsilom.json", cfg)
+        assert main(["rbsv", "--config", path]) == 2
+        assert_one_error(capsys, "unknown channel field 'epsilom'")
+
     def test_misspelled_mode_rejected(self, tmp_path, capsys):
         path = write_config(tmp_path, "mode.json", dict(small_rbsv_config(), mode="exakt"))
         assert main(["rbsv", "--config", path]) == 2
@@ -214,6 +221,13 @@ class TestRuns:
     def test_plan_rejects_unknown_fields(self, tmp_path, capsys):
         path = write_config(tmp_path, "plan.json", {"bogus": 1})
         assert main(["plan", "--config", path]) == 2
+
+    @pytest.mark.parametrize("flag", [["--exact"], ["--seed", "3"], ["--threads", "1"]])
+    def test_plan_rejects_run_flags(self, tmp_path, flag):
+        path = write_config(tmp_path, "plan.json", {"n": 2})
+        with pytest.raises(SystemExit) as exc:
+            main(["plan", "--config", path, *flag])
+        assert exc.value.code == 2
 
     def test_verify_synthesis_bundled(self, capsys):
         assert main(["verify-synthesis"]) == 0

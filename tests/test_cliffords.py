@@ -16,13 +16,32 @@ from rbsim.cliffords import (
     stabilizer_group,
     symplectic_group_order,
 )
-from rbsim.paulis import PauliString, pauli_multiply
+from rbsim.paulis import PauliString, _phase_exponents, packed_phase_exponent, pauli_multiply
 
 from conftest import circuit_unitary, equal_up_to_global_phase, gate_unitary, pauli_matrix
 
 
 def elem(n, text):
     return CliffordElement.from_gates(n, parse_circuit(text))
+
+
+# register sizes for the packed core, beyond the dense oracle's n <= 6
+PACKED_SIZES = (1, 2, 3, 5, 8)
+
+
+def random_pauli(n, rng):
+    bits = rng.integers(0, 2, size=2 * n)
+    return PauliString(bits[:n], bits[n:], int(rng.integers(0, 4)))
+
+
+def random_gate_word(n, length, rng):
+    names = ["H", "P", "PDAG", "X"] + (["CNOT"] if n > 1 else [])
+    word = []
+    for _ in range(length):
+        name = names[int(rng.integers(0, len(names)))]
+        qubits = rng.choice(n, size=2 if name == "CNOT" else 1, replace=False)
+        word.append(GeneratorGate(name, tuple(qubits)))
+    return word
 
 
 ALL_GATE_CASES = [
@@ -80,8 +99,9 @@ def test_p_squared_is_z_conjugation():
 
 
 def test_compose_inverse_identity(rng):
+    # equality compares every packed row and phase
     for _ in range(100):
-        n = int(rng.integers(1, 4))
+        n = PACKED_SIZES[int(rng.integers(0, len(PACKED_SIZES)))]
         c = random_clifford(n, rng)
         assert compose(c, inverse(c)) == CliffordElement.identity(n)
         assert compose(inverse(c), c) == CliffordElement.identity(n)
@@ -107,6 +127,60 @@ def test_gate_touches_only_its_columns(rng):
             if q not in touched:
                 assert np.array_equal(c2.x_bits[:, q], before_x[:, q])
                 assert np.array_equal(c2.z_bits[:, q], before_z[:, q])
+
+
+class TestPackedCore:
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_operations_keep_elements_valid(self, n, rng):
+        for _ in range(10):
+            a = CliffordElement.from_gates(n, random_gate_word(n, 4 * n, rng))
+            b = random_clifford(n, rng)
+            for c in (a, b, compose(a, b), inverse(a), inverse(b)):
+                assert c.is_valid()
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_conjugation_is_a_homomorphism(self, n, rng):
+        # checked against the array-based pauli_multiply, not the packed rule
+        for _ in range(20):
+            a, b = random_clifford(n, rng), random_clifford(n, rng)
+            s, t = random_pauli(n, rng), random_pauli(n, rng)
+            assert conjugate_pauli(a, pauli_multiply(s, t)) == pauli_multiply(
+                conjugate_pauli(a, s), conjugate_pauli(a, t))
+            assert conjugate_pauli(compose(a, b), s) == conjugate_pauli(b, conjugate_pauli(a, s))
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_packed_phase_rule_matches_per_qubit_rule(self, n, rng):
+        for _ in range(300):
+            s, t = random_pauli(n, rng), random_pauli(n, rng)
+            expected = int(np.sum(_phase_exponents(s.x, s.z, t.x, t.z))) % 4
+            assert packed_phase_exponent(s.packed(), t.packed(), n) == expected
+
+    @pytest.mark.parametrize("n", PACKED_SIZES)
+    def test_packed_round_trip_and_bit_views(self, n, rng):
+        s = random_pauli(n, rng)
+        assert PauliString.from_packed(s.packed(), n, s.phase) == s
+        c = random_clifford(n, rng)
+        for r in range(2 * n):
+            img = c.image_of_x(r) if r < n else c.image_of_z(r - n)
+            assert img.packed() == c.rows[r]
+            assert np.array_equal(c.x_bits[r], img.x) and np.array_equal(c.z_bits[r], img.z)
+        with pytest.raises(ValueError):
+            c.x_bits[0, 0] = 1
+
+    def test_invalid_tableaux_detected(self):
+        n = 3
+        rows = list(CliffordElement.identity(n).rows)
+        assert CliffordElement(n, rows, [0] * 6).is_valid()
+        assert not CliffordElement(n, rows, [0, 1, 0, 0, 0, 0]).is_valid()
+        swapped = [rows[n]] + rows[1:n] + [rows[0]] + rows[n + 1:]  # X_0 <-> Z_0 images
+        assert CliffordElement(n, swapped, [0] * 6).is_valid()
+        same = list(rows)
+        same[0] = same[n] = rows[0] | rows[n]  # X_0 and Z_0 both map to Y_0: they commute
+        assert not CliffordElement(n, same, [0] * 6).is_valid()
+        with pytest.raises(ValueError):
+            CliffordElement(n, rows[:-1], [0] * 5)
+        with pytest.raises(ValueError):
+            CliffordElement(n, rows[:-1] + [1 << (2 * n)], [0] * 6)
 
 
 class TestRandomClifford:

@@ -11,7 +11,14 @@ from rbsim.channels import (
     measurement_success_probability,
     zero_state,
 )
-from rbsim.cliffords import CliffordElement, compose, parse_circuit, random_clifford, stabilizer_group
+from rbsim.cliffords import (
+    CliffordElement,
+    compose,
+    inverse,
+    parse_circuit,
+    random_clifford,
+    stabilizer_group,
+)
 from rbsim.engines import (
     CompiledSequence,
     SequenceSpec,
@@ -177,6 +184,27 @@ class TestSequenceSpec:
             psi = u @ psi @ u.conj().T
         expected = expected_retention * psi + (1 - expected_retention) * maximally_mixed_state(2)
         assert np.allclose(rho, expected, atol=1e-12)
+
+    def test_per_element_noise_list_in_trajectories(self, rng):
+        # three different channels: a fault CDF reused for the wrong element shows
+        elements = random_elements(2, 3, rng)
+        channels = [Depolarizing(0.1), Ideal(), PauliChannel({"II": 0.7, "XI": 0.3})]
+        spec = SequenceSpec(n=2, elements=elements, noise=channels)
+        rho = run_sequence_exact(spec)
+        group = stabilizer_group(product_of(elements))
+        p_acc = float(np.mean([measurement_success_probability(rho, s) for s in group]))
+        compiled = CompiledSequence(spec)
+        n_draw = 100_000
+        accepts = compiled.acceptance_samples(n_draw, rng)
+        assert abs(float(np.mean(accepts)) - p_acc) < 4 * np.sqrt(p_acc * (1 - p_acc) / n_draw)
+
+        closing = Depolarizing(0.05)
+        closed = SequenceSpec(n=2, elements=elements + [inverse(product_of(elements))],
+                              noise=channels + [closing])
+        p_surv = survival_probability(run_sequence_exact(closed))
+        compiled.append_inverse(closing)
+        survive = compiled.survival_samples(n_draw, rng)
+        assert abs(float(np.mean(survive)) - p_surv) < 4 * np.sqrt(p_surv * (1 - p_surv) / n_draw)
 
     def test_noise_list_length_must_match(self, rng):
         with pytest.raises(ValueError):
