@@ -1,7 +1,7 @@
 """Clifford randomized-benchmarking simulator and analysis toolkit.
 
-Subpackages cover exact Pauli/Clifford algebra, noise channels, two
-execution engines, the benchmarking protocols (standard, verification-based
+Subpackages cover exact Pauli/Clifford algebra, noise channels, an exact
+noise engine, the benchmarking protocols (standard, verification-based
 and interleaved with gate synthesis), decay fitting and resource planning.
 """
 

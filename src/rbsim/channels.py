@@ -1,8 +1,8 @@
 """Noise channels, SPAM models and density-matrix helpers.
 
-Channels act on dense density matrices (the exact engine's representation)
-and, when Pauli-diagonal, expose their Pauli fault distribution for the
-trajectory engine.
+Channels act on dense density matrices (the dense engine's representation)
+and, when Pauli-diagonal, expose their Pauli fault distribution and Pauli
+eigenvalues, the only form in which the Pauli engine reads them.
 """
 
 from __future__ import annotations
@@ -131,18 +131,6 @@ class Depolarizing(NoiseChannel):
     @property
     def is_pauli_diagonal(self) -> bool:
         return True
-
-    def fault_probabilities(self, n: int) -> np.ndarray:
-        """Probabilities over the 4^n Pauli faults (identity first).
-
-        Uses I/d = uniform Pauli twirl: identity keeps 1 - eps*(d^2-1)/d^2,
-        every non-identity Pauli gets eps/d^2.
-        """
-        self.validate()
-        dsq = 4 ** n
-        probs = np.full(dsq, self.epsilon / dsq)
-        probs[0] = 1.0 - self.epsilon * (dsq - 1) / dsq
-        return probs
 
 
 @dataclass(frozen=True)
@@ -295,6 +283,11 @@ class NoiseModel:
         self.gate.validate()
         self.spam.validate()
 
+    @property
+    def channels(self) -> tuple:
+        """Every channel of the model: gate, preparation and measurement."""
+        return (self.gate, self.spam.prep, self.spam.meas)
+
 
 # ---------------------------------------------------------------------------
 # Channel analysis: superoperators, Choi matrices, average fidelity
@@ -362,8 +355,19 @@ def depolarizing_parameter(ch: NoiseChannel, n: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Trajectory support
+# Pauli-diagonal channels: fault distribution and Pauli eigenvalues
 # ---------------------------------------------------------------------------
+
+
+def walsh_hadamard(values) -> np.ndarray:
+    """``out[x] = sum_y values[y] (-1)^popcount(x & y)``; the length is a power of 2."""
+    out = np.array(values, dtype=float)
+    h = 1
+    while h < out.size:
+        pairs = out.reshape(-1, 2, h)
+        pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
+        h *= 2
+    return out
 
 
 def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
@@ -373,7 +377,11 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
         probs[0] = 1.0
         return probs
     if isinstance(ch, Depolarizing):
-        return ch.fault_probabilities(n)
+        # I/d is the uniform Pauli twirl: every non-identity Pauli gets eps/d^2
+        ch.validate()
+        probs = np.full(4 ** n, ch.epsilon / 4 ** n)
+        probs[0] = 1.0 - ch.epsilon * (4 ** n - 1) / 4 ** n
+        return probs
     if isinstance(ch, PauliChannel):
         ch.validate()
         if ch.n != n:
@@ -383,20 +391,28 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
             probs[key.packed()] += prob
         return probs
     if isinstance(ch, ComposedChannel):
-        # XOR convolution of the component fault distributions
-        probs = np.zeros(4 ** n)
-        probs[0] = 1.0
-        idx = np.arange(4 ** n)
+        # XOR convolution of the component distributions: a product after the transform
+        spectrum = np.ones(4 ** n)
         for comp in ch.channels:
-            q = fault_distribution(comp, n)
-            new = np.zeros_like(probs)
-            for a in np.nonzero(probs)[0]:
-                new[int(a) ^ idx] += probs[int(a)] * q
-            probs = new
-        return probs
+            spectrum *= walsh_hadamard(fault_distribution(comp, n))
+        return walsh_hadamard(spectrum) / 4 ** n
     raise UnsupportedChannelError(
-        f"{type(ch).__name__} is not Pauli-diagonal; trajectory sampling unsupported"
+        f"{type(ch).__name__} is not Pauli-diagonal; it has no Pauli fault distribution"
     )
+
+
+def pauli_eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
+    """Eigenvalue ``λ(s)`` of the adjoint channel on every packed Pauli ``s``.
+
+    A Pauli-diagonal channel maps ``s`` to ``λ(s) s`` with
+    ``λ(s) = sum_P p(P) (-1)^<s, P>`` (symplectic product): the
+    Walsh–Hadamard transform of the fault distribution read at ``s`` with
+    its x and z halves swapped.
+    """
+    spectrum = walsh_hadamard(fault_distribution(ch, n))
+    idx = np.arange(4 ** n)
+    low = (1 << n) - 1
+    return spectrum[((idx & low) << n) | (idx >> n)]
 
 
 # ---------------------------------------------------------------------------

@@ -267,7 +267,8 @@ def _cmd_rb(cfg: dict, args) -> int:
     out = args.out or "."
     _write_text(os.path.join(out, "rb.csv"), rb_csv(data))
     summary = _fit_summary(fit, "r_rb", r_rb)
-    summary.update(wall_time_s=wall, reproducibility=_repro_block(cfg, config.seed))
+    summary.update(engine=data.engine, wall_time_s=wall,
+                   reproducibility=_repro_block(cfg, config.seed))
     _emit_json(os.path.join(out, "rb_summary.json"), summary)
     print(f"r_rb = {r_rb!r} (p = {fit.p!r})")
     return 0
@@ -282,6 +283,7 @@ def _cmd_rbsv(cfg: dict, args) -> int:
     _write_text(os.path.join(out, "rbsv.csv"), rbsv_csv(result))
     summary = _fit_summary(result.fit, "r_rbsv", result.r_rbsv)
     summary.update(
+        engine=result.engine,
         wall_time_s=wall,
         n_saturated_total=int(np.sum(result.n_saturated)),
         reproducibility=_repro_block(cfg, config.seed),
@@ -308,6 +310,7 @@ def _cmd_compare(cfg: dict, args) -> int:
         "r_rb": r_rb,
         "r_rbsv": result.r_rbsv,
         "ratio_rbsv_over_rb": (result.r_rbsv / r_rb) if r_rb else None,
+        "engine": data.engine,
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, rb_config.seed),
     }
@@ -334,6 +337,8 @@ def _cmd_irbgs(cfg: dict, args) -> int:
         "error_bound": estimate.bound,
         "noise_class": estimate.noise_class,
         "recipe": config.recipe.name,
+        # the interleaved run's channels include the baseline's
+        "engine": estimate.interleaved_data.engine,
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, config.seed),
     }

@@ -2,7 +2,7 @@
 
 A Clifford unitary ``C`` on n qubits is stored by the 2n Pauli strings
 ``C X_i C†`` and ``C Z_i C†``, each one packed int (bit q = x_q, bit n+q =
-z_q, the layout of the trajectory engine's fault indices) plus its exponent
+z_q, the layout of the Pauli engine's stabilizer indices) plus its exponent
 of i: an Aaronson-Gottesman tableau with one word per row.  Sequence
 products, inverses and conjugations are word-level bit operations whose
 cost does not depend on circuit depth: the symplectic inner product is one

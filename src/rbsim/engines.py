@@ -1,20 +1,20 @@
-"""Execution backends for noisy Clifford sequences.
+"""Execution engine for noisy Clifford sequences.
 
-Two engines with matched semantics:
-
-* an exact density-matrix engine (small registers, no shot noise), which
-  is also the oracle the tests check the other engine against, and
-* ``CompiledSequence``, a vectorized Pauli-fault trajectory engine
-  (Pauli-diagonal noise only, cheap enough for large shot counts) that
-  propagates a batch of packed fault indices through precomputed
-  per-element conjugation tables.  The tables are built straight from each
-  element's packed rows (the fault-index layout: bit q = x_q, bit n+q =
-  z_q), and fault propagation is sign-blind, so the phases are not read.
+``CompiledSequence`` computes, exactly, the expectation of every stabilizer
+of the ideal output state after the noisy sequence; the acceptance
+probability and the RB survival are means over them, and sampled mode is
+one binomial draw.  The noise picks the path: for Pauli-diagonal noise
+(``pauli``) the n Z-generators are pushed through each element's packed
+rows (bit q = x_q, bit n+q = z_q; signs never enter) and each stabilizer
+collects the channels' Pauli eigenvalues; for other noise (``dense``, n <= 6)
+the expectations are read off ``run_sequence_exact``, also the tests'
+oracle.  Both apply ``1 - 4p/3`` per touched qubit for ``meas_flip``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -23,13 +23,17 @@ from .cliffords import (
     MAX_DENSE_QUBITS,
     _symplectic_inverse_rows,
     clifford_to_matrix,
+    compose,
+    inverse,
+    stabilizer_group,
 )
 from .channels import (
     NoiseChannel,
     Ideal,
     SpamModel,
     apply_channel,
-    fault_distribution,
+    pauli_eigenvalues,
+    walsh_hadamard,
     zero_state,
 )
 
@@ -37,12 +41,13 @@ __all__ = [
     "SequenceSpec",
     "run_sequence_exact",
     "survival_probability",
+    "engine_for",
     "CompiledSequence",
 ]
 
+# the Pauli engine holds a 4^n eigenvalue table per channel and enumerates
+# the 2^n stabilizers after every element
 MAX_TABLE_QUBITS = 8
-
-_PARITY_256 = np.array([bin(v).count("1") & 1 for v in range(256)], dtype=np.uint8)
 
 
 def _normalize_element(n: int, entry) -> CliffordElement:
@@ -82,8 +87,21 @@ class SequenceSpec:
         return self.noise[i] if isinstance(self.noise, list) else self.noise
 
 
+def engine_for(channels) -> str:
+    """``"pauli"`` when every channel is Pauli-diagonal, else ``"dense"``."""
+    return "pauli" if all(ch.is_pauli_diagonal for ch in channels) else "dense"
+
+
+def _flip_factors(group: np.ndarray, n: int, p: float) -> np.ndarray:
+    """``(1 - 4p/3)`` per qubit each packed stabilizer touches: per-qubit
+    depolarizing flips with probability ``p`` before the measurement."""
+    touched = group | (group >> n)
+    weight = sum((touched >> q) & 1 for q in range(n))
+    return (1.0 - 4.0 * p / 3.0) ** weight
+
+
 # ---------------------------------------------------------------------------
-# Exact engine
+# Dense engine
 # ---------------------------------------------------------------------------
 
 
@@ -91,7 +109,8 @@ def run_sequence_exact(spec: SequenceSpec) -> np.ndarray:
     """Exact output state (Λ_m ∘ C_m) ... (Λ_1 ∘ C_1) Λ_prep(|0..0><0..0|)."""
     if spec.n > MAX_DENSE_QUBITS:
         raise ValueError(
-            f"exact engine limited to n <= {MAX_DENSE_QUBITS}; use the trajectory engine"
+            f"dense engine limited to n <= {MAX_DENSE_QUBITS}; "
+            "larger registers need Pauli-diagonal noise"
         )
     rho = apply_channel(spec.spam.prep, zero_state(spec.n))
     for i, element in enumerate(spec.elements):
@@ -102,153 +121,143 @@ def run_sequence_exact(spec: SequenceSpec) -> np.ndarray:
 
 
 def survival_probability(rho: np.ndarray, spam: SpamModel | None = None) -> float:
-    """Return-to-start observable Tr(Λ_m(rho) |0..0><0..0|)."""
+    """Probability that measuring every qubit of ``rho`` in Z returns all zeros,
+    after the measurement channel and the per-qubit measurement flips."""
     spam = spam or SpamModel()
-    out = apply_channel(spam.meas, rho)
-    return float(np.real(out[0, 0]))
+    n = rho.shape[0].bit_length() - 1
+    diag = np.real(np.diag(apply_channel(spam.meas, rho)))
+    # <Z_A> for every subset A of the qubits
+    z_expectations = walsh_hadamard(diag)
+    z_group = np.arange(1 << n, dtype=np.int64) << n
+    return float(np.mean(z_expectations * _flip_factors(z_group, n, spam.meas_flip)))
 
 
 # ---------------------------------------------------------------------------
-# Trajectory engine: vectorized batches on packed Pauli indices
+# Stabilizer expectations of a compiled sequence
 # ---------------------------------------------------------------------------
 
 
-def _conjugation_table(rows, n: int) -> np.ndarray:
-    """Unsigned conjugation map on all 4^n packed Pauli indices.
-
-    ``rows`` are the packed images of the 2n generators; the image of index
-    ``f`` is the XOR of the rows of its set bits.
-    """
-    table = np.zeros(4 ** n, dtype=np.int64)
-    for b in range(2 * n):
-        step = 1 << b
-        table[step:2 * step] = table[:step] ^ rows[b]
-    return table
+def _image(rows, v: int) -> int:
+    """Unsigned image of packed Pauli ``v``: the XOR of the rows of its set bits."""
+    acc = 0
+    while v:
+        low = v & -v
+        acc ^= rows[low.bit_length() - 1]
+        v ^= low
+    return acc
 
 
-def _stabilizer_indices(rows: np.ndarray, n: int) -> np.ndarray:
-    """Packed stabilizer group of product|0..0>: all XOR combinations of z-rows."""
-    group = np.zeros(2 ** n, dtype=np.int64)
+def _spans(gens: np.ndarray, n: int) -> np.ndarray:
+    """All XOR combinations of each row's n generators, subset index order."""
+    groups = np.zeros((gens.shape[0], 1 << n), dtype=np.int64)
     for i in range(n):
         step = 1 << i
-        group[step:2 * step] = group[:step] ^ rows[n + i]
-    return group
-
-
-def _anticommutation(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """Symplectic parity between packed index arrays (1 = anticommute)."""
-    mask = (1 << n) - 1
-    t = ((a & mask) & (b >> n)) ^ ((a >> n) & (b & mask))
-    out = np.zeros(t.shape, dtype=np.uint8)
-    while True:
-        out ^= _PARITY_256[t & 0xFF]
-        t = t >> 8
-        if not np.any(t):
-            return out
+        groups[:, step:2 * step] = groups[:, :step] ^ gens[:, i:i + 1]
+    return groups
 
 
 class CompiledSequence:
-    """Per-sequence precomputation for vectorized trajectory batches.
+    """Exact stabilizer expectations of one noisy sequence.
 
-    Holds one unsigned conjugation table per element, built from the
-    element's packed rows, the packed stabilizer group of the ideal product,
-    and the fault CDF per element (computed once per distinct channel).
+    ``propagate_faults()`` returns ``<s>`` for the 2^n stabilizers ``s`` of
+    the ideal output state, identity first.  ``acceptance_probability`` and
+    ``survival_probability`` average them; ``acceptance_samples`` and
+    ``survival_samples`` draw the count of ``reps`` repetitions from that
+    probability in one binomial draw, which has the law of ``reps``
+    i.i.d. repetitions that each measure a uniformly drawn stabilizer.
     """
 
     def __init__(self, spec: SequenceSpec):
-        n = spec.n
-        if n > MAX_TABLE_QUBITS:
-            raise ValueError(f"batch trajectories limited to n <= {MAX_TABLE_QUBITS}")
-        self.n = n
+        self.n = spec.n
         self.spec = spec
-        self.tables = [_conjugation_table(e.rows, n) for e in spec.elements]
-        # ideal product as a GF(2) matrix on packed rows
-        rows = 1 << np.arange(2 * n, dtype=np.int64)
-        for t in self.tables:
-            rows = t[rows]
-        self.product_rows = rows
-        self.stabilizer_indices = _stabilizer_indices(rows, n)
-        self._cdfs = {}
-        self._fault_cdfs = [self._cdf(spec.channel_for(i)) for i in range(spec.m)]
-        self._prep_cdf = self._cdf_or_none(spec.spam.prep)
-        self._meas_cdf = self._cdf_or_none(spec.spam.meas)
+        self.elements = list(spec.elements)
+        self.channels = [spec.channel_for(i) for i in range(spec.m)]
+        self.closed = False
 
-    def _cdf(self, ch: NoiseChannel) -> np.ndarray:
-        """Fault CDF of a channel, computed once per channel object."""
-        hit = self._cdfs.get(id(ch))
-        if hit is None:
-            # the channel is kept alongside so its id stays unique while cached
-            hit = self._cdfs[id(ch)] = (ch, np.cumsum(fault_distribution(ch, self.n)))
-        return hit[1]
-
-    def _cdf_or_none(self, ch: NoiseChannel):
-        return None if isinstance(ch, Ideal) else self._cdf(ch)
-
-    def _sample_faults(self, cdf: np.ndarray, reps: int, rng: np.random.Generator) -> np.ndarray:
-        return np.searchsorted(cdf, rng.random(reps), side="right").astype(np.int64)
-
-    def propagate_faults(self, reps: int, rng: np.random.Generator) -> np.ndarray:
-        """Cumulative packed fault after the full noisy sequence, per repetition."""
-        f = np.zeros(reps, dtype=np.int64)
-        if self._prep_cdf is not None:
-            f ^= self._sample_faults(self._prep_cdf, reps, rng)
-        for table, cdf in zip(self.tables, self._fault_cdfs):
-            f = table[f]
-            f ^= self._sample_faults(cdf, reps, rng)
-        if self._meas_cdf is not None:
-            f ^= self._sample_faults(self._meas_cdf, reps, rng)
-        return f
-
-    def _measurement_flips(self, s_idx: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized per-qubit X/Y/Z flip parity for per-repetition stabilizers."""
-        p = self.spec.spam.meas_flip
-        reps = s_idx.size
-        flips = np.zeros(reps, dtype=np.uint8)
-        events = rng.random((reps, self.n)) < p
-        codes = rng.integers(1, 4, size=(reps, self.n))  # 1=X, 2=Z, 3=Y
-        for q in range(self.n):
-            sx = (s_idx >> q) & 1
-            sz = (s_idx >> (self.n + q)) & 1
-            touched = (sx | sz).astype(bool)
-            ex = codes[:, q] & 1
-            ez = codes[:, q] >> 1
-            anti = ((ex & sz) ^ (ez & sx)).astype(bool)
-            flips ^= (events[:, q] & touched & anti).astype(np.uint8)
-        return flips
-
-    def acceptance_samples(self, reps: int, rng: np.random.Generator,
-                           include_identity: bool = True) -> np.ndarray:
-        """Accept/reject samples, one fresh uniform stabilizer per repetition."""
-        f = self.propagate_faults(reps, rng)
-        group = self.stabilizer_indices
-        if include_identity:
-            picks = rng.integers(0, group.size, size=reps)
-        else:
-            picks = rng.integers(1, group.size, size=reps)
-        s_idx = group[picks]
-        accept = _anticommutation(f, s_idx, self.n) == 0
-        if self.spec.spam.meas_flip:
-            accept ^= self._measurement_flips(s_idx, rng).astype(bool)
-        return accept
+    @property
+    def engine(self) -> str:
+        return engine_for(self.channels + [self.spec.spam.prep, self.spec.spam.meas])
 
     def append_inverse(self, channel: NoiseChannel):
-        """Append the (unsigned) inverse of the current product as one more
-        noisy element, turning the ideal circuit into the identity."""
-        n = self.n
-        table = _conjugation_table(_symplectic_inverse_rows(self.product_rows.tolist(), n), n)
-        self.tables.append(table)
-        self._fault_cdfs.append(self._cdf(channel))
-        self.product_rows = table[self.product_rows]
-        self.stabilizer_indices = _stabilizer_indices(self.product_rows, n)
+        """Close the sequence: append the inverse of the ideal product as one
+        more element, followed by ``channel``.
 
-    def survival_samples(self, reps: int, rng: np.random.Generator) -> np.ndarray:
-        """Return-to-|0..0> samples (the plain-RB observable)."""
-        f = self.propagate_faults(reps, rng)
-        fx = f & ((1 << self.n) - 1)
-        if self.spec.spam.meas_flip:
-            # measuring Z on every qubit: X or Y errors flip that qubit's outcome
-            events = rng.random((reps, self.n)) < self.spec.spam.meas_flip
-            codes = rng.integers(1, 4, size=(reps, self.n))
-            for q in range(self.n):
-                fx ^= (events[:, q] & ((codes[:, q] & 1) == 1)).astype(np.int64) << q
-        return fx == 0
+        The Pauli engine appends it without signs (the inverse up to a Pauli
+        frame, which Pauli-diagonal noise cannot tell apart); the dense
+        engine appends the signed inverse.
+        """
+        if self.closed:
+            raise ValueError("the sequence is already closed")
+        self.closed = True
+        self.channels.append(channel)
+        n = self.n
+        if self.engine == "pauli":
+            rows = [1 << b for b in range(2 * n)]
+            for e in self.elements:
+                rows = [_image(e.rows, v) for v in rows]
+            rows = tuple(_symplectic_inverse_rows(rows, n))
+            self.elements.append(CliffordElement._trusted(n, rows, (0,) * (2 * n)))
+        else:
+            self.elements.append(
+                inverse(reduce(compose, self.elements, CliffordElement.identity(n))))
+
+    def propagate_faults(self) -> np.ndarray:
+        """Expectation of each stabilizer of the ideal output state (identity
+        first), measurement flips included."""
+        if self.engine == "pauli":
+            group, expectations = self._pauli_expectations()
+        else:
+            group, expectations = self._dense_expectations()
+        return expectations * _flip_factors(group, self.n, self.spec.spam.meas_flip)
+
+    def _pauli_expectations(self):
+        n = self.n
+        if n > MAX_TABLE_QUBITS:
+            raise ValueError(f"Pauli engine limited to n <= {MAX_TABLE_QUBITS}")
+        gens = [1 << (n + q) for q in range(n)]
+        track = [gens]
+        for e in self.elements:
+            gens = [_image(e.rows, g) for g in gens]
+            track.append(gens)
+        # row 0: the prepared state's stabilizers; row i: those after element i
+        groups = _spans(np.array(track, dtype=np.int64), n)
+        rows_of = {}
+        for row, ch in [(0, self.spec.spam.prep), *enumerate(self.channels, 1),
+                        (len(self.elements), self.spec.spam.meas)]:
+            if not isinstance(ch, Ideal):
+                rows_of.setdefault(id(ch), (ch, []))[1].append(row)
+        expectations = np.ones(1 << n)
+        for ch, rows in rows_of.values():
+            expectations *= np.prod(pauli_eigenvalues(ch, n)[groups[rows]], axis=0)
+        return groups[-1], expectations
+
+    def _dense_expectations(self):
+        spec = SequenceSpec(self.n, self.elements, self.channels, self.spec.spam)
+        rho = apply_channel(spec.spam.meas, run_sequence_exact(spec))
+        product = reduce(compose, self.elements, CliffordElement.identity(self.n))
+        group = stabilizer_group(product)
+        # Tr(s rho) = sum_ij conj(s_ij) rho_ij for each signed (Hermitian) stabilizer s
+        expectations = np.array([np.real(np.vdot(s.to_matrix(), rho)) for s in group])
+        return np.array([s.packed() for s in group], dtype=np.int64), expectations
+
+    def acceptance_probability(self, include_identity: bool = True) -> float:
+        """Mean of ``(1 + <s>)/2`` over the stabilizers, with or without the
+        identity (clipped to [0, 1] against round-off, as is the survival)."""
+        expectations = self.propagate_faults()
+        if not include_identity:
+            expectations = expectations[1:]
+        return float(np.clip(np.mean((1.0 + expectations) / 2.0), 0.0, 1.0))
+
+    def survival_probability(self) -> float:
+        """Mean ``<s>`` over the stabilizers: the fidelity with the ideal output
+        state, after ``append_inverse`` the return-to-``|0..0>`` probability."""
+        return float(np.clip(np.mean(self.propagate_faults()), 0.0, 1.0))
+
+    def acceptance_samples(self, reps: int, rng: np.random.Generator,
+                           include_identity: bool = True) -> int:
+        """Accept count of ``reps`` repetitions, one fresh uniform stabilizer each."""
+        return int(rng.binomial(reps, self.acceptance_probability(include_identity)))
+
+    def survival_samples(self, reps: int, rng: np.random.Generator) -> int:
+        """Return-to-``|0..0>`` count of ``reps`` repetitions."""
+        return int(rng.binomial(reps, self.survival_probability()))

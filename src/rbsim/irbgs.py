@@ -25,9 +25,10 @@ from .channels import (
     PauliChannel,
 )
 from .cliffords import CliffordElement, random_clifford
+from .engines import engine_for
 from .fitting import DecayFit
 from .paulis import PauliString
-from .rb import RBConfig, RBData, _survival_exact, fit_rb_data, run_standard_rb
+from .rb import RBConfig, RBData, _survival, fit_rb_data, run_standard_rb
 from .seeding import run_ensemble
 
 __all__ = [
@@ -503,11 +504,13 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         for _ in range(m):
             elements += [random_clifford(config.n, rng), fixed_element]
             channels += [gate_channel, fixed_channel]
-        return _survival_exact(base_cfg, elements, channels + [gate_channel])
+        return _survival(base_cfg, elements, rng, channels + [gate_channel])
 
     # its own stream, so the interleaved sequences are not the baseline's
     chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_sequence)
-    interleaved_data = RBData.from_chunks(config.lengths, chunks, shots=0, exact=True)
+    interleaved_data = RBData.from_chunks(
+        config.lengths, chunks, shots=0, exact=True,
+        engine=engine_for(config.noise.channels + (fixed_channel,)))
     interleaved_fit, _ = fit_rb_data(interleaved_data, d,
                                      coefficient_bounds=base_cfg.fit_bounds)
 

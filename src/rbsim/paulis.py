@@ -9,7 +9,7 @@ where qubit ``q`` carries ``X`` iff ``x[q]``, ``Z`` iff ``z[q]`` and ``Y``
 string is Hermitian exactly when ``phase`` is even, i.e. the prefactor is
 ``+1`` or ``-1``.
 
-The Clifford core and the trajectory engine work on the packed form of the
+The Clifford core and the Pauli engine work on the packed form of the
 same letters: one int with bit ``q`` = ``x[q]`` and bit ``n+q`` = ``z[q]``
 (``PauliString.packed`` / ``PauliString.from_packed``), and multiply packed
 strings with ``packed_phase_exponent``.

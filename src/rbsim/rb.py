@@ -15,7 +15,7 @@ from .cliffords import (
     inverse,
     random_clifford,
 )
-from .engines import CompiledSequence, SequenceSpec, run_sequence_exact, survival_probability
+from .engines import CompiledSequence, SequenceSpec, engine_for
 from .fitting import fit_decay, r_from_p
 from .seeding import run_ensemble
 
@@ -121,14 +121,16 @@ class RBData:
     k_m: int
     shots: int
     exact: bool
+    engine: str  # "pauli" or "dense", see engines.engine_for
 
     @classmethod
-    def from_chunks(cls, lengths, chunks: list, shots: int, exact: bool) -> "RBData":
+    def from_chunks(cls, lengths, chunks: list, shots: int, exact: bool,
+                    engine: str) -> "RBData":
         """Aggregate one list of per-sequence survivals per length."""
         per_sequence = [np.array(c) for c in chunks]
         p_m, stderr = length_stats(per_sequence)
         return cls(lengths=list(lengths), p_m=p_m, stderr=stderr, per_sequence=per_sequence,
-                   k_m=len(per_sequence[0]), shots=shots, exact=exact)
+                   k_m=len(per_sequence[0]), shots=shots, exact=exact, engine=engine)
 
     def points(self):
         return list(zip(self.lengths, self.p_m))
@@ -173,60 +175,38 @@ def _sequence_elements(config: RBConfig, m: int, rng: np.random.Generator) -> li
     return [CliffordElement.from_gates(config.n, [g]) for g in gates]
 
 
-def _survival_exact(config: RBConfig, elements: list, channels=None) -> float:
-    """Exact survival of ``elements`` closed by the inverse of their product.
+def _survival(config: RBConfig, elements: list, rng: np.random.Generator,
+              channels=None) -> float:
+    """Survival of ``elements`` closed by the inverse of their product.
 
     ``channels`` holds one channel per element plus one for the inverse;
-    by default each of them is the gate channel.
+    by default each of them is the gate channel.  Exact mode returns the
+    probability, sampled mode the surviving fraction of ``config.shots``.
     """
-    product = elements[0]
-    for e in elements[1:]:
-        product = compose(product, e)
-    seq = SequenceSpec(
-        n=config.n,
-        elements=elements + [inverse(product)],
-        noise=config.noise.gate if channels is None else channels,
-        spam=config.noise.spam,
-    )
-    return survival_probability(run_sequence_exact(seq), config.noise.spam)
-
-
-def _survival_sampled_dense_fallback(config: RBConfig, elements: list,
-                                     rng: np.random.Generator) -> float:
-    """Binomial sampling from the exact probability (non-Pauli noise)."""
-    p = _survival_exact(config, elements)
-    return float(rng.binomial(config.shots, min(max(p, 0.0), 1.0))) / config.shots
+    channels = channels or [config.noise.gate] * (len(elements) + 1)
+    compiled = CompiledSequence(SequenceSpec(n=config.n, elements=elements,
+                                             noise=channels[:-1], spam=config.noise.spam))
+    compiled.append_inverse(channels[-1])
+    if config.exact:
+        return compiled.survival_probability()
+    return compiled.survival_samples(config.shots, rng) / config.shots
 
 
 def run_standard_rb(config: RBConfig) -> RBData:
     """Run the full protocol and average survival over k_m sequences per length.
 
-    Exact mode computes each sequence's survival analytically (no shot
-    noise); sampled mode draws Bernoulli samples through the trajectory
-    engine when the noise is Pauli-diagonal, else it binomial-samples the
-    exact probability.  The inverse element carries one noise application.
+    Each sequence's survival is exact in exact mode and one binomial draw of
+    ``shots`` repetitions in sampled mode.  The inverse element carries one
+    noise application.
     """
-    pauli_ok = (
-        config.noise.gate.is_pauli_diagonal
-        and config.noise.spam.prep.is_pauli_diagonal
-        and config.noise.spam.meas.is_pauli_diagonal
-    )
 
     def one_sequence(m, rng, index):
-        elements = _sequence_elements(config, m, rng)
-        if config.exact:
-            return _survival_exact(config, elements)
-        if pauli_ok:
-            spec = SequenceSpec(n=config.n, elements=elements,
-                                noise=config.noise.gate, spam=config.noise.spam)
-            compiled = CompiledSequence(spec)
-            compiled.append_inverse(config.noise.gate)
-            return float(np.mean(compiled.survival_samples(config.shots, rng)))
-        return _survival_sampled_dense_fallback(config, elements, rng)
+        return _survival(config, _sequence_elements(config, m, rng), rng)
 
     chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_sequence)
     return RBData.from_chunks(config.lengths, chunks,
-                              shots=0 if config.exact else config.shots, exact=config.exact)
+                              shots=0 if config.exact else config.shots, exact=config.exact,
+                              engine=engine_for(config.noise.channels))
 
 
 def fit_rb_data(data, d: int, coefficient_bounds):

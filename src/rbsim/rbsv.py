@@ -13,9 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import measurement_success_probability
-from .cliffords import CliffordElement, compose, stabilizer_group
-from .engines import CompiledSequence, SequenceSpec, run_sequence_exact
+from .engines import CompiledSequence, SequenceSpec, engine_for
 from .fitting import DecayFit
 from .rb import RBConfig, _sequence_elements, fit_rb_data, length_stats
 from .seeding import run_ensemble
@@ -133,6 +131,7 @@ class RBSVResult:
     k_m: int
     n_m: int
     exact: bool
+    engine: str                 # "pauli" or "dense", see engines.engine_for
     fit: DecayFit | None = None
     r_rbsv: float | None = None
     degenerate: bool = False
@@ -163,42 +162,23 @@ class RBSVConfig(RBConfig):
             )
 
 
-def exact_acceptance_probability(spec: SequenceSpec, product: CliffordElement,
-                                 include_identity: bool = True) -> float:
-    """Group-averaged single-copy success probability on the exact state.
-
-    This is the infinite-N_m limit of the sampled estimator.
-    """
-    rho = run_sequence_exact(spec)
-    group = stabilizer_group(product)
-    if not include_identity:
-        group = [s for s in group if s.weight > 0]
-    probs = [measurement_success_probability(rho, s, spec.spam) for s in group]
-    return float(np.mean(probs))
-
-
 def run_rbsv_sequence(spec: SequenceSpec, n_reps: int, rng: np.random.Generator,
                       exact: bool = False, include_identity: bool = True,
                       j: int = 0) -> AcceptanceRecord:
     """Estimate one sequence's acceptance probability.
 
-    Sampled mode draws a fresh uniform stabilizer of the ideal output state
-    per repetition and one accept/reject trajectory sample; exact mode
-    returns the group-averaged success probability without sampling.
+    Exact mode returns the group-averaged success probability; sampled mode
+    draws the accept count of ``n_reps`` repetitions, each measuring a fresh
+    uniform stabilizer of the ideal output state, from it.
     """
     if n_reps < 1:
         raise ValueError("N_m must be >= 1")
-    m = spec.m
-    if exact:
-        product = CliffordElement.identity(spec.n)
-        for e in spec.elements:
-            product = compose(product, e)
-        p = exact_acceptance_probability(spec, product, include_identity)
-        return AcceptanceRecord(j=j, m=m, n_reps=n_reps, n_acc=None, p_acc=p)
     compiled = CompiledSequence(spec)
-    accepts = compiled.acceptance_samples(n_reps, rng, include_identity=include_identity)
-    n_acc = int(np.count_nonzero(accepts))
-    return AcceptanceRecord(j=j, m=m, n_reps=n_reps, n_acc=n_acc, p_acc=n_acc / n_reps)
+    if exact:
+        p = compiled.acceptance_probability(include_identity)
+        return AcceptanceRecord(j=j, m=spec.m, n_reps=n_reps, n_acc=None, p_acc=p)
+    n_acc = compiled.acceptance_samples(n_reps, rng, include_identity=include_identity)
+    return AcceptanceRecord(j=j, m=spec.m, n_reps=n_reps, n_acc=n_acc, p_acc=n_acc / n_reps)
 
 
 def run_rbsv(config: RBSVConfig) -> RBSVResult:
@@ -239,6 +219,7 @@ def run_rbsv(config: RBSVConfig) -> RBSVResult:
         k_m=config.k_m,
         n_m=config.n_m,
         exact=config.exact,
+        engine=engine_for(config.noise.channels),
     )
     fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)
     result.fit = fit

@@ -71,13 +71,11 @@ def test_main_accepts_threads_one(tmp_path):
                      "--threads", "1"]) == 0
 
 
-@pytest.mark.parametrize("mode", ["sampled", "exact"])
-def test_traced_child_run_feeds_the_observers(mode, tmp_path):
-    # sampled runs compile trajectory tables; exact runs build dense matrices
-    lengths, k_m = [1, 2, 3], 2
-    cfg = {"protocol": "rbsv", "n": 2, "lengths": lengths, "K_m": k_m, "N_m": 8,
-           "shots": 8, "mode": mode, "seed": 5,
-           "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.01}}}
+def traced_compare_counters(tmp_path, mode, gate):
+    """Run ``bench/child.py --trace`` on a tiny compare config; its counters."""
+    cfg = {"protocol": "rbsv", "n": 2, "lengths": [1, 2, 3], "K_m": 2, "N_m": 8,
+           "shots": 8, "mode": mode, "seed": 5, "noise": {"gate": gate}}
+    tmp_path.mkdir(exist_ok=True)
     path = tmp_path / "compare.json"
     path.write_text(json.dumps(cfg))
     result = tmp_path / "result.json"
@@ -90,9 +88,25 @@ def test_traced_child_run_feeds_the_observers(mode, tmp_path):
     record = json.loads(result.read_text())
     assert record["exit_code"] == 0, proc.stderr
     counters = record["counters"]
-    assert counters["rbsv.sequences"] == k_m * len(lengths)
+    # K_m sequences at each of the three lengths
+    assert counters["rbsv.sequences"] == 2 * 3
+    return counters
+
+
+DEPOLARIZING = {"kind": "depolarizing", "epsilon": 0.01}
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_traced_child_run_feeds_the_observers(mode, tmp_path):
+    # Pauli noise runs the Pauli engine in either mode; non-Pauli noise the
+    # dense engine, which builds dense matrices
     if mode == "sampled":
+        counters = traced_compare_counters(tmp_path, mode, DEPOLARIZING)
         assert counters["engines.table_entries"] > 0
         assert counters["channels.fault_distribution.distinct"] == 1
     else:
+        delta = {"kind": "delta_depolarizing", "delta": 0.01, "p_prime": 0.99}
+        counters = traced_compare_counters(tmp_path / "delta", mode, delta)
         assert counters["cliffords.clifford_to_matrix.distinct"] > 0
+        counters = traced_compare_counters(tmp_path / "depolarizing", mode, DEPOLARIZING)
+        assert counters["cliffords.clifford_to_matrix.distinct"] == 0

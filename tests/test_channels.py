@@ -19,6 +19,7 @@ from rbsim.channels import (
     fault_distribution,
     maximally_mixed_state,
     measurement_success_probability,
+    pauli_eigenvalues,
     rotation_unitary,
     zero_state,
 )
@@ -122,7 +123,8 @@ def _packed_label(idx: int, n: int) -> str:
 
 
 class TestFaultSampling:
-    """``fault_distribution`` is the law the trajectory engine samples faults from."""
+    """``fault_distribution`` is the Pauli fault law of a diagonal channel, and
+    ``pauli_eigenvalues`` its transform, the form the Pauli engine reads."""
 
     def test_zero_strength_always_identity(self):
         dist = fault_distribution(Depolarizing(0.0), 2)
@@ -154,6 +156,15 @@ class TestFaultSampling:
                 f = pauli_matrix(_packed_label(idx, 2))
                 avg += prob * (f @ rho @ f.conj().T)
             assert np.max(np.abs(avg - apply_channel(ch, rho))) < 1e-12
+
+    def test_pauli_eigenvalues_are_the_adjoint_action(self):
+        # a Pauli-diagonal channel maps every Pauli P to lambda(P) P
+        pauli = PauliChannel({"II": 0.8, "XZ": 0.15, "YY": 0.05})
+        for ch in (pauli, Depolarizing(0.3), ComposedChannel([pauli, Depolarizing(0.1)])):
+            lam = pauli_eigenvalues(ch, 2)
+            for idx in range(16):
+                p = pauli_matrix(_packed_label(idx, 2))
+                assert np.max(np.abs(apply_channel(ch, p) - lam[idx] * p)) < 1e-12
 
     def test_non_pauli_channel_rejected(self):
         ch = DeltaDepolarizing(0.1, 0.9, rotation_unitary(1, 0, "X", 0.5))

@@ -37,6 +37,11 @@ IRBGS_CONFIG = {
 }
 
 
+def read_csv(path):
+    header, *rows = open(path).read().splitlines()
+    return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+
+
 def assert_one_error(capsys, fragment):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), lines
@@ -125,14 +130,6 @@ class TestConfigErrors:
 
 
 class TestRunFailures:
-    def test_non_pauli_noise_in_sampled_rbsv(self, tmp_path, capsys):
-        cfg = small_rbsv_config()
-        cfg["noise"] = {"gate": {"kind": "delta_depolarizing", "delta": 0.01,
-                                 "p_prime": 0.99}}
-        path = write_config(tmp_path, "delta.json", cfg)
-        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert_one_error(capsys, "not Pauli-diagonal")
-
     def test_too_noisy_device(self, tmp_path, capsys):
         cfg = {"protocol": "rbsv", "n": 1, "lengths": [2, 4, 6], "K_m": 6, "N_m": 2,
                "include_identity_stabilizer": False, "seed": 5,
@@ -143,6 +140,22 @@ class TestRunFailures:
 
 
 class TestRuns:
+    def test_non_pauli_noise_in_sampled_rbsv(self, tmp_path):
+        # dense probability, then the same binomial draw as Pauli noise
+        cfg = small_rbsv_config()
+        cfg["noise"] = {"gate": {"kind": "delta_depolarizing", "delta": 0.01,
+                                 "p_prime": 0.99}}
+        path = write_config(tmp_path, "delta.json", cfg)
+        sampled, exact = str(tmp_path / "sampled"), str(tmp_path / "exact")
+        assert main(["rbsv", "--config", path, "--out", sampled]) == 0
+        assert main(["rbsv", "--config", path, "--out", exact, "--exact"]) == 0
+        for got, want in zip(read_csv(os.path.join(sampled, "rbsv.csv")),
+                             read_csv(os.path.join(exact, "rbsv.csv"))):
+            # same seed, same sequences: K_m binomial draws of N_m repetitions
+            p = want["mean_p_acc"]
+            sigma = (p * (1 - p) / (cfg["K_m"] * cfg["N_m"])) ** 0.5
+            assert abs(got["mean_p_acc"] - p) < 4 * sigma
+
     def test_rbsv_artifacts(self, tmp_path):
         cfg = small_rbsv_config()
         path = write_config(tmp_path, "rbsv.json", cfg)
@@ -264,3 +277,20 @@ def test_rbsv_with_pauli_channel_config(tmp_path):
     assert main(["rbsv", "--config", path, "--out", out]) == 0
     summary = json.load(open(os.path.join(out, "rbsv_summary.json")))
     assert 0.0 <= summary["p"] <= 1.0
+
+
+@pytest.mark.parametrize("engine, channel", [
+    ("pauli", {"kind": "depolarizing", "epsilon": 0.01}),
+    ("dense", {"kind": "delta_depolarizing", "delta": 0.01, "p_prime": 0.99}),
+])
+def test_summary_names_engine(tmp_path, engine, channel):
+    rbsv = dict(small_rbsv_config(), noise={"gate": channel})
+    rb = dict(rbsv, protocol="rb")
+    del rb["N_m"]
+    irbgs = dict(IRBGS_CONFIG, noise_n=channel)
+    for command, cfg in (("rb", rb), ("rbsv", rbsv), ("compare", rbsv), ("irbgs", irbgs)):
+        path = write_config(tmp_path, f"{command}.json", cfg)
+        out = str(tmp_path / command)
+        assert main([command, "--config", path, "--out", out]) == 0
+        summary = json.load(open(os.path.join(out, f"{command}_summary.json")))
+        assert summary["engine"] == engine, command

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from rbsim.channels import (
+    ComposedChannel,
+    DeltaDepolarizing,
     Depolarizing,
     Ideal,
     PauliChannel,
@@ -9,6 +11,7 @@ from rbsim.channels import (
     check_density_matrix,
     maximally_mixed_state,
     measurement_success_probability,
+    rotation_unitary,
     zero_state,
 )
 from rbsim.cliffords import (
@@ -99,39 +102,58 @@ class TestSurvivalProbability:
         assert abs(survival_probability(rho) - (p + (1 - p) / 4)) < 1e-12
 
 
+def oracle_acceptance(spec, include_identity=True):
+    """Dense group average of the measurement success probability."""
+    rho = run_sequence_exact(spec)
+    group = stabilizer_group(product_of(spec.elements))
+    if not include_identity:
+        group = group[1:]
+    return float(np.mean([measurement_success_probability(rho, s, spec.spam) for s in group]))
+
+
+def oracle_survival(spec, closing):
+    """Dense survival of ``spec`` closed by its signed inverse and ``closing``."""
+    channels = [spec.channel_for(i) for i in range(spec.m)] + [closing]
+    closed = SequenceSpec(n=spec.n, elements=spec.elements + [inverse(product_of(spec.elements))],
+                          noise=channels, spam=spec.spam)
+    return survival_probability(run_sequence_exact(closed), spec.spam)
+
+
+def assert_matches_dense_oracle(spec, closing):
+    """Pauli-engine acceptance (identity in and out) and survival after
+    ``append_inverse`` equal the dense oracle to 1e-12."""
+    compiled = CompiledSequence(spec)
+    assert compiled.engine == "pauli"
+    for include_identity in (True, False):
+        assert abs(compiled.acceptance_probability(include_identity)
+                   - oracle_acceptance(spec, include_identity)) < 1e-12
+    compiled.append_inverse(closing)
+    assert abs(compiled.survival_probability() - oracle_survival(spec, closing)) < 1e-12
+
+
 class TestTrajectoryEngine:
+    """The Pauli engine of ``CompiledSequence`` against the dense oracle."""
+
     def test_noiseless_stabilizer_always_accepts(self, rng):
         elements = random_elements(2, 5, rng)
         compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
-        assert np.all(compiled.acceptance_samples(200, rng))
-        assert np.all(compiled.acceptance_samples(200, rng, include_identity=False))
+        assert compiled.acceptance_probability() == 1.0
+        assert compiled.acceptance_probability(include_identity=False) == 1.0
+        assert compiled.acceptance_samples(200, rng) == 200
+        assert compiled.acceptance_samples(200, rng, include_identity=False) == 200
 
     def test_batch_acceptance_matches_exact_group_average(self, rng):
-        elements = random_elements(2, 10, rng)
-        ch = PauliChannel({"II": 0.97, "XI": 0.02, "ZZ": 0.01})
-        spec = SequenceSpec(n=2, elements=elements, noise=ch)
-        rho = run_sequence_exact(spec)
-        group = stabilizer_group(product_of(elements))
-        p_exact = float(np.mean([measurement_success_probability(rho, s) for s in group]))
-        compiled = CompiledSequence(spec)
-        n_draw = 100_000
-        accepts = compiled.acceptance_samples(n_draw, rng)
-        sigma = np.sqrt(p_exact * (1 - p_exact) / n_draw)
-        assert abs(float(np.mean(accepts)) - p_exact) < 3 * sigma
+        for n in (1, 2, 3):
+            ch = PauliChannel({"I" * n: 0.97, "X" + "I" * (n - 1): 0.02, "Z" * n: 0.01})
+            spec = SequenceSpec(n=n, elements=random_elements(n, 10, rng), noise=ch)
+            assert_matches_dense_oracle(spec, ch)
 
     def test_batch_acceptance_with_measurement_flips(self, rng):
-        elements = random_elements(2, 5, rng)
-        spam = SpamModel(meas_flip=0.08)
-        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(0.02), spam=spam)
-        rho = run_sequence_exact(spec)
-        group = stabilizer_group(product_of(elements))
-        p_exact = float(np.mean(
-            [measurement_success_probability(rho, s, spam) for s in group]))
-        compiled = CompiledSequence(spec)
-        n_draw = 100_000
-        accepts = compiled.acceptance_samples(n_draw, rng)
-        sigma = np.sqrt(max(p_exact * (1 - p_exact), 1e-4) / n_draw)
-        assert abs(float(np.mean(accepts)) - p_exact) < 4 * sigma
+        for n in (1, 2, 3):
+            spam = SpamModel(meas_flip=0.08)
+            spec = SequenceSpec(n=n, elements=random_elements(n, 5, rng),
+                                noise=Depolarizing(0.02), spam=spam)
+            assert_matches_dense_oracle(spec, Depolarizing(0.02))
 
     def test_batch_survival_matches_depolarizing_formula(self, rng):
         eps = 0.04
@@ -139,34 +161,58 @@ class TestTrajectoryEngine:
         spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(eps))
         compiled = CompiledSequence(spec)
         compiled.append_inverse(Depolarizing(eps))
-        n_draw = 200_000
-        survive = compiled.survival_samples(n_draw, rng)
         p_theory = 0.25 + 0.75 * (1 - eps) ** 8
-        sigma = np.sqrt(p_theory * (1 - p_theory) / n_draw)
-        assert abs(float(np.mean(survive)) - p_theory) < 3 * sigma
+        assert abs(compiled.survival_probability() - p_theory) < 1e-12
 
     def test_prep_and_meas_channels_count_in_batch(self, rng):
-        spam = SpamModel(prep=Depolarizing(0.1), meas=Depolarizing(0.05))
-        elements = random_elements(2, 3, rng)
-        spec = SequenceSpec(n=2, elements=elements, noise=Ideal(), spam=spam)
-        rho = run_sequence_exact(spec)
-        group = stabilizer_group(product_of(elements))
-        p_exact = float(np.mean(
-            [measurement_success_probability(rho, s, spam) for s in group]))
-        compiled = CompiledSequence(spec)
-        accepts = compiled.acceptance_samples(100_000, rng)
-        assert abs(float(np.mean(accepts)) - p_exact) < 4 * np.sqrt(0.25 / 100_000) + 0.003
+        for n in (1, 2, 3):
+            meas = PauliChannel({"I" * n: 0.9, "Y" * n: 0.1})
+            spam = SpamModel(prep=Depolarizing(0.1), meas=meas, meas_flip=0.05)
+            composed = ComposedChannel([Depolarizing(0.03), meas])
+            spec = SequenceSpec(n=n, elements=random_elements(n, 3, rng),
+                                noise=composed, spam=spam)
+            assert_matches_dense_oracle(spec, Ideal())
 
-    def test_non_pauli_noise_rejected(self, rng):
-        from rbsim.channels import DeltaDepolarizing, UnsupportedChannelError, rotation_unitary
-
+    def test_non_pauli_noise_takes_dense_path(self, rng):
         ch = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
-        spec = SequenceSpec(n=2, elements=random_elements(2, 2, rng), noise=ch)
-        with pytest.raises(UnsupportedChannelError):
-            CompiledSequence(spec)
-        spam = SpamModel(prep=ch)
-        with pytest.raises(UnsupportedChannelError):
-            CompiledSequence(SequenceSpec(n=2, elements=spec.elements, spam=spam))
+        elements = random_elements(2, 2, rng)
+        for spec in (SequenceSpec(n=2, elements=elements, noise=ch),
+                     SequenceSpec(n=2, elements=elements, spam=SpamModel(prep=ch))):
+            compiled = CompiledSequence(spec)
+            assert compiled.engine == "dense"
+            assert abs(compiled.acceptance_probability() - oracle_acceptance(spec)) < 1e-12
+        # a non-Pauli closing channel moves a Pauli sequence onto the dense path
+        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(0.05))
+        compiled = CompiledSequence(spec)
+        compiled.append_inverse(ch)
+        assert compiled.engine == "dense"
+        assert abs(compiled.survival_probability() - oracle_survival(spec, ch)) < 1e-12
+
+    def test_measurement_flips_alone_give_closed_form_survival(self, rng):
+        # each of the n measured qubits flips with probability 2p/3, on both paths
+        p = 0.1
+        for n in (1, 2, 3):
+            spam = SpamModel(meas_flip=p)
+            spec = SequenceSpec(n=n, elements=random_elements(n, 4, rng), spam=spam)
+            identity_but_dense = DeltaDepolarizing(0.0, 1.0, rotation_unitary(n, 0, "X", 0.3))
+            for closing, engine in ((Ideal(), "pauli"), (identity_but_dense, "dense")):
+                compiled = CompiledSequence(spec)
+                compiled.append_inverse(closing)
+                assert compiled.engine == engine
+                assert abs(compiled.survival_probability() - (1 - 2 * p / 3) ** n) < 1e-12
+            assert abs(survival_probability(zero_state(n), spam) - (1 - 2 * p / 3) ** n) < 1e-12
+
+    def test_sampled_count_has_binomial_law(self, rng):
+        spec = SequenceSpec(n=2, elements=random_elements(2, 6, rng), noise=Depolarizing(0.1),
+                            spam=SpamModel(meas_flip=0.05))
+        compiled = CompiledSequence(spec)
+        reps, draws = 50, 2000
+        p = compiled.acceptance_probability()
+        counts = np.array([compiled.acceptance_samples(reps, rng) for _ in range(draws)])
+        mean, var = reps * p, reps * p * (1 - p)
+        assert abs(counts.mean() - mean) < 4 * np.sqrt(var / draws)
+        # the sample variance of a binomial has variance ~ 2 var^2 / draws
+        assert abs(counts.var(ddof=1) - var) < 4 * var * np.sqrt(2 / draws)
 
 
 class TestSequenceSpec:
@@ -186,25 +232,14 @@ class TestSequenceSpec:
         assert np.allclose(rho, expected, atol=1e-12)
 
     def test_per_element_noise_list_in_trajectories(self, rng):
-        # three different channels: a fault CDF reused for the wrong element shows
-        elements = random_elements(2, 3, rng)
-        channels = [Depolarizing(0.1), Ideal(), PauliChannel({"II": 0.7, "XI": 0.3})]
-        spec = SequenceSpec(n=2, elements=elements, noise=channels)
-        rho = run_sequence_exact(spec)
-        group = stabilizer_group(product_of(elements))
-        p_acc = float(np.mean([measurement_success_probability(rho, s) for s in group]))
-        compiled = CompiledSequence(spec)
-        n_draw = 100_000
-        accepts = compiled.acceptance_samples(n_draw, rng)
-        assert abs(float(np.mean(accepts)) - p_acc) < 4 * np.sqrt(p_acc * (1 - p_acc) / n_draw)
-
-        closing = Depolarizing(0.05)
-        closed = SequenceSpec(n=2, elements=elements + [inverse(product_of(elements))],
-                              noise=channels + [closing])
-        p_surv = survival_probability(run_sequence_exact(closed))
-        compiled.append_inverse(closing)
-        survive = compiled.survival_samples(n_draw, rng)
-        assert abs(float(np.mean(survive)) - p_surv) < 4 * np.sqrt(p_surv * (1 - p_surv) / n_draw)
+        # different channels per element: eigenvalues applied to the wrong element show
+        for n in (1, 2, 3):
+            channels = [Depolarizing(0.1), Ideal(),
+                        PauliChannel({"I" * n: 0.7, "X" + "I" * (n - 1): 0.3}),
+                        ComposedChannel([Depolarizing(0.05),
+                                         PauliChannel({"I" * n: 0.8, "I" * (n - 1) + "Y": 0.2})])]
+            spec = SequenceSpec(n=n, elements=random_elements(n, 4, rng), noise=channels)
+            assert_matches_dense_oracle(spec, Depolarizing(0.05))
 
     def test_noise_list_length_must_match(self, rng):
         with pytest.raises(ValueError):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbsim.channels import Depolarizing, NoiseModel
+from rbsim.channels import Depolarizing, NoiseModel, SpamModel
 from rbsim.cliffords import CliffordElement, GeneratorGate, compose, parse_circuit
 from rbsim.rb import (
     RBConfig,
@@ -107,6 +107,26 @@ class TestRunStandardRB:
         for pe, ps in zip(exact.p_m, shots.p_m):
             sigma = np.sqrt(pe * (1 - pe) / (10_000 * 4))
             assert abs(pe - ps) < 3.5 * sigma
+
+    def test_measurement_flips_alone_give_closed_form_survival(self):
+        # each of the n measured qubits flips with probability 2p/3
+        p = 0.1
+        for n in (1, 2, 3):
+            cfg = RBConfig(n=n, lengths=(1, 4), k_m=3, exact=True,
+                           noise=NoiseModel(spam=SpamModel(meas_flip=p)), seed=4)
+            assert np.allclose(run_standard_rb(cfg).p_m, (1 - 2 * p / 3) ** n, atol=1e-12)
+
+    def test_exact_survival_with_measurement_flips_matches_sampled_runs(self):
+        noise = NoiseModel(gate=Depolarizing(0.01), spam=SpamModel(meas_flip=0.1))
+        lengths, k_m, shots, seeds = (1, 5, 10), 4, 500, range(3, 8)
+        exact = run_standard_rb(RBConfig(n=2, lengths=lengths, k_m=k_m, exact=True,
+                                         noise=noise, seed=3))
+        sampled = np.mean([run_standard_rb(RBConfig(n=2, lengths=lengths, k_m=k_m, shots=shots,
+                                                    noise=noise, seed=seed)).p_m
+                           for seed in seeds], axis=0)
+        # depolarizing noise and flips: the exact survival does not depend on the sequence
+        sigma = np.sqrt(exact.p_m * (1 - exact.p_m) / (k_m * shots * len(seeds)))
+        assert np.all(np.abs(sampled - exact.p_m) < 4 * sigma)
 
     def test_generator_mode_decay_in_per_generator_parameter(self):
         eps = 0.002
