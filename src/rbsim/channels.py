@@ -388,7 +388,7 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
             raise ValueError("channel register size mismatch")
         probs = np.zeros(4 ** n)
         for key, prob in ch.probabilities:
-            probs[key.packed()] += prob
+            probs[key.bits] += prob
         return probs
     if isinstance(ch, ComposedChannel):
         # XOR convolution of the component distributions: a product after the transform
@@ -448,7 +448,7 @@ def measurement_success_probability(rho: np.ndarray, s: PauliString,
     out = spam.meas.apply(rho)
     if spam.meas_flip:
         for q in range(s.n):
-            if s.x[q] or s.z[q]:
+            if (s.bits >> q | s.bits >> (s.n + q)) & 1:
                 out = _single_qubit_depolarizing_on(out, s.n, q, spam.meas_flip)
     proj = (np.eye(d, dtype=complex) + s.to_matrix()) / 2
     return float(np.real(np.trace(proj @ out)))

@@ -8,9 +8,10 @@ products, inverses and conjugations are word-level bit operations whose
 cost does not depend on circuit depth: the symplectic inner product is one
 ``int.bit_count``, and phases follow the Aaronson-Gottesman rule in its
 bit-mask form (``paulis.packed_phase_exponent``).  The uniform sampler
-(Koenig-Smolin transvections) emits packed rows directly.  ``x_bits`` /
-``z_bits`` and the ``PauliString`` images are read-only views for the dense
-oracle and the public API.
+(Koenig-Smolin transvections) emits packed rows directly.  Elements are
+immutable values: every operation returns a new element, and the
+``PauliString`` images share the row encoding, so there are no bit-array
+views.
 """
 
 from __future__ import annotations
@@ -71,6 +72,12 @@ class GeneratorGate:
         return f"{self.name} {' '.join(str(q) for q in self.qubits)}"
 
 
+def _identity_rows(n: int) -> list:
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    return [1 << r for r in range(2 * n)]
+
+
 def _apply_gate_rows(gate: GeneratorGate, n: int, rows: list, phases: list):
     """Conjugate packed Pauli rows in place by one generator gate: row -> G row G†.
 
@@ -108,27 +115,28 @@ def _apply_gate_rows(gate: GeneratorGate, n: int, rows: list, phases: list):
         rows[r] = v
 
 
+@dataclass(frozen=True, init=False, slots=True)
 class CliffordElement:
     """An n-qubit Clifford group element in generator-image form.
 
     ``rows[r]`` is the packed image of ``X_r`` for ``r < n`` and of
     ``Z_{r-n}`` for ``r >= n`` (bit q = x_q, bit n+q = z_q), ``phases[r]``
     its exponent of i.  All valid elements have Hermitian images (phases 0
-    or 2).  ``x_bits`` / ``z_bits`` are read-only (2n, n) views of the rows
-    for the dense oracle.
+    or 2).  Elements are immutable and hashed by value.
     """
 
-    __slots__ = ("n", "rows", "phases", "_bits")
+    n: int
+    rows: tuple
+    phases: tuple
 
     def __init__(self, n: int, rows, phases):
-        self.n = int(n)
-        self.rows = tuple(int(v) for v in rows)
-        self.phases = tuple(int(p) & 3 for p in phases)
-        self._bits = None
-        if len(self.rows) != 2 * n or any(v < 0 or v >> (2 * n) for v in self.rows):
+        rows = tuple(int(v) for v in rows)
+        phases = tuple(int(p) & 3 for p in phases)
+        if len(rows) != 2 * n or any(v < 0 or v >> (2 * n) for v in rows):
             raise ValueError("need 2n packed image rows of 2n bits")
-        if len(self.phases) != 2 * n:
+        if len(phases) != 2 * n:
             raise ValueError("need one phase per image row")
+        _fill(self, int(n), rows, phases)
 
     # -- constructors ---------------------------------------------------
 
@@ -136,76 +144,34 @@ class CliffordElement:
     def _trusted(cls, n: int, rows: tuple, phases: tuple) -> "CliffordElement":
         """Skip the checks of ``__init__``: ``rows`` and ``phases`` are
         tuples of 2n in-range ints, as this module's operations produce."""
-        elem = object.__new__(cls)
-        elem.n, elem.rows, elem.phases, elem._bits = n, rows, phases, None
-        return elem
+        return _fill(object.__new__(cls), n, rows, phases)
 
     @classmethod
     def identity(cls, n: int) -> "CliffordElement":
-        if n < 1:
-            raise ValueError("need at least one qubit")
-        return cls._trusted(n, tuple(1 << r for r in range(2 * n)), (0,) * (2 * n))
+        return cls._trusted(n, tuple(_identity_rows(n)), (0,) * (2 * n))
 
     @classmethod
     def from_gates(cls, n: int, gates) -> "CliffordElement":
         """Build the element of a gate list applied in circuit order."""
-        elem = cls.identity(n)
+        rows, phases = _identity_rows(n), [0] * (2 * n)
         for gate in gates:
-            elem.apply_gate(gate)
-        return elem
-
-    def copy(self) -> "CliffordElement":
-        return CliffordElement._trusted(self.n, self.rows, self.phases)
-
-    # -- mutation (append a gate to the circuit) -------------------------
-
-    def apply_gate(self, gate: GeneratorGate):
-        """Left-compose one generator gate: self -> gate ∘ self."""
-        if max(gate.qubits) >= self.n:
-            raise ValueError(f"gate {gate!r} out of range for n={self.n}")
-        rows, phases = list(self.rows), list(self.phases)
-        _apply_gate_rows(gate, self.n, rows, phases)
-        self.rows, self.phases, self._bits = tuple(rows), tuple(phases), None
+            if max(gate.qubits) >= n:
+                raise ValueError(f"gate {gate!r} out of range for n={n}")
+            _apply_gate_rows(gate, n, rows, phases)
+        return cls._trusted(n, tuple(rows), tuple(phases))
 
     # -- row access -------------------------------------------------------
 
-    def _bit_views(self) -> tuple:
-        if self._bits is None:
-            width = 2 * self.n
-            bits = np.array([[(v >> b) & 1 for b in range(width)] for v in self.rows],
-                            dtype=np.uint8)
-            bits.setflags(write=False)
-            self._bits = (bits[:, :self.n], bits[:, self.n:])
-        return self._bits
-
-    @property
-    def x_bits(self) -> np.ndarray:
-        """(2n, n) x bits of the image rows (read-only view)."""
-        return self._bit_views()[0]
-
-    @property
-    def z_bits(self) -> np.ndarray:
-        """(2n, n) z bits of the image rows (read-only view)."""
-        return self._bit_views()[1]
-
     def image_of_x(self, i: int) -> PauliString:
-        return PauliString.from_packed(self.rows[i], self.n, self.phases[i])
+        return PauliString(self.n, self.rows[i], self.phases[i])
 
     def image_of_z(self, i: int) -> PauliString:
         r = self.n + i
-        return PauliString.from_packed(self.rows[r], self.n, self.phases[r])
+        return PauliString(self.n, self.rows[r], self.phases[r])
 
     def key(self) -> tuple:
         """Hashable identity of the element (global phase excluded)."""
         return (self.rows, self.phases)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CliffordElement):
-            return NotImplemented
-        return self.n == other.n and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     def is_valid(self) -> bool:
         """Check the symplectic condition and Hermitian image phases."""
@@ -222,6 +188,19 @@ class CliffordElement:
         rows = [self.image_of_x(i).label() for i in range(self.n)]
         rows += [self.image_of_z(i).label() for i in range(self.n)]
         return f"CliffordElement(n={self.n}, images={rows})"
+
+
+# the frozen class refuses attribute assignment; its slot descriptors set
+# the fields of a new element directly
+_SET_FIELDS = tuple(CliffordElement.__dict__[f].__set__ for f in ("n", "rows", "phases"))
+
+
+def _fill(elem: CliffordElement, n: int, rows: tuple, phases: tuple) -> CliffordElement:
+    set_n, set_rows, set_phases = _SET_FIELDS
+    set_n(elem, n)
+    set_rows(elem, rows)
+    set_phases(elem, phases)
+    return elem
 
 
 def _symplectic_inner(v: int, w: int, n: int) -> int:
@@ -251,8 +230,8 @@ def conjugate_pauli(c: CliffordElement, s: PauliString) -> PauliString:
     """Exact conjugation ``C s C†`` of a Pauli string by a Clifford element."""
     if c.n != s.n:
         raise ValueError(f"qubit count mismatch: {c.n} != {s.n}")
-    acc, phase = _conjugate_row(c, s.packed(), s.phase)
-    return PauliString.from_packed(acc, c.n, phase)
+    acc, phase = _conjugate_row(c, s.bits, s.phase)
+    return PauliString(c.n, acc, phase)
 
 
 def compose(first: CliffordElement, then: CliffordElement) -> CliffordElement:

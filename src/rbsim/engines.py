@@ -238,7 +238,7 @@ class CompiledSequence:
         group = stabilizer_group(product)
         # Tr(s rho) = sum_ij conj(s_ij) rho_ij for each signed (Hermitian) stabilizer s
         expectations = np.array([np.real(np.vdot(s.to_matrix(), rho)) for s in group])
-        return np.array([s.packed() for s in group], dtype=np.int64), expectations
+        return np.array([s.bits for s in group], dtype=np.int64), expectations
 
     def acceptance_probability(self, include_identity: bool = True) -> float:
         """Mean of ``(1 + <s>)/2`` over the stabilizers, with or without the

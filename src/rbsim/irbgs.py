@@ -215,7 +215,7 @@ def verify_synthesis(recipe: SynthesisRecipe, atol: float = VERIFY_ATOL) -> Veri
 
 
 # ---------------------------------------------------------------------------
-# Built-in recipes: the 7-row synthesis of the symmetric generator set
+# Recipes: the bundled 7-row synthesis of the symmetric generator set
 # ---------------------------------------------------------------------------
 
 
@@ -223,56 +223,14 @@ def _cp(i, j, k=2):
     return RecipeGate("CP", (i, j), k)
 
 
-def _cpdag(i, j, k=2):
-    return RecipeGate("CPDAG", (i, j), k)
-
-
 def _g(name, q):
     return RecipeGate(name, (q,))
 
 
-def builtin_recipes(i: int = 0, j: int = 1) -> list:
-    """Synthesis of the symmetric two-qubit generator set, two CP gates each."""
-    return [
-        SynthesisRecipe(
-            "phase-on-j", np.kron(_I, _P),
-            ( _cp(i, j), _g("X", i), _cp(i, j), _g("X", i) ),
-            target_name="IxP",
-        ),
-        SynthesisRecipe(
-            "phase-on-both", np.kron(_P, _P),
-            ( _g("X", i), _g("X", j), _cpdag(i, j), _g("X", i), _g("X", j), _cp(i, j) ),
-            target_name="PxP",
-        ),
-        SynthesisRecipe(
-            "cnot", _target_matrix("CNOT"),
-            ( _g("H", j), _cpdag(i, j), _g("X", j), _cp(i, j),
-              _g("PDAG", i), _g("X", j), _g("H", j) ),
-            target_name="CNOT",
-        ),
-        SynthesisRecipe(
-            # trailing local factor is X_j H_j: the CP pair contributes I⊗X
-            "hadamard-on-j", np.kron(_I, _H),
-            ( _g("H", j), _g("X", j), _cp(i, j), _g("X", j), _cp(i, j), _g("PDAG", i) ),
-            target_name="IxH",
-        ),
-        SynthesisRecipe(
-            "hadamard-on-both", np.kron(_H, _H),
-            ( _g("H", i), _g("H", j), _g("X", j), _cp(i, j), _g("X", j), _cp(i, j),
-              _g("PDAG", i) ),
-            target_name="HxH",
-        ),
-        SynthesisRecipe(
-            "inverse-phase-on-j", np.kron(_I, _P.conj().T),
-            ( _cpdag(i, j), _g("X", i), _cpdag(i, j), _g("X", i) ),
-            target_name="IxPdag",
-        ),
-        SynthesisRecipe(
-            "inverse-phase-on-both", np.kron(_P.conj().T, _P.conj().T),
-            ( _g("X", i), _g("X", j), _cp(i, j), _g("X", i), _g("X", j), _cpdag(i, j) ),
-            target_name="PdagxPdag",
-        ),
-    ]
+def builtin_recipes() -> list:
+    """Synthesis of the symmetric two-qubit generator set, two CP gates each
+    (the bundled ``data/clifford_generator_recipes.json``)."""
+    return load_recipes()
 
 
 def rotation_expansion_recipe(k: int) -> SynthesisRecipe:
@@ -391,13 +349,10 @@ def clifford_element_from_unitary(u: np.ndarray, n: int) -> CliffordElement:
     rows = [0] * (2 * n)
     ph = [0] * (2 * n)
     for row in range(2 * n):
-        if row < n:
-            gen = PauliString.single(n, row, "X")
-        else:
-            gen = PauliString.single(n, row - n, "Z")
-        img = u @ gen.to_matrix() @ u.conj().T
+        # packed bit `row` is X_row for row < n and Z_{row-n} above
+        img = u @ PauliString(n, 1 << row).to_matrix() @ u.conj().T
         for idx in range(4 ** n):
-            cand = PauliString.from_packed(idx, n).to_matrix()
+            cand = PauliString(n, idx).to_matrix()
             if np.allclose(img, cand, atol=1e-9):
                 rows[row], ph[row] = idx, 0
                 break

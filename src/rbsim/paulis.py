@@ -1,18 +1,17 @@
-"""Phase-tracked n-qubit Pauli strings.
+"""Phase-tracked n-qubit Pauli strings as immutable packed values.
 
-A Pauli string is stored as two bit vectors plus a phase exponent::
+A Pauli string is one int of 2n bits plus a phase exponent::
 
     operator = i**phase * (P_0 ⊗ P_1 ⊗ ... ⊗ P_{n-1})
 
-where qubit ``q`` carries ``X`` iff ``x[q]``, ``Z`` iff ``z[q]`` and ``Y``
-(the Hermitian Pauli matrix) iff both bits are set.  With this convention a
-string is Hermitian exactly when ``phase`` is even, i.e. the prefactor is
-``+1`` or ``-1``.
+where bit ``q`` of ``bits`` is ``x_q`` and bit ``n+q`` is ``z_q``: qubit
+``q`` carries ``X`` iff ``x_q``, ``Z`` iff ``z_q`` and ``Y`` (the Hermitian
+Pauli matrix) iff both are set.  With this convention a string is Hermitian
+exactly when ``phase`` is even, i.e. the prefactor is ``+1`` or ``-1``.
 
-The Clifford core and the Pauli engine work on the packed form of the
-same letters: one int with bit ``q`` = ``x[q]`` and bit ``n+q`` = ``z[q]``
-(``PauliString.packed`` / ``PauliString.from_packed``), and multiply packed
-strings with ``packed_phase_exponent``.
+This is the encoding of the Clifford tableau rows and of the Pauli engine's
+stabilizer indices; there are no bit-array views.  Products follow one phase
+rule, ``packed_phase_exponent``.
 """
 
 from __future__ import annotations
@@ -28,49 +27,43 @@ _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
-# indexed by (x, z)
-_LETTER_MATRIX = {(0, 0): _I2, (1, 0): _X2, (1, 1): _Y2, (0, 1): _Z2}
-_LETTER_CHAR = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
-_CHAR_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
+# indexed by the local letter x | z << 1
+_LETTER_MATRIX = (_I2, _X2, _Z2, _Y2)
+_LETTER_CHAR = "IXZY"
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
-def _as_bits(values, n: int | None = None) -> np.ndarray:
-    bits = np.atleast_1d(np.asarray(values, dtype=np.uint8)) & 1
-    if n is not None and bits.size != n:
-        raise ValueError(f"expected {n} bits, got {bits.size}")
-    bits.setflags(write=False)
-    return bits
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PauliString:
-    """An n-qubit Pauli operator with exact phase bookkeeping."""
+    """An n-qubit Pauli operator ``i**phase`` times the letters of ``bits``."""
 
-    x: np.ndarray
-    z: np.ndarray
+    n: int
+    bits: int = 0
     phase: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _as_bits(self.x))
-        object.__setattr__(self, "z", _as_bits(self.z, self.x.size))
+        n, bits = int(self.n), int(self.bits)
+        if n < 1:
+            raise ValueError("need at least one qubit")
+        if not 0 <= bits < 1 << (2 * n):
+            raise ValueError(f"packed letters {bits} out of range for n={n}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "phase", int(self.phase) % 4)
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def identity(cls, n: int) -> "PauliString":
-        return cls(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8), 0)
+        return cls(n)
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str, phase: int = 0) -> "PauliString":
         """Single-letter Pauli such as X on one qubit of an n-qubit register."""
         if not 0 <= qubit < n:
             raise ValueError(f"qubit {qubit} out of range for n={n}")
-        x = np.zeros(n, dtype=np.uint8)
-        z = np.zeros(n, dtype=np.uint8)
-        x[qubit], z[qubit] = _CHAR_BITS[letter.upper()]
-        return cls(x, z, phase)
+        u = _LETTER_CHAR.index(letter.upper())
+        return cls(n, (u & 1) << qubit | (u >> 1) << (n + qubit), phase)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliString":
@@ -85,25 +78,21 @@ class PauliString:
                 phase = ph
                 s = s[len(prefix):]
                 break
-        try:
-            pairs = [_CHAR_BITS[c] for c in s.upper()]
-        except KeyError as exc:
-            raise ValueError(f"invalid Pauli label {label!r}") from exc
-        if not pairs:
-            raise ValueError(f"empty Pauli label {label!r}")
-        x, z = zip(*pairs)
-        return cls(np.array(x, dtype=np.uint8), np.array(z, dtype=np.uint8), phase)
+        s = s.upper()
+        if not s or any(c not in _LETTER_CHAR for c in s):
+            raise ValueError(f"invalid Pauli label {label!r}")
+        n = len(s)
+        return cls(n, sum(cls.single(n, q, c).bits for q, c in enumerate(s)), phase)
 
     # -- basic queries -------------------------------------------------
 
-    @property
-    def n(self) -> int:
-        return self.x.size
+    def _letter(self, q: int) -> int:
+        return (self.bits >> q) & 1 | ((self.bits >> (self.n + q)) & 1) << 1
 
     @property
     def weight(self) -> int:
         """Number of qubits touched non-trivially."""
-        return int(np.count_nonzero(self.x | self.z))
+        return ((self.bits | self.bits >> self.n) & ((1 << self.n) - 1)).bit_count()
 
     @property
     def is_hermitian(self) -> bool:
@@ -112,8 +101,8 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        anti = int(np.sum(self.x & other.z) + np.sum(self.z & other.x)) % 2
-        return anti == 0
+        v, w, n = self.bits, other.bits, self.n
+        return ((v & (w >> n)) ^ (w & (v >> n))).bit_count() % 2 == 0
 
     # -- algebra -------------------------------------------------------
 
@@ -122,27 +111,10 @@ class PauliString:
 
     def adjoint(self) -> "PauliString":
         # conjugating i^phase flips odd phases; letters are Hermitian
-        return PauliString(self.x, self.z, (-self.phase) % 4)
+        return PauliString(self.n, self.bits, -self.phase)
 
     def with_phase(self, phase: int) -> "PauliString":
-        return PauliString(self.x, self.z, phase)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliString):
-            return NotImplemented
-        return (
-            self.n == other.n
-            and self.phase == other.phase
-            and bool(np.array_equal(self.x, other.x))
-            and bool(np.array_equal(self.z, other.z))
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.phase, self.x.tobytes(), self.z.tobytes()))
-
-    def key(self) -> tuple:
-        """Hashable identity, phase included."""
-        return (self.phase, self.x.tobytes(), self.z.tobytes())
+        return PauliString(self.n, self.bits, phase)
 
     # -- dense form ------------------------------------------------------
 
@@ -150,52 +122,22 @@ class PauliString:
         """Dense 2^n x 2^n matrix (qubit 0 is the leftmost tensor factor)."""
         out = np.array([[1j ** self.phase]], dtype=complex)
         for q in range(self.n):
-            out = np.kron(out, _LETTER_MATRIX[(int(self.x[q]), int(self.z[q]))])
+            out = np.kron(out, _LETTER_MATRIX[self._letter(q)])
         return out
 
     def label(self) -> str:
-        letters = "".join(
-            _LETTER_CHAR[(int(self.x[q]), int(self.z[q]))] for q in range(self.n)
-        )
+        letters = "".join(_LETTER_CHAR[self._letter(q)] for q in range(self.n))
         return _PHASE_PREFIX[self.phase] + letters
 
     def __repr__(self) -> str:
         return f"PauliString({self.label()!r})"
 
-    # -- packed form -----------------------------------------------------
-
-    @classmethod
-    def from_packed(cls, v: int, n: int, phase: int = 0) -> "PauliString":
-        """String of packed index ``v``: bit q = x_q, bit n+q = z_q."""
-        return cls([(v >> q) & 1 for q in range(n)], [(v >> (n + q)) & 1 for q in range(n)], phase)
-
-    def packed(self) -> int:
-        """Packed index of the letters (the phase is not part of it)."""
-        n = self.n
-        return sum((int(self.x[q]) << q) | (int(self.z[q]) << (n + q)) for q in range(n))
-
-
-def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
-    """Per-qubit exponent of i picked up when multiplying two Pauli letters.
-
-    Standard Aaronson-Gottesman bookkeeping: e.g. X*Z = -iY contributes -1.
-    """
-    x1 = x1.astype(np.int64)
-    z1 = z1.astype(np.int64)
-    x2 = x2.astype(np.int64)
-    z2 = z2.astype(np.int64)
-    return (
-        x1 * z1 * (z2 - x2)
-        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
-        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
-    )
-
 
 def packed_phase_exponent(v: int, w: int, n: int) -> int:
     """Exponent of i (mod 4) picked up by the packed product ``v @ w``.
 
-    ``_phase_exponents`` summed over the qubits, one bit mask per sign:
-    Y*Z, X*Y and Z*X give +1, Y*X, X*Z and Z*Y give -1.
+    Aaronson-Gottesman bookkeeping summed over the qubits, one bit mask per
+    sign: Y*Z, X*Y and Z*X give +1, Y*X, X*Z and Z*Y give -1.
     """
     mask = (1 << n) - 1
     x1, z1 = v & mask, v >> n
@@ -209,5 +151,5 @@ def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:
     """Exact product ``a @ b`` of two Pauli strings, phase included."""
     if a.n != b.n:
         raise ValueError(f"qubit count mismatch: {a.n} != {b.n}")
-    phase = (a.phase + b.phase + int(np.sum(_phase_exponents(a.x, a.z, b.x, b.z)))) % 4
-    return PauliString(a.x ^ b.x, a.z ^ b.z, phase)
+    phase = a.phase + b.phase + packed_phase_exponent(a.bits, b.bits, a.n)
+    return PauliString(a.n, a.bits ^ b.bits, phase)

@@ -9,13 +9,14 @@ import numpy as np
 
 from .channels import NoiseModel
 from .cliffords import (
+    MAX_DENSE_QUBITS,
     CliffordElement,
     GeneratorGate,
     compose,
     inverse,
     random_clifford,
 )
-from .engines import CompiledSequence, SequenceSpec, engine_for
+from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceSpec, engine_for
 from .fitting import fit_decay, r_from_p
 from .seeding import run_ensemble
 
@@ -93,6 +94,10 @@ class RBConfig:
         if self.fit_strategy not in ("auto", "box", "free"):
             raise ValueError(f"unknown fit strategy {self.fit_strategy!r}")
         self.noise.validate()
+        engine = engine_for(self.noise.channels)
+        limit = MAX_TABLE_QUBITS if engine == "pauli" else MAX_DENSE_QUBITS
+        if self.n > limit:
+            raise ValueError(f"n = {self.n} exceeds the {engine} engine's limit of {limit} qubits")
 
     @property
     def fit_bounds(self):

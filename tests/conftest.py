@@ -8,6 +8,8 @@ tableau implementation they check.
 import numpy as np
 import pytest
 
+from rbsim.paulis import PauliString
+
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Y2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -29,6 +31,40 @@ def kron_chain(mats):
 def pauli_matrix(label: str, phase: complex = 1.0) -> np.ndarray:
     """Dense matrix of a Pauli label like 'XZ' (leftmost letter on qubit 0)."""
     return phase * kron_chain([LETTERS[c] for c in label])
+
+
+def pauli_from_bits(x, z, phase: int = 0) -> PauliString:
+    """PauliString of two bit arrays, packed as bit q = x[q], bit n+q = z[q]."""
+    n = len(x)
+    return PauliString(n, sum(int(x[q]) << q | int(z[q]) << (n + q) for q in range(n)), phase)
+
+
+def pauli_bits(s: PauliString) -> tuple:
+    """The (x, z) bit arrays of a PauliString's packed letters."""
+    return (np.array([(s.bits >> q) & 1 for q in range(s.n)], dtype=np.uint8),
+            np.array([(s.bits >> (s.n + q)) & 1 for q in range(s.n)], dtype=np.uint8))
+
+
+def pauli_letters(s: PauliString) -> str:
+    """Letter string of a PauliString (leftmost letter on qubit 0), phase dropped."""
+    table = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
+    return "".join(table[int(x), int(z)] for x, z in zip(*pauli_bits(s)))
+
+
+def _phase_exponents(x1, z1, x2, z2) -> np.ndarray:
+    """Per-qubit exponent of i picked up when multiplying two Pauli letters.
+
+    Standard Aaronson-Gottesman bookkeeping: e.g. X*Z = -iY contributes -1.
+    """
+    x1 = x1.astype(np.int64)
+    z1 = z1.astype(np.int64)
+    x2 = x2.astype(np.int64)
+    z2 = z2.astype(np.int64)
+    return (
+        x1 * z1 * (z2 - x2)
+        + x1 * (1 - z1) * z2 * (2 * x2 - 1)
+        + (1 - x1) * z1 * x2 * (1 - 2 * z2)
+    )
 
 
 def one_qubit_unitary(gate: np.ndarray, qubit: int, n: int) -> np.ndarray:

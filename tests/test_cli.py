@@ -122,6 +122,19 @@ class TestConfigErrors:
         assert main(["rbsv", "--config", path]) == 2
         assert_one_error(capsys, "'exakt'")
 
+    @pytest.mark.parametrize("n, gate, engine, limit", [
+        (9, {"kind": "pauli", "probabilities": {"I" * 9: 0.99, "X" + "I" * 8: 0.01}},
+         "pauli", 8),
+        (40, {"kind": "depolarizing", "epsilon": 0.01}, "pauli", 8),
+        (7, {"kind": "delta_depolarizing", "delta": 0.5, "p_prime": 0.01}, "dense", 6),
+    ])
+    def test_register_beyond_engine_limit(self, tmp_path, capsys, n, gate, engine, limit):
+        cfg = {"protocol": "rb", "n": n, "lengths": [1, 2, 3], "K_m": 2,
+               "noise": {"gate": gate}, "seed": 1}
+        path = write_config(tmp_path, "big.json", cfg)
+        assert main(["rb", "--config", path]) == 2
+        assert_one_error(capsys, f"n = {n} exceeds the {engine} engine's limit of {limit} qubits")
+
     def test_threads_other_than_one_rejected(self, tmp_path):
         path = write_config(tmp_path, "rbsv.json", small_rbsv_config())
         with pytest.raises(SystemExit) as exc:

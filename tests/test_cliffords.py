@@ -16,9 +16,17 @@ from rbsim.cliffords import (
     stabilizer_group,
     symplectic_group_order,
 )
-from rbsim.paulis import PauliString, _phase_exponents, packed_phase_exponent, pauli_multiply
+from rbsim.paulis import PauliString, packed_phase_exponent, pauli_multiply
 
-from conftest import circuit_unitary, equal_up_to_global_phase, gate_unitary, pauli_matrix
+from conftest import (
+    _phase_exponents,
+    circuit_unitary,
+    equal_up_to_global_phase,
+    gate_unitary,
+    pauli_bits,
+    pauli_from_bits,
+    pauli_matrix,
+)
 
 
 def elem(n, text):
@@ -31,7 +39,7 @@ PACKED_SIZES = (1, 2, 3, 5, 8)
 
 def random_pauli(n, rng):
     bits = rng.integers(0, 2, size=2 * n)
-    return PauliString(bits[:n], bits[n:], int(rng.integers(0, 4)))
+    return pauli_from_bits(bits[:n], bits[n:], int(rng.integers(0, 4)))
 
 
 def random_gate_word(n, length, rng):
@@ -57,7 +65,7 @@ def test_gate_conjugation_matches_dense_oracle(name, qubits, n):
     c = CliffordElement.from_gates(n, [gate])
     u = gate_unitary(name, qubits, n)
     for bits in itertools.product([0, 1], repeat=2 * n):
-        s = PauliString(np.array(bits[:n]), np.array(bits[n:]), 0)
+        s = pauli_from_bits(bits[:n], bits[n:])
         expected = u @ s.to_matrix() @ u.conj().T
         assert np.allclose(conjugate_pauli(c, s).to_matrix(), expected, atol=1e-12)
 
@@ -119,14 +127,11 @@ def test_gate_touches_only_its_columns(rng):
     n = 5
     c = random_clifford(n, rng)
     for gate in (GeneratorGate("H", (2,)), GeneratorGate("CNOT", (1, 3))):
-        before_x, before_z = c.x_bits.copy(), c.z_bits.copy()
-        touched = set(gate.qubits)
-        c2 = c.copy()
-        c2.apply_gate(gate)
-        for q in range(n):
-            if q not in touched:
-                assert np.array_equal(c2.x_bits[:, q], before_x[:, q])
-                assert np.array_equal(c2.z_bits[:, q], before_z[:, q])
+        c2 = compose(c, CliffordElement.from_gates(n, [gate]))
+        untouched = [q for q in range(n) if q not in gate.qubits]
+        mask = sum((1 << q) | (1 << (n + q)) for q in untouched)
+        assert c2 != c
+        assert [v & mask for v in c2.rows] == [v & mask for v in c.rows]
 
 
 class TestPackedCore:
@@ -140,7 +145,7 @@ class TestPackedCore:
 
     @pytest.mark.parametrize("n", PACKED_SIZES)
     def test_conjugation_is_a_homomorphism(self, n, rng):
-        # checked against the array-based pauli_multiply, not the packed rule
+        # both sides use the packed phase rule, checked per qubit below
         for _ in range(20):
             a, b = random_clifford(n, rng), random_clifford(n, rng)
             s, t = random_pauli(n, rng), random_pauli(n, rng)
@@ -152,20 +157,23 @@ class TestPackedCore:
     def test_packed_phase_rule_matches_per_qubit_rule(self, n, rng):
         for _ in range(300):
             s, t = random_pauli(n, rng), random_pauli(n, rng)
-            expected = int(np.sum(_phase_exponents(s.x, s.z, t.x, t.z))) % 4
-            assert packed_phase_exponent(s.packed(), t.packed(), n) == expected
+            expected = int(np.sum(_phase_exponents(*pauli_bits(s), *pauli_bits(t)))) % 4
+            assert packed_phase_exponent(s.bits, t.bits, n) == expected
 
     @pytest.mark.parametrize("n", PACKED_SIZES)
     def test_packed_round_trip_and_bit_views(self, n, rng):
+        # the packed value is the only form: images are the rows themselves
         s = random_pauli(n, rng)
-        assert PauliString.from_packed(s.packed(), n, s.phase) == s
+        assert PauliString(n, s.bits, s.phase) == s
+        x, z = pauli_bits(s)
+        assert pauli_from_bits(x, z, s.phase) == s
         c = random_clifford(n, rng)
         for r in range(2 * n):
             img = c.image_of_x(r) if r < n else c.image_of_z(r - n)
-            assert img.packed() == c.rows[r]
-            assert np.array_equal(c.x_bits[r], img.x) and np.array_equal(c.z_bits[r], img.z)
-        with pytest.raises(ValueError):
-            c.x_bits[0, 0] = 1
+            assert (img.n, img.bits, img.phase) == (n, c.rows[r], c.phases[r])
+        assert not hasattr(c, "x_bits") and not hasattr(c, "z_bits")
+        with pytest.raises(AttributeError):
+            c.rows = CliffordElement.identity(n).rows
 
     def test_invalid_tableaux_detected(self):
         n = 3
@@ -252,12 +260,12 @@ class TestStabilizerGroup:
             c = random_clifford(n, rng)
             group = stabilizer_group(c)
             assert len(group) == 2 ** n
-            keys = {s.key() for s in group}
+            keys = set(group)
             assert len(keys) == 2 ** n
-            assert PauliString.identity(n).key() in keys
+            assert PauliString.identity(n) in keys
             for a in group[:4]:
                 for b in group[:4]:
-                    assert pauli_multiply(a, b).key() in keys
+                    assert pauli_multiply(a, b) in keys
             # every element stabilizes C|0...0> with eigenvalue +1
             psi = clifford_to_matrix(c)[:, 0]
             for s in group:
@@ -284,7 +292,7 @@ class TestDenseOracle:
         for bits in itertools.product([0, 1], repeat=4):
             if not any(bits):
                 continue
-            s = PauliString(np.array(bits[:2]), np.array(bits[2:]), 0)
+            s = pauli_from_bits(bits[:2], bits[2:])
             expected = u @ s.to_matrix() @ u.conj().T
             assert np.allclose(conjugate_pauli(c, s).to_matrix(), expected, atol=1e-10)
 
@@ -320,13 +328,13 @@ def test_generator_gate_validation():
 def test_random_stabilizer_uniform_over_group():
     rng = np.random.default_rng(55)
     c = random_clifford(2, rng)
-    keys = {s.key() for s in stabilizer_group(c)}
+    keys = set(stabilizer_group(c))
     from rbsim.cliffords import random_stabilizer
 
     counts = {}
     n_draw = 8000
     for _ in range(n_draw):
-        k = random_stabilizer(c, rng).key()
+        k = random_stabilizer(c, rng)
         assert k in keys
         counts[k] = counts.get(k, 0) + 1
     expected = n_draw / 4
@@ -340,5 +348,19 @@ def test_gate_words_preserve_tableau_validity(rng):
     gates = generator_gate_set(3)
     c = random_clifford(3, rng)
     for _ in range(60):
-        c.apply_gate(gates[int(rng.integers(0, len(gates)))])
+        c = compose(c, CliffordElement.from_gates(3, [gates[int(rng.integers(0, len(gates)))]]))
         assert c.is_valid()
+
+
+def test_elements_in_a_set_survive_operations(rng):
+    # values are frozen: compose and inverse return new elements and leave
+    # their arguments, and so their hashes, untouched
+    n = 3
+    elems = [random_clifford(n, rng) for _ in range(20)]
+    seen = set(elems)
+    for a, b in zip(elems, elems[1:]):
+        compose(a, b)
+        inverse(a)
+        CliffordElement.from_gates(n, [GeneratorGate("H", (0,))])
+    assert all(e in seen for e in elems)
+    assert all(CliffordElement(n, e.rows, e.phases) in seen for e in elems)

@@ -3,7 +3,7 @@ import pytest
 
 from rbsim.paulis import PauliString, pauli_multiply
 
-from conftest import pauli_matrix
+from conftest import pauli_from_bits, pauli_letters, pauli_matrix
 
 
 def test_identity_times_z_is_z():
@@ -35,8 +35,8 @@ def test_two_qubit_square_is_identity():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_multiply_matches_dense_oracle(n, rng):
     for _ in range(80):
-        a = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
-        b = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
+        a = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
+        b = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
         prod = pauli_multiply(a, b)
         assert np.allclose(prod.to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12)
 
@@ -45,7 +45,7 @@ def test_multiplication_is_associative(rng):
     n = 3
     for _ in range(200):
         a, b, c = (
-            PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
+            pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
             for _ in range(3)
         )
         assert pauli_multiply(pauli_multiply(a, b), c) == pauli_multiply(a, pauli_multiply(b, c))
@@ -65,7 +65,7 @@ def test_size_mismatch_raises():
 def test_hermitian_iff_real_sign(rng):
     for _ in range(40):
         n = int(rng.integers(1, 4))
-        s = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
+        s = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), int(rng.integers(4)))
         m = s.to_matrix()
         is_herm = np.allclose(m, m.conj().T, atol=1e-12)
         assert is_herm == s.is_hermitian == (s.phase in (0, 2))
@@ -81,21 +81,63 @@ def test_label_roundtrip():
 def test_commutes_with_matches_matrices(rng):
     n = 2
     for _ in range(60):
-        a = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
-        b = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
+        a = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
+        b = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
         comm = a.to_matrix() @ b.to_matrix() - b.to_matrix() @ a.to_matrix()
         assert a.commutes_with(b) == bool(np.allclose(comm, 0, atol=1e-12))
 
 
 def test_adjoint_matches_dagger(rng):
     for _ in range(20):
-        s = PauliString(rng.integers(0, 2, 2), rng.integers(0, 2, 2), int(rng.integers(4)))
+        s = pauli_from_bits(rng.integers(0, 2, 2), rng.integers(0, 2, 2), int(rng.integers(4)))
         assert np.allclose(s.adjoint().to_matrix(), s.to_matrix().conj().T, atol=1e-12)
 
 
 def test_product_weight_subadditive(rng):
     n = 4
     for _ in range(100):
-        a = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
-        b = PauliString(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
+        a = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
+        b = pauli_from_bits(rng.integers(0, 2, n), rng.integers(0, 2, n), 0)
         assert pauli_multiply(a, b).weight <= a.weight + b.weight
+
+
+def _every_pauli(n):
+    for bits in range(4 ** n):
+        for phase in range(4):
+            yield PauliString(n, bits, phase)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_packed_value_matches_dense_oracle(n):
+    for s in _every_pauli(n):
+        assert PauliString.from_label(s.label()) == s
+        letters = pauli_letters(s)
+        assert s.label().lstrip("+-i") == letters
+        assert np.allclose(s.to_matrix(), pauli_matrix(letters, 1j ** s.phase), atol=1e-12)
+        assert s.weight == sum(c != "I" for c in letters)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_pair_commutes_as_matrices(n):
+    paulis = [PauliString(n, bits) for bits in range(4 ** n)]
+    mats = [pauli_matrix(pauli_letters(s)) for s in paulis]
+    for a, ma in zip(paulis, mats):
+        for b, mb in zip(paulis, mats):
+            assert a.commutes_with(b) == bool(np.allclose(ma @ mb, mb @ ma, atol=1e-12))
+
+
+def test_constructor_rejects_out_of_range_values():
+    for n, bits in ((1, 4), (2, 16), (3, 4 ** 3), (2, -1)):
+        with pytest.raises(ValueError):
+            PauliString(n, bits)
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            PauliString(n)
+    assert PauliString(2, 15, 7).phase == 3
+
+
+def test_values_are_frozen_and_hashed_by_value():
+    s = PauliString.from_label("-XY")
+    assert {s: 1}[PauliString(2, 0b1011, 2)] == 1
+    with pytest.raises(AttributeError):
+        s.bits = 0
