@@ -307,30 +307,21 @@ def channel_superoperator(ch: NoiseChannel, n: int) -> np.ndarray:
 
 
 def choi_matrix(ch: NoiseChannel, n: int) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij ch(|i><j|) ⊗ |i><j|."""
+    """Unnormalized Choi matrix sum_ij ch(|i><j|) ⊗ |i><j|: the superoperator's
+    entries ch(|i><j|)[a, c] reshuffled to row (a, i), column (c, j)."""
     d = 2 ** n
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            choi += np.kron(ch.apply(unit), unit)
-    return choi
+    s = channel_superoperator(ch, n).reshape(d, d, d, d)  # [c, a, j, i]
+    return s.transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def check_cptp(ch: NoiseChannel, n: int, *, eig_atol=1e-10, tp_atol=1e-12):
     """Raise unless the channel is completely positive and trace preserving."""
     d = 2 ** n
-    choi = choi_matrix(ch, n) / d
-    if np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2)) < -eig_atol:
+    choi = choi_matrix(ch, n)
+    if np.min(np.linalg.eigvalsh((choi + choi.conj().T) / (2 * d))) < -eig_atol:
         raise ValueError("channel is not completely positive")
-    # trace preservation: Tr ch(E_ij) = delta_ij
-    tp = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            tp[i, j] = np.trace(ch.apply(unit))
+    # trace preservation: Tr ch(|i><j|) = delta_ij, the partial trace of the Choi matrix
+    tp = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
     if np.max(np.abs(tp - np.eye(d))) > tp_atol:
         raise ValueError("channel is not trace preserving")
 
@@ -338,12 +329,8 @@ def check_cptp(ch: NoiseChannel, n: int, *, eig_atol=1e-10, tp_atol=1e-12):
 def average_fidelity(ch: NoiseChannel, n: int) -> float:
     """Average fidelity of the channel with the identity over pure states."""
     d = 2 ** n
-    choi = choi_matrix(ch, n)
-    omega = np.zeros(d * d, dtype=complex)
-    for i in range(d):
-        omega[i * d + i] = 1.0
-    omega /= np.sqrt(d)
-    f_ent = float(np.real(omega.conj() @ choi @ omega)) / d
+    omega = np.eye(d).reshape(-1) / np.sqrt(d)  # the maximally entangled state
+    f_ent = float(np.real(omega @ choi_matrix(ch, n) @ omega)) / d
     return (d * f_ent + 1.0) / (d + 1.0)
 
 
@@ -493,29 +480,20 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
         return Ideal()
     if kind == "depolarizing":
         ch = Depolarizing(float(spec["epsilon"]))
-        ch.validate()
-        return ch
-    if kind == "pauli":
-        table = spec["probabilities"]
+    elif kind == "pauli":
         probs = {}
-        for label, prob in table.items():
+        for label, prob in spec["probabilities"].items():
             key = PauliString.from_label(label)
             if key.n != n:
                 raise ValueError(f"Pauli key {label!r} does not act on {n} qubits")
             probs[key] = float(prob)
         ch = PauliChannel(probs)
-        ch.validate()
-        return ch
-    if kind == "delta_depolarizing":
-        u = rotation_unitary(
-            n,
-            qubit=int(spec.get("qubit", 0)),
-            axis=str(spec.get("axis", "X")),
-            angle=float(spec.get("angle", 1e-2)),
-        )
+    else:
+        u = rotation_unitary(n, qubit=int(spec.get("qubit", 0)), axis=str(spec.get("axis", "X")),
+                             angle=float(spec.get("angle", 1e-2)))
         ch = DeltaDepolarizing(float(spec["delta"]), float(spec["p_prime"]), u)
-        ch.validate()
-        return ch
+    ch.validate()
+    return ch
 
 
 def apply_channel(ch: NoiseChannel, rho: np.ndarray) -> np.ndarray:

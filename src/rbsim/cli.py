@@ -249,8 +249,14 @@ def _fit_summary(fit: DecayFit, r_name: str, r_value: float) -> dict:
     }
 
 
-def _emit_json(path: str, payload: dict):
-    _write_text(path, json.dumps(payload, indent=1, sort_keys=True) + "\n")
+def _emit(args, summary_name: str, summary: dict, **csvs):
+    """Write each ``name=text`` CSV as ``<name>.csv`` and the summary JSON
+    under ``--out`` (default: the working directory)."""
+    out = args.out or "."
+    for name, text in csvs.items():
+        _write_text(os.path.join(out, f"{name}.csv"), text)
+    _write_text(os.path.join(out, summary_name),
+                json.dumps(summary, indent=1, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -264,12 +270,10 @@ def _cmd_rb(cfg: dict, args) -> int:
     data = run_standard_rb(config)
     fit, r_rb = fit_rb_data(data, 2 ** config.n, coefficient_bounds=config.fit_bounds)
     wall = time.perf_counter() - t0
-    out = args.out or "."
-    _write_text(os.path.join(out, "rb.csv"), rb_csv(data))
     summary = _fit_summary(fit, "r_rb", r_rb)
     summary.update(engine=data.engine, wall_time_s=wall,
                    reproducibility=_repro_block(cfg, config.seed))
-    _emit_json(os.path.join(out, "rb_summary.json"), summary)
+    _emit(args, "rb_summary.json", summary, rb=rb_csv(data))
     print(f"r_rb = {r_rb!r} (p = {fit.p!r})")
     return 0
 
@@ -279,8 +283,6 @@ def _cmd_rbsv(cfg: dict, args) -> int:
     t0 = time.perf_counter()
     result = run_rbsv(config)
     wall = time.perf_counter() - t0
-    out = args.out or "."
-    _write_text(os.path.join(out, "rbsv.csv"), rbsv_csv(result))
     summary = _fit_summary(result.fit, "r_rbsv", result.r_rbsv)
     summary.update(
         engine=result.engine,
@@ -288,7 +290,7 @@ def _cmd_rbsv(cfg: dict, args) -> int:
         n_saturated_total=int(np.sum(result.n_saturated)),
         reproducibility=_repro_block(cfg, config.seed),
     )
-    _emit_json(os.path.join(out, "rbsv_summary.json"), summary)
+    _emit(args, "rbsv_summary.json", summary, rbsv=rbsv_csv(result))
     print(f"r_rbsv = {result.r_rbsv!r} (p = {result.fit.p!r})")
     return 0
 
@@ -301,9 +303,6 @@ def _cmd_compare(cfg: dict, args) -> int:
     fit, r_rb = fit_rb_data(data, 2 ** rb_config.n, coefficient_bounds=rb_config.fit_bounds)
     result = run_rbsv(rbsv_config)
     wall = time.perf_counter() - t0
-    out = args.out or "."
-    _write_text(os.path.join(out, "rb.csv"), rb_csv(data))
-    _write_text(os.path.join(out, "rbsv.csv"), rbsv_csv(result))
     summary = {
         "rb": _fit_summary(fit, "r_rb", r_rb),
         "rbsv": _fit_summary(result.fit, "r_rbsv", result.r_rbsv),
@@ -314,7 +313,7 @@ def _cmd_compare(cfg: dict, args) -> int:
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, rb_config.seed),
     }
-    _emit_json(os.path.join(out, "compare_summary.json"), summary)
+    _emit(args, "compare_summary.json", summary, rb=rb_csv(data), rbsv=rbsv_csv(result))
     print(f"r_rb = {r_rb!r}  r_rbsv = {result.r_rbsv!r}")
     return 0
 
@@ -324,9 +323,6 @@ def _cmd_irbgs(cfg: dict, args) -> int:
     t0 = time.perf_counter()
     estimate = run_irbgs(config)
     wall = time.perf_counter() - t0
-    out = args.out or "."
-    _write_text(os.path.join(out, "irbgs_baseline.csv"), rb_csv(estimate.baseline_data))
-    _write_text(os.path.join(out, "irbgs_interleaved.csv"), rb_csv(estimate.interleaved_data))
     summary = {
         "p": estimate.p,
         "p_bar_c": estimate.p_bar_c,
@@ -342,7 +338,8 @@ def _cmd_irbgs(cfg: dict, args) -> int:
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, config.seed),
     }
-    _emit_json(os.path.join(out, "irbgs_summary.json"), summary)
+    _emit(args, "irbgs_summary.json", summary, irbgs_baseline=rb_csv(estimate.baseline_data),
+          irbgs_interleaved=rb_csv(estimate.interleaved_data))
     print(f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
           f"class {estimate.noise_class})")
     return 0
@@ -358,7 +355,7 @@ def _cmd_plan(cfg: dict, args) -> int:
     for key, val in values.items():
         print(f"{key:<{width}}  {val}")
     if args.out:
-        _emit_json(os.path.join(args.out, "plan.json"), values)
+        _emit(args, "plan.json", values)
     return 0
 
 

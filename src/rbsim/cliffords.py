@@ -6,12 +6,15 @@ z_q, the layout of the Pauli engine's stabilizer indices) plus its exponent
 of i: an Aaronson-Gottesman tableau with one word per row.  Sequence
 products, inverses and conjugations are word-level bit operations whose
 cost does not depend on circuit depth: the symplectic inner product is one
-``int.bit_count``, and phases follow the Aaronson-Gottesman rule in its
-bit-mask form (``paulis.packed_phase_exponent``).  The uniform sampler
-(Koenig-Smolin transvections) emits packed rows directly.  Elements are
-immutable values: every operation returns a new element, and the
-``PauliString`` images share the row encoding, so there are no bit-array
-views.
+bit count, and phases follow the Aaronson-Gottesman rule in its bit-mask
+form (``paulis.packed_phase_exponent``).  Elements are immutable values:
+every operation returns a new element, and the ``PauliString`` images share
+the row encoding, so there are no bit-array views.
+
+The uniform sampler, the Koenig-Smolin transvection construction
+(arXiv:1406.2170), runs on int64 arrays: ``random_clifford_rows`` batches
+many RNG streams, each making its own draws in a fixed order, so an element
+depends only on its stream; ``random_clifford`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .paulis import PauliString, packed_phase_exponent, pauli_multiply
+from .paulis import PauliString, packed_phase_exponent, pauli_multiply, symplectic_inner
 
 __all__ = [
     "GeneratorGate",
@@ -30,6 +33,8 @@ __all__ = [
     "compose",
     "inverse",
     "random_clifford",
+    "random_clifford_rows",
+    "symplectic_rows",
     "stabilizer_group",
     "stabilizer_generators",
     "random_stabilizer",
@@ -41,7 +46,13 @@ __all__ = [
 
 GENERATOR_GATE_NAMES = ("H", "P", "PDAG", "CNOT", "X")
 
-_ONE_QUBIT_GATES = {"H", "P", "PDAG", "X"}
+# one-qubit gate: local letter (x, z) -> its image's letter and sign flip
+_ONE_QUBIT_RULES = {
+    "H": lambda x, z: (z, x, x & z),
+    "P": lambda x, z: (x, z ^ x, x & z),
+    "PDAG": lambda x, z: (x, z ^ x, x & (z ^ 1)),
+    "X": lambda x, z: (x, z, z),
+}
 
 MAX_DENSE_QUBITS = 6
 MAX_MATERIALIZED_GROUP_QUBITS = 12
@@ -60,7 +71,7 @@ class GeneratorGate:
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
         if name not in GENERATOR_GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
-        want = 1 if name in _ONE_QUBIT_GATES else 2
+        want = 1 if name in _ONE_QUBIT_RULES else 2
         if len(self.qubits) != want:
             raise ValueError(f"{name} expects {want} qubit(s), got {self.qubits}")
         if name == "CNOT" and self.qubits[0] == self.qubits[1]:
@@ -95,24 +106,12 @@ def _apply_gate_rows(gate: GeneratorGate, n: int, rows: list, phases: list):
             rows[r] = v ^ (xc << t) ^ (zt << (n + c))
         return
     (q,) = gate.qubits
+    rule = _ONE_QUBIT_RULES[name]
     for r, v in enumerate(rows):
         x, z = (v >> q) & 1, (v >> (n + q)) & 1
-        if name == "H":
-            flip = x & z
-            v ^= (x ^ z) * ((1 << q) | (1 << (n + q)))
-        elif name == "P":
-            flip = x & z
-            v ^= x << (n + q)
-        elif name == "PDAG":
-            flip = x & (z ^ 1)
-            v ^= x << (n + q)
-        elif name == "X":
-            flip = z
-        else:  # pragma: no cover - guarded by GeneratorGate
-            raise ValueError(f"unknown gate {name!r}")
-        if flip:
-            phases[r] = (phases[r] + 2) & 3
-        rows[r] = v
+        new_x, new_z, flip = rule(x, z)
+        rows[r] = v ^ ((x ^ new_x) << q) ^ ((z ^ new_z) << (n + q))
+        phases[r] = (phases[r] + 2 * flip) & 3
 
 
 @dataclass(frozen=True, init=False, slots=True)
@@ -180,7 +179,7 @@ class CliffordElement:
         n, rows = self.n, self.rows
         # images of X_i and Z_i anticommute; every other pair commutes
         return all(
-            _symplectic_inner(rows[i], rows[j], n) == (j == i + n)
+            symplectic_inner(rows[i], rows[j], n) == (j == i + n)
             for i in range(2 * n) for j in range(i, 2 * n)
         )
 
@@ -201,11 +200,6 @@ def _fill(elem: CliffordElement, n: int, rows: tuple, phases: tuple) -> Clifford
     set_rows(elem, rows)
     set_phases(elem, phases)
     return elem
-
-
-def _symplectic_inner(v: int, w: int, n: int) -> int:
-    """Symplectic inner product of packed strings: 1 iff they anticommute."""
-    return ((v & (w >> n)) ^ (w & (v >> n))).bit_count() & 1
 
 
 def _conjugate_row(c: CliffordElement, v: int, phase: int) -> tuple:
@@ -242,131 +236,96 @@ def compose(first: CliffordElement, then: CliffordElement) -> CliffordElement:
     return CliffordElement._trusted(first.n, rows, phases)
 
 
-def _symplectic_inverse_rows(rows, n: int) -> list:
-    """Packed rows of M^{-1} = Omega M^T Omega, Omega = [[0, I], [I, 0]].
-
-    Row i of the inverse has bit j set iff row σ(j) of M has bit σ(i) set,
-    where σ swaps the x and z halves (i <-> i ± n).
-    """
-    inv = [0] * (2 * n)
-    for r, v in enumerate(rows):
-        col = 1 << (r + n if r < n else r - n)
-        b = 0
-        while v:
-            if v & 1:
-                inv[b + n if b < n else b - n] |= col
-            v >>= 1
-            b += 1
-    return inv
-
-
 def inverse(c: CliffordElement) -> CliffordElement:
     """Inverse element: ``compose(c, inverse(c))`` is the identity."""
-    rows = _symplectic_inverse_rows(c.rows, c.n)
+    # symplectic part M^{-1} = Omega M^T Omega, Omega = [[0, I], [I, 0]]: row i
+    # has bit j set iff row σ(j) of M has bit σ(i), σ swapping x and z halves
+    n = c.n
+    rows = [0] * (2 * n)
+    for r, v in enumerate(c.rows):
+        for b in range(2 * n):
+            if v >> b & 1:
+                rows[(b + n) % (2 * n)] |= 1 << ((r + n) % (2 * n))
     # fix signs: conjugating each candidate image by c must return the bare generator
     phases = tuple(-_conjugate_row(c, v, 0)[1] & 3 for v in rows)
-    return CliffordElement._trusted(c.n, tuple(rows), phases)
+    return CliffordElement._trusted(n, tuple(rows), phases)
 
 
 # ---------------------------------------------------------------------------
-# Uniform sampling via the symplectic transvection construction
+# Uniform sampling: the Koenig-Smolin transvection construction, batched
 # ---------------------------------------------------------------------------
 
 
-def _transvection(k: int, v: int, n: int) -> int:
-    return v ^ k if _symplectic_inner(k, v, n) else v
-
-
-def _anticommuting_local(u: int) -> int:
-    """2-bit local Pauli (1 = X, 2 = Z, 3 = Y) anticommuting with nonzero local u."""
-    return 1 if u == 3 else 3
-
-
-def _local(v: int, q: int, n: int) -> int:
-    return ((v >> q) & 1) | (((v >> (n + q)) & 1) << 1)
-
-
-def _place(u: int, q: int, n: int) -> int:
-    return ((u & 1) << q) | ((u >> 1) << (n + q))
-
-
-def _lowest(mask: int) -> int:
-    return (mask & -mask).bit_length() - 1
-
-
-def _find_transvection(x: int, y: int, n: int) -> tuple:
-    """Find h1, h2 with Z_h1 Z_h2 x = y for nonzero x, y (Koenig-Smolin Lemma 2)."""
-    if x == y:
-        return 0, 0
-    if _symplectic_inner(x, y, n):
-        return x ^ y, 0
-    # find z with <x,z> = <y,z> = 1, then hop x -> z -> y
-    mask = (1 << n) - 1
-    sx = (x | (x >> n)) & mask  # qubits where x acts
-    sy = (y | (y >> n)) & mask
-    if sx & sy:
-        q = _lowest(sx & sy)
-        u, w = _local(x, q, n), _local(y, q, n)
-        z = _place(u ^ w if u != w else _anticommuting_local(u), q, n)
-    else:
-        qx, qy = _lowest(sx), _lowest(sy)
-        z = (_place(_anticommuting_local(_local(x, qx, n)), qx, n)
-             | _place(_anticommuting_local(_local(y, qy, n)), qy, n))
-    return x ^ z, z ^ y
-
-
-def _spread(v: int, k: int, n: int) -> int:
-    """Packed string on qubits k.. from an interleaved draw (x_k, z_k, x_k+1, ...)."""
-    out = 0
-    while v:
-        out |= (v & 1) << k | ((v >> 1) & 1) << (n + k)
-        v >>= 2
-        k += 1
-    return out
-
-
-def _random_symplectic_rows(n: int, rng: np.random.Generator) -> tuple:
-    """Packed rows of a uniformly random element of Sp(2n, 2).
-
-    The standard transvection construction (Koenig-Smolin), one level per
-    qubit: level k fixes the images of x_k and z_k inside qubits k..n-1 and
-    draws each step's index uniformly instead of decoding one big
-    group-element index.  Each level draws two integers whose bits run over
-    qubits k.. in (x, z) pairs; the draws and their order are part of the
-    seed contract.
-    """
-    levels = []
+def _clifford_draws(n: int, rng: np.random.Generator, size: int) -> list:
+    """One stream's draws for ``size`` elements, in the seed contract's order:
+    per level k = 0..n-1, ``integers(1, 4^(n-k))`` and
+    ``integers(0, 2^(2(n-k)-1))`` as size-long arrays; then the signs as one
+    ``(size, 2n)`` bit array."""
+    draws = []
     for k in range(n):
         width = 2 * (n - k)
-        e_k = 1 << k
-        f1 = _spread(int(rng.integers(1, 1 << width)), k, n)  # image of x_k, any nonzero
-        t1, t2 = _find_transvection(e_k, f1, n)
-        bits = int(rng.integers(0, 1 << (width - 1)))
-        eprime = e_k | _spread(bits >> 1, k + 1, n)  # x_k plus random bits on qubits k+1..
-        h0 = _transvection(t2, _transvection(t1, eprime, n), n)
-        levels.append((t1, t2, h0, 0 if bits & 1 else f1))  # bit 0 drops the Z_f1 factor
-    rows = [1 << r for r in range(2 * n)]
-    for k in reversed(range(n)):
-        steps = [t for t in levels[k] if t]
-        for r in (*range(k, n), *range(n + k, 2 * n)):
-            v = rows[r]
-            for t in steps:
-                v = _transvection(t, v, n)
-            rows[r] = v
-    return tuple(rows)
+        draws += [rng.integers(1, 1 << width, size=size),
+                  rng.integers(0, 1 << (width - 1), size=size)]
+    return draws + [rng.integers(0, 2, size=(size, 2 * n))]
+
+
+def _transvect(t, v, n: int):
+    """Transvection Z_t v = v + <t, v> t; t = 0 is the identity."""
+    return v ^ (t * symplectic_inner(t, v, n))
+
+
+def symplectic_rows(n: int, draws) -> np.ndarray:
+    """Packed rows ``(N, 2n)`` of N uniformly random elements of Sp(2n, 2).
+
+    ``draws`` holds the 2n level arrays of ``_clifford_draws``.  Level k
+    reads its first draw as a nonzero string f on qubits k.. (low n-k bits
+    x, next n-k bits z), maps x_k to f by at most two transvections
+    (Koenig-Smolin Lemma 2) and z_k to a string anticommuting with f picked
+    by the second draw; levels are composed from the last one down.
+    """
+    def on_qubits(v, k):
+        return ((v & ((1 << (n - k)) - 1)) << k) | ((v >> (n - k)) << (n + k))
+
+    e = np.int64(1)
+    rows = np.broadcast_to(e << np.arange(2 * n, dtype=np.int64), (len(draws[0]), 2 * n))
+    levels = []
+    for k in range(n):
+        f, bits, x = on_qubits(draws[2 * k], k), draws[2 * k + 1], e << k
+        # z anticommutes with x = X_k and with f where they commute: Y_k, plus,
+        # when f misses qubit k, an X or Y on f's lowest qubit that
+        # anticommutes with f there
+        support = (f | (f >> n)) & ((1 << n) - 1)
+        low = support & -support
+        y_k = x | (x << n)
+        z = np.where(f & x, y_k, y_k | np.where(f & (f >> n) & low, low, low | (low << n)))
+        anticommute, same = (f >> (n + k)) & 1, f == x
+        t1 = np.where(same, 0, np.where(anticommute, x ^ f, x ^ z))
+        t2 = np.where(same | (anticommute == 1), 0, z ^ f)
+        h0 = _transvect(t2, _transvect(t1, x | on_qubits(bits >> 1, k + 1), n), n)
+        levels.append((t1, t2, h0, np.where(bits & 1, 0, f)))  # bit 0 drops Z_f
+    for steps in reversed(levels):
+        for t in steps:
+            rows = _transvect(t[:, None], rows, n)
+    return rows
+
+
+def random_clifford_rows(n: int, rngs, size: int) -> tuple:
+    """Packed image rows and phases (0 or 2), each ``(size, K, 2n)``, of
+    ``size`` uniformly random elements from each of the K streams ``rngs``
+    (element-major: ``[i, k]`` is stream k's i-th element)."""
+    if n < 1:
+        raise ValueError("need at least one qubit")
+    columns = [np.concatenate(c) for c in zip(*[_clifford_draws(n, r, size) for r in rngs])]
+    rows, signs = (a.reshape(len(rngs), size, 2 * n).swapaxes(0, 1)
+                   for a in (symplectic_rows(n, columns[:-1]), columns[-1]))
+    return rows, 2 * signs
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
-    """Exactly uniform sample from the n-qubit Clifford group (mod global phase).
-
-    A uniformly random symplectic matrix over GF(2) is drawn by the
-    transvection construction and dressed with 2n uniform sign bits.
-    """
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    rows = _random_symplectic_rows(n, rng)
-    phases = tuple((2 * rng.integers(0, 2, size=2 * n)).tolist())
-    return CliffordElement._trusted(n, rows, phases)
+    """Exactly uniform sample from the n-qubit Clifford group (mod global phase):
+    a uniformly random symplectic matrix dressed with 2n uniform signs."""
+    rows, phases = random_clifford_rows(n, [rng], 1)
+    return CliffordElement._trusted(n, tuple(rows[0, 0].tolist()), tuple(phases[0, 0].tolist()))
 
 
 # ---------------------------------------------------------------------------

@@ -1,27 +1,29 @@
 """Execution engine for noisy Clifford sequences.
 
 ``CompiledSequence`` computes, exactly, the expectation of every stabilizer
-of the ideal output state after the noisy sequence; the acceptance
-probability and the RB survival are means over them, and sampled mode is
-one binomial draw.  The noise picks the path: for Pauli-diagonal noise
-(``pauli``) the n Z-generators are pushed through each element's packed
-rows (bit q = x_q, bit n+q = z_q; signs never enter) and each stabilizer
-collects the channels' Pauli eigenvalues; for other noise (``dense``, n <= 6)
-the expectations are read off ``run_sequence_exact``, also the tests'
-oracle.  Both apply ``1 - 4p/3`` per touched qubit for ``meas_flip``.
+of the ideal output state after each sequence of a ``SequenceBatch`` (K
+sequences with one channel per position; a ``SequenceSpec`` is the batch of
+one).  Acceptance and RB survival are means over them; sampled mode is one
+binomial draw per sequence from its own stream.  The noise picks the path.
+For Pauli-diagonal noise (``pauli``) the n Z-generators of all K sequences
+are pushed through the packed rows (bit q = x_q, bit n+q = z_q; signs never
+enter) one position at a time, and each stabilizer collects the position's
+channel eigenvalues, computed once per channel value.  For other noise
+(``dense``, n <= 6) each sequence's expectations are read off
+``run_sequence_exact``, also the tests' oracle.  Both apply ``1 - 4p/3`` per
+touched qubit for ``meas_flip``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .cliffords import (
     CliffordElement,
     MAX_DENSE_QUBITS,
-    _symplectic_inverse_rows,
     clifford_to_matrix,
     compose,
     inverse,
@@ -42,20 +44,13 @@ __all__ = [
     "run_sequence_exact",
     "survival_probability",
     "engine_for",
+    "SequenceBatch",
     "CompiledSequence",
 ]
 
 # the Pauli engine holds a 4^n eigenvalue table per channel and enumerates
 # the 2^n stabilizers after every element
 MAX_TABLE_QUBITS = 8
-
-
-def _normalize_element(n: int, entry) -> CliffordElement:
-    if isinstance(entry, CliffordElement):
-        if entry.n != n:
-            raise ValueError("element register size mismatch")
-        return entry
-    return CliffordElement.from_gates(n, entry)
 
 
 @dataclass
@@ -73,7 +68,10 @@ class SequenceSpec:
     spam: SpamModel = field(default_factory=SpamModel)
 
     def __post_init__(self):
-        self.elements = [_normalize_element(self.n, e) for e in self.elements]
+        self.elements = [e if isinstance(e, CliffordElement)
+                         else CliffordElement.from_gates(self.n, e) for e in self.elements]
+        if any(e.n != self.n for e in self.elements):
+            raise ValueError("element register size mismatch")
         if isinstance(self.noise, (list, tuple)):
             if len(self.noise) != len(self.elements):
                 raise ValueError("need one noise channel per element")
@@ -133,131 +131,167 @@ def survival_probability(rho: np.ndarray, spam: SpamModel | None = None) -> floa
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer expectations of a compiled sequence
+# Stabilizer expectations of a compiled batch
 # ---------------------------------------------------------------------------
 
 
-def _image(rows, v: int) -> int:
-    """Unsigned image of packed Pauli ``v``: the XOR of the rows of its set bits."""
-    acc = 0
-    while v:
-        low = v & -v
-        acc ^= rows[low.bit_length() - 1]
-        v ^= low
-    return acc
+@dataclass
+class SequenceBatch:
+    """K noisy sequences of L positions that share one channel per position.
+
+    ``elements[l, k]`` holds the 2n packed image rows of sequence k's element
+    at position l (the layout of ``CliffordElement.rows``), ``phases[l, k]``
+    their exponents of i; ``channels[l]`` acts after position l.
+    """
+
+    n: int
+    elements: np.ndarray
+    phases: np.ndarray
+    channels: list
+    spam: SpamModel = field(default_factory=SpamModel)
+
+    @classmethod
+    def of(cls, spec: SequenceSpec) -> "SequenceBatch":
+        """The batch of one sequence."""
+        rows, phases = (np.array([getattr(e, f) for e in spec.elements], dtype=np.int64)
+                        .reshape(spec.m, 1, 2 * spec.n) for f in ("rows", "phases"))
+        return cls(spec.n, rows, phases, [spec.channel_for(i) for i in range(spec.m)], spec.spam)
+
+    def sequence(self, k: int) -> list:
+        """The signed elements of sequence ``k``."""
+        return [CliffordElement._trusted(self.n, tuple(rows), tuple(phases)) for rows, phases
+                in zip(self.elements[:, k].tolist(), self.phases[:, k].tolist())]
 
 
-def _spans(gens: np.ndarray, n: int) -> np.ndarray:
-    """All XOR combinations of each row's n generators, subset index order."""
-    groups = np.zeros((gens.shape[0], 1 << n), dtype=np.int64)
-    for i in range(n):
-        step = 1 << i
-        groups[:, step:2 * step] = groups[:, :step] ^ gens[:, i:i + 1]
-    return groups
+@lru_cache(maxsize=8)
+def _eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
+    """``pauli_eigenvalues``, computed once per channel value and register size."""
+    table = pauli_eigenvalues(ch, n)
+    table.flags.writeable = False
+    return table
+
+
+def _xor_of(bits: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Per sequence k, the XOR of the ``words[k]`` (K, j) that each row of
+    ``bits`` ((K, i, j) or (i, j), 0/1) selects: ``(K, i)``."""
+    return np.bitwise_xor.reduce(bits * words[:, None, :], axis=-1)
+
+
+def _binomials(reps: int, rngs, probabilities: np.ndarray) -> np.ndarray:
+    """One ``binomial(reps, p_k)`` draw from each stream ``rngs[k]``."""
+    if len(rngs) != len(probabilities):
+        raise ValueError("need one generator per sequence")
+    return np.array([rng.binomial(reps, p) for rng, p in zip(rngs, probabilities)])
 
 
 class CompiledSequence:
-    """Exact stabilizer expectations of one noisy sequence.
+    """Exact stabilizer expectations of a ``SequenceBatch`` (a ``SequenceSpec``
+    is the batch of one).
 
-    ``propagate_faults()`` returns ``<s>`` for the 2^n stabilizers ``s`` of
-    the ideal output state, identity first.  ``acceptance_probability`` and
-    ``survival_probability`` average them; ``acceptance_samples`` and
-    ``survival_samples`` draw the count of ``reps`` repetitions from that
-    probability in one binomial draw, which has the law of ``reps``
-    i.i.d. repetitions that each measure a uniformly drawn stabilizer.
+    ``propagate_faults()`` gives each sequence's ``<s>`` for the 2^n
+    stabilizers of its ideal output state; the probabilities average them,
+    and the samples draw each sequence's count of ``reps`` repetitions from
+    its own stream in one binomial draw (the law of ``reps`` repetitions
+    that each measure a uniformly drawn stabilizer).
     """
 
-    def __init__(self, spec: SequenceSpec):
+    def __init__(self, spec: SequenceSpec | SequenceBatch):
+        self.batch = spec if isinstance(spec, SequenceBatch) else SequenceBatch.of(spec)
         self.n = spec.n
-        self.spec = spec
-        self.elements = list(spec.elements)
-        self.channels = [spec.channel_for(i) for i in range(spec.m)]
+        self.channels = list(self.batch.channels)
         self.closed = False
 
     @property
     def engine(self) -> str:
-        return engine_for(self.channels + [self.spec.spam.prep, self.spec.spam.meas])
+        return engine_for(self.channels + [self.batch.spam.prep, self.batch.spam.meas])
 
     def append_inverse(self, channel: NoiseChannel):
-        """Close the sequence: append the inverse of the ideal product as one
+        """Close every sequence: append the inverse of its ideal product as one
         more element, followed by ``channel``.
 
-        The Pauli engine appends it without signs (the inverse up to a Pauli
-        frame, which Pauli-diagonal noise cannot tell apart); the dense
-        engine appends the signed inverse.
+        The Pauli path needs no rows for it: the inverse without its signs (a
+        Pauli frame, which Pauli-diagonal noise cannot tell apart) returns
+        every stabilizer to the prepared Z group.  The dense path appends
+        the signed inverse.
         """
         if self.closed:
             raise ValueError("the sequence is already closed")
         self.closed = True
         self.channels.append(channel)
-        n = self.n
-        if self.engine == "pauli":
-            rows = [1 << b for b in range(2 * n)]
-            for e in self.elements:
-                rows = [_image(e.rows, v) for v in rows]
-            rows = tuple(_symplectic_inverse_rows(rows, n))
-            self.elements.append(CliffordElement._trusted(n, rows, (0,) * (2 * n)))
-        else:
-            self.elements.append(
-                inverse(reduce(compose, self.elements, CliffordElement.identity(n))))
 
     def propagate_faults(self) -> np.ndarray:
-        """Expectation of each stabilizer of the ideal output state (identity
-        first), measurement flips included."""
+        """Expectation of each stabilizer of each sequence's ideal output state
+        (``(K, 2^n)``, identity first), measurement flips included."""
         if self.engine == "pauli":
             group, expectations = self._pauli_expectations()
         else:
             group, expectations = self._dense_expectations()
-        return expectations * _flip_factors(group, self.n, self.spec.spam.meas_flip)
+        return expectations * _flip_factors(group, self.n, self.batch.spam.meas_flip)
 
     def _pauli_expectations(self):
-        n = self.n
+        n, batch = self.n, self.batch
         if n > MAX_TABLE_QUBITS:
             raise ValueError(f"Pauli engine limited to n <= {MAX_TABLE_QUBITS}")
-        gens = [1 << (n + q) for q in range(n)]
-        track = [gens]
-        for e in self.elements:
-            gens = [_image(e.rows, g) for g in gens]
-            track.append(gens)
-        # row 0: the prepared state's stabilizers; row i: those after element i
-        groups = _spans(np.array(track, dtype=np.int64), n)
-        rows_of = {}
-        for row, ch in [(0, self.spec.spam.prep), *enumerate(self.channels, 1),
-                        (len(self.elements), self.spec.spam.meas)]:
+        # a stabilizer group is the XOR of each subset of its n generators, in
+        # subset index order; a generator's image under an element is the
+        # XOR of the element's rows of its set bits
+        subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+        shifts = np.arange(2 * n)
+        gens = np.broadcast_to(np.int64(1) << np.arange(n, 2 * n), (batch.elements.shape[1], n))
+        z_group = _xor_of(subsets, gens)
+        expectations = np.ones(z_group.shape)
+
+        def collect(ch, group):  # a channel acts on the stabilizers of the state it follows
             if not isinstance(ch, Ideal):
-                rows_of.setdefault(id(ch), (ch, []))[1].append(row)
-        expectations = np.ones(1 << n)
-        for ch, rows in rows_of.values():
-            expectations *= np.prod(pauli_eigenvalues(ch, n)[groups[rows]], axis=0)
-        return groups[-1], expectations
+                expectations[...] *= _eigenvalues(ch, n)[group]
+
+        collect(batch.spam.prep, z_group)
+        for rows, ch in zip(batch.elements, self.channels):
+            gens = _xor_of((gens[..., None] >> shifts) & 1, rows)
+            collect(ch, _xor_of(subsets, gens))
+        group = z_group if self.closed else _xor_of(subsets, gens)
+        if self.closed:
+            collect(self.channels[-1], group)
+        collect(batch.spam.meas, group)
+        return group, expectations
 
     def _dense_expectations(self):
-        spec = SequenceSpec(self.n, self.elements, self.channels, self.spec.spam)
-        rho = apply_channel(spec.spam.meas, run_sequence_exact(spec))
-        product = reduce(compose, self.elements, CliffordElement.identity(self.n))
-        group = stabilizer_group(product)
-        # Tr(s rho) = sum_ij conj(s_ij) rho_ij for each signed (Hermitian) stabilizer s
-        expectations = np.array([np.real(np.vdot(s.to_matrix(), rho)) for s in group])
-        return np.array([s.bits for s in group], dtype=np.int64), expectations
+        n, spam = self.n, self.batch.spam
+        groups, expectations = [], []
+        for k in range(self.batch.elements.shape[1]):
+            elements = self.batch.sequence(k)
+            product = reduce(compose, elements, CliffordElement.identity(n))
+            if self.closed:
+                elements.append(inverse(product))
+                product = CliffordElement.identity(n)
+            spec = SequenceSpec(n, elements, self.channels, spam)
+            rho = apply_channel(spam.meas, run_sequence_exact(spec))
+            group = stabilizer_group(product)
+            # Tr(s rho) = sum_ij conj(s_ij) rho_ij for each signed (Hermitian) stabilizer s
+            expectations.append([np.real(np.vdot(s.to_matrix(), rho)) for s in group])
+            groups.append([s.bits for s in group])
+        return np.array(groups, dtype=np.int64), np.array(expectations)
 
-    def acceptance_probability(self, include_identity: bool = True) -> float:
-        """Mean of ``(1 + <s>)/2`` over the stabilizers, with or without the
-        identity (clipped to [0, 1] against round-off, as is the survival)."""
+    def acceptance_probability(self, include_identity: bool = True) -> np.ndarray:
+        """Per sequence, the mean of ``(1 + <s>)/2`` over the stabilizers, with
+        or without the identity (clipped to [0, 1] against round-off, as is
+        the survival)."""
         expectations = self.propagate_faults()
         if not include_identity:
-            expectations = expectations[1:]
-        return float(np.clip(np.mean((1.0 + expectations) / 2.0), 0.0, 1.0))
+            expectations = expectations[:, 1:]
+        return np.clip(np.mean((1.0 + expectations) / 2.0, axis=1), 0.0, 1.0)
 
-    def survival_probability(self) -> float:
-        """Mean ``<s>`` over the stabilizers: the fidelity with the ideal output
-        state, after ``append_inverse`` the return-to-``|0..0>`` probability."""
-        return float(np.clip(np.mean(self.propagate_faults()), 0.0, 1.0))
+    def survival_probability(self) -> np.ndarray:
+        """Per sequence, the mean ``<s>`` over the stabilizers: the fidelity with
+        the ideal output state, after ``append_inverse`` the
+        return-to-``|0..0>`` probability."""
+        return np.clip(np.mean(self.propagate_faults(), axis=1), 0.0, 1.0)
 
-    def acceptance_samples(self, reps: int, rng: np.random.Generator,
-                           include_identity: bool = True) -> int:
-        """Accept count of ``reps`` repetitions, one fresh uniform stabilizer each."""
-        return int(rng.binomial(reps, self.acceptance_probability(include_identity)))
+    def acceptance_samples(self, reps: int, rngs, include_identity: bool = True) -> np.ndarray:
+        """Per sequence, the accept count of ``reps`` repetitions, one fresh
+        uniform stabilizer each, drawn from its stream ``rngs[k]``."""
+        return _binomials(reps, rngs, self.acceptance_probability(include_identity))
 
-    def survival_samples(self, reps: int, rng: np.random.Generator) -> int:
-        """Return-to-``|0..0>`` count of ``reps`` repetitions."""
-        return int(rng.binomial(reps, self.survival_probability()))
+    def survival_samples(self, reps: int, rngs) -> np.ndarray:
+        """Per sequence, the return-to-``|0..0>`` count of ``reps`` repetitions."""
+        return _binomials(reps, rngs, self.survival_probability())

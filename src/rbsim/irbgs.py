@@ -24,11 +24,11 @@ from .channels import (
     NoiseModel,
     PauliChannel,
 )
-from .cliffords import CliffordElement, random_clifford
+from .cliffords import CliffordElement
 from .engines import engine_for
 from .fitting import DecayFit
 from .paulis import PauliString
-from .rb import RBConfig, RBData, _survival, fit_rb_data, run_standard_rb
+from .rb import RBConfig, RBData, _closed_survivals, _draw_elements, fit_rb_data, run_standard_rb
 from .seeding import run_ensemble
 
 __all__ = [
@@ -346,22 +346,19 @@ def clifford_element_from_unitary(u: np.ndarray, n: int) -> CliffordElement:
     d = 2 ** n
     if u.shape != (d, d):
         raise ValueError("unitary dimension mismatch")
-    rows = [0] * (2 * n)
-    ph = [0] * (2 * n)
+    paulis = [PauliString(n, idx).to_matrix() for idx in range(4 ** n)]
+    rows, phases = [], []
     for row in range(2 * n):
-        # packed bit `row` is X_row for row < n and Z_{row-n} above
-        img = u @ PauliString(n, 1 << row).to_matrix() @ u.conj().T
-        for idx in range(4 ** n):
-            cand = PauliString(n, idx).to_matrix()
-            if np.allclose(img, cand, atol=1e-9):
-                rows[row], ph[row] = idx, 0
-                break
-            if np.allclose(img, -cand, atol=1e-9):
-                rows[row], ph[row] = idx, 2
-                break
-        else:
+        # packed bit `row` is X_row for row < n and Z_{row-n} above; a Clifford
+        # maps it to one signed Pauli
+        img = u @ paulis[1 << row] @ u.conj().T
+        found = [(idx, ph) for idx, cand in enumerate(paulis) for ph, sign in ((0, 1), (2, -1))
+                 if np.allclose(img, sign * cand, atol=1e-9)]
+        if not found:
             raise ValueError("unitary does not map Paulis to Paulis; not a Clifford")
-    elem = CliffordElement(n, rows, ph)
+        rows.append(found[0][0])
+        phases.append(found[0][1])
+    elem = CliffordElement(n, rows, phases)
     if not elem.is_valid():
         raise ValueError("recovered tableau is not symplectically valid")
     return elem
@@ -454,15 +451,15 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         + [config.recipe_clifford_noise]
     )
 
-    def one_sequence(m, rng, index):
-        elements, channels = [], []
-        for _ in range(m):
-            elements += [random_clifford(config.n, rng), fixed_element]
-            channels += [gate_channel, fixed_channel]
-        return _survival(base_cfg, elements, rng, channels + [gate_channel])
+    def one_length(m, rngs, indices):
+        # random elements at the even positions, the fixed element at the odd
+        elements, signs = (np.repeat(a, 2, axis=0) for a in _draw_elements(base_cfg, m, rngs))
+        elements[1::2], signs[1::2] = fixed_element.rows, fixed_element.phases
+        channels = [gate_channel, fixed_channel] * m + [gate_channel]
+        return _closed_survivals(base_cfg, elements, signs, rngs, channels)
 
     # its own stream, so the interleaved sequences are not the baseline's
-    chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_sequence)
+    chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_length)
     interleaved_data = RBData.from_chunks(
         config.lengths, chunks, shots=0, exact=True,
         engine=engine_for(config.noise.channels + (fixed_channel,)))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PauliString", "pauli_multiply", "packed_phase_exponent"]
+__all__ = ["PauliString", "pauli_multiply", "packed_phase_exponent", "symplectic_inner"]
 
 _I2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -101,8 +101,7 @@ class PauliString:
     def commutes_with(self, other: "PauliString") -> bool:
         if self.n != other.n:
             raise ValueError("qubit count mismatch")
-        v, w, n = self.bits, other.bits, self.n
-        return ((v & (w >> n)) ^ (w & (v >> n))).bit_count() % 2 == 0
+        return not symplectic_inner(self.bits, other.bits, self.n)
 
     # -- algebra -------------------------------------------------------
 
@@ -131,6 +130,12 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.label()!r})"
+
+
+def symplectic_inner(v, w, n: int):
+    """Symplectic inner product of packed strings (ints or int64 arrays,
+    broadcast): 1 iff they anticommute."""
+    return np.bitwise_count((v & (w >> n)) ^ (w & (v >> n))) & 1
 
 
 def packed_phase_exponent(v: int, w: int, n: int) -> int:

@@ -4,19 +4,19 @@ generator-sequence variant; produces per-length average survival data."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 
 import numpy as np
 
 from .channels import NoiseModel
 from .cliffords import (
     MAX_DENSE_QUBITS,
-    CliffordElement,
     GeneratorGate,
     compose,
     inverse,
-    random_clifford,
+    random_clifford_rows,
 )
-from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceSpec, engine_for
+from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, SequenceSpec, engine_for
 from .fitting import fit_decay, r_from_p
 from .seeding import run_ensemble
 
@@ -106,13 +106,12 @@ class RBConfig:
 
 
 def length_stats(chunks) -> tuple:
-    """Per-length mean and standard error of the per-sequence values."""
-    means, errs = [], []
-    for vals in chunks:
-        vals = np.asarray(vals, dtype=float)
-        means.append(float(np.mean(vals)))
-        errs.append(float(np.std(vals, ddof=1) / np.sqrt(vals.size)) if vals.size > 1 else 0.0)
-    return np.array(means), np.array(errs)
+    """Per-length mean and standard error of the per-sequence values, one
+    equally long row per length."""
+    vals = np.asarray(chunks, dtype=float)
+    k = vals.shape[1]
+    errs = vals.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(len(vals))
+    return vals.mean(axis=1), errs
 
 
 @dataclass
@@ -142,14 +141,12 @@ class RBData:
 
 
 def sample_rb_sequence(n: int, m: int, rng: np.random.Generator):
-    """m uniformly random Clifford elements plus the exact inverse of their product."""
+    """m uniformly random Clifford elements, drawn as the drivers draw one
+    sequence from its stream, plus the exact inverse of their product."""
     if m < 1:
         raise ValueError("sequence length must be >= 1")
-    elements = [random_clifford(n, rng) for _ in range(m)]
-    product = elements[0]
-    for e in elements[1:]:
-        product = compose(product, e)
-    return elements, inverse(product)
+    elements = SequenceBatch(n, *random_clifford_rows(n, [rng], m), []).sequence(0)
+    return elements, inverse(reduce(compose, elements))
 
 
 def generator_gate_set(n: int) -> list:
@@ -169,32 +166,45 @@ def sample_generator_sequence(n: int, b: int, m: int, rng: np.random.Generator) 
     if b < 1:
         raise ValueError("mixing block length b must be >= 1")
     gates = generator_gate_set(n)
-    picks = rng.integers(0, len(gates), size=m * b)
-    return [gates[int(i)] for i in picks]
+    return [gates[int(i)] for i in rng.integers(0, len(gates), size=m * b)]
 
 
-def _sequence_elements(config: RBConfig, m: int, rng: np.random.Generator) -> list:
+@lru_cache(maxsize=None)
+def _generator_table(n: int) -> tuple:
+    """Packed rows and phases ``(G, 2n)`` of the gates of ``generator_gate_set(n)``."""
+    table = SequenceBatch.of(SequenceSpec(n, [[g] for g in generator_gate_set(n)]))
+    rows, phases = table.elements[:, 0], table.phases[:, 0]
+    rows.flags.writeable = phases.flags.writeable = False  # shared by every caller
+    return rows, phases
+
+
+def _draw_elements(config: RBConfig, m: int, rngs) -> tuple:
+    """Packed rows and phases ``(L, K, 2n)``, position-major, of one sequence
+    per stream in ``rngs``: m random Cliffords, or m blocks of
+    ``generator_block`` random generator gates (L = m b)."""
     if config.mode == "clifford":
-        return [random_clifford(config.n, rng) for _ in range(m)]
-    gates = sample_generator_sequence(config.n, config.generator_block, m, rng)
-    return [CliffordElement.from_gates(config.n, [g]) for g in gates]
+        return random_clifford_rows(config.n, rngs, m)
+    table_rows, table_phases = _generator_table(config.n)
+    picks = np.array([rng.integers(0, len(table_rows), size=m * config.generator_block)
+                      for rng in rngs]).T  # the draw of sample_generator_sequence
+    return table_rows[picks], table_phases[picks]
 
 
-def _survival(config: RBConfig, elements: list, rng: np.random.Generator,
-              channels=None) -> float:
-    """Survival of ``elements`` closed by the inverse of their product.
+def _closed_survivals(config: RBConfig, elements: np.ndarray, phases: np.ndarray,
+                     rngs, channels=None) -> np.ndarray:
+    """Survival of each sequence closed by the inverse of its product: exact,
+    or the surviving fraction of ``config.shots`` drawn from its stream.
 
-    ``channels`` holds one channel per element plus one for the inverse;
-    by default each of them is the gate channel.  Exact mode returns the
-    probability, sampled mode the surviving fraction of ``config.shots``.
+    ``channels`` holds one channel per position plus one for the inverse
+    (default: the gate channel everywhere).
     """
     channels = channels or [config.noise.gate] * (len(elements) + 1)
-    compiled = CompiledSequence(SequenceSpec(n=config.n, elements=elements,
-                                             noise=channels[:-1], spam=config.noise.spam))
+    compiled = CompiledSequence(SequenceBatch(config.n, elements, phases, channels[:-1],
+                                              config.noise.spam))
     compiled.append_inverse(channels[-1])
     if config.exact:
         return compiled.survival_probability()
-    return compiled.survival_samples(config.shots, rng) / config.shots
+    return compiled.survival_samples(config.shots, rngs) / config.shots
 
 
 def run_standard_rb(config: RBConfig) -> RBData:
@@ -205,10 +215,10 @@ def run_standard_rb(config: RBConfig) -> RBData:
     noise application.
     """
 
-    def one_sequence(m, rng, index):
-        return _survival(config, _sequence_elements(config, m, rng), rng)
+    def one_length(m, rngs, indices):
+        return _closed_survivals(config, *_draw_elements(config, m, rngs), rngs)
 
-    chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_sequence)
+    chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_length)
     return RBData.from_chunks(config.lengths, chunks,
                               shots=0 if config.exact else config.shots, exact=config.exact,
                               engine=engine_for(config.noise.channels))

@@ -9,13 +9,14 @@ length and fits the usual decay curve.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import CompiledSequence, SequenceSpec, engine_for
+from .engines import CompiledSequence, SequenceBatch, SequenceSpec, engine_for
 from .fitting import DecayFit
-from .rb import RBConfig, _sequence_elements, fit_rb_data, length_stats
+from .rb import RBConfig, _draw_elements, fit_rb_data, length_stats
 from .seeding import run_ensemble
 
 __all__ = [
@@ -153,8 +154,6 @@ class RBSVConfig(RBConfig):
         if self.n_m < 1:
             raise ValueError("N_m must be >= 1")
         if self.n_m < 2 ** self.n:
-            import warnings
-
             warnings.warn(
                 f"N_m={self.n_m} is below the stabilizer-group size 2^{self.n}; "
                 "the acceptance estimate may converge poorly",
@@ -175,47 +174,52 @@ def run_rbsv_sequence(spec: SequenceSpec, n_reps: int, rng: np.random.Generator,
         raise ValueError("N_m must be >= 1")
     compiled = CompiledSequence(spec)
     if exact:
-        p = compiled.acceptance_probability(include_identity)
+        p = float(compiled.acceptance_probability(include_identity)[0])
         return AcceptanceRecord(j=j, m=spec.m, n_reps=n_reps, n_acc=None, p_acc=p)
-    n_acc = compiled.acceptance_samples(n_reps, rng, include_identity=include_identity)
+    n_acc = int(compiled.acceptance_samples(n_reps, [rng], include_identity)[0])
     return AcceptanceRecord(j=j, m=spec.m, n_reps=n_reps, n_acc=n_acc, p_acc=n_acc / n_reps)
+
+
+def _acceptances(config: RBSVConfig, m: int, rngs, indices) -> np.ndarray:
+    """Acceptance of each sequence of one length: exact, or the accepted
+    fraction of ``n_m`` repetitions drawn from the sequence's stream."""
+    elements, phases = _draw_elements(config, m, rngs)
+    compiled = CompiledSequence(SequenceBatch(config.n, elements, phases,
+                                              [config.noise.gate] * len(elements),
+                                              config.noise.spam))
+    include = config.include_identity_stabilizer
+    if config.exact:
+        p_acc = compiled.acceptance_probability(include)
+    else:
+        p_acc = compiled.acceptance_samples(config.n_m, rngs, include) / config.n_m
+    zero = np.flatnonzero(p_acc == 0.0)
+    if zero.size:
+        raise FailureSignatureError(
+            f"sequence {indices[zero[0]]} (m={m}) accepted 0/{config.n_m} repetitions; "
+            "the noise is too strong for verification to proceed"
+        )
+    return p_acc
 
 
 def run_rbsv(config: RBSVConfig) -> RBSVResult:
     """Full verification-based benchmarking run: sample sequences, estimate
     acceptance per sequence, convert to fidelity lower bounds, average and fit."""
 
-    def one_sequence(m, rng, index):
-        elements = _sequence_elements(config, m, rng)
-        spec = SequenceSpec(n=config.n, elements=elements,
-                            noise=config.noise.gate, spam=config.noise.spam)
-        record = run_rbsv_sequence(
-            spec, config.n_m, rng,
-            exact=config.exact,
-            include_identity=config.include_identity_stabilizer,
-            j=index,
-        )
-        if record.p_acc == 0.0:
-            raise FailureSignatureError(
-                f"sequence {index} (m={m}) accepted 0/{record.n_reps} repetitions; "
-                "the noise is too strong for verification to proceed"
-            )
-        copies, saturated = config.r_policy.choose(record.p_acc)
-        return record.p_acc, copies, saturated, fidelity_lower_bound(record.p_acc, copies)
-
-    chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_sequence)
-    per_seq_p = [np.array([c[0] for c in chunk]) for chunk in chunks]
-    per_seq = [np.array([c[3] for c in chunk]) for chunk in chunks]
-    f_bar, stderr = length_stats(per_seq)
+    p_acc = np.array(run_ensemble(config.seed, config.lengths, config.k_m,
+                                  lambda m, rngs, indices: _acceptances(config, m, rngs, indices)))
+    copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays
+        [[config.r_policy.choose(p) for p in row] for row in p_acc.tolist()]).transpose(2, 0, 1)
+    bounds = np.vectorize(fidelity_lower_bound)(p_acc, copies)
+    f_bar, stderr = length_stats(bounds)
     result = RBSVResult(
         lengths=list(config.lengths),
         f_bar=f_bar,
         stderr=stderr,
-        per_sequence_bounds=per_seq,
-        per_sequence_p_acc=per_seq_p,
-        mean_p_acc=np.array([float(np.mean(p)) for p in per_seq_p]),
-        mean_copies=np.array([float(np.mean([c[1] for c in chunk])) for chunk in chunks]),
-        n_saturated=np.array([sum(1 for c in chunk if c[2]) for chunk in chunks]),
+        per_sequence_bounds=list(bounds),
+        per_sequence_p_acc=list(p_acc),
+        mean_p_acc=p_acc.mean(axis=1),
+        mean_copies=copies.mean(axis=1),
+        n_saturated=saturated.sum(axis=1).astype(int),
         k_m=config.k_m,
         n_m=config.n_m,
         exact=config.exact,

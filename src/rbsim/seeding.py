@@ -2,14 +2,21 @@
 
 Every unit of work (one sequence, one repetition stream) owns a generator
 seeded from ``seed_plan(master, j, rep)``, so a result depends only on the
-master seed and the unit's index, never on the order units run in.
+master seed and the unit's index, never on the order units run in or on
+the batch they run in.  ``run_ensemble`` hands each length's units to one
+batched call and logs one INFO line per length (m, K_m, seconds).
 """
 
 from __future__ import annotations
 
+import logging
+import time
+
 import numpy as np
 
 __all__ = ["seed_plan", "generator_for", "parallel_map", "run_ensemble"]
+
+log = logging.getLogger(__name__)
 
 _MASK = (1 << 64) - 1
 
@@ -38,14 +45,21 @@ def parallel_map(fn, items) -> list:
     return [fn(item) for item in items]
 
 
-def run_ensemble(seed: int, lengths, k_m: int, one_sequence) -> list:
+def run_ensemble(seed: int, lengths, k_m: int, one_length) -> list:
     """``k_m`` independent sequences per length, one result each.
 
-    Sequence ``j`` at the ``im``-th length is work unit ``im * k_m + j``; it
-    calls ``one_sequence(m, rng, index)`` with ``rng = generator_for(seed,
-    index)``.  Returns one list of ``k_m`` results per length.
+    Sequence ``j`` at the ``im``-th length is work unit ``im * k_m + j``.
+    Each length is one call ``one_length(m, rngs, indices)`` that returns its
+    units' results in order, drawing each unit's randomness only from its
+    stream ``rngs[j] = generator_for(seed, indices[j])``.
     """
-    tasks = [(im * k_m + j, m) for im, m in enumerate(lengths) for j in range(k_m)]
-    results = parallel_map(
-        lambda task: one_sequence(task[1], generator_for(seed, task[0]), task[0]), tasks)
-    return [results[im * k_m:(im + 1) * k_m] for im in range(len(lengths))]
+
+    def length(task):
+        im, m = task
+        t0 = time.perf_counter()
+        indices = list(range(im * k_m, (im + 1) * k_m))
+        results = list(one_length(m, [generator_for(seed, i) for i in indices], indices))
+        log.info("m=%d K_m=%d %.3f s", m, k_m, time.perf_counter() - t0)
+        return results
+
+    return parallel_map(length, list(enumerate(lengths)))

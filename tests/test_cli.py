@@ -1,5 +1,9 @@
 import json
 import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -307,3 +311,21 @@ def test_summary_names_engine(tmp_path, engine, channel):
         assert main([command, "--config", path, "--out", out]) == 0
         summary = json.load(open(os.path.join(out, f"{command}_summary.json")))
         assert summary["engine"] == engine, command
+
+
+def test_info_log_has_one_line_per_length(tmp_path):
+    # RBSV_LOG is read by the CLI process itself, so run it as one
+    cfg = dict(small_rbsv_config(), protocol="rb")
+    del cfg["N_m"]
+    path = write_config(tmp_path, "rb.json", cfg)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, RBSV_LOG="INFO",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rbsim.cli", "rb", "--config", path,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if " rbsim.seeding INFO " in line]
+    assert [line.split(" INFO ")[1].split()[:2] for line in lines] == \
+        [[f"m={m}", f"K_m={cfg['K_m']}"] for m in cfg["lengths"]]
+    assert all(re.search(r" \d+\.\d{3} s$", line) for line in lines)

@@ -13,8 +13,10 @@ from rbsim.cliffords import (
     inverse,
     parse_circuit,
     random_clifford,
+    random_clifford_rows,
     stabilizer_group,
     symplectic_group_order,
+    symplectic_rows,
 )
 from rbsim.paulis import PauliString, packed_phase_exponent, pauli_multiply
 
@@ -191,17 +193,50 @@ class TestPackedCore:
             CliffordElement(n, rows[:-1] + [1 << (2 * n)], [0] * 6)
 
 
+def element_keys(n, rng, size):
+    """Rows and phases of ``size`` elements drawn as one batch, one row each."""
+    rows, phases = random_clifford_rows(n, [rng], size)
+    return np.concatenate([rows[:, 0], phases[:, 0]], axis=1)
+
+
 class TestRandomClifford:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_single_draw_is_row_zero_of_the_batch(self, n):
+        streams = range(6)
+        rows, phases = random_clifford_rows(n, [np.random.default_rng(s) for s in streams], 1)
+        for s in streams:
+            c = random_clifford(n, np.random.default_rng(s))
+            assert (c.rows, c.phases) == (tuple(rows[0, s]), tuple(phases[0, s]))
+        # a stream's elements do not depend on the other streams of the batch
+        rows, phases = random_clifford_rows(n, [np.random.default_rng(s) for s in streams], 7)
+        for s in streams:
+            alone = random_clifford_rows(n, [np.random.default_rng(s)], 7)
+            assert np.array_equal(alone[0][:, 0], rows[:, s])
+            assert np.array_equal(alone[1][:, 0], phases[:, s])
+        assert len({tuple(r) for r in rows.reshape(-1, 2 * n)}) > 1
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_stream_draws_follow_the_documented_order(self, n):
+        # per level k: integers(1, 4^(n-k)) and integers(0, 2^(2(n-k)-1)) as
+        # size-m arrays, then the signs as one (m, 2n) array
+        m = 5
+        rows, phases = random_clifford_rows(n, [np.random.default_rng(3)], m)
+        rng = np.random.default_rng(3)
+        draws = []
+        for k in range(n):
+            draws += [rng.integers(1, 4 ** (n - k), size=m),
+                      rng.integers(0, 2 ** (2 * (n - k) - 1), size=m)]
+        signs = rng.integers(0, 2, size=(m, 2 * n))
+        assert np.array_equal(phases[:, 0], 2 * signs)
+        assert np.array_equal(rows[:, 0], symplectic_rows(n, draws))
+
     def test_single_qubit_uniformity_chi_square(self):
         rng = np.random.default_rng(991)
         n_samples = 24_000
-        counts = {}
-        for _ in range(n_samples):
-            key = random_clifford(1, rng).key()
-            counts[key] = counts.get(key, 0) + 1
+        counts = np.unique(element_keys(1, rng, n_samples), axis=0, return_counts=True)[1]
         assert len(counts) == 24 == clifford_group_order(1)
         expected = n_samples / 24
-        chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
         # chi-square critical value for df=23 at alpha=0.01
         assert chi2 < 41.638
 
@@ -211,7 +246,7 @@ class TestRandomClifford:
 
     def test_two_qubit_coverage_approaches_group_order(self):
         rng = np.random.default_rng(7)
-        seen = {random_clifford(2, rng).key() for _ in range(60_000)}
+        seen = np.unique(element_keys(2, rng, 60_000), axis=0)
         order = clifford_group_order(2)
         assert order == 11520
         # coupon-collector expectation at 60k draws leaves < ~70 unseen

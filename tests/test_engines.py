@@ -20,10 +20,12 @@ from rbsim.cliffords import (
     inverse,
     parse_circuit,
     random_clifford,
+    random_clifford_rows,
     stabilizer_group,
 )
 from rbsim.engines import (
     CompiledSequence,
+    SequenceBatch,
     SequenceSpec,
     run_sequence_exact,
     survival_probability,
@@ -139,8 +141,8 @@ class TestTrajectoryEngine:
         compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
         assert compiled.acceptance_probability() == 1.0
         assert compiled.acceptance_probability(include_identity=False) == 1.0
-        assert compiled.acceptance_samples(200, rng) == 200
-        assert compiled.acceptance_samples(200, rng, include_identity=False) == 200
+        assert compiled.acceptance_samples(200, [rng]) == 200
+        assert compiled.acceptance_samples(200, [rng], include_identity=False) == 200
 
     def test_batch_acceptance_matches_exact_group_average(self, rng):
         for n in (1, 2, 3):
@@ -203,16 +205,110 @@ class TestTrajectoryEngine:
             assert abs(survival_probability(zero_state(n), spam) - (1 - 2 * p / 3) ** n) < 1e-12
 
     def test_sampled_count_has_binomial_law(self, rng):
-        spec = SequenceSpec(n=2, elements=random_elements(2, 6, rng), noise=Depolarizing(0.1),
-                            spam=SpamModel(meas_flip=0.05))
-        compiled = CompiledSequence(spec)
-        reps, draws = 50, 2000
+        # each unit of a batch draws its count from its own stream, with its
+        # own sequence's probability
+        n, k_m, reps, draws = 2, 3, 50, 2000
+        rows, phases = random_clifford_rows(n, [rng] * k_m, 6)
+        noise = PauliChannel({"II": 0.9, "XI": 0.06, "ZZ": 0.04})
+        batch = SequenceBatch(n, rows, phases, [noise] * 6, SpamModel(meas_flip=0.05))
+        compiled = CompiledSequence(batch)
         p = compiled.acceptance_probability()
-        counts = np.array([compiled.acceptance_samples(reps, rng) for _ in range(draws)])
+        assert np.ptp(p) > 1e-3  # the units' probabilities differ
+        streams = [np.random.default_rng(s) for s in range(k_m)]
+        counts = np.array([compiled.acceptance_samples(reps, streams) for _ in range(draws)])
         mean, var = reps * p, reps * p * (1 - p)
-        assert abs(counts.mean() - mean) < 4 * np.sqrt(var / draws)
+        assert np.all(np.abs(counts.mean(axis=0) - mean) < 4 * np.sqrt(var / draws))
         # the sample variance of a binomial has variance ~ 2 var^2 / draws
-        assert abs(counts.var(ddof=1) - var) < 4 * var * np.sqrt(2 / draws)
+        assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) < 4 * var * np.sqrt(2 / draws))
+
+
+def random_batch(n, k_m, channels, spam, rng, fixed=None):
+    """k_m random sequences with one shared channel per position; with
+    ``fixed``, the IRBGS layout: random elements at even positions, the
+    fixed element at odd ones."""
+    m = len(channels) // 2 if fixed is not None else len(channels)
+    rows, phases = random_clifford_rows(n, [rng] * k_m, m)
+    if fixed is not None:
+        rows, phases = np.repeat(rows, 2, axis=0), np.repeat(phases, 2, axis=0)
+        rows[1::2], phases[1::2] = fixed.rows, fixed.phases
+    return SequenceBatch(n, rows, phases, channels, spam)
+
+
+def assert_batch_matches_dense_oracle(batch, closing):
+    """Every sequence of a Pauli-path batch matches its own dense oracle to
+    1e-12: acceptance with the identity in and out, survival after
+    ``append_inverse``."""
+    specs = [SequenceSpec(batch.n, batch.sequence(k), batch.channels, batch.spam)
+             for k in range(batch.elements.shape[1])]
+    compiled = CompiledSequence(batch)
+    assert compiled.engine == "pauli"
+    for include_identity in (True, False):
+        got = compiled.acceptance_probability(include_identity)
+        want = [oracle_acceptance(spec, include_identity) for spec in specs]
+        assert np.max(np.abs(got - want)) < 1e-12
+    # the sequences differ, so values paired with the wrong sequence show
+    assert np.ptp(want) > 1e-4
+    compiled.append_inverse(closing)
+    got = compiled.survival_probability()
+    assert np.max(np.abs(got - [oracle_survival(spec, closing) for spec in specs])) < 1e-12
+
+
+def mixed_channels(n):
+    pauli = PauliChannel({"I" * n: 0.85, "X" + "I" * (n - 1): 0.1, "Z" * n: 0.05})
+    composed = ComposedChannel([Depolarizing(0.04),
+                                PauliChannel({"I" * n: 0.9, "I" * (n - 1) + "Y": 0.1})])
+    return pauli, composed
+
+
+MIXED_SPAM = {n: SpamModel(prep=Depolarizing(0.05),
+                           meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}), meas_flip=0.04)
+              for n in (1, 2, 3)}
+
+
+class TestBatchEngine:
+    """Batches of sequences against the dense oracle, sequence by sequence."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_mixed_channels_per_position(self, n, rng):
+        pauli, composed = mixed_channels(n)
+        channels = [pauli, Depolarizing(0.06), Ideal(), composed, pauli, Depolarizing(0.02)]
+        for spam in (SpamModel(), MIXED_SPAM[n]):
+            batch = random_batch(n, 4, channels, spam, rng)
+            assert_batch_matches_dense_oracle(batch, composed)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_interleaved_fixed_element_layout(self, n, rng):
+        pauli, composed = mixed_channels(n)
+        fixed = random_clifford(n, rng)
+        batch = random_batch(n, 4, [Depolarizing(0.03), composed] * 3, MIXED_SPAM[n], rng, fixed)
+        assert np.array_equal(batch.elements[1::2], np.broadcast_to(
+            fixed.rows, batch.elements[1::2].shape))
+        assert_batch_matches_dense_oracle(batch, pauli)
+
+    def test_batch_of_one_equals_its_sequence(self, rng):
+        pauli, composed = mixed_channels(2)
+        batch = random_batch(2, 3, [pauli, composed, Ideal()], MIXED_SPAM[2], rng)
+        whole = CompiledSequence(batch).propagate_faults()
+        for k in range(batch.elements.shape[1]):
+            one = CompiledSequence(SequenceSpec(2, batch.sequence(k), batch.channels, batch.spam))
+            assert np.array_equal(one.propagate_faults()[0], whole[k])
+
+    def test_dense_path_runs_per_sequence(self, rng):
+        ch = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
+        batch = random_batch(2, 3, [ch, Depolarizing(0.05)], SpamModel(), rng)
+        compiled = CompiledSequence(batch)
+        assert compiled.engine == "dense"
+        specs = [SequenceSpec(2, batch.sequence(k), batch.channels) for k in range(3)]
+        want = [oracle_acceptance(spec) for spec in specs]
+        assert np.max(np.abs(compiled.acceptance_probability() - want)) < 1e-12
+        compiled.append_inverse(ch)
+        want = [oracle_survival(spec, ch) for spec in specs]
+        assert np.max(np.abs(compiled.survival_probability() - want)) < 1e-12
+
+    def test_one_stream_per_sequence(self, rng):
+        batch = random_batch(2, 3, [Depolarizing(0.1)] * 2, SpamModel(), rng)
+        with pytest.raises(ValueError):
+            CompiledSequence(batch).acceptance_samples(10, [rng])
 
 
 class TestSequenceSpec:
