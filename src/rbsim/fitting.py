@@ -9,6 +9,7 @@ import numpy as np
 __all__ = ["DecayFit", "fit_decay", "r_from_p"]
 
 _GRID_SIZE = 512
+_ZOOM_SIZE = 33
 _MAX_ITERATIONS = 200
 _STEP_TOL = 1e-12
 
@@ -37,58 +38,63 @@ def r_from_p(p: float, d: int) -> float:
     return (d - 1) * (1.0 - p) / d
 
 
-def _coeffs_unbounded(x, ys, sw):
-    a = np.vstack([np.ones_like(x), x]).T * sw[:, None]
-    coef, *_ = np.linalg.lstsq(a, ys * sw, rcond=None)
-    resid = (ys - coef[0] - coef[1] * x) * sw
-    return coef, float(resid @ resid)
+def _ratio(num, den):
+    """num / den elementwise, 0 where den is not positive."""
+    return np.divide(num, den, out=np.zeros_like(den), where=den > 0)
 
 
-def _coeffs_bounded(x, ys, sw, bounds):
-    """Exact box-constrained weighted LSQ for y ~ a + b x (2 variables)."""
-    (a_lo, a_hi), (b_lo, b_hi) = bounds
-    w = sw * sw
-    candidates = []
-    coef, _ = _coeffs_unbounded(x, ys, sw)
-    if a_lo <= coef[0] <= a_hi and b_lo <= coef[1] <= b_hi:
-        candidates.append(coef)
-    for a in (a_lo, a_hi):  # a clamped, solve b
-        den = float(np.dot(x * w, x))
-        b = float(np.dot(x * w, ys - a)) / den if den > 0 else 0.0
-        candidates.append(np.array([a, min(max(b, b_lo), b_hi)]))
-    for b in (b_lo, b_hi):  # b clamped, solve a
-        a = float(np.dot(w, ys - b * x)) / float(np.sum(w))
-        candidates.append(np.array([min(max(a, a_lo), a_hi), b]))
-    best, best_sse = None, np.inf
-    for c in candidates:
-        resid = (ys - c[0] - c[1] * x) * sw
-        sse = float(resid @ resid)
-        if sse < best_sse:
-            best, best_sse = c, sse
-    return best, best_sse
+def _profile(ps, ms, ys, w, bounds):
+    """Best (A0, B0) and weighted SSE at every p of ``ps``, as three arrays.
 
-
-def _profile_sse(p, ms, ys, sw, bounds):
-    x = p ** ms
+    Without ``bounds`` this is the weighted regression of y on x = p^m in
+    centred closed form.  With ``bounds`` ((a_lo, a_hi), (b_lo, b_hi)) it is
+    the exact box-constrained minimum: the cheapest of five KKT candidates,
+    namely the free solution (if inside the box), A0 clamped to either bound
+    with B0 solved, and B0 clamped to either bound with A0 solved.
+    """
+    x = np.asarray(ps, dtype=float)[:, None] ** ms
+    w_sum = w.sum()
+    x_bar, y_bar = x @ w / w_sum, w @ ys / w_sum
+    dx = x - x_bar[:, None]
+    b = _ratio(dx @ (w * (ys - y_bar)), (dx * dx) @ w)
+    a = y_bar - b * x_bar
     if bounds is None:
-        return _coeffs_unbounded(x, ys, sw)
-    return _coeffs_bounded(x, ys, sw, bounds)
+        cand_a, cand_b = a[:, None], b[:, None]
+    else:
+        (a_lo, a_hi), (b_lo, b_hi) = bounds
+        xx = (x * x) @ w
+        b_at = [np.clip(_ratio(x @ (w * (ys - a_c)), xx), b_lo, b_hi) for a_c in (a_lo, a_hi)]
+        a_at = [np.clip(y_bar - b_c * x_bar, a_lo, a_hi) for b_c in (b_lo, b_hi)]
+        cand_a = np.stack([a, np.full_like(a, a_lo), np.full_like(a, a_hi), *a_at], axis=1)
+        cand_b = np.stack([b, *b_at, np.full_like(b, b_lo), np.full_like(b, b_hi)], axis=1)
+    resid = ys - cand_a[..., None] - cand_b[..., None] * x[:, None, :]
+    sse = (resid * resid) @ w
+    if bounds is not None:
+        inside = (a_lo <= a) & (a <= a_hi) & (b_lo <= b) & (b <= b_hi)
+        sse[~inside, 0] = np.inf
+    pick = np.argmin(sse, axis=1)
+    rows = np.arange(pick.size)
+    return cand_a[rows, pick], cand_b[rows, pick], sse[rows, pick]
 
 
 def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
     """Fit ``value = A0 + B0 * p^m`` to (m, value) points.
 
-    Coarse log-spaced grid over p in [0, 1), linear least squares for
-    (A0, B0) at each grid point, then Gauss-Newton refinement from the best
-    one.  ``weights`` follow the usual 1/stderr^2 convention.  When
-    ``coefficient_bounds`` is given as ((a_lo, a_hi), (b_lo, b_hi)) the
-    linear coefficients are box-constrained (profile fit with a bounded
-    1-D refinement over p instead of Gauss-Newton).
+    Stage 1 evaluates the profile (the best A0, B0 and weighted SSE for a
+    fixed p) in one array call over 512 points log-spaced in 1 - p, p = 0
+    included.  When ``coefficient_bounds`` is given as
+    ((a_lo, a_hi), (b_lo, b_hi)) the coefficients are box-constrained and
+    stage 2 zooms in on the best grid point: each round evaluates the
+    profile at 33 points of the bracket and keeps the best one's two
+    neighbours, until the bracket is narrower than 1e-12 in p.  Without
+    bounds (a free fit) stage 2 is a Gauss-Newton polish of (A0, B0, p)
+    from the best grid point, which also gives the covariance.  ``weights``
+    follow the usual 1/stderr^2 convention.
     """
     pts = sorted((float(m), float(v)) for m, v in points)
     ms = np.array([m for m, _ in pts])
     ys = np.array([v for _, v in pts])
-    if ms.size < 3 or np.unique(ms).size < 3:
+    if len(set(ms.tolist())) < 3:
         raise ValueError("need at least 3 points with 3 distinct lengths")
     if weights is None:
         w = np.ones_like(ys)
@@ -96,25 +102,21 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
         w = np.asarray(weights, dtype=float)
         if w.shape != ys.shape:
             raise ValueError("weights must match points")
-        if np.any(w < 0):
-            raise ValueError("weights must be non-negative")
+        if np.any(w < 0) or not np.any(w > 0):
+            raise ValueError("weights must be non-negative and not all zero")
     sw = np.sqrt(w)
 
     if np.allclose(ys, ys[0], rtol=0.0, atol=1e-15):
         return DecayFit(a0=float(ys[0]), b0=0.0, p=1.0, residual_rms=0.0,
                         converged=False, degenerate=True, at_boundary=True)
 
-    # stage 1: coarse grid, log-spaced in 1 - p (plus the p = 0 endpoint)
     grid = 1.0 - np.logspace(-9.0, 0.0, _GRID_SIZE)
-    sses = np.empty(_GRID_SIZE)
-    for i, p in enumerate(grid):
-        sses[i] = _profile_sse(p, ms, ys, sw, coefficient_bounds)[1]
-    best = int(np.argmin(sses))
+    best = int(np.argmin(_profile(grid, ms, ys, w, coefficient_bounds)[2]))
     p = float(grid[best])
 
     if coefficient_bounds is None:
-        coef, _ = _profile_sse(p, ms, ys, sw, None)
-        theta = np.array([coef[0], coef[1], p])
+        a0, b0, _ = _profile([p], ms, ys, w, None)
+        theta = np.array([a0[0], b0[0], p])
         converged = False
         for _ in range(_MAX_ITERATIONS):
             a0, b0, p = theta
@@ -143,29 +145,15 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
             resid = (a0 + b0 * x - ys) * sw
             cov = np.linalg.inv(jtj) * float(resid @ resid) / dof
     else:
-        # bounded path: golden-section refine p between neighbouring grid points
-        lo = float(grid[min(best + 1, _GRID_SIZE - 1)])  # grid is decreasing in p
+        # the grid decreases in p, so its neighbours bracket the best point
+        lo = float(grid[min(best + 1, _GRID_SIZE - 1)])
         hi = float(grid[max(best - 1, 0)])
-        lo, hi = min(lo, hi), max(hi, lo)
-        gr = (np.sqrt(5.0) - 1.0) / 2.0
-        c1 = hi - gr * (hi - lo)
-        c2 = lo + gr * (hi - lo)
-        f1 = _profile_sse(c1, ms, ys, sw, coefficient_bounds)[1]
-        f2 = _profile_sse(c2, ms, ys, sw, coefficient_bounds)[1]
-        for _ in range(_MAX_ITERATIONS):
-            if hi - lo < _STEP_TOL:
-                break
-            if f1 < f2:
-                hi, c2, f2 = c2, c1, f1
-                c1 = hi - gr * (hi - lo)
-                f1 = _profile_sse(c1, ms, ys, sw, coefficient_bounds)[1]
-            else:
-                lo, c1, f1 = c1, c2, f2
-                c2 = lo + gr * (hi - lo)
-                f2 = _profile_sse(c2, ms, ys, sw, coefficient_bounds)[1]
+        while hi - lo >= _STEP_TOL:
+            ps = np.linspace(lo, hi, _ZOOM_SIZE)
+            i = int(np.argmin(_profile(ps, ms, ys, w, coefficient_bounds)[2]))
+            lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, _ZOOM_SIZE - 1)])
         p = (lo + hi) / 2.0
-        coef, _ = _profile_sse(p, ms, ys, sw, coefficient_bounds)
-        a0, b0 = float(coef[0]), float(coef[1])
+        a0, b0, _ = (float(c[0]) for c in _profile([p], ms, ys, w, coefficient_bounds))
         converged = True
         cov = None
 

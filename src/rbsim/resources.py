@@ -68,12 +68,14 @@ def variance_bound(m: int, r: float, d: int, eta: float = 0.0,
                    with_spam: bool = True) -> float:
     """Upper bound on the per-sequence fidelity variance.
 
-    Evaluates the quoted bounds verbatim with p = 1 - d r/(d-1) and
-    unitarity u = (p^2 + 1)/2; ``with_spam=False`` selects the SPAM-free
-    variant.
+    Evaluates the quoted bounds with p = 1 - d r/(d-1) and unitarity
+    u = (p^2 + 1)/2; ``with_spam=False`` selects the SPAM-free variant.  The
+    with-SPAM geometric factor is sum_{j<m} j q^(j-1) with q = p^2/u, whose
+    closed form divides by (1-q)^2; the quoted single (1-q) tends to 0 as
+    r -> 0 and undercuts the SPAM-free bound.
     """
-    if m < 1:
-        raise ValueError("sequence length must be >= 1")
+    if m < 1 or int(m) != m:
+        raise ValueError(f"sequence length must be an integer >= 1, got {m}")
     if not 0.0 <= r < 1.0:
         raise ValueError(f"average error rate r must lie in [0, 1), got {r}")
     if d < 2:
@@ -90,10 +92,10 @@ def variance_bound(m: int, r: float, d: int, eta: float = 0.0,
         return term1 + term2
     term1 = (d * d - 2.0) / (4.0 * (d - 1.0) ** 2) * r * r * m * p ** (m - 1)
     q = p * p / u
-    if abs(1.0 - q) < 1e-300:
-        geometric = m * (m - 1.0) / 2.0  # q -> 1 limit of the displayed ratio
-    else:
-        geometric = ((m - 1.0) * q ** m - m * q ** (m - 1) + 1.0) / (1.0 - q)
+    # sum_{j<m} j q^(j-1) = ((m-1) q^m - m q^(m-1) + 1) / (1-q)^2, summed term
+    # by term: the ratio cancels catastrophically as q -> 1, where the sum
+    # tends to m(m-1)/2
+    geometric = math.fsum(j * q ** (j - 1) for j in range(1, int(m)))
     term2 = d * d * (1.0 + 4.0 * eta) * r * r / (d - 1.0) ** 2 * geometric * u ** (m - 2)
     term3 = 2.0 * eta * d * m * r / (d - 1.0) * p ** (m - 1)
     return term1 + term2 + term3

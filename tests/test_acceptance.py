@@ -335,7 +335,7 @@ def test_criterion_8_resource_formulas():
         q = p * p / u
         return float((d * d - 2) / (4 * (d - 1) ** 2) * r * r * m * p ** (m - 1)
                      + d * d * (1 + 4 * eta) * r * r / (d - 1) ** 2
-                     * ((m - 1) * q ** m - m * q ** (m - 1) + 1) / (1 - q) * u ** (m - 2)
+                     * ((m - 1) * q ** m - m * q ** (m - 1) + 1) / (1 - q) ** 2 * u ** (m - 2)
                      + 2 * eta * d * m * r / (d - 1) * p ** (m - 1))
 
     spots = [(10, 0.001, 4, 0.0, True), (2, 0.01, 2, 0.0, False), (25, 0.0005, 4, 0.1, True)]

@@ -1,11 +1,94 @@
 import numpy as np
 import pytest
 
+from rbsim import fitting
 from rbsim.fitting import DecayFit, fit_decay, r_from_p
+
+PINNED_A0 = ((0.25, 0.25), (0.0, 1.0))
+UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+
+# (lengths, values, weights, coefficient bounds, p) of every decay fit that
+# the three bench configs (bench/run.py) make at seed 7, with p as the
+# earlier scalar implementation fitted it: one lstsq per grid point, then a
+# golden-section refinement to 1e-12 in p
+SEED7_FITS = [
+    pytest.param(
+        [5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
+        [0.9960000000000001, 0.993, 0.9884999999999999, 0.986, 0.9807500000000001,
+         0.9772500000000001, 0.9712500000000001, 0.9717499999999999, 0.9630000000000001,
+         0.9662499999999999],
+        [1147058.82352941, 590909.0909090899, 331210.19108280196, 291044.77611940255,
+         148890.4795991408, 152978.67124295144, 184888.88888888858, 113228.08927599346,
+         121495.3271028038, 130680.6282722512],
+        PINNED_A0, 0.9989818840189528, id="compare-n2/rb"),
+    pytest.param(
+        [5, 10, 15, 20, 25, 30, 35, 40, 45, 50],
+        [0.9958170532019274, 0.9917341064038551, 0.9848820248804937, 0.9828334752024162,
+         0.9731529976367689, 0.9711258234583454, 0.962213547121182, 0.9620532864457108,
+         0.9462491390129534, 0.9586878516957682],
+        [412847.3472695188, 250657.31798506493, 104742.60542440209, 97152.45732432987,
+         41817.655548398936, 48999.58798254434, 54951.09090179678, 25396.154665937527,
+         33543.570586509835, 35148.02296894543],
+        PINNED_A0, 0.998592565503283, id="compare-n2/rbsv"),
+    pytest.param(
+        [2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
+        [0.9977522492499998, 0.9962574925037492, 0.9947657237762341, 0.9932769370944052,
+         0.9917911264971533, 0.9903082860352853, 0.9888284097715007, 0.9873514917803675,
+         0.9858775261482984, 0.9844065069735277],
+        None, PINNED_A0, 0.9990000000000256, id="irbgs-exact-n2/reference"),
+    pytest.param(
+        [2, 4, 6, 8, 10, 12, 14, 16, 18, 20],
+        [0.996257866006044, 0.9932776811156426, 0.9903093976099837, 0.9873529679608233,
+         0.9844083448297191, 0.9814754810672769, 0.9785543297123933, 0.9756448439915045,
+         0.9727469773178365, 0.9698606832906606],
+        None, PINNED_A0, 0.998001249749976, id="irbgs-exact-n2/interleaved"),
+    pytest.param(
+        [2, 4, 6, 8, 10, 12],
+        [0.9091360810538258, 0.8439860205477279, 0.7828903305195771, 0.7071091078289997,
+         0.6540005796619999, 0.6122863110177564],
+        [20471.504121010974, 8899.251800059003, 9239.536054531873, 3657.6363893730395,
+         4472.947328820434, 5354.408297877448],
+        UNIT_BOX, 0.9607152336079496, id="rbsv-gen-n6/rbsv"),
+]
 
 
 def curve(ms, a0, b0, p):
     return [(m, a0 + b0 * p ** m) for m in ms]
+
+
+def oracle_sse(p, ms, ys, w, bounds):
+    """Smallest weighted SSE over (A0, B0) at a fixed p: the box-constrained
+    KKT candidates one at a time, each solved with lstsq."""
+    x = p ** ms
+    ones = np.ones_like(x)
+    sw = np.sqrt(w)
+
+    def lsq(columns, target):
+        coef, *_ = np.linalg.lstsq(np.column_stack(columns) * sw[:, None], target * sw,
+                                   rcond=None)
+        return coef
+
+    free = lsq([ones, x], ys)
+    candidates = [free]
+    if bounds is not None:
+        (a_lo, a_hi), (b_lo, b_hi) = bounds
+        if not (a_lo <= free[0] <= a_hi and b_lo <= free[1] <= b_hi):
+            candidates = []
+        for a in (a_lo, a_hi):
+            candidates.append((a, min(max(lsq([x], ys - a)[0], b_lo), b_hi)))
+        for b in (b_lo, b_hi):
+            candidates.append((min(max(lsq([ones], ys - b * x)[0], a_lo), a_hi), b))
+    return min(float(w @ (ys - a - b * x) ** 2) for a, b in candidates)
+
+
+def scan_minimum(ms, ys, w, bounds):
+    """Oracle SSE minimum over 20,000 p log-spaced in 1 - p (p = 0 included),
+    refined by 2,001 points between the best one's neighbours."""
+    ps = 1.0 - np.logspace(-9.0, 0.0, 20_000)
+    sses = [oracle_sse(p, ms, ys, w, bounds) for p in ps]
+    i = int(np.argmin(sses))
+    fine = np.linspace(ps[min(i + 1, ps.size - 1)], ps[max(i - 1, 0)], 2_001)
+    return min(min(sses), *(oracle_sse(p, ms, ys, w, bounds) for p in fine))
 
 
 class TestFitDecay:
@@ -28,6 +111,13 @@ class TestFitDecay:
             fit_decay([(1, 0.9), (2, 0.8)])
         with pytest.raises(ValueError):
             fit_decay([(1, 0.9), (1, 0.8), (1, 0.7)])
+
+    @pytest.mark.parametrize("bounds", [None, PINNED_A0])
+    def test_bad_weights_rejected(self, bounds):
+        pts = curve(range(5, 51, 5), 0.25, 0.74, 0.99)
+        for weights in (np.zeros(10), -np.ones(10)):
+            with pytest.raises(ValueError):
+                fit_decay(pts, weights=weights, coefficient_bounds=bounds)
 
     def test_noisy_recovery_calibration(self):
         # planted curve recovered without bias beyond 5 sigma of the mean
@@ -84,6 +174,64 @@ class TestFitDecay:
         assert fit.a0 == 0.25
         assert abs(fit.p - 0.995) < 1e-9
         assert abs(fit.b0 - 0.74) < 1e-9
+
+
+def _noisy(ms, a0, b0, p, seed, sigma=1e-3):
+    ms = np.asarray(ms, dtype=float)
+    return a0 + b0 * p ** ms + np.random.default_rng(seed).normal(0, sigma, ms.size)
+
+
+ORACLE_CASES = {
+    # name: (lengths, values, weights, bounds, check of the case's premise)
+    "a0-pinned": (np.arange(5, 51, 5), _noisy(np.arange(5, 51, 5), 0.25, 0.74, 0.995, 1),
+                  None, PINNED_A0, lambda f: f.a0 == 0.25),
+    "b0-clamped-at-1": (np.arange(2, 42, 4), _noisy(np.arange(2, 42, 4), 0.1, 1.2, 0.97, 2),
+                        None, UNIT_BOX, lambda f: f.b0 == 1.0),
+    "a0-clamped-at-0": (np.arange(2, 42, 4), _noisy(np.arange(2, 42, 4), -0.1, 0.9, 0.96, 3),
+                        None, UNIT_BOX, lambda f: f.a0 == 0.0),
+    "a0-clamped-at-1": (np.arange(2, 42, 4), _noisy(np.arange(2, 42, 4), 1.1, 0.5, 0.9, 5),
+                        None, UNIT_BOX, lambda f: f.a0 == 1.0 and 0.0 < f.b0 < 1.0),
+    "line": (np.arange(5, 51, 5), 0.9 - 0.004 * np.arange(5, 51, 5), None, UNIT_BOX,
+             lambda f: True),
+    "free-weighted": (np.arange(2, 42, 4), _noisy(np.arange(2, 42, 4), 0.25, 0.7, 0.97, 4),
+                      np.linspace(4e6, 2e5, 10), None, lambda f: f.covariance is not None),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_CASES))
+def test_fit_reaches_the_scan_minimum_of_a_scalar_oracle(name):
+    ms, ys, weights, bounds, premise = ORACLE_CASES[name]
+    ms = np.asarray(ms, dtype=float)
+    w = np.ones_like(ys) if weights is None else weights
+    fit = fit_decay(list(zip(ms, ys)), weights=weights, coefficient_bounds=bounds)
+    assert premise(fit)
+    fit_sse = float(w @ (ys - fit.a0 - fit.b0 * fit.p ** ms) ** 2)
+    assert fit_sse <= scan_minimum(ms, ys, w, bounds) * (1 + 1e-9) + 1e-30
+
+
+@pytest.mark.parametrize("ms,ys,weights,bounds,p", SEED7_FITS)
+def test_bench_fits_keep_their_earlier_p(ms, ys, weights, bounds, p):
+    fit = fit_decay(list(zip(ms, ys)), weights=weights, coefficient_bounds=bounds)
+    assert abs(fit.p - p) <= 1e-9
+
+
+@pytest.mark.parametrize("ys", [
+    SEED7_FITS[0].values[1],
+    SEED7_FITS[1].values[1],
+    [0.25 + 0.75 * 0.5 ** m for m in range(5, 51, 5)],  # the widest refinement bracket
+], ids=["compare-n2/rb", "compare-n2/rbsv", "fast-decay"])
+def test_bounded_fit_profiles_in_a_few_array_calls(monkeypatch, ys):
+    sizes = []
+    profile = fitting._profile
+
+    def counting(ps, *args):
+        sizes.append(len(ps))
+        return profile(ps, *args)
+
+    monkeypatch.setattr(fitting, "_profile", counting)
+    fit_decay(list(zip(range(5, 51, 5), ys)), coefficient_bounds=PINNED_A0)
+    assert sizes[0] == fitting._GRID_SIZE
+    assert len(sizes) <= 12  # the grid, at most ten zoom rounds, the final call
 
 
 class TestRFromP:

@@ -4,6 +4,15 @@ import mpmath
 import numpy as np
 import pytest
 
+from rbsim.channels import (
+    DeltaDepolarizing,
+    Depolarizing,
+    NoiseModel,
+    PauliChannel,
+    depolarizing_parameter,
+    rotation_unitary,
+)
+from rbsim.rb import RBConfig, run_standard_rb
 from rbsim.resources import (
     ResourcePlan,
     classical_cost,
@@ -36,7 +45,7 @@ def variance_oracle(m, r, d, eta, with_spam):
     q = p * p / u
     term1 = (d * d - 2) / (4 * (d - 1) ** 2) * r * r * m * p ** (m - 1)
     term2 = (d * d * (1 + 4 * eta) * r * r / (d - 1) ** 2
-             * ((m - 1) * q ** m - m * q ** (m - 1) + 1) / (1 - q) * u ** (m - 2))
+             * ((m - 1) * q ** m - m * q ** (m - 1) + 1) / (1 - q) ** 2 * u ** (m - 2))
     term3 = 2 * eta * d * m * r / (d - 1) * p ** (m - 1)
     return term1 + term2 + term3
 
@@ -125,7 +134,7 @@ class TestVarianceBound:
         for m in (2, 10, 40):
             for d in (2, 4):
                 prev = None
-                for r in (1e-2, 1e-3, 1e-4, 1e-5):
+                for r in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):  # V = O(r^2)
                     v = variance_bound(m, r, d, eta=0.0)
                     assert v >= 0.0
                     if prev is not None:
@@ -133,9 +142,36 @@ class TestVarianceBound:
                     prev = v
                 assert prev < 1e-7
 
+    @pytest.mark.parametrize("m,d,eta", [(2, 2, 0.0), (30, 4, 0.0), (12, 8, 0.1)])
+    def test_with_spam_continuous_into_its_q_to_one_limit(self, m, d, eta):
+        # as r -> 0, q = p^2/u -> 1 and sum_{j<m} j q^(j-1) -> m(m-1)/2, so
+        # V/r^2 -> the m(m-1)/2 form (term 3 is linear in r: subtract it)
+        limit = ((d * d - 2) / (4 * (d - 1) ** 2) * m
+                 + d * d * (1 + 4 * eta) / (d - 1) ** 2 * m * (m - 1) / 2)
+        for r in (1e-6, 1e-8):
+            p = 1 - d * r / (d - 1)
+            term3 = 2 * eta * d * m * r / (d - 1) * p ** (m - 1)
+            got = (variance_bound(m, r, d, eta) - term3) / (r * r)
+            assert abs(got - limit) < 1e-4 * limit
+
+    @pytest.mark.parametrize("channel", [
+        Depolarizing(0.01),
+        PauliChannel({"II": 0.99, "XI": 0.006, "ZZ": 0.003, "YX": 0.001}),
+        DeltaDepolarizing(1.0, 1.0, rotation_unitary(2, 0, "X", 0.2)),
+    ], ids=["depolarizing", "pauli", "coherent-x"])
+    def test_bounds_exact_rb_survival_variance(self, channel):
+        r = 3 * (1 - depolarizing_parameter(channel, 2)) / 4
+        data = run_standard_rb(RBConfig(n=2, lengths=(5, 20), k_m=300, exact=True,
+                                        noise=NoiseModel(gate=channel), seed=5))
+        for m, survivals in zip(data.lengths, data.per_sequence):
+            assert np.var(survivals, ddof=1) <= variance_bound(m, r, 4)
+            assert np.var(survivals, ddof=1) <= variance_bound(m, r, 4, with_spam=False)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             variance_bound(0, 0.01, 4)
+        with pytest.raises(ValueError):
+            variance_bound(2.5, 0.01, 4)
         with pytest.raises(ValueError):
             variance_bound(5, 0.9, 2)  # p would go non-positive
 
