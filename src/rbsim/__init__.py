@@ -27,11 +27,7 @@ from .channels import (
     depolarizing_parameter,
     measurement_success_probability,
 )
-from .engines import (
-    SequenceSpec,
-    run_sequence_exact,
-    survival_probability,
-)
+from .engines import SequenceSpec, run_sequence_exact
 from .fitting import DecayFit, fit_decay, r_from_p
 
 __version__ = "0.1.0"

@@ -24,23 +24,15 @@ __all__ = [
     "NoiseModel",
     "UnsupportedChannelError",
     "zero_state",
-    "maximally_mixed_state",
-    "check_density_matrix",
     "apply_channel",
     "channel_superoperator",
     "choi_matrix",
-    "check_cptp",
     "average_fidelity",
     "depolarizing_parameter",
     "measurement_success_probability",
     "channel_from_spec",
     "rotation_unitary",
 ]
-
-HERMITICITY_ATOL = 1e-12
-TRACE_ATOL = 1e-12
-EIGENVALUE_ATOL = 1e-10
-
 
 class UnsupportedChannelError(ValueError):
     """Raised when a channel cannot be used on the requested execution path."""
@@ -59,24 +51,6 @@ def zero_state(n: int) -> np.ndarray:
     return rho
 
 
-def maximally_mixed_state(n: int) -> np.ndarray:
-    d = 2 ** n
-    return np.eye(d, dtype=complex) / d
-
-
-def check_density_matrix(rho: np.ndarray, *, herm_atol=HERMITICITY_ATOL,
-                         trace_atol=TRACE_ATOL, eig_atol=EIGENVALUE_ATOL):
-    """Raise if ``rho`` is not Hermitian, unit-trace and positive within tolerance."""
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError(f"density matrix must be square, got {rho.shape}")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_atol:
-        raise ValueError("density matrix is not Hermitian")
-    if abs(np.trace(rho) - 1.0) > trace_atol:
-        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
-    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -eig_atol:
-        raise ValueError("density matrix has a negative eigenvalue")
-
-
 def rotation_unitary(n: int, qubit: int = 0, axis: str = "X", angle: float = 1e-2) -> np.ndarray:
     """exp(-i*angle/2 * P_qubit) on the full register; the default perturbation."""
     p = PauliString.single(n, qubit, axis).to_matrix()
@@ -90,7 +64,11 @@ def rotation_unitary(n: int, qubit: int = 0, axis: str = "X", angle: float = 1e-
 
 
 class NoiseChannel:
-    """Base class; concrete channels implement ``apply``."""
+    """Base class; concrete channels implement ``apply``.
+
+    Channels are frozen values that check their parameters once, when
+    built, so every later use can trust them.
+    """
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -98,9 +76,6 @@ class NoiseChannel:
     @property
     def is_pauli_diagonal(self) -> bool:
         return False
-
-    def validate(self):
-        """Raise on invalid parameters."""
 
 
 @dataclass(frozen=True)
@@ -119,12 +94,11 @@ class Depolarizing(NoiseChannel):
 
     epsilon: float
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError(f"depolarizing strength {self.epsilon} outside [0, 1]")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        self.validate()
         d = rho.shape[0]
         return (1.0 - self.epsilon) * rho + self.epsilon * np.trace(rho) * np.eye(d) / d
 
@@ -148,11 +122,9 @@ class PauliChannel(NoiseChannel):
                 key = PauliString.from_label(key)
             items.append((key, float(prob)))
         object.__setattr__(self, "probabilities", tuple(items))
-
-    def validate(self):
         total = 0.0
         n = None
-        for key, prob in self.probabilities:
+        for key, prob in items:
             if key.phase != 0:
                 raise ValueError(f"Pauli key {key.label()} must carry phase +1")
             if prob < 0:
@@ -169,7 +141,6 @@ class PauliChannel(NoiseChannel):
         return self.probabilities[0][0].n
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        self.validate()
         out = np.zeros_like(rho, dtype=complex)
         for key, prob in self.probabilities:
             if prob == 0.0:
@@ -196,7 +167,7 @@ class DeltaDepolarizing(NoiseChannel):
     p_prime: float
     perturbation: np.ndarray = field(default=None, repr=False)
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta {self.delta} outside [0, 1]")
         if not 0.0 <= self.p_prime <= 1.0:
@@ -208,7 +179,6 @@ class DeltaDepolarizing(NoiseChannel):
             raise ValueError("perturbation is not unitary")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        self.validate()
         d = rho.shape[0]
         if self.perturbation.shape[0] != d:
             raise ValueError("perturbation dimension does not match state")
@@ -229,10 +199,6 @@ class ComposedChannel(NoiseChannel):
 
     def __init__(self, channels):
         object.__setattr__(self, "channels", tuple(channels))
-
-    def validate(self):
-        for ch in self.channels:
-            ch.validate()
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         for ch in self.channels:
@@ -257,9 +223,7 @@ class SpamModel:
     meas: NoiseChannel = Ideal()
     meas_flip: float = 0.0
 
-    def validate(self):
-        self.prep.validate()
-        self.meas.validate()
+    def __post_init__(self):
         if not 0.0 <= self.meas_flip <= 1.0:
             raise ValueError(f"meas_flip {self.meas_flip} outside [0, 1]")
 
@@ -278,10 +242,6 @@ class NoiseModel:
 
     gate: NoiseChannel = Ideal()
     spam: SpamModel = SpamModel()
-
-    def validate(self):
-        self.gate.validate()
-        self.spam.validate()
 
     @property
     def channels(self) -> tuple:
@@ -312,18 +272,6 @@ def choi_matrix(ch: NoiseChannel, n: int) -> np.ndarray:
     d = 2 ** n
     s = channel_superoperator(ch, n).reshape(d, d, d, d)  # [c, a, j, i]
     return s.transpose(1, 3, 0, 2).reshape(d * d, d * d)
-
-
-def check_cptp(ch: NoiseChannel, n: int, *, eig_atol=1e-10, tp_atol=1e-12):
-    """Raise unless the channel is completely positive and trace preserving."""
-    d = 2 ** n
-    choi = choi_matrix(ch, n)
-    if np.min(np.linalg.eigvalsh((choi + choi.conj().T) / (2 * d))) < -eig_atol:
-        raise ValueError("channel is not completely positive")
-    # trace preservation: Tr ch(|i><j|) = delta_ij, the partial trace of the Choi matrix
-    tp = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
-    if np.max(np.abs(tp - np.eye(d))) > tp_atol:
-        raise ValueError("channel is not trace preserving")
 
 
 def average_fidelity(ch: NoiseChannel, n: int) -> float:
@@ -365,12 +313,10 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
         return probs
     if isinstance(ch, Depolarizing):
         # I/d is the uniform Pauli twirl: every non-identity Pauli gets eps/d^2
-        ch.validate()
         probs = np.full(4 ** n, ch.epsilon / 4 ** n)
         probs[0] = 1.0 - ch.epsilon * (4 ** n - 1) / 4 ** n
         return probs
     if isinstance(ch, PauliChannel):
-        ch.validate()
         if ch.n != n:
             raise ValueError("channel register size mismatch")
         probs = np.zeros(4 ** n)
@@ -455,6 +401,16 @@ _CHANNEL_FIELDS = {
 }
 
 
+def _spec_value(value, name: str, kind=float):
+    """``kind(value)`` of a channel spec field; a value of the wrong JSON type
+    raises ``ValueError`` naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"channel field {name!r} must be {noun}, not {value!r}") from exc
+
+
 def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     """Build a channel from its JSON config form.
 
@@ -479,21 +435,23 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     if kind == "ideal":
         return Ideal()
     if kind == "depolarizing":
-        ch = Depolarizing(float(spec["epsilon"]))
-    elif kind == "pauli":
+        return Depolarizing(_spec_value(spec["epsilon"], "epsilon"))
+    if kind == "pauli":
+        if not isinstance(spec["probabilities"], dict):
+            raise ValueError("channel field 'probabilities' must be an object of "
+                             f"label: probability pairs, not {spec['probabilities']!r}")
         probs = {}
         for label, prob in spec["probabilities"].items():
             key = PauliString.from_label(label)
             if key.n != n:
                 raise ValueError(f"Pauli key {label!r} does not act on {n} qubits")
-            probs[key] = float(prob)
-        ch = PauliChannel(probs)
-    else:
-        u = rotation_unitary(n, qubit=int(spec.get("qubit", 0)), axis=str(spec.get("axis", "X")),
-                             angle=float(spec.get("angle", 1e-2)))
-        ch = DeltaDepolarizing(float(spec["delta"]), float(spec["p_prime"]), u)
-    ch.validate()
-    return ch
+            probs[key] = _spec_value(prob, f"probabilities.{label}")
+        return PauliChannel(probs)
+    u = rotation_unitary(n, qubit=_spec_value(spec.get("qubit", 0), "qubit", int),
+                         axis=str(spec.get("axis", "X")),
+                         angle=_spec_value(spec.get("angle", 1e-2), "angle"))
+    return DeltaDepolarizing(_spec_value(spec["delta"], "delta"),
+                             _spec_value(spec["p_prime"], "p_prime"), u)
 
 
 def apply_channel(ch: NoiseChannel, rho: np.ndarray) -> np.ndarray:

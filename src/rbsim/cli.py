@@ -77,12 +77,33 @@ def _reject_unknown(obj: dict, known, prefix: str = ""):
                           + ", ".join(repr(prefix + k) for k in unknown))
 
 
-def _field(cfg: dict, name: str, default=None, required: bool = False):
-    if name in cfg:
-        return cfg[name]
-    if required:
-        raise ConfigError(f"missing required config field {name!r}")
-    return default
+def _int_list(value) -> tuple:
+    if not isinstance(value, list):
+        raise TypeError("not a list")
+    return tuple(int(m) for m in value)
+
+
+# what each converter of ``_field`` expects, for its error message
+_EXPECTED = {int: "an integer", float: "a number", _int_list: "a list of integers"}
+
+
+def _field(cfg: dict, name: str, default=None, required: bool = False, kind=None,
+           prefix: str = ""):
+    """``cfg[name]``, or ``default`` when absent.  With ``kind`` (a key of
+    ``_EXPECTED``) a present value is converted, and one of the wrong JSON
+    type raises a ``ConfigError`` naming the field ``prefix + name``."""
+    if name not in cfg:
+        if required:
+            raise ConfigError(f"missing required config field {prefix + name!r}")
+        return default
+    value = cfg[name]
+    if kind is None:
+        return value
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"field {prefix + name!r} must be {_EXPECTED[kind]}, "
+                          f"not {value!r}") from exc
 
 
 def _noise_model(cfg: dict, n: int) -> NoiseModel:
@@ -90,36 +111,31 @@ def _noise_model(cfg: dict, n: int) -> NoiseModel:
     if not isinstance(spec, dict):
         raise ConfigError("field 'noise' must be an object")
     _reject_unknown(spec, ("gate", "prep", "meas", "p_meas"), "noise.")
+    p_meas = _field(spec, "p_meas", 0.0, kind=float, prefix="noise.")
     try:
         gate = channel_from_spec(spec.get("gate", {"kind": "ideal"}), n)
-        prep = channel_from_spec(spec.get("prep"), n)
-        meas = channel_from_spec(spec.get("meas"), n)
-        p_meas = float(spec.get("p_meas", 0.0))
+        spam = SpamModel(prep=channel_from_spec(spec.get("prep"), n),
+                         meas=channel_from_spec(spec.get("meas"), n), meas_flip=p_meas)
     except ValueError as exc:
         raise ConfigError(f"field 'noise': {exc}") from exc
-    model = NoiseModel(gate=gate, spam=SpamModel(prep=prep, meas=meas, meas_flip=p_meas))
-    try:
-        model.validate()
-    except ValueError as exc:
-        raise ConfigError(f"field 'noise': {exc}") from exc
-    return model
+    return NoiseModel(gate=gate, spam=spam)
 
 
 def _common_rb_fields(cfg: dict, overrides) -> dict:
-    n = int(_field(cfg, "n", 2))
+    n = _field(cfg, "n", 2, kind=int)
     mode = _field(cfg, "mode", "sampled")
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"field 'mode' must be 'exact' or 'sampled', not {mode!r}")
     fields = dict(
         n=n,
-        lengths=tuple(_field(cfg, "lengths", DEFAULT_LENGTHS)),
-        k_m=int(_field(cfg, "K_m", 100)),
-        shots=int(_field(cfg, "shots", 100)),
+        lengths=_field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list),
+        k_m=_field(cfg, "K_m", 100, kind=int),
+        shots=_field(cfg, "shots", 100, kind=int),
         exact=mode == "exact",
         noise=_noise_model(cfg, n),
         mode=str(_field(cfg, "rb_mode", "clifford")),
-        generator_block=int(_field(cfg, "b", 10)),
-        seed=int(_field(cfg, "seed", 0)),
+        generator_block=_field(cfg, "b", 10, kind=int),
+        seed=_field(cfg, "seed", 0, kind=int),
         fit_strategy=str(_field(cfg, "fit_strategy", "auto")),
     )
     if overrides.seed is not None:
@@ -142,15 +158,14 @@ def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
     if not isinstance(policy_spec, dict):
         raise ConfigError("field 'R_policy' must be an object")
     _reject_unknown(policy_spec, ("kind", "R", "cap"), "R_policy.")
+    fixed = _field(policy_spec, "R", 100.0, kind=float, prefix="R_policy.")
+    cap = _field(policy_spec, "cap", 1.0e4, kind=float, prefix="R_policy.")
+    n_m = _field(cfg, "N_m", 100, kind=int)
     try:
-        policy = RPolicy(
-            kind=str(policy_spec.get("kind", "optimal")),
-            fixed=float(policy_spec.get("R", 100.0)),
-            cap=float(policy_spec.get("cap", 1.0e4)),
-        )
+        policy = RPolicy(kind=str(policy_spec.get("kind", "optimal")), fixed=fixed, cap=cap)
         return RBSVConfig(
             **fields,
-            n_m=int(_field(cfg, "N_m", 100)),
+            n_m=n_m,
             r_policy=policy,
             include_identity_stabilizer=bool(
                 _field(cfg, "include_identity_stabilizer", True)),
@@ -166,9 +181,13 @@ def _resolve_recipe(cfg: dict):
             if recipe.name == spec or recipe.target_name == spec:
                 return recipe
         raise ConfigError(f"unknown built-in recipe {spec!r}")
-    if isinstance(spec, dict) and "path" in spec:
-        recipes = load_recipes(spec["path"])
-        index = int(spec.get("index", 0))
+    if isinstance(spec, dict) and isinstance(spec.get("path"), str):
+        index = _field(spec, "index", 0, kind=int, prefix="recipe.")
+        try:
+            recipes = load_recipes(spec["path"])
+        except OSError as exc:
+            raise ConfigError(f"field 'recipe': cannot read {spec['path']!r}: "
+                              f"{exc.strerror}") from exc
         if not 0 <= index < len(recipes):
             raise ConfigError(f"recipe index {index} out of range")
         return recipes[index]
@@ -176,19 +195,21 @@ def _resolve_recipe(cfg: dict):
 
 
 def build_irbgs_config(cfg: dict, overrides) -> IRBGSConfig:
-    n = int(_field(cfg, "n", 2))
+    n = _field(cfg, "n", 2, kind=int)
     noise = _noise_model(cfg, n)
     try:
         noise_n = channel_from_spec(_field(cfg, "noise_n", {"kind": "ideal"}), n)
     except ValueError as exc:
         raise ConfigError(f"field 'noise_n': {exc}") from exc
-    seed = int(_field(cfg, "seed", 0))
+    seed = _field(cfg, "seed", 0, kind=int)
     if overrides.seed is not None:
         seed = overrides.seed
+    lengths = _field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list)
+    k_m = _field(cfg, "K_m", 30, kind=int)
     try:
         return IRBGSConfig(
-            lengths=tuple(_field(cfg, "lengths", DEFAULT_LENGTHS)),
-            k_m=int(_field(cfg, "K_m", 30)),
+            lengths=lengths,
+            k_m=k_m,
             seed=seed,
             noise=noise,
             noise_n=noise_n,

@@ -37,11 +37,8 @@ __all__ = [
     "symplectic_rows",
     "stabilizer_group",
     "stabilizer_generators",
-    "random_stabilizer",
     "clifford_to_matrix",
     "parse_circuit",
-    "clifford_group_order",
-    "symplectic_group_order",
 ]
 
 GENERATOR_GATE_NAMES = ("H", "P", "PDAG", "CNOT", "X")
@@ -341,8 +338,8 @@ def stabilizer_generators(c: CliffordElement) -> list:
 def stabilizer_group(c: CliffordElement) -> list:
     """All 2^n signed stabilizers of ``C|0...0>``, identity first.
 
-    Materialized fully only for small registers; use the generators and
-    random subset products beyond that.
+    Materialized fully only for small registers; use the generators beyond
+    that.
     """
     n = c.n
     if n > MAX_MATERIALIZED_GROUP_QUBITS:
@@ -354,16 +351,6 @@ def stabilizer_group(c: CliffordElement) -> list:
     for g in gens:
         group += [pauli_multiply(s, g) for s in group]
     return group
-
-
-def random_stabilizer(c: CliffordElement, rng: np.random.Generator) -> PauliString:
-    """Uniform element of the stabilizer group of ``C|0...0>`` without
-    materializing it: a random subset-product of the n generators."""
-    out = PauliString.identity(c.n)
-    for i in range(c.n):
-        if rng.integers(0, 2):
-            out = pauli_multiply(out, c.image_of_z(i))
-    return out
 
 
 def clifford_to_matrix(c: CliffordElement) -> np.ndarray:
@@ -413,16 +400,3 @@ def parse_circuit(text: str) -> list:
         except (ValueError, IndexError) as exc:
             raise ValueError(f"line {lineno}: cannot parse {raw!r}: {exc}") from exc
     return gates
-
-
-def symplectic_group_order(n: int) -> int:
-    """|Sp(2n, 2)| = 2^(n^2) * prod_{j=1..n} (4^j - 1)."""
-    order = 2 ** (n * n)
-    for j in range(1, n + 1):
-        order *= 4 ** j - 1
-    return order
-
-
-def clifford_group_order(n: int) -> int:
-    """Number of n-qubit Clifford elements modulo global phase."""
-    return 4 ** n * symplectic_group_order(n)

@@ -35,14 +35,12 @@ from .channels import (
     SpamModel,
     apply_channel,
     pauli_eigenvalues,
-    walsh_hadamard,
     zero_state,
 )
 
 __all__ = [
     "SequenceSpec",
     "run_sequence_exact",
-    "survival_probability",
     "engine_for",
     "SequenceBatch",
     "CompiledSequence",
@@ -116,18 +114,6 @@ def run_sequence_exact(spec: SequenceSpec) -> np.ndarray:
         rho = u @ rho @ u.conj().T
         rho = apply_channel(spec.channel_for(i), rho)
     return rho
-
-
-def survival_probability(rho: np.ndarray, spam: SpamModel | None = None) -> float:
-    """Probability that measuring every qubit of ``rho`` in Z returns all zeros,
-    after the measurement channel and the per-qubit measurement flips."""
-    spam = spam or SpamModel()
-    n = rho.shape[0].bit_length() - 1
-    diag = np.real(np.diag(apply_channel(spam.meas, rho)))
-    # <Z_A> for every subset A of the qubits
-    z_expectations = walsh_hadamard(diag)
-    z_group = np.arange(1 << n, dtype=np.int64) << n
-    return float(np.mean(z_expectations * _flip_factors(z_group, n, spam.meas_flip)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,18 +4,12 @@ generator-sequence variant; produces per-length average survival data."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .channels import NoiseModel
-from .cliffords import (
-    MAX_DENSE_QUBITS,
-    GeneratorGate,
-    compose,
-    inverse,
-    random_clifford_rows,
-)
+from .cliffords import MAX_DENSE_QUBITS, GeneratorGate, random_clifford_rows
 from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, SequenceSpec, engine_for
 from .fitting import fit_decay, r_from_p
 from .seeding import run_ensemble
@@ -23,8 +17,6 @@ from .seeding import run_ensemble
 __all__ = [
     "RBConfig",
     "RBData",
-    "sample_rb_sequence",
-    "sample_generator_sequence",
     "run_standard_rb",
     "length_stats",
     "fit_rb_data",
@@ -93,7 +85,6 @@ class RBConfig:
             raise ValueError("generator mode requires a block length b >= 1")
         if self.fit_strategy not in ("auto", "box", "free"):
             raise ValueError(f"unknown fit strategy {self.fit_strategy!r}")
-        self.noise.validate()
         engine = engine_for(self.noise.channels)
         limit = MAX_TABLE_QUBITS if engine == "pauli" else MAX_DENSE_QUBITS
         if self.n > limit:
@@ -140,15 +131,6 @@ class RBData:
         return list(zip(self.lengths, self.p_m))
 
 
-def sample_rb_sequence(n: int, m: int, rng: np.random.Generator):
-    """m uniformly random Clifford elements, drawn as the drivers draw one
-    sequence from its stream, plus the exact inverse of their product."""
-    if m < 1:
-        raise ValueError("sequence length must be >= 1")
-    elements = SequenceBatch(n, *random_clifford_rows(n, [rng], m), []).sequence(0)
-    return elements, inverse(reduce(compose, elements))
-
-
 def generator_gate_set(n: int) -> list:
     """The inversion-closed generating set {H_i, P_i, P†_i, CNOT_ij}."""
     gates = []
@@ -159,14 +141,6 @@ def generator_gate_set(n: int) -> list:
             if c != t:
                 gates.append(GeneratorGate("CNOT", (c, t)))
     return gates
-
-
-def sample_generator_sequence(n: int, b: int, m: int, rng: np.random.Generator) -> list:
-    """m*b gates drawn uniformly from the generator set (m blocks of b)."""
-    if b < 1:
-        raise ValueError("mixing block length b must be >= 1")
-    gates = generator_gate_set(n)
-    return [gates[int(i)] for i in rng.integers(0, len(gates), size=m * b)]
 
 
 @lru_cache(maxsize=None)
@@ -186,7 +160,7 @@ def _draw_elements(config: RBConfig, m: int, rngs) -> tuple:
         return random_clifford_rows(config.n, rngs, m)
     table_rows, table_phases = _generator_table(config.n)
     picks = np.array([rng.integers(0, len(table_rows), size=m * config.generator_block)
-                      for rng in rngs]).T  # the draw of sample_generator_sequence
+                      for rng in rngs]).T
     return table_rows[picks], table_phases[picks]
 
 

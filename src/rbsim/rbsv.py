@@ -9,26 +9,24 @@ length and fits the usual decay curve.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import CompiledSequence, SequenceBatch, SequenceSpec, engine_for
+from .engines import CompiledSequence, SequenceBatch, engine_for
 from .fitting import DecayFit
 from .rb import RBConfig, _draw_elements, fit_rb_data, length_stats
 from .seeding import run_ensemble
 
 __all__ = [
     "FailureSignatureError",
-    "AcceptanceRecord",
     "RBSVResult",
     "RPolicy",
     "RBSVConfig",
     "fidelity_lower_bound",
     "optimal_copies",
-    "drift",
-    "run_rbsv_sequence",
     "run_rbsv",
     "DEFAULT_COPY_CAP",
 ]
@@ -43,7 +41,9 @@ class FailureSignatureError(RuntimeError):
 def fidelity_lower_bound(p_acc: float, r_copies: float) -> float:
     """Lower bound 1 - 1/(p_acc^R * R) on the average sequence fidelity.
 
-    May be negative (vacuous but valid) for small acceptance.
+    May be negative (vacuous but valid) for small acceptance.  Raises
+    ``FailureSignatureError`` when the acceptance is zero, or when
+    ``p_acc^R`` underflows so far that the bound overflows.
     """
     if r_copies <= 0:
         raise ValueError("copy count must be positive")
@@ -53,7 +53,13 @@ def fidelity_lower_bound(p_acc: float, r_copies: float) -> float:
         raise FailureSignatureError(
             "acceptance probability is zero; too noisy to verify"
         )
-    return 1.0 - 1.0 / (p_acc ** r_copies * r_copies)
+    weight = p_acc ** r_copies * r_copies
+    if weight <= 1.0 / sys.float_info.max:
+        raise FailureSignatureError(
+            f"P_acc^R underflows at P_acc = {p_acc:.6g}, R = {r_copies:.6g}: the bound "
+            "1 - 1/(P_acc^R R) is below the float range; use a smaller R"
+        )
+    return 1.0 - 1.0 / weight
 
 
 def optimal_copies(p_acc: float, cap: float = DEFAULT_COPY_CAP):
@@ -70,11 +76,6 @@ def optimal_copies(p_acc: float, cap: float = DEFAULT_COPY_CAP):
     if r >= cap:
         return float(cap), True
     return r, False
-
-
-def drift(p_acc: float, r_copies: float, true_fidelity: float) -> float:
-    """|bound(R) - F|: the gap minimized at R = 1/ln(1/p_acc)."""
-    return abs(fidelity_lower_bound(p_acc, r_copies) - true_fidelity)
 
 
 @dataclass(frozen=True)
@@ -98,23 +99,6 @@ class RPolicy:
         if self.kind == "fixed":
             return float(self.fixed), False
         return optimal_copies(p_acc, self.cap)
-
-
-@dataclass(frozen=True)
-class AcceptanceRecord:
-    """Acceptance estimate for one sequence at one length."""
-
-    j: int
-    m: int
-    n_reps: int
-    n_acc: int | None  # None in exact mode
-    p_acc: float
-
-    def __post_init__(self):
-        if self.n_acc is not None and not 0 <= self.n_acc <= self.n_reps:
-            raise ValueError("accept count outside [0, N_m]")
-        if not 0.0 <= self.p_acc <= 1.0:
-            raise ValueError("acceptance probability outside [0, 1]")
 
 
 @dataclass
@@ -159,25 +143,6 @@ class RBSVConfig(RBConfig):
                 "the acceptance estimate may converge poorly",
                 stacklevel=2,
             )
-
-
-def run_rbsv_sequence(spec: SequenceSpec, n_reps: int, rng: np.random.Generator,
-                      exact: bool = False, include_identity: bool = True,
-                      j: int = 0) -> AcceptanceRecord:
-    """Estimate one sequence's acceptance probability.
-
-    Exact mode returns the group-averaged success probability; sampled mode
-    draws the accept count of ``n_reps`` repetitions, each measuring a fresh
-    uniform stabilizer of the ideal output state, from it.
-    """
-    if n_reps < 1:
-        raise ValueError("N_m must be >= 1")
-    compiled = CompiledSequence(spec)
-    if exact:
-        p = float(compiled.acceptance_probability(include_identity)[0])
-        return AcceptanceRecord(j=j, m=spec.m, n_reps=n_reps, n_acc=None, p_acc=p)
-    n_acc = int(compiled.acceptance_samples(n_reps, [rng], include_identity)[0])
-    return AcceptanceRecord(j=j, m=spec.m, n_reps=n_reps, n_acc=n_acc, p_acc=n_acc / n_reps)
 
 
 def _acceptances(config: RBSVConfig, m: int, rngs, indices) -> np.ndarray:

@@ -2,13 +2,20 @@
 
 The oracles here are built from first principles (literal 2x2 matrices,
 kron chains and basis permutations) so they never share code with the
-tableau implementation they check.
+tableau implementation or the engines they check.  The checks on states
+and channels, the Clifford group orders and the dense survival oracle live
+here because only the tests use them.
 """
 
 import numpy as np
 import pytest
 
+from rbsim.channels import SpamModel, choi_matrix
 from rbsim.paulis import PauliString
+
+HERMITICITY_ATOL = 1e-12
+TRACE_ATOL = 1e-12
+EIGENVALUE_ATOL = 1e-10
 
 I2 = np.eye(2, dtype=complex)
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -108,6 +115,70 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) 
         return bool(np.allclose(a, b, atol=atol))
     phase = b[idx] / a[idx]
     return abs(abs(phase) - 1.0) < 1e-9 and bool(np.allclose(phase * a, b, atol=atol))
+
+
+def maximally_mixed_state(n: int) -> np.ndarray:
+    d = 2 ** n
+    return np.eye(d, dtype=complex) / d
+
+
+def check_density_matrix(rho: np.ndarray, *, herm_atol=HERMITICITY_ATOL,
+                         trace_atol=TRACE_ATOL, eig_atol=EIGENVALUE_ATOL):
+    """Raise if ``rho`` is not Hermitian, unit-trace and positive within tolerance."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise ValueError(f"density matrix must be square, got {rho.shape}")
+    if np.max(np.abs(rho - rho.conj().T)) > herm_atol:
+        raise ValueError("density matrix is not Hermitian")
+    if abs(np.trace(rho) - 1.0) > trace_atol:
+        raise ValueError(f"density matrix trace {np.trace(rho)} != 1")
+    if np.min(np.linalg.eigvalsh((rho + rho.conj().T) / 2)) < -eig_atol:
+        raise ValueError("density matrix has a negative eigenvalue")
+
+
+def check_cptp(ch, n: int, *, eig_atol=1e-10, tp_atol=1e-12):
+    """Raise unless the channel is completely positive and trace preserving."""
+    d = 2 ** n
+    choi = choi_matrix(ch, n)
+    if np.min(np.linalg.eigvalsh((choi + choi.conj().T) / (2 * d))) < -eig_atol:
+        raise ValueError("channel is not completely positive")
+    # trace preservation: Tr ch(|i><j|) = delta_ij, the partial trace of the Choi matrix
+    tp = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
+    if np.max(np.abs(tp - np.eye(d))) > tp_atol:
+        raise ValueError("channel is not trace preserving")
+
+
+def symplectic_group_order(n: int) -> int:
+    """|Sp(2n, 2)| = 2^(n^2) * prod_{j=1..n} (4^j - 1)."""
+    order = 2 ** (n * n)
+    for j in range(1, n + 1):
+        order *= 4 ** j - 1
+    return order
+
+
+def clifford_group_order(n: int) -> int:
+    """Number of n-qubit Clifford elements modulo global phase."""
+    return 4 ** n * symplectic_group_order(n)
+
+
+def survival_probability(rho: np.ndarray, spam: SpamModel | None = None) -> float:
+    """Probability that measuring every qubit of ``rho`` in Z returns all zeros,
+    after the measurement channel and independent per-qubit flips.
+
+    A flip (X or Y, two of the three depolarizing letters) turns a qubit's
+    outcome over with probability 2p/3, so basis state b reads all zeros with
+    probability prod_q (1 - 2p/3 if b_q = 0 else 2p/3):
+    P = sum_b rho'_bb prod_q (...), with rho' the state after the channel.
+    """
+    spam = spam or SpamModel()
+    diag = np.real(np.diag(spam.meas.apply(rho)))
+    n = len(diag).bit_length() - 1
+    flip = 2.0 * spam.meas_flip / 3.0
+    total = 0.0
+    for b, weight in enumerate(diag):
+        for q in range(n):
+            weight *= flip if (b >> q) & 1 else 1.0 - flip
+        total += weight
+    return float(total)
 
 
 def depolarizing_rbsv_curve(eps, lengths, include_identity=True):

@@ -12,12 +12,9 @@ from rbsim.channels import (
     UnsupportedChannelError,
     apply_channel,
     channel_from_spec,
-    check_cptp,
-    check_density_matrix,
     choi_matrix,
     depolarizing_parameter,
     fault_distribution,
-    maximally_mixed_state,
     measurement_success_probability,
     pauli_eigenvalues,
     rotation_unitary,
@@ -26,7 +23,7 @@ from rbsim.channels import (
 from rbsim.cliffords import clifford_to_matrix, random_clifford, stabilizer_group
 from rbsim.paulis import PauliString
 
-from conftest import pauli_matrix
+from conftest import check_cptp, check_density_matrix, maximally_mixed_state, pauli_matrix
 
 
 def random_state(n, rng):
@@ -58,11 +55,14 @@ class TestApplyChannel:
             out = apply_channel(ch, random_state(2, rng))
             check_density_matrix(out)
 
-    def test_invalid_parameters_raise(self, rng):
+    def test_invalid_parameters_raise(self):
+        # channels check their parameters once, when built
         with pytest.raises(ValueError):
-            apply_channel(Depolarizing(1.5), random_state(1, rng))
+            Depolarizing(1.5)
         with pytest.raises(ValueError):
-            PauliChannel({"I": 0.5, "X": 0.4}).validate()
+            PauliChannel({"I": 0.5, "X": 0.4})
+        with pytest.raises(ValueError):
+            DeltaDepolarizing(0.1, 0.9, 2 * rotation_unitary(1))
 
 
 class TestCPTP:
@@ -238,11 +238,21 @@ class TestConfigSpecs:
         with pytest.raises(ValueError, match="unknown channel field 'axes'"):
             channel_from_spec({"kind": "delta_depolarizing", "delta": 0.1, "p_prime": 0.9,
                                "axes": "Z"}, 1)
+        # values of the wrong JSON type name their field
+        with pytest.raises(ValueError, match="'epsilon' must be a number, not None"):
+            channel_from_spec({"kind": "depolarizing", "epsilon": None}, 1)
+        with pytest.raises(ValueError, match="'probabilities' must be an object"):
+            channel_from_spec({"kind": "pauli", "probabilities": [1]}, 1)
+        with pytest.raises(ValueError, match="'probabilities.X' must be a number"):
+            channel_from_spec({"kind": "pauli", "probabilities": {"I": 0.5, "X": [0.5]}}, 1)
+        with pytest.raises(ValueError, match="'qubit' must be an integer"):
+            channel_from_spec({"kind": "delta_depolarizing", "delta": 0.1, "p_prime": 0.9,
+                               "qubit": None}, 1)
 
     def test_spam_and_noise_model_validation(self):
-        NoiseModel(gate=Depolarizing(0.1), spam=SpamModel(meas_flip=0.2)).validate()
+        NoiseModel(gate=Depolarizing(0.1), spam=SpamModel(meas_flip=0.2))
         with pytest.raises(ValueError):
-            SpamModel(meas_flip=1.5).validate()
+            SpamModel(meas_flip=1.5)
 
 
 def test_superoperator_matches_direct_action(rng):

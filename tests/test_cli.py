@@ -139,6 +139,35 @@ class TestConfigErrors:
         assert main(["rb", "--config", path]) == 2
         assert_one_error(capsys, f"n = {n} exceeds the {engine} engine's limit of {limit} qubits")
 
+    @pytest.mark.parametrize("command, edit, fragment", [
+        ("rbsv", {"lengths": 5}, "field 'lengths' must be a list of integers, not 5"),
+        ("rbsv", {"lengths": [5, "ten"]}, "field 'lengths' must be a list of integers"),
+        ("rbsv", {"K_m": None}, "field 'K_m' must be an integer, not None"),
+        ("rbsv", {"N_m": "many"}, "field 'N_m' must be an integer, not 'many'"),
+        ("rbsv", {"R_policy": {"kind": "fixed", "R": None}},
+         "field 'R_policy.R' must be a number, not None"),
+        ("rbsv", {"noise": {"gate": {"kind": "depolarizing", "epsilon": None}}},
+         "field 'noise': channel field 'epsilon' must be a number, not None"),
+        ("rbsv", {"noise": {"gate": {"kind": "pauli", "probabilities": [1]}}},
+         "field 'noise': channel field 'probabilities' must be an object"),
+        ("rbsv", {"noise": {"p_meas": None}}, "field 'noise.p_meas' must be a number, not None"),
+        ("rbsv", {"noise": {"p_meas": 1.5}}, "field 'noise': meas_flip 1.5 outside [0, 1]"),
+        ("irbgs", {"K_m": [2]}, "field 'K_m' must be an integer, not [2]"),
+        ("irbgs", {"recipe": {"path": "missing.json", "index": None}},
+         "field 'recipe.index' must be an integer, not None"),
+    ])
+    def test_wrong_json_type_names_its_field(self, tmp_path, capsys, command, edit, fragment):
+        cfg = dict(small_rbsv_config() if command == "rbsv" else IRBGS_CONFIG, **edit)
+        path = write_config(tmp_path, "types.json", cfg)
+        assert main([command, "--config", path]) == 2
+        assert_one_error(capsys, fragment)
+
+    def test_missing_recipe_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        path = write_config(tmp_path, "recipe.json", dict(IRBGS_CONFIG, recipe={"path": missing}))
+        assert main(["irbgs", "--config", path]) == 2
+        assert_one_error(capsys, f"field 'recipe': cannot read {missing!r}")
+
     def test_threads_other_than_one_rejected(self, tmp_path):
         path = write_config(tmp_path, "rbsv.json", small_rbsv_config())
         with pytest.raises(SystemExit) as exc:
@@ -154,6 +183,18 @@ class TestRunFailures:
         path = write_config(tmp_path, "noisy.json", cfg)
         assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
         assert_one_error(capsys, "too strong for verification")
+
+    def test_fixed_copy_count_underflow(self, tmp_path, capsys):
+        # P_acc^R underflows at R = 10^4 from m = 5 on; the optimal R keeps P^R = 1/e
+        cfg = {"protocol": "rbsv", "n": 2, "lengths": [5, 10, 20, 40], "K_m": 2,
+               "mode": "exact", "R_policy": {"kind": "fixed", "R": 10000}, "seed": 1,
+               "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.05}}}
+        path = write_config(tmp_path, "fixed.json", cfg)
+        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert_one_error(capsys, "P_acc^R underflows at P_acc = 0.9")
+        del cfg["R_policy"]
+        path = write_config(tmp_path, "optimal.json", cfg)
+        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestRuns:

@@ -8,8 +8,6 @@ from rbsim.channels import (
     Ideal,
     PauliChannel,
     SpamModel,
-    check_density_matrix,
-    maximally_mixed_state,
     measurement_success_probability,
     rotation_unitary,
     zero_state,
@@ -23,15 +21,14 @@ from rbsim.cliffords import (
     random_clifford_rows,
     stabilizer_group,
 )
-from rbsim.engines import (
-    CompiledSequence,
-    SequenceBatch,
-    SequenceSpec,
-    run_sequence_exact,
+from rbsim.engines import CompiledSequence, SequenceBatch, SequenceSpec, run_sequence_exact
+
+from conftest import (
+    check_density_matrix,
+    circuit_unitary,
+    maximally_mixed_state,
     survival_probability,
 )
-
-from conftest import circuit_unitary
 
 
 def random_elements(n, m, rng):
@@ -92,6 +89,8 @@ class TestExactEngine:
 
 
 class TestSurvivalProbability:
+    """The dense survival oracle against hand values."""
+
     def test_zero_state_survives(self):
         assert abs(survival_probability(zero_state(3)) - 1.0) < 1e-12
 

@@ -1,70 +1,76 @@
+from collections import Counter
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from rbsim.channels import Depolarizing, NoiseModel, SpamModel
-from rbsim.cliffords import CliffordElement, GeneratorGate, compose, parse_circuit
-from rbsim.rb import (
-    RBConfig,
-    fit_rb_data,
-    generator_gate_set,
-    run_standard_rb,
-    sample_generator_sequence,
-    sample_rb_sequence,
-)
+from rbsim.cliffords import CliffordElement, compose, inverse, parse_circuit
+from rbsim.engines import SequenceBatch
+from rbsim.rb import RBConfig, _draw_elements, fit_rb_data, generator_gate_set, run_standard_rb
 
 
 def depolarizing_model(eps):
     return NoiseModel(gate=Depolarizing(eps))
 
 
+def drawn_sequence(config, m, rng):
+    """The elements ``_draw_elements`` draws for one sequence of length m from ``rng``."""
+    return SequenceBatch(config.n, *_draw_elements(config, m, [rng]), []).sequence(0)
+
+
+def drawn_gates(n, m, b, rng):
+    """The generator gates of one generator-mode sequence of m blocks of b.
+
+    Each drawn element is named by its packed rows and phases, the key of
+    the element of one gate: P and P† share rows and differ in phases.
+    """
+    gates = {CliffordElement.from_gates(n, [g]).key(): g for g in generator_gate_set(n)}
+    assert len(gates) == len(generator_gate_set(n))
+    config = RBConfig(n=n, lengths=(m,), mode="generator", generator_block=b)
+    return [gates[e.key()] for e in drawn_sequence(config, m, rng)]
+
+
 class TestSampleRBSequence:
+    """Sequences as the drivers draw them, in both modes."""
+
     def test_inverse_closes_sequence(self, rng):
-        for m in (1, 2, 7):
-            elements, inv = sample_rb_sequence(2, m, rng)
-            assert len(elements) == m
-            product = elements[0]
-            for e in elements[1:]:
-                product = compose(product, e)
-            assert compose(product, inv) == CliffordElement.identity(2)
+        for mode, per_element in (("clifford", 1), ("generator", 3)):
+            config = RBConfig(n=2, lengths=(1,), mode=mode, generator_block=per_element)
+            for m in (1, 2, 7):
+                elements = drawn_sequence(config, m, rng)
+                assert len(elements) == m * per_element
+                assert all(e.is_valid() for e in elements)
+                product = reduce(compose, elements)
+                assert compose(product, inverse(product)) == CliffordElement.identity(2)
 
     def test_hadamard_is_self_inverse(self):
-        from rbsim.cliffords import inverse
-
         h0 = CliffordElement.from_gates(2, parse_circuit("H 0"))
         assert inverse(h0) == h0
-
-    def test_length_validated(self, rng):
-        with pytest.raises(ValueError):
-            sample_rb_sequence(2, 0, rng)
 
 
 class TestGeneratorSequences:
     def test_gate_count_and_support(self, rng):
-        gates = sample_generator_sequence(2, 10, 7, rng)
-        assert len(gates) == 70
-        allowed = {(g.name, g.qubits) for g in generator_gate_set(2)}
-        assert all((g.name, g.qubits) in allowed for g in gates)
+        # a drawn element outside the generator set has no key in drawn_gates
+        assert len(drawn_gates(2, 7, 10, rng)) == 70
         assert "X" not in {g.name for g in generator_gate_set(2)}
 
     def test_default_block_length_is_ten(self):
         assert RBConfig(n=2, lengths=(1, 2, 3), mode="generator").generator_block == 10
 
     def test_uniform_gate_frequencies(self):
-        rng = np.random.default_rng(5)
-        gates = sample_generator_sequence(2, 1, 80_000, rng)
-        names = [(g.name, g.qubits) for g in gates]
-        support = [(g.name, g.qubits) for g in generator_gate_set(2)]
-        counts = {s: 0 for s in support}
-        for nm in names:
-            counts[nm] += 1
+        gates = drawn_gates(2, 80_000, 1, np.random.default_rng(5))
+        support = generator_gate_set(2)
+        counts = Counter(gates)
+        assert set(counts) == set(support)
         expected = len(gates) / len(support)
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         # df = 7, alpha = 0.01
         assert chi2 < 18.475
 
-    def test_block_length_validated(self, rng):
+    def test_block_length_validated(self):
         with pytest.raises(ValueError):
-            sample_generator_sequence(2, 0, 5, rng)
+            RBConfig(n=2, lengths=(1,), mode="generator", generator_block=0)
 
 
 class TestRunStandardRB:

@@ -2,22 +2,19 @@ import math
 
 import numpy as np
 import pytest
-from conftest import depolarizing_rbsv_curve, pinned_offset_infidelity
+from conftest import depolarizing_rbsv_curve, maximally_mixed_state, pinned_offset_infidelity
 
-from rbsim.channels import Depolarizing, NoiseModel, maximally_mixed_state,     measurement_success_probability
+from rbsim.channels import Depolarizing, NoiseModel, measurement_success_probability
 from rbsim.cliffords import compose, random_clifford, stabilizer_group
-from rbsim.engines import SequenceSpec, run_sequence_exact
+from rbsim.engines import CompiledSequence, SequenceSpec, run_sequence_exact
 from rbsim.rbsv import (
     DEFAULT_COPY_CAP,
-    AcceptanceRecord,
     FailureSignatureError,
     RBSVConfig,
     RPolicy,
-    drift,
     fidelity_lower_bound,
     optimal_copies,
     run_rbsv,
-    run_rbsv_sequence,
 )
 
 
@@ -58,6 +55,12 @@ class TestFidelityLowerBound:
         with pytest.raises(ValueError):
             fidelity_lower_bound(0.9, 0.0)
 
+    def test_underflowing_acceptance_power_is_failure_signature(self):
+        # 0.9^10000 is below the smallest float, so the bound would be -inf
+        assert fidelity_lower_bound(0.9, 6000.0) < -1e270
+        with pytest.raises(FailureSignatureError, match="R = 10000"):
+            fidelity_lower_bound(0.9, 10_000.0)
+
 
 class TestOptimalCopies:
     def test_exp_point(self):
@@ -89,40 +92,24 @@ class TestOptimalCopies:
                 assert best >= fidelity_lower_bound(p_acc, g) - 1e-12
 
 
-class TestDrift:
-    def test_zero_when_bound_equals_fidelity(self):
-        bound = fidelity_lower_bound(0.95, 12.0)
-        assert drift(0.95, 12.0, bound) == 0.0
-
-    def test_minimized_near_optimum_on_grid(self):
-        p_acc = 0.99
-        grid = np.arange(1.0, 501.0, 1.0)
-        drifts = [drift(p_acc, g, 0.99) for g in grid]
-        best = grid[int(np.argmin(drifts))]
-        assert abs(best - 99.4992) <= 1.0
-
-    def test_small_copy_counts_diverge(self):
-        assert drift(0.99, 1e-6, 0.99) > 1e5
-        with pytest.raises(ValueError):
-            drift(0.99, 0.0, 0.99)
-
-
 class TestRunRBSVSequence:
+    """One sequence's acceptance through ``CompiledSequence``, as the driver
+    computes a length's batch."""
+
     def test_noiseless_always_accepts(self, rng):
         elements = [random_clifford(2, rng) for _ in range(6)]
-        spec = SequenceSpec(n=2, elements=elements)
-        record = run_rbsv_sequence(spec, 64, rng)
-        assert record.n_acc == record.n_reps == 64
-        assert record.p_acc == 1.0
+        compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
+        assert compiled.acceptance_samples(64, [rng])[0] == 64
+        assert compiled.acceptance_probability()[0] == 1.0
 
     def test_exact_acceptance_matches_depolarizing_formula(self, rng):
         eps = 0.01
         for m in (1, 5, 12):
             elements = [random_clifford(2, rng) for _ in range(m)]
             spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(eps))
-            record = run_rbsv_sequence(spec, 10, rng, exact=True)
+            p_acc = CompiledSequence(spec).acceptance_probability()[0]
             q = (1 - eps) ** m
-            assert abs(record.p_acc - (1.0 - (3.0 / 8.0) * (1.0 - q))) < 1e-12
+            assert abs(p_acc - (1.0 - (3.0 / 8.0) * (1.0 - q))) < 1e-12
 
     def test_exact_acceptance_via_projector_oracle(self, rng):
         # independent oracle: average Tr((I+s)/2 rho) over the full group
@@ -136,8 +123,7 @@ class TestRunRBSVSequence:
             float(np.real(np.trace((np.eye(4) + s.to_matrix()) / 2 @ rho)))
             for s in stabilizer_group(product)
         ])
-        record = run_rbsv_sequence(spec, 5, rng, exact=True)
-        assert abs(record.p_acc - oracle) < 1e-12
+        assert abs(CompiledSequence(spec).acceptance_probability()[0] - oracle) < 1e-12
 
     def test_maximally_mixed_acceptance(self):
         # I/4 has acceptance 1*(1/4) + 0.5*(3/4) = 0.625 over the group
@@ -150,15 +136,12 @@ class TestRunRBSVSequence:
 
     def test_sampled_estimator_matches_exact(self, rng):
         elements = [random_clifford(2, rng) for _ in range(8)]
-        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(0.02))
-        exact = run_rbsv_sequence(spec, 10, rng, exact=True).p_acc
-        record = run_rbsv_sequence(spec, 50_000, rng)
+        compiled = CompiledSequence(SequenceSpec(n=2, elements=elements,
+                                                 noise=Depolarizing(0.02)))
+        exact = compiled.acceptance_probability()[0]
+        p_acc = compiled.acceptance_samples(50_000, [rng])[0] / 50_000
         sigma = math.sqrt(exact * (1 - exact) / 50_000)
-        assert abs(record.p_acc - exact) < 4 * sigma
-
-    def test_record_validation(self):
-        with pytest.raises(ValueError):
-            AcceptanceRecord(j=0, m=1, n_reps=10, n_acc=11, p_acc=1.1)
+        assert abs(p_acc - exact) < 4 * sigma
 
 
 class TestRunRBSV:
@@ -253,16 +236,16 @@ def test_bound_validity_for_arbitrary_channels(rng):
         for m in (2, 6, 12):
             elements = [random_clifford(2, rng) for _ in range(m)]
             spec = SequenceSpec(n=2, elements=elements, noise=ch)
-            record = run_rbsv_sequence(spec, 5, rng, exact=True)
+            p_acc = CompiledSequence(spec).acceptance_probability()[0]
             rho = run_sequence_exact(spec)
             product = elements[0]
             for e in elements[1:]:
                 product = compose(product, e)
             psi = clifford_to_matrix(product)[:, 0]
             fidelity = float(np.real(psi.conj() @ rho @ psi))
-            r_opt, _ = optimal_copies(record.p_acc)
-            assert fidelity_lower_bound(record.p_acc, r_opt) <= fidelity + 1e-12
-            bounds = 1.0 - 1.0 / (record.p_acc ** r_grid * r_grid)
+            r_opt, _ = optimal_copies(p_acc)
+            assert fidelity_lower_bound(p_acc, r_opt) <= fidelity + 1e-12
+            bounds = 1.0 - 1.0 / (p_acc ** r_grid * r_grid)
             assert np.all(bounds <= fidelity + 1e-12)
 
 

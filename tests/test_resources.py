@@ -154,18 +154,26 @@ class TestVarianceBound:
             got = (variance_bound(m, r, d, eta) - term3) / (r * r)
             assert abs(got - limit) < 1e-4 * limit
 
-    @pytest.mark.parametrize("channel", [
-        Depolarizing(0.01),
-        PauliChannel({"II": 0.99, "XI": 0.006, "ZZ": 0.003, "YX": 0.001}),
-        DeltaDepolarizing(1.0, 1.0, rotation_unitary(2, 0, "X", 0.2)),
-    ], ids=["depolarizing", "pauli", "coherent-x"])
-    def test_bounds_exact_rb_survival_variance(self, channel):
-        r = 3 * (1 - depolarizing_parameter(channel, 2)) / 4
-        data = run_standard_rb(RBConfig(n=2, lengths=(5, 20), k_m=300, exact=True,
+    @pytest.mark.parametrize("n, channel", [
+        pytest.param(2, Depolarizing(0.01), id="depolarizing"),
+        pytest.param(2, PauliChannel({"II": 0.99, "XI": 0.006, "ZZ": 0.003, "YX": 0.001}),
+                     id="pauli"),
+        pytest.param(2, DeltaDepolarizing(1.0, 1.0, rotation_unitary(2, 0, "X", 0.2)),
+                     id="coherent-x"),
+        pytest.param(1, Depolarizing(0.01), id="n1-depolarizing"),
+        pytest.param(1, PauliChannel({"I": 0.99, "X": 0.006, "Z": 0.003, "Y": 0.001}),
+                     id="n1-pauli"),
+        pytest.param(1, DeltaDepolarizing(1.0, 1.0, rotation_unitary(1, 0, "X", 0.2)),
+                     id="n1-coherent-x"),
+    ])
+    def test_bounds_exact_rb_survival_variance(self, n, channel):
+        d = 2 ** n
+        r = (d - 1) * (1 - depolarizing_parameter(channel, n)) / d
+        data = run_standard_rb(RBConfig(n=n, lengths=(5, 20), k_m=300, exact=True,
                                         noise=NoiseModel(gate=channel), seed=5))
         for m, survivals in zip(data.lengths, data.per_sequence):
-            assert np.var(survivals, ddof=1) <= variance_bound(m, r, 4)
-            assert np.var(survivals, ddof=1) <= variance_bound(m, r, 4, with_spam=False)
+            assert np.var(survivals, ddof=1) <= variance_bound(m, r, d)
+            assert np.var(survivals, ddof=1) <= variance_bound(m, r, d, with_spam=False)
 
     def test_validation(self):
         with pytest.raises(ValueError):
