@@ -31,6 +31,7 @@ __all__ = [
     "depolarizing_parameter",
     "measurement_success_probability",
     "channel_from_spec",
+    "config_integer",
     "rotation_unitary",
 ]
 
@@ -401,13 +402,24 @@ _CHANNEL_FIELDS = {
 }
 
 
+def config_integer(value) -> int:
+    """A JSON integer, or a float with no fractional part (``40.0``), as an
+    ``int``; anything else raises ``ValueError`` rather than being truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"not an integer: {value!r}")
+
+
 def _spec_value(value, name: str, kind=float):
-    """``kind(value)`` of a channel spec field; a value of the wrong JSON type
-    raises ``ValueError`` naming the field."""
+    """``kind(value)`` of a channel spec field (``float`` or
+    ``config_integer``); a value of the wrong JSON type raises ``ValueError``
+    naming the field."""
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is int else "a number"
+        noun = "an integer" if kind is config_integer else "a number"
         raise ValueError(f"channel field {name!r} must be {noun}, not {value!r}") from exc
 
 
@@ -447,8 +459,11 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
                 raise ValueError(f"Pauli key {label!r} does not act on {n} qubits")
             probs[key] = _spec_value(prob, f"probabilities.{label}")
         return PauliChannel(probs)
-    u = rotation_unitary(n, qubit=_spec_value(spec.get("qubit", 0), "qubit", int),
-                         axis=str(spec.get("axis", "X")),
+    axis = spec.get("axis", "X")
+    if not isinstance(axis, str) or axis.upper() not in ("X", "Y", "Z"):
+        raise ValueError(f"channel field 'axis' must be one of 'X', 'Y', 'Z', not {axis!r}")
+    u = rotation_unitary(n, qubit=_spec_value(spec.get("qubit", 0), "qubit", config_integer),
+                         axis=axis,
                          angle=_spec_value(spec.get("angle", 1e-2), "angle"))
     return DeltaDepolarizing(_spec_value(spec["delta"], "delta"),
                              _spec_value(spec["p_prime"], "p_prime"), u)

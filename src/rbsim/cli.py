@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .channels import NoiseModel, SpamModel, channel_from_spec
+from .channels import NoiseModel, SpamModel, channel_from_spec, config_integer
 from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, fit_rb_data, run_standard_rb
@@ -80,11 +80,11 @@ def _reject_unknown(obj: dict, known, prefix: str = ""):
 def _int_list(value) -> tuple:
     if not isinstance(value, list):
         raise TypeError("not a list")
-    return tuple(int(m) for m in value)
+    return tuple(config_integer(m) for m in value)
 
 
 # what each converter of ``_field`` expects, for its error message
-_EXPECTED = {int: "an integer", float: "a number", _int_list: "a list of integers"}
+_EXPECTED = {config_integer: "an integer", float: "a number", _int_list: "a list of integers"}
 
 
 def _field(cfg: dict, name: str, default=None, required: bool = False, kind=None,
@@ -112,30 +112,34 @@ def _noise_model(cfg: dict, n: int) -> NoiseModel:
         raise ConfigError("field 'noise' must be an object")
     _reject_unknown(spec, ("gate", "prep", "meas", "p_meas"), "noise.")
     p_meas = _field(spec, "p_meas", 0.0, kind=float, prefix="noise.")
+    channels = {}
+    for key, default in (("gate", {"kind": "ideal"}), ("prep", None), ("meas", None)):
+        try:
+            channels[key] = channel_from_spec(spec.get(key, default), n)
+        except ValueError as exc:
+            raise ConfigError(f"field 'noise': {exc} (in 'noise.{key}')") from exc
     try:
-        gate = channel_from_spec(spec.get("gate", {"kind": "ideal"}), n)
-        spam = SpamModel(prep=channel_from_spec(spec.get("prep"), n),
-                         meas=channel_from_spec(spec.get("meas"), n), meas_flip=p_meas)
+        spam = SpamModel(prep=channels["prep"], meas=channels["meas"], meas_flip=p_meas)
     except ValueError as exc:
         raise ConfigError(f"field 'noise': {exc}") from exc
-    return NoiseModel(gate=gate, spam=spam)
+    return NoiseModel(gate=channels["gate"], spam=spam)
 
 
 def _common_rb_fields(cfg: dict, overrides) -> dict:
-    n = _field(cfg, "n", 2, kind=int)
+    n = _field(cfg, "n", 2, kind=config_integer)
     mode = _field(cfg, "mode", "sampled")
     if mode not in ("exact", "sampled"):
         raise ConfigError(f"field 'mode' must be 'exact' or 'sampled', not {mode!r}")
     fields = dict(
         n=n,
         lengths=_field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list),
-        k_m=_field(cfg, "K_m", 100, kind=int),
-        shots=_field(cfg, "shots", 100, kind=int),
+        k_m=_field(cfg, "K_m", 100, kind=config_integer),
+        shots=_field(cfg, "shots", 100, kind=config_integer),
         exact=mode == "exact",
         noise=_noise_model(cfg, n),
         mode=str(_field(cfg, "rb_mode", "clifford")),
-        generator_block=_field(cfg, "b", 10, kind=int),
-        seed=_field(cfg, "seed", 0, kind=int),
+        generator_block=_field(cfg, "b", 10, kind=config_integer),
+        seed=_field(cfg, "seed", 0, kind=config_integer),
         fit_strategy=str(_field(cfg, "fit_strategy", "auto")),
     )
     if overrides.seed is not None:
@@ -160,7 +164,7 @@ def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
     _reject_unknown(policy_spec, ("kind", "R", "cap"), "R_policy.")
     fixed = _field(policy_spec, "R", 100.0, kind=float, prefix="R_policy.")
     cap = _field(policy_spec, "cap", 1.0e4, kind=float, prefix="R_policy.")
-    n_m = _field(cfg, "N_m", 100, kind=int)
+    n_m = _field(cfg, "N_m", 100, kind=config_integer)
     try:
         policy = RPolicy(kind=str(policy_spec.get("kind", "optimal")), fixed=fixed, cap=cap)
         return RBSVConfig(
@@ -174,6 +178,17 @@ def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _load_recipe_file(path: str, source: str) -> list:
+    """``load_recipes(path)``; a file that cannot be read or parsed raises a
+    ``ConfigError`` naming ``source`` and the path."""
+    try:
+        return load_recipes(path)
+    except OSError as exc:
+        raise ConfigError(f"{source}: cannot read {path!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # json.JSONDecodeError included
+        raise ConfigError(f"{source}: recipe file {path!r}: {exc}") from exc
+
+
 def _resolve_recipe(cfg: dict):
     spec = _field(cfg, "recipe", "cnot")
     if isinstance(spec, str):
@@ -182,12 +197,8 @@ def _resolve_recipe(cfg: dict):
                 return recipe
         raise ConfigError(f"unknown built-in recipe {spec!r}")
     if isinstance(spec, dict) and isinstance(spec.get("path"), str):
-        index = _field(spec, "index", 0, kind=int, prefix="recipe.")
-        try:
-            recipes = load_recipes(spec["path"])
-        except OSError as exc:
-            raise ConfigError(f"field 'recipe': cannot read {spec['path']!r}: "
-                              f"{exc.strerror}") from exc
+        index = _field(spec, "index", 0, kind=config_integer, prefix="recipe.")
+        recipes = _load_recipe_file(spec["path"], "field 'recipe'")
         if not 0 <= index < len(recipes):
             raise ConfigError(f"recipe index {index} out of range")
         return recipes[index]
@@ -195,17 +206,17 @@ def _resolve_recipe(cfg: dict):
 
 
 def build_irbgs_config(cfg: dict, overrides) -> IRBGSConfig:
-    n = _field(cfg, "n", 2, kind=int)
+    n = _field(cfg, "n", 2, kind=config_integer)
     noise = _noise_model(cfg, n)
     try:
         noise_n = channel_from_spec(_field(cfg, "noise_n", {"kind": "ideal"}), n)
     except ValueError as exc:
         raise ConfigError(f"field 'noise_n': {exc}") from exc
-    seed = _field(cfg, "seed", 0, kind=int)
+    seed = _field(cfg, "seed", 0, kind=config_integer)
     if overrides.seed is not None:
         seed = overrides.seed
     lengths = _field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list)
-    k_m = _field(cfg, "K_m", 30, kind=int)
+    k_m = _field(cfg, "K_m", 30, kind=config_integer)
     try:
         return IRBGSConfig(
             lengths=lengths,
@@ -381,7 +392,8 @@ def _cmd_plan(cfg: dict, args) -> int:
 
 
 def _cmd_verify_synthesis(args) -> int:
-    recipes = load_recipes(args.recipes) if args.recipes else builtin_recipes()
+    recipes = (_load_recipe_file(args.recipes, "--recipes") if args.recipes
+               else builtin_recipes())
     failures = 0
     for recipe in recipes:
         report = verify_synthesis(recipe)

@@ -5,13 +5,15 @@ of the ideal output state after each sequence of a ``SequenceBatch`` (K
 sequences with one channel per position; a ``SequenceSpec`` is the batch of
 one).  Acceptance and RB survival are means over them; sampled mode is one
 binomial draw per sequence from its own stream.  The noise picks the path.
-For Pauli-diagonal noise (``pauli``) the n Z-generators of all K sequences
-are pushed through the packed rows (bit q = x_q, bit n+q = z_q; signs never
-enter) one position at a time, and each stabilizer collects the position's
-channel eigenvalues, computed once per channel value.  For other noise
-(``dense``, n <= 6) each sequence's expectations are read off
-``run_sequence_exact``, also the tests' oracle.  Both apply ``1 - 4p/3`` per
-touched qubit for ``meas_flip``.
+For Pauli-diagonal noise (``pauli``) each sequence carries its 2^n packed
+stabilizers (bit q = x_q, bit n+q = z_q; signs never enter), starting from
+the Z group.  Every element's rows are spanned into two half tables, the
+images of all 2^n x-halves and all 2^n z-halves (a block of positions at a
+time); at each position a stabilizer's image is one lookup per half, and it
+then collects the position's channel eigenvalues, computed once per channel
+value.  For other noise (``dense``, n <= 6) each sequence's expectations are
+read off ``run_sequence_exact``, also the tests' oracle.  Both apply
+``1 - 4p/3`` per touched qubit for ``meas_flip``.
 """
 
 from __future__ import annotations
@@ -46,9 +48,15 @@ __all__ = [
     "CompiledSequence",
 ]
 
-# the Pauli engine holds a 4^n eigenvalue table per channel and enumerates
-# the 2^n stabilizers after every element
+# the Pauli engine holds a 4^n eigenvalue table per channel, the 2^n
+# stabilizers of every sequence and, per sequence and position, two 2^n-entry
+# half tables
 MAX_TABLE_QUBITS = 8
+
+# half-table words built at once: a block of positions, so that small batches
+# pay few array calls per position while large ones stay cache-sized and the
+# memory of a call stays bounded
+_TABLE_WORDS = 1 << 14
 
 
 @dataclass
@@ -157,10 +165,13 @@ def _eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
     return table
 
 
-def _xor_of(bits: np.ndarray, words: np.ndarray) -> np.ndarray:
-    """Per sequence k, the XOR of the ``words[k]`` (K, j) that each row of
-    ``bits`` ((K, i, j) or (i, j), 0/1) selects: ``(K, i)``."""
-    return np.bitwise_xor.reduce(bits * words[:, None, :], axis=-1)
+def _span(words: np.ndarray, n: int) -> np.ndarray:
+    """The XOR of each subset of the n ``words`` on the last axis, in subset
+    index order (bit j of the index selects ``words[..., j]``): ``(..., 2^n)``."""
+    out = np.zeros(words.shape[:-1] + (1 << n,), dtype=np.int64)
+    for j in range(n):
+        out[..., 1 << j:2 << j] = out[..., :1 << j] ^ words[..., j, None]
+    return out
 
 
 def _binomials(reps: int, rngs, probabilities: np.ndarray) -> np.ndarray:
@@ -218,25 +229,35 @@ class CompiledSequence:
         n, batch = self.n, self.batch
         if n > MAX_TABLE_QUBITS:
             raise ValueError(f"Pauli engine limited to n <= {MAX_TABLE_QUBITS}")
-        # a stabilizer group is the XOR of each subset of its n generators, in
-        # subset index order; a generator's image under an element is the
-        # XOR of the element's rows of its set bits
-        subsets = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-        shifts = np.arange(2 * n)
-        gens = np.broadcast_to(np.int64(1) << np.arange(n, 2 * n), (batch.elements.shape[1], n))
-        z_group = _xor_of(subsets, gens)
+        k_m = batch.elements.shape[1]
+        size = 1 << n
+        # a stabilizer group is the span of its n generators, in subset order;
+        # the span is linear, so mapping every element of it keeps that order
+        z_group = np.broadcast_to(_span(np.int64(1) << np.arange(n, 2 * n), n), (k_m, size))
         expectations = np.ones(z_group.shape)
+        tables = {}  # per call, by identity: no value hash per position
 
         def collect(ch, group):  # a channel acts on the stabilizers of the state it follows
             if not isinstance(ch, Ideal):
-                expectations[...] *= _eigenvalues(ch, n)[group]
+                if id(ch) not in tables:
+                    tables[id(ch)] = _eigenvalues(ch, n)
+                expectations[...] *= tables[id(ch)][group]
 
         collect(batch.spam.prep, z_group)
-        for rows, ch in zip(batch.elements, self.channels):
-            gens = _xor_of((gens[..., None] >> shifts) & 1, rows)
-            collect(ch, _xor_of(subsets, gens))
-        group = z_group if self.closed else _xor_of(subsets, gens)
+        # position l's half tables: sequence k's x-half table starts at
+        # base[k], its z-half table at z_base[k]
+        base = np.arange(k_m)[:, None] << (n + 1)
+        z_base = base + size
+        step = max(1, _TABLE_WORDS // (k_m << (n + 1)))
+        group = z_group
+        for start in range(0, len(batch.elements), step):
+            block = batch.elements[start:start + step]
+            halves = _span(block.reshape(len(block), k_m, 2, n), n).reshape(len(block), -1)
+            for half, ch in zip(halves, self.channels[start:start + step]):
+                group = half[base + (group & (size - 1))] ^ half[z_base + (group >> n)]
+                collect(ch, group)
         if self.closed:
+            group = z_group
             collect(self.channels[-1], group)
         collect(batch.spam.meas, group)
         return group, expectations

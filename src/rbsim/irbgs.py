@@ -131,7 +131,11 @@ def _target_matrix(spec) -> np.ndarray:
         if name not in builders:
             raise ValueError(f"unknown target name {name!r}")
         return builders[name]
-    arr = np.asarray(spec, dtype=float)
+    try:
+        arr = np.asarray(spec, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"target must be a name or a 4x4 grid of [re, im] pairs, "
+                         f"not {spec!r}") from exc
     if arr.shape != (4, 4, 2):
         raise ValueError("matrix target must be a 4x4 grid of [re, im] pairs")
     return arr[..., 0] + 1j * arr[..., 1]
@@ -178,6 +182,20 @@ class SynthesisRecipe:
 
     @classmethod
     def from_json(cls, entry: dict) -> "SynthesisRecipe":
+        """Parse one recipe object; a missing or mistyped field raises
+        ``ValueError`` naming it."""
+        if not isinstance(entry, dict):
+            raise ValueError(f"a recipe must be an object, not {entry!r}")
+        missing = [key for key in ("gates", "target") if key not in entry]
+        if missing:
+            raise ValueError(f"recipe needs field(s) {', '.join(map(repr, missing))}")
+        if not isinstance(entry["gates"], list):
+            raise ValueError(f"recipe field 'gates' must be a list, not {entry['gates']!r}")
+        for i, g in enumerate(entry["gates"]):
+            if not (isinstance(g, dict) and isinstance(g.get("gate"), str)
+                    and isinstance(g.get("qubits"), list)):
+                raise ValueError(f"recipe gate {i} must be an object with a 'gate' name "
+                                 f"and a 'qubits' list, not {g!r}")
         gates = tuple(
             RecipeGate(g["gate"], tuple(g["qubits"]), g.get("k")) for g in entry["gates"]
         )

@@ -155,12 +155,61 @@ class TestConfigErrors:
         ("irbgs", {"K_m": [2]}, "field 'K_m' must be an integer, not [2]"),
         ("irbgs", {"recipe": {"path": "missing.json", "index": None}},
          "field 'recipe.index' must be an integer, not None"),
+        # a non-integral number is refused, not truncated
+        ("rbsv", {"K_m": 2.7}, "field 'K_m' must be an integer, not 2.7"),
+        ("rbsv", {"lengths": [3, 6.5]}, "field 'lengths' must be a list of integers"),
+        ("rbsv", {"N_m": 24.5}, "field 'N_m' must be an integer, not 24.5"),
+        ("rbsv", {"shots": 1e-3}, "field 'shots' must be an integer, not 0.001"),
+        ("rbsv", {"b": 2.5}, "field 'b' must be an integer, not 2.5"),
+        ("rbsv", {"seed": 11.5}, "field 'seed' must be an integer, not 11.5"),
+        ("rbsv", {"K_m": True}, "field 'K_m' must be an integer, not True"),
+        ("irbgs", {"recipe": {"path": "missing.json", "index": 0.5}},
+         "field 'recipe.index' must be an integer, not 0.5"),
+        ("rbsv", {"noise": {"gate": {"kind": "delta_depolarizing", "delta": 0.5,
+                                     "p_prime": 0.01, "qubit": 0.5}}},
+         "field 'noise': channel field 'qubit' must be an integer, not 0.5 (in 'noise.gate')"),
+        ("rbsv", {"noise": {"gate": {"kind": "delta_depolarizing", "delta": 0.5,
+                                     "p_prime": 0.01, "axis": "Q"}}},
+         "channel field 'axis' must be one of 'X', 'Y', 'Z', not 'Q' (in 'noise.gate')"),
+        ("rbsv", {"noise": {"prep": {"kind": "warp"}}},
+         "field 'noise': unknown channel kind 'warp' (in 'noise.prep')"),
     ])
     def test_wrong_json_type_names_its_field(self, tmp_path, capsys, command, edit, fragment):
         cfg = dict(small_rbsv_config() if command == "rbsv" else IRBGS_CONFIG, **edit)
         path = write_config(tmp_path, "types.json", cfg)
         assert main([command, "--config", path]) == 2
         assert_one_error(capsys, fragment)
+
+    def test_integral_floats_accepted(self, tmp_path):
+        runs = {}
+        for name, k_m in (("int", 6), ("float", 6.0)):
+            path = write_config(tmp_path, f"{name}.json", dict(small_rbsv_config(), K_m=k_m))
+            out = str(tmp_path / name)
+            assert main(["rbsv", "--config", path, "--out", out]) == 0
+            runs[name] = open(os.path.join(out, "rbsv.csv")).read()
+        assert runs["int"] == runs["float"]
+
+    @pytest.mark.parametrize("recipes, fragment", [
+        ([{}], "recipe needs field(s) 'gates', 'target'"),
+        ({"gates": []}, "recipe file must hold a JSON list"),
+        ([{"gates": [{"gate": "H"}], "target": "CNOT"}],
+         "recipe gate 0 must be an object with a 'gate' name and a 'qubits' list"),
+        ([{"gates": "H 0", "target": "CNOT"}], "recipe field 'gates' must be a list"),
+        ([{"gates": [], "target": {"re": 1}}], "target must be a name or a 4x4 grid"),
+    ])
+    def test_malformed_recipe_file(self, tmp_path, capsys, recipes, fragment):
+        recipe_path = write_config(tmp_path, "recipes.json", recipes)
+        assert main(["verify-synthesis", "--recipes", recipe_path]) == 2
+        assert_one_error(capsys, f"--recipes: recipe file {recipe_path!r}: {fragment}")
+        path = write_config(tmp_path, "irbgs.json",
+                            dict(IRBGS_CONFIG, recipe={"path": recipe_path}))
+        assert main(["irbgs", "--config", path]) == 2
+        assert_one_error(capsys, f"field 'recipe': recipe file {recipe_path!r}: {fragment}")
+
+    def test_missing_recipes_for_verify_synthesis(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main(["verify-synthesis", "--recipes", missing]) == 2
+        assert_one_error(capsys, f"--recipes: cannot read {missing!r}")
 
     def test_missing_recipe_file(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")

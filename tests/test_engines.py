@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,15 @@ from rbsim.cliffords import (
     random_clifford_rows,
     stabilizer_group,
 )
-from rbsim.engines import CompiledSequence, SequenceBatch, SequenceSpec, run_sequence_exact
+from rbsim import engines
+from rbsim.engines import (
+    MAX_TABLE_QUBITS,
+    CompiledSequence,
+    SequenceBatch,
+    SequenceSpec,
+    run_sequence_exact,
+)
+from rbsim.rb import RBConfig, _draw_elements
 
 from conftest import (
     check_density_matrix,
@@ -261,7 +271,7 @@ def mixed_channels(n):
 
 MIXED_SPAM = {n: SpamModel(prep=Depolarizing(0.05),
                            meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}), meas_flip=0.04)
-              for n in (1, 2, 3)}
+              for n in (1, 2, 3, 4)}
 
 
 class TestBatchEngine:
@@ -308,6 +318,77 @@ class TestBatchEngine:
         batch = random_batch(2, 3, [Depolarizing(0.1)] * 2, SpamModel(), rng)
         with pytest.raises(ValueError):
             CompiledSequence(batch).acceptance_samples(10, [rng])
+
+
+def drawn_batch(n, k_m, mode, channels, spam, rng):
+    """k_m sequences drawn as the drivers draw them, one random Clifford or
+    one random generator gate per position."""
+    config = RBConfig(n=n, lengths=(1,), mode=mode, generator_block=1)
+    return SequenceBatch(n, *_draw_elements(config, len(channels), [rng] * k_m), channels, spam)
+
+
+class TestPauliKernel:
+    """The Pauli path's half-table kernel at every register size it takes."""
+
+    @pytest.mark.parametrize("mode", ["clifford", "generator"])
+    @pytest.mark.parametrize("n", range(1, MAX_TABLE_QUBITS + 1))
+    def test_group_is_stabilizer_group_of_the_product(self, n, mode, rng):
+        # the oracle expands each sequence's composed product through
+        # image_of_z, sharing no code with the kernel
+        noise = Depolarizing(0.01)
+        batch = drawn_batch(n, 3, mode, [noise] * 5, SpamModel(meas_flip=0.02), rng)
+        for closed in (False, True):
+            compiled = CompiledSequence(batch)
+            if closed:
+                compiled.append_inverse(noise)
+            group, _ = compiled._pauli_expectations()
+            assert group.shape == (3, 2 ** n)
+            for k in range(3):
+                product = product_of(batch.sequence(k))
+                if closed:
+                    product = compose(product, inverse(product))
+                assert group[k].tolist() == [s.bits for s in stabilizer_group(product)]
+
+    @pytest.mark.parametrize("mode", ["clifford", "generator"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_expectations_match_dense_oracle(self, n, mode, rng):
+        pauli, composed = mixed_channels(n)
+        batch = drawn_batch(n, 4, mode, [pauli, composed, Ideal(), pauli, Depolarizing(0.03)],
+                            MIXED_SPAM[n], rng)
+        assert_batch_matches_dense_oracle(batch, pauli)
+
+    @pytest.mark.parametrize("words", [1, 96])
+    def test_table_block_size_does_not_change_results(self, words, rng, monkeypatch):
+        # n = 2, K = 3: 24 words per position, so blocks of one position, or
+        # of four with a short last block, against one block of all seven
+        pauli, composed = mixed_channels(2)
+        batch = drawn_batch(2, 3, "clifford", [pauli, composed, Ideal(), pauli] + [composed] * 3,
+                            MIXED_SPAM[2], rng)
+        results = {}
+        for key in ("whole", "blocks"):
+            if key == "blocks":
+                monkeypatch.setattr(engines, "_TABLE_WORDS", words)
+            compiled = CompiledSequence(batch)
+            results[key] = [compiled.propagate_faults()]
+            compiled.append_inverse(pauli)
+            results[key].append(compiled.propagate_faults())
+        assert all(np.array_equal(a, b) for a, b in zip(results["whole"], results["blocks"]))
+
+    def test_traced_peak_stays_below_all_positions(self, rng):
+        # one (L, K, 2^n) int64 array is 2.5 MB here: holding the stabilizers
+        # or tables of all positions at once would show
+        n, k_m, length = 6, 40, 120
+        pauli = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
+        spam = SpamModel(prep=Depolarizing(0.01), meas=pauli, meas_flip=0.01)
+        batch = drawn_batch(n, k_m, "generator", [pauli] * length, spam, rng)
+        CompiledSequence(batch).propagate_faults()  # fills the eigenvalue cache
+        tracemalloc.start()
+        try:
+            CompiledSequence(batch).propagate_faults()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestSequenceSpec:
