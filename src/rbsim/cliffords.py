@@ -12,9 +12,15 @@ every operation returns a new element, and the ``PauliString`` images share
 the row encoding, so there are no bit-array views.
 
 The uniform sampler, the Koenig-Smolin transvection construction
-(arXiv:1406.2170), runs on int64 arrays: ``random_clifford_rows`` batches
-many RNG streams, each making its own draws in a fixed order, so an element
-depends only on its stream; ``random_clifford`` is the batch of one.
+(arXiv:1406.2170), runs on int64 arrays.  ``random_clifford_rows`` reads
+each element from 2n + 1 consecutive words of its stream
+(``seeding.stream_words``), derived for the whole batch at once: level k
+(w = n - k) takes the first nonzero 2w-bit chunk of one word, which is
+exactly uniform on [1, 4^w), and the low 2w - 1 bits of the next; the
+signs are the low 2n bits of the last word.  A level word whose chunks are
+all zero (probability at most 2^-56 for n <= 8) is refilled from the words
+past the stream's budget, so an element depends only on its stream.
+``random_clifford`` is the batch of one.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import PauliString, packed_phase_exponent, pauli_multiply, symplectic_inner
+from .seeding import redraw, stream_words
 
 __all__ = [
     "GeneratorGate",
@@ -53,6 +60,9 @@ _ONE_QUBIT_RULES = {
 
 MAX_DENSE_QUBITS = 6
 MAX_MATERIALIZED_GROUP_QUBITS = 12
+# the sampler's rows are int64 words of 2n bits, and a level draw takes at
+# most 62 bits of one stream word
+MAX_SAMPLED_QUBITS = 31
 
 
 @dataclass(frozen=True)
@@ -253,17 +263,45 @@ def inverse(c: CliffordElement) -> CliffordElement:
 # ---------------------------------------------------------------------------
 
 
-def _clifford_draws(n: int, rng: np.random.Generator, size: int) -> list:
-    """One stream's draws for ``size`` elements, in the seed contract's order:
-    per level k = 0..n-1, ``integers(1, 4^(n-k))`` and
-    ``integers(0, 2^(2(n-k)-1))`` as size-long arrays; then the signs as one
-    ``(size, 2n)`` bit array."""
+def _clifford_words(n: int, seeds: np.ndarray, size: int) -> np.ndarray:
+    """Each stream's first ``size (2n + 1)`` words as ``(size, K, 2n + 1)``:
+    2n + 1 per element, level k's two at 2k and 2k + 1 and the signs last.
+    A level word whose whole 2(n - k)-bit chunks are all zero is refilled
+    by ``seeding.redraw``."""
+    width = 2 * n + 1
+    # the bits of a level word's whole chunks; 0 marks the words any value suits
+    region = np.zeros(width, dtype=np.uint64)
+    for k in range(n):
+        chunk = 2 * (n - k)
+        region[2 * k] = (1 << (chunk * (64 // chunk))) - 1
+    region = np.tile(region, size)
+    words = stream_words(seeds, 0, size * width)
+    redraw(seeds, words, lambda w, cols: ((w & region[cols]) != 0) | (region[cols] == 0))
+    return words.reshape(len(seeds), size, width).swapaxes(0, 1)
+
+
+def _level_draws(n: int, words: np.ndarray) -> tuple:
+    """The 2n level draws of ``symplectic_rows`` and the ``(N, 2n)`` sign
+    bits of N elements, from their ``(N, 2n + 1)`` words.
+
+    Level k (w = n - k) takes its first draw as the first nonzero 2w-bit
+    chunk of word 2k, counted from the low end, which is uniform on
+    [1, 4^w), and its second as the low 2w - 1 bits of word 2k + 1.  Sign r
+    is bit r of the last word.
+    """
+    one = np.uint64(1)
     draws = []
     for k in range(n):
-        width = 2 * (n - k)
-        draws += [rng.integers(1, 1 << width, size=size),
-                  rng.integers(0, 1 << (width - 1), size=size)]
-    return draws + [rng.integers(0, 2, size=(size, 2 * n))]
+        chunk = 2 * (n - k)
+        word = words[:, 2 * k]
+        # the lowest set bit lies in the first nonzero chunk
+        below = np.bitwise_count((word & (~word + one)) - one)
+        shift = (below // np.uint8(chunk) * np.uint8(chunk)).astype(np.uint64)
+        f = (word >> shift) & np.uint64((1 << chunk) - 1)
+        second = words[:, 2 * k + 1] & np.uint64((1 << (chunk - 1)) - 1)
+        draws += [f.astype(np.int64), second.astype(np.int64)]
+    signs = (words[:, 2 * n, None] >> np.arange(2 * n, dtype=np.uint64)) & one
+    return draws, signs.astype(np.int64)
 
 
 def _transvect(t, v, n: int):
@@ -274,7 +312,7 @@ def _transvect(t, v, n: int):
 def symplectic_rows(n: int, draws) -> np.ndarray:
     """Packed rows ``(N, 2n)`` of N uniformly random elements of Sp(2n, 2).
 
-    ``draws`` holds the 2n level arrays of ``_clifford_draws``.  Level k
+    ``draws`` holds the 2n level arrays of ``_level_draws``.  Level k
     reads its first draw as a nonzero string f on qubits k.. (low n-k bits
     x, next n-k bits z), maps x_k to f by at most two transvections
     (Koenig-Smolin Lemma 2) and z_k to a string anticommuting with f picked
@@ -306,22 +344,24 @@ def symplectic_rows(n: int, draws) -> np.ndarray:
     return rows
 
 
-def random_clifford_rows(n: int, rngs, size: int) -> tuple:
+def random_clifford_rows(n: int, seeds, size: int) -> tuple:
     """Packed image rows and phases (0 or 2), each ``(size, K, 2n)``, of
-    ``size`` uniformly random elements from each of the K streams ``rngs``
-    (element-major: ``[i, k]`` is stream k's i-th element)."""
-    if n < 1:
-        raise ValueError("need at least one qubit")
-    columns = [np.concatenate(c) for c in zip(*[_clifford_draws(n, r, size) for r in rngs])]
-    rows, signs = (a.reshape(len(rngs), size, 2 * n).swapaxes(0, 1)
-                   for a in (symplectic_rows(n, columns[:-1]), columns[-1]))
-    return rows, 2 * signs
+    ``size`` uniformly random elements from each of the K streams seeded by
+    ``seeds`` (element-major: ``[i, k]`` is stream k's i-th element, from
+    its words ``i (2n + 1)`` to ``(i + 1)(2n + 1) - 1``)."""
+    if not 1 <= n <= MAX_SAMPLED_QUBITS:
+        raise ValueError(f"the sampler takes 1 <= n <= {MAX_SAMPLED_QUBITS} qubits")
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    draws, signs = _level_draws(n, _clifford_words(n, seeds, size).reshape(-1, 2 * n + 1))
+    shape = (size, len(seeds), 2 * n)
+    return symplectic_rows(n, draws).reshape(shape), 2 * signs.reshape(shape)
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     """Exactly uniform sample from the n-qubit Clifford group (mod global phase):
-    a uniformly random symplectic matrix dressed with 2n uniform signs."""
-    rows, phases = random_clifford_rows(n, [rng], 1)
+    a uniformly random symplectic matrix dressed with 2n uniform signs, from
+    the stream whose seed is one 64-bit draw from ``rng``."""
+    rows, phases = random_clifford_rows(n, [rng.integers(1 << 64, dtype=np.uint64)], 1)
     return CliffordElement._trusted(n, tuple(rows[0, 0].tolist()), tuple(phases[0, 0].tolist()))
 
 

@@ -3,17 +3,19 @@
 ``CompiledSequence`` computes, exactly, the expectation of every stabilizer
 of the ideal output state after each sequence of a ``SequenceBatch`` (K
 sequences with one channel per position; a ``SequenceSpec`` is the batch of
-one).  Acceptance and RB survival are means over them; sampled mode is one
-binomial draw per sequence from its own stream.  The noise picks the path.
-For Pauli-diagonal noise (``pauli``) each sequence carries its 2^n packed
-stabilizers (bit q = x_q, bit n+q = z_q; signs never enter), starting from
-the Z group.  Every element's rows are spanned into two half tables, the
-images of all 2^n x-halves and all 2^n z-halves (a block of positions at a
-time); at each position a stabilizer's image is one lookup per half, and it
-then collects the position's channel eigenvalues, computed once per channel
-value.  For other noise (``dense``, n <= 6) each sequence's expectations are
-read off ``run_sequence_exact``, also the tests' oracle.  Both apply
-``1 - 4p/3`` per touched qubit for ``meas_flip``.
+one).  Acceptance and RB survival are means over them.  Sampled mode counts,
+per sequence, the words of its repetition stream that fall below its
+probability (``_binomials``): one Binomial(reps, p) draw, at O(reps) cost.
+The noise picks the path.  For Pauli-diagonal noise (``pauli``) each
+sequence carries its 2^n packed stabilizers (bit q = x_q, bit n+q = z_q;
+signs never enter), starting from the Z group.  Every element's rows are
+spanned into two half tables, the images of all 2^n x-halves and all 2^n
+z-halves (a block of positions at a time); at each position a stabilizer's
+image is one lookup per half, and it then collects the position's channel
+eigenvalues, computed once per channel value.  For other noise (``dense``,
+n <= 6) each sequence's expectations are read off ``run_sequence_exact``,
+also the tests' oracle.  Both apply ``1 - 4p/3`` per touched qubit for
+``meas_flip``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .channels import (
     pauli_eigenvalues,
     zero_state,
 )
+from .seeding import stream_words
 
 __all__ = [
     "SequenceSpec",
@@ -57,6 +60,9 @@ MAX_TABLE_QUBITS = 8
 # pay few array calls per position while large ones stay cache-sized and the
 # memory of a call stays bounded
 _TABLE_WORDS = 1 << 14
+
+# repetition words counted at once, for the same reason
+_COUNT_WORDS = 1 << 16
 
 
 @dataclass
@@ -174,11 +180,22 @@ def _span(words: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _binomials(reps: int, rngs, probabilities: np.ndarray) -> np.ndarray:
-    """One ``binomial(reps, p_k)`` draw from each stream ``rngs[k]``."""
-    if len(rngs) != len(probabilities):
-        raise ValueError("need one generator per sequence")
-    return np.array([rng.binomial(reps, p) for rng, p in zip(rngs, probabilities)])
+def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
+    """Per sequence k, the count of the first ``reps`` words of the stream
+    seeded by ``seeds[k]`` whose top 53 bits lie below ``p_k 2^53``:
+    Binomial(reps, p_k) with p_k rounded up to a multiple of 2^-53.  The
+    words are counted ``_COUNT_WORDS`` at a time, so memory does not grow
+    with ``reps``; the cost is O(reps) per sequence."""
+    seeds = np.asarray(seeds, dtype=np.uint64)
+    if seeds.shape != probabilities.shape:
+        raise ValueError("need one stream seed per sequence")
+    threshold = np.ceil(probabilities * 2.0 ** 53).astype(np.uint64)[:, None]
+    counts = np.zeros(len(seeds), dtype=np.int64)
+    step = max(1, _COUNT_WORDS // len(seeds))
+    for start in range(0, reps, step):
+        words = stream_words(seeds, start, min(step, reps - start))
+        counts += np.count_nonzero(words >> np.uint64(11) < threshold, axis=1)
+    return counts
 
 
 class CompiledSequence:
@@ -188,8 +205,8 @@ class CompiledSequence:
     ``propagate_faults()`` gives each sequence's ``<s>`` for the 2^n
     stabilizers of its ideal output state; the probabilities average them,
     and the samples draw each sequence's count of ``reps`` repetitions from
-    its own stream in one binomial draw (the law of ``reps`` repetitions
-    that each measure a uniformly drawn stabilizer).
+    its own repetition stream with the binomial law of ``reps`` repetitions
+    that each measure a uniformly drawn stabilizer.
     """
 
     def __init__(self, spec: SequenceSpec | SequenceBatch):
@@ -294,11 +311,12 @@ class CompiledSequence:
         return-to-``|0..0>`` probability."""
         return np.clip(np.mean(self.propagate_faults(), axis=1), 0.0, 1.0)
 
-    def acceptance_samples(self, reps: int, rngs, include_identity: bool = True) -> np.ndarray:
+    def acceptance_samples(self, reps: int, seeds, include_identity: bool = True) -> np.ndarray:
         """Per sequence, the accept count of ``reps`` repetitions, one fresh
-        uniform stabilizer each, drawn from its stream ``rngs[k]``."""
-        return _binomials(reps, rngs, self.acceptance_probability(include_identity))
+        uniform stabilizer each, drawn from its repetition stream ``seeds[k]``."""
+        return _binomials(reps, seeds, self.acceptance_probability(include_identity))
 
-    def survival_samples(self, reps: int, rngs) -> np.ndarray:
-        """Per sequence, the return-to-``|0..0>`` count of ``reps`` repetitions."""
-        return _binomials(reps, rngs, self.survival_probability())
+    def survival_samples(self, reps: int, seeds) -> np.ndarray:
+        """Per sequence, the return-to-``|0..0>`` count of ``reps`` repetitions
+        drawn from its repetition stream ``seeds[k]``."""
+        return _binomials(reps, seeds, self.survival_probability())

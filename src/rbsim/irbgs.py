@@ -23,6 +23,7 @@ from .channels import (
     NoiseChannel,
     NoiseModel,
     PauliChannel,
+    config_integer,
 )
 from .cliffords import CliffordElement
 from .engines import engine_for
@@ -85,7 +86,12 @@ class RecipeGate:
 
     def __post_init__(self):
         object.__setattr__(self, "gate", self.gate.upper())
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", tuple(self._integer("qubit", q) for q in self.qubits))
+        if self.k is not None:
+            object.__setattr__(self, "k", self._integer("k", self.k))
+        if any(q not in (0, 1) for q in self.qubits):
+            raise ValueError(f"recipe gate {self.gate}: qubits must be 0 or 1, not "
+                             f"{list(self.qubits)}")
         if self.gate in ("CP", "CPDAG"):
             if len(self.qubits) != 2 or self.qubits[0] == self.qubits[1]:
                 raise ValueError("CP gates need two distinct qubits")
@@ -96,6 +102,14 @@ class RecipeGate:
                 raise ValueError(f"{self.gate} acts on one qubit")
         else:
             raise ValueError(f"unknown recipe gate {self.gate!r}")
+
+    def _integer(self, name: str, value) -> int:
+        """``config_integer(value)``; anything else names the gate and field."""
+        try:
+            return config_integer(value)
+        except ValueError:
+            raise ValueError(f"recipe gate {self.gate}: {name} must be an integer, "
+                             f"not {value!r}") from None
 
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix on the two-qubit register (qubit 0 leftmost)."""
@@ -469,12 +483,12 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         + [config.recipe_clifford_noise]
     )
 
-    def one_length(m, rngs, indices):
+    def one_length(m, seeds, indices):
         # random elements at the even positions, the fixed element at the odd
-        elements, signs = (np.repeat(a, 2, axis=0) for a in _draw_elements(base_cfg, m, rngs))
+        elements, signs = (np.repeat(a, 2, axis=0) for a in _draw_elements(base_cfg, m, seeds[0]))
         elements[1::2], signs[1::2] = fixed_element.rows, fixed_element.phases
         channels = [gate_channel, fixed_channel] * m + [gate_channel]
-        return _closed_survivals(base_cfg, elements, signs, rngs, channels)
+        return _closed_survivals(base_cfg, elements, signs, seeds[1], channels)
 
     # its own stream, so the interleaved sequences are not the baseline's
     chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_length)

@@ -12,7 +12,7 @@ from .channels import NoiseModel
 from .cliffords import MAX_DENSE_QUBITS, GeneratorGate, random_clifford_rows
 from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, SequenceSpec, engine_for
 from .fitting import fit_decay, r_from_p
-from .seeding import run_ensemble
+from .seeding import redraw, run_ensemble, stream_words
 
 __all__ = [
     "RBConfig",
@@ -152,22 +152,31 @@ def _generator_table(n: int) -> tuple:
     return rows, phases
 
 
-def _draw_elements(config: RBConfig, m: int, rngs) -> tuple:
+def _draw_elements(config: RBConfig, m: int, seeds) -> tuple:
     """Packed rows and phases ``(L, K, 2n)``, position-major, of one sequence
-    per stream in ``rngs``: m random Cliffords, or m blocks of
-    ``generator_block`` random generator gates (L = m b)."""
+    per element stream in ``seeds``: m random Cliffords, or m blocks of
+    ``generator_block`` random generator gates (L = m b).
+
+    Generator gate l of a stream is its word l mod G, for the G gates of
+    ``generator_gate_set``; a word at or above 2^64 - (2^64 mod G) is
+    refilled by ``seeding.redraw``, so each pick is exactly uniform.
+    """
     if config.mode == "clifford":
-        return random_clifford_rows(config.n, rngs, m)
+        return random_clifford_rows(config.n, seeds, m)
     table_rows, table_phases = _generator_table(config.n)
-    picks = np.array([rng.integers(0, len(table_rows), size=m * config.generator_block)
-                      for rng in rngs]).T
+    g = len(table_rows)
+    last = np.uint64((1 << 64) - (1 << 64) % g - 1)  # the last word kept
+    words = redraw(seeds, stream_words(seeds, 0, m * config.generator_block),
+                   lambda w, cols: w <= last)
+    picks = (words % np.uint64(g)).T.astype(np.intp)
     return table_rows[picks], table_phases[picks]
 
 
 def _closed_survivals(config: RBConfig, elements: np.ndarray, phases: np.ndarray,
-                     rngs, channels=None) -> np.ndarray:
+                      seeds, channels=None) -> np.ndarray:
     """Survival of each sequence closed by the inverse of its product: exact,
-    or the surviving fraction of ``config.shots`` drawn from its stream.
+    or the surviving fraction of ``config.shots`` repetitions drawn from its
+    repetition stream ``seeds[k]``.
 
     ``channels`` holds one channel per position plus one for the inverse
     (default: the gate channel everywhere).
@@ -178,19 +187,19 @@ def _closed_survivals(config: RBConfig, elements: np.ndarray, phases: np.ndarray
     compiled.append_inverse(channels[-1])
     if config.exact:
         return compiled.survival_probability()
-    return compiled.survival_samples(config.shots, rngs) / config.shots
+    return compiled.survival_samples(config.shots, seeds) / config.shots
 
 
 def run_standard_rb(config: RBConfig) -> RBData:
     """Run the full protocol and average survival over k_m sequences per length.
 
-    Each sequence's survival is exact in exact mode and one binomial draw of
-    ``shots`` repetitions in sampled mode.  The inverse element carries one
-    noise application.
+    Each sequence's survival is exact in exact mode and, in sampled mode, the
+    count of ``shots`` repetitions drawn from its repetition stream.  The
+    inverse element carries one noise application.
     """
 
-    def one_length(m, rngs, indices):
-        return _closed_survivals(config, *_draw_elements(config, m, rngs), rngs)
+    def one_length(m, seeds, indices):
+        return _closed_survivals(config, *_draw_elements(config, m, seeds[0]), seeds[1])
 
     chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_length)
     return RBData.from_chunks(config.lengths, chunks,

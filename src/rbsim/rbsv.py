@@ -145,10 +145,11 @@ class RBSVConfig(RBConfig):
             )
 
 
-def _acceptances(config: RBSVConfig, m: int, rngs, indices) -> np.ndarray:
+def _acceptances(config: RBSVConfig, m: int, seeds, indices) -> np.ndarray:
     """Acceptance of each sequence of one length: exact, or the accepted
-    fraction of ``n_m`` repetitions drawn from the sequence's stream."""
-    elements, phases = _draw_elements(config, m, rngs)
+    fraction of ``n_m`` repetitions.  Unit k's elements come from the stream
+    seeded by ``seeds[0, k]``, its repetitions from ``seeds[1, k]``."""
+    elements, phases = _draw_elements(config, m, seeds[0])
     compiled = CompiledSequence(SequenceBatch(config.n, elements, phases,
                                               [config.noise.gate] * len(elements),
                                               config.noise.spam))
@@ -156,7 +157,7 @@ def _acceptances(config: RBSVConfig, m: int, rngs, indices) -> np.ndarray:
     if config.exact:
         p_acc = compiled.acceptance_probability(include)
     else:
-        p_acc = compiled.acceptance_samples(config.n_m, rngs, include) / config.n_m
+        p_acc = compiled.acceptance_samples(config.n_m, seeds[1], include) / config.n_m
     zero = np.flatnonzero(p_acc == 0.0)
     if zero.size:
         raise FailureSignatureError(
@@ -171,7 +172,7 @@ def run_rbsv(config: RBSVConfig) -> RBSVResult:
     acceptance per sequence, convert to fidelity lower bounds, average and fit."""
 
     p_acc = np.array(run_ensemble(config.seed, config.lengths, config.k_m,
-                                  lambda m, rngs, indices: _acceptances(config, m, rngs, indices)))
+                                  lambda m, seeds, units: _acceptances(config, m, seeds, units)))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays
         [[config.r_policy.choose(p) for p in row] for row in p_acc.tolist()]).transpose(2, 0, 1)
     bounds = np.vectorize(fidelity_lower_bound)(p_acc, copies)

@@ -226,3 +226,32 @@ def pinned_offset_infidelity(lengths, values, d=4):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def stream_seeds(rng, k: int = 1) -> np.ndarray:
+    """``k`` 64-bit stream seeds drawn from a numpy ``Generator``."""
+    return rng.integers(1 << 64, size=k, dtype=np.uint64)
+
+
+def _unshift(y: int, s: int) -> int:
+    """The inverse of ``x -> x ^ (x >> s)`` on 64-bit words."""
+    x = y
+    for _ in range(64 // s + 1):
+        x = y ^ (x >> s)
+    return x
+
+
+def seed_with_word(value: int, index: int) -> int:
+    """A stream seed whose word ``index`` is ``value``.
+
+    Word i of the stream with seed s is SplitMix64's finalizer of
+    s + (i + 1)γ, and the finalizer is a bijection: each xorshift and each
+    odd multiplier is undone here, in reverse order.
+    """
+    mask = (1 << 64) - 1
+    v = _unshift(value, 31)
+    v = (v * pow(0x94D049BB133111EB, -1, 1 << 64)) & mask
+    v = _unshift(v, 27)
+    v = (v * pow(0xBF58476D1CE4E5B9, -1, 1 << 64)) & mask
+    v = _unshift(v, 30)
+    return (v - (index + 1) * 0x9E3779B97F4A7C15) & mask

@@ -196,6 +196,12 @@ class TestConfigErrors:
          "recipe gate 0 must be an object with a 'gate' name and a 'qubits' list"),
         ([{"gates": "H 0", "target": "CNOT"}], "recipe field 'gates' must be a list"),
         ([{"gates": [], "target": {"re": 1}}], "target must be a name or a 4x4 grid"),
+        ([{"gates": [{"gate": "H", "qubits": [0.5]}], "target": "CNOT"}],
+         "recipe gate H: qubit must be an integer, not 0.5"),
+        ([{"gates": [{"gate": "CP", "qubits": [0, 1], "k": "2"}], "target": "CNOT"}],
+         "recipe gate CP: k must be an integer, not '2'"),
+        ([{"gates": [{"gate": "X", "qubits": [3]}], "target": "CNOT"}],
+         "recipe gate X: qubits must be 0 or 1, not [3]"),
     ])
     def test_malformed_recipe_file(self, tmp_path, capsys, recipes, fragment):
         recipe_path = write_config(tmp_path, "recipes.json", recipes)

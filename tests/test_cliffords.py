@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from rbsim import cliffords
 from rbsim.cliffords import (
+    MAX_SAMPLED_QUBITS,
     CliffordElement,
     GeneratorGate,
     clifford_to_matrix,
@@ -17,6 +19,7 @@ from rbsim.cliffords import (
     symplectic_rows,
 )
 from rbsim.paulis import PauliString, packed_phase_exponent, pauli_multiply
+from rbsim.seeding import stream_words
 
 from conftest import (
     _phase_exponents,
@@ -27,6 +30,8 @@ from conftest import (
     pauli_bits,
     pauli_from_bits,
     pauli_matrix,
+    seed_with_word,
+    stream_seeds,
     symplectic_group_order,
 )
 
@@ -194,41 +199,107 @@ class TestPackedCore:
 
 
 def element_keys(n, rng, size):
-    """Rows and phases of ``size`` elements drawn as one batch, one row each."""
-    rows, phases = random_clifford_rows(n, [rng], size)
+    """Rows and phases of ``size`` elements drawn as one batch from a stream
+    seeded by ``rng``, one row each."""
+    rows, phases = random_clifford_rows(n, stream_seeds(rng), size)
     return np.concatenate([rows[:, 0], phases[:, 0]], axis=1)
+
+
+def scalar_level_draws(n, words):
+    """One element's level draws and signs from its 2n + 1 words, read one
+    chunk at a time with Python ints."""
+    draws = []
+    for k in range(n):
+        chunk = 2 * (n - k)
+        chunks = [(words[2 * k] >> (chunk * j)) % (1 << chunk) for j in range(64 // chunk)]
+        draws += [next(c for c in chunks if c), words[2 * k + 1] % (1 << (chunk - 1))]
+    return draws, [(words[2 * n] >> r) & 1 for r in range(2 * n)]
 
 
 class TestRandomClifford:
     @pytest.mark.parametrize("n", [1, 2, 3, 5])
     def test_single_draw_is_row_zero_of_the_batch(self, n):
         streams = range(6)
-        rows, phases = random_clifford_rows(n, [np.random.default_rng(s) for s in streams], 1)
+        # random_clifford seeds its stream with one 64-bit draw from its Generator
+        seeds = [stream_seeds(np.random.default_rng(s))[0] for s in streams]
+        rows, phases = random_clifford_rows(n, seeds, 1)
         for s in streams:
             c = random_clifford(n, np.random.default_rng(s))
             assert (c.rows, c.phases) == (tuple(rows[0, s]), tuple(phases[0, s]))
         # a stream's elements do not depend on the other streams of the batch
-        rows, phases = random_clifford_rows(n, [np.random.default_rng(s) for s in streams], 7)
+        rows, phases = random_clifford_rows(n, seeds, 7)
         for s in streams:
-            alone = random_clifford_rows(n, [np.random.default_rng(s)], 7)
+            alone = random_clifford_rows(n, seeds[s:s + 1], 7)
             assert np.array_equal(alone[0][:, 0], rows[:, s])
             assert np.array_equal(alone[1][:, 0], phases[:, s])
         assert len({tuple(r) for r in rows.reshape(-1, 2 * n)}) > 1
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_stream_draws_follow_the_documented_order(self, n):
-        # per level k: integers(1, 4^(n-k)) and integers(0, 2^(2(n-k)-1)) as
-        # size-m arrays, then the signs as one (m, 2n) array
-        m = 5
-        rows, phases = random_clifford_rows(n, [np.random.default_rng(3)], m)
-        rng = np.random.default_rng(3)
-        draws = []
-        for k in range(n):
-            draws += [rng.integers(1, 4 ** (n - k), size=m),
-                      rng.integers(0, 2 ** (2 * (n - k) - 1), size=m)]
-        signs = rng.integers(0, 2, size=(m, 2 * n))
+        # element i reads words i(2n+1) .. (i+1)(2n+1) - 1 of its stream: per
+        # level k the first nonzero 2(n-k)-bit chunk of one word and the low
+        # 2(n-k) - 1 bits of the next, then the signs from the low 2n bits
+        m, seed = 5, 3
+        rows, phases = random_clifford_rows(n, [seed], m)
+        words = stream_words([seed], 0, m * (2 * n + 1))[0].tolist()
+        per_element = [scalar_level_draws(n, words[i * (2 * n + 1):(i + 1) * (2 * n + 1)])
+                       for i in range(m)]
+        draws = [np.array(level) for level in zip(*[d for d, _ in per_element])]
+        signs = np.array([s for _, s in per_element])
         assert np.array_equal(phases[:, 0], 2 * signs)
         assert np.array_equal(rows[:, 0], symplectic_rows(n, draws))
+
+    @pytest.mark.parametrize("w", [1, 2, 3, 4])
+    def test_level_draw_is_exactly_uniform(self, w):
+        # every word whose two low 2w-bit chunks take all values and whose
+        # other bits are zero, but for the all-zero word, which is refilled:
+        # each f in [1, 4^w) comes from 4^w words with it in the low chunk
+        # and from one with a zero low chunk
+        n, size = 4, 1 << (2 * w)
+        k = n - w
+        low, high = np.divmod(np.arange(1, size * size, dtype=np.uint64), np.uint64(size))
+        words = np.ones((len(low), 2 * n + 1), dtype=np.uint64)
+        words[:, 2 * k] = low | (high << np.uint64(2 * w))
+        words[:, 2 * k + 1] = np.arange(len(low), dtype=np.uint64)
+        draws, _ = cliffords._level_draws(n, words)
+        values, counts = np.unique(draws[2 * k], return_counts=True)
+        assert values.tolist() == list(range(1, size))
+        assert np.all(counts == size + 1)
+        # the second draw keeps the low 2w - 1 bits
+        assert np.array_equal(draws[2 * k + 1], np.arange(len(low)) % (size // 2))
+
+    @pytest.mark.parametrize("n, value, index, refilled", [
+        (2, 0, 5, True),             # element 1, level 0 word: all chunks zero
+        (2, 0, 7, True),             # element 1, level 1 word
+        (2, 0, 6, False),            # a second draw: zero is a valid value
+        (3, 1 << 62, 0, True),       # 6-bit chunks cover bits 0..59 only
+        (3, 1 << 59, 0, False),      # chunk 9 is the first nonzero one
+    ])
+    def test_rejected_level_word_is_refilled_past_the_budget(self, n, value, index, refilled):
+        size = 3
+        budget = size * (2 * n + 1)
+        seed = seed_with_word(value, index)
+        words = stream_words([seed], 0, budget + 1)[0]
+        assert words[index] == value
+        if refilled:
+            words[index] = words[budget]
+        draws, signs = cliffords._level_draws(n, words[:budget].reshape(size, 2 * n + 1))
+        rows, phases = random_clifford_rows(n, [seed], size)
+        assert np.array_equal(rows[:, 0], symplectic_rows(n, draws))
+        assert np.array_equal(phases[:, 0], 2 * signs)
+        assert all(CliffordElement(n, r, p).is_valid() for r, p in zip(rows[:, 0], phases[:, 0]))
+        # the refill comes from the unit's own stream, whatever its batch
+        batch = random_clifford_rows(n, [7, seed, 8], size)
+        assert np.array_equal(batch[0][:, 1], rows[:, 0])
+
+    def test_sampler_register_limit(self):
+        with pytest.raises(ValueError):
+            random_clifford_rows(0, [1], 1)
+        with pytest.raises(ValueError):
+            random_clifford_rows(MAX_SAMPLED_QUBITS + 1, [1], 1)
+        rows, _ = random_clifford_rows(MAX_SAMPLED_QUBITS, [1, 2], 1)
+        n = MAX_SAMPLED_QUBITS
+        assert CliffordElement(n, rows[0, 0], [0] * (2 * n)).is_valid()
 
     def test_single_qubit_uniformity_chi_square(self):
         rng = np.random.default_rng(991)

@@ -32,11 +32,13 @@ from rbsim.engines import (
     run_sequence_exact,
 )
 from rbsim.rb import RBConfig, _draw_elements
+from rbsim.seeding import seed_plans, stream_words
 
 from conftest import (
     check_density_matrix,
     circuit_unitary,
     maximally_mixed_state,
+    stream_seeds,
     survival_probability,
 )
 
@@ -150,8 +152,8 @@ class TestTrajectoryEngine:
         compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
         assert compiled.acceptance_probability() == 1.0
         assert compiled.acceptance_probability(include_identity=False) == 1.0
-        assert compiled.acceptance_samples(200, [rng]) == 200
-        assert compiled.acceptance_samples(200, [rng], include_identity=False) == 200
+        assert compiled.acceptance_samples(200, stream_seeds(rng)) == 200
+        assert compiled.acceptance_samples(200, stream_seeds(rng), include_identity=False) == 200
 
     def test_batch_acceptance_matches_exact_group_average(self, rng):
         for n in (1, 2, 3):
@@ -217,18 +219,71 @@ class TestTrajectoryEngine:
         # each unit of a batch draws its count from its own stream, with its
         # own sequence's probability
         n, k_m, reps, draws = 2, 3, 50, 2000
-        rows, phases = random_clifford_rows(n, [rng] * k_m, 6)
+        rows, phases = random_clifford_rows(n, stream_seeds(rng, k_m), 6)
         noise = PauliChannel({"II": 0.9, "XI": 0.06, "ZZ": 0.04})
         batch = SequenceBatch(n, rows, phases, [noise] * 6, SpamModel(meas_flip=0.05))
         compiled = CompiledSequence(batch)
         p = compiled.acceptance_probability()
         assert np.ptp(p) > 1e-3  # the units' probabilities differ
-        streams = [np.random.default_rng(s) for s in range(k_m)]
-        counts = np.array([compiled.acceptance_samples(reps, streams) for _ in range(draws)])
+        counts = np.array([compiled.acceptance_samples(reps, stream_seeds(rng, k_m))
+                           for _ in range(draws)])
         mean, var = reps * p, reps * p * (1 - p)
         assert np.all(np.abs(counts.mean(axis=0) - mean) < 4 * np.sqrt(var / draws))
         # the sample variance of a binomial has variance ~ 2 var^2 / draws
         assert np.all(np.abs(counts.var(axis=0, ddof=1) - var) < 4 * var * np.sqrt(2 / draws))
+
+
+class TestSampledCounts:
+    """``_binomials``: a count of repetition words below ``p 2^53``."""
+
+    @pytest.mark.parametrize("p", [0.0, 0.02, 0.3, 0.77, 1.0])
+    def test_count_has_binomial_moments(self, p):
+        units, reps = 2000, 60
+        counts = engines._binomials(reps, seed_plans(11, range(units), 1), np.full(units, p))
+        q = 1.0 - p
+        mean, var = reps * p, reps * p * q
+        # central fourth moment of Binomial(reps, p), for the spread of the
+        # sample variance
+        mu4 = var * (1.0 + 3.0 * (reps - 2) * p * q)
+        assert abs(counts.mean() - mean) <= 4 * np.sqrt(var / units)
+        spread = np.sqrt((mu4 - var ** 2 * (units - 3) / (units - 1)) / units)
+        assert abs(counts.var(ddof=1) - var) <= 4 * spread
+        if p in (0.0, 1.0):
+            assert np.all(counts == reps * p)
+
+    def test_count_is_the_words_below_the_threshold(self):
+        # one unit's count is its words' top 53 bits against ceil(p 2^53)
+        seeds, reps = seed_plans(4, range(3), 1), 500
+        p = np.array([0.25, 1 / 3, 0.9])
+        words = stream_words(seeds, 0, reps) >> np.uint64(11)
+        want = [sum(int(w) < np.ceil(pk * 2.0 ** 53) for w in row) for row, pk in zip(words, p)]
+        assert engines._binomials(reps, seeds, p).tolist() == want
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 20])
+    def test_block_size_does_not_change_counts(self, block, monkeypatch):
+        seeds, p = seed_plans(8, range(5), 1), np.linspace(0.1, 0.9, 5)
+        want = engines._binomials(1000, seeds, p)
+        monkeypatch.setattr(engines, "_COUNT_WORDS", block)
+        assert np.array_equal(engines._binomials(1000, seeds, p), want)
+
+    def test_traced_peak_does_not_grow_with_reps(self):
+        # K = 200 sequences of 10^6 repetitions: one (K, reps) word array
+        # would take 1.6 GB; the blocked count stays under 8 MB
+        k_m, reps = 200, 10 ** 6
+        noise = Depolarizing(0.2)
+        rows, phases = random_clifford_rows(1, seed_plans(3, range(k_m)), 2)
+        compiled = CompiledSequence(SequenceBatch(1, rows, phases, [noise] * 2))
+        compiled.append_inverse(noise)
+        p = compiled.survival_probability()
+        compiled.survival_samples(1, seed_plans(3, range(k_m), 1))  # warm caches
+        tracemalloc.start()
+        try:
+            counts = compiled.survival_samples(reps, seed_plans(3, range(k_m), 1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+        assert np.all(np.abs(counts / reps - p) <= 5 * np.sqrt(p * (1 - p) / reps))
 
 
 def random_batch(n, k_m, channels, spam, rng, fixed=None):
@@ -236,7 +291,7 @@ def random_batch(n, k_m, channels, spam, rng, fixed=None):
     ``fixed``, the IRBGS layout: random elements at even positions, the
     fixed element at odd ones."""
     m = len(channels) // 2 if fixed is not None else len(channels)
-    rows, phases = random_clifford_rows(n, [rng] * k_m, m)
+    rows, phases = random_clifford_rows(n, stream_seeds(rng, k_m), m)
     if fixed is not None:
         rows, phases = np.repeat(rows, 2, axis=0), np.repeat(phases, 2, axis=0)
         rows[1::2], phases[1::2] = fixed.rows, fixed.phases
@@ -317,14 +372,15 @@ class TestBatchEngine:
     def test_one_stream_per_sequence(self, rng):
         batch = random_batch(2, 3, [Depolarizing(0.1)] * 2, SpamModel(), rng)
         with pytest.raises(ValueError):
-            CompiledSequence(batch).acceptance_samples(10, [rng])
+            CompiledSequence(batch).acceptance_samples(10, stream_seeds(rng))
 
 
 def drawn_batch(n, k_m, mode, channels, spam, rng):
     """k_m sequences drawn as the drivers draw them, one random Clifford or
     one random generator gate per position."""
     config = RBConfig(n=n, lengths=(1,), mode=mode, generator_block=1)
-    return SequenceBatch(n, *_draw_elements(config, len(channels), [rng] * k_m), channels, spam)
+    elements = _draw_elements(config, len(channels), stream_seeds(rng, k_m))
+    return SequenceBatch(n, *elements, channels, spam)
 
 
 class TestPauliKernel:

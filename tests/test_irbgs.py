@@ -287,6 +287,11 @@ def test_recipe_gate_validation():
         RecipeGate("H", (0, 1))
     with pytest.raises(ValueError):
         RecipeGate("FOO", (0,))
+    for qubits, k in (((0.5,), None), ((2,), None), ((-1,), None), ((True,), None),
+                      ((0, 1), "2"), ((0, 1), 2.5), ((0, 1), True)):
+        with pytest.raises(ValueError):
+            RecipeGate("CP" if k is not None else "H", qubits, k)
+    assert RecipeGate("CP", (0.0, 1), 2.0) == RecipeGate("CP", (0, 1), 2)
 
 
 def test_separate_cpdag_noise_channel():

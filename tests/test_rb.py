@@ -8,6 +8,9 @@ from rbsim.channels import Depolarizing, NoiseModel, SpamModel
 from rbsim.cliffords import CliffordElement, compose, inverse, parse_circuit
 from rbsim.engines import SequenceBatch
 from rbsim.rb import RBConfig, _draw_elements, fit_rb_data, generator_gate_set, run_standard_rb
+from rbsim.seeding import seed_plans, stream_words
+
+from conftest import seed_with_word, stream_seeds
 
 
 def depolarizing_model(eps):
@@ -15,8 +18,9 @@ def depolarizing_model(eps):
 
 
 def drawn_sequence(config, m, rng):
-    """The elements ``_draw_elements`` draws for one sequence of length m from ``rng``."""
-    return SequenceBatch(config.n, *_draw_elements(config, m, [rng]), []).sequence(0)
+    """The elements ``_draw_elements`` draws for one sequence of length m from
+    a stream seeded by ``rng``."""
+    return SequenceBatch(config.n, *_draw_elements(config, m, stream_seeds(rng)), []).sequence(0)
 
 
 def drawn_gates(n, m, b, rng):
@@ -67,6 +71,39 @@ class TestGeneratorSequences:
         chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
         # df = 7, alpha = 0.01
         assert chi2 < 18.475
+
+    @pytest.mark.parametrize("n, critical", [(2, 18.475), (6, 72.443)])
+    def test_picks_across_a_batch_chi_square(self, n, critical):
+        # G - 1 degrees of freedom at alpha = 0.01; every unit of the batch
+        # draws from its own stream
+        config = RBConfig(n=n, lengths=(1,), mode="generator", generator_block=3)
+        g = len(generator_gate_set(n))
+        rows, phases = _draw_elements(config, 100, seed_plans(31, range(400)))
+        keys = np.concatenate([rows, phases], axis=-1).reshape(-1, 4 * n)
+        counts = np.unique(keys, axis=0, return_counts=True)[1]
+        assert len(counts) == g
+        expected = len(keys) / g
+        assert np.sum((counts - expected) ** 2 / expected) < critical
+
+    @pytest.mark.parametrize("n, refilled", [(1, True), (2, False), (6, True)])
+    def test_top_word_is_refilled_unless_g_divides_2_to_the_64(self, n, refilled):
+        # G = 3, 8, 48 gates: words at or above 2^64 - (2^64 mod G) are
+        # refilled from past the budget, so each pick is exactly uniform
+        g = len(generator_gate_set(n))
+        assert ((1 << 64) % g != 0) == refilled
+        config = RBConfig(n=n, lengths=(1,), mode="generator", generator_block=2)
+        m, index = 3, 4
+        budget = m * config.generator_block
+        seed = seed_with_word(2 ** 64 - 1, index)
+        words = stream_words([seed], 0, budget + 1)[0]
+        assert words[index] == 2 ** 64 - 1
+        if refilled:
+            words[index] = words[budget]
+        gate_set = generator_gate_set(n)
+        want = [gate_set[i] for i in (words[:budget] % np.uint64(g)).tolist()]
+        gates = {CliffordElement.from_gates(n, [gate]).key(): gate for gate in gate_set}
+        drawn = SequenceBatch(n, *_draw_elements(config, m, [seed]), []).sequence(0)
+        assert [gates[e.key()] for e in drawn] == want
 
     def test_block_length_validated(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from conftest import depolarizing_rbsv_curve, maximally_mixed_state, pinned_offset_infidelity
+from conftest import (
+    depolarizing_rbsv_curve,
+    maximally_mixed_state,
+    pinned_offset_infidelity,
+    stream_seeds,
+)
 
 from rbsim.channels import Depolarizing, NoiseModel, measurement_success_probability
 from rbsim.cliffords import compose, random_clifford, stabilizer_group
@@ -99,7 +104,7 @@ class TestRunRBSVSequence:
     def test_noiseless_always_accepts(self, rng):
         elements = [random_clifford(2, rng) for _ in range(6)]
         compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
-        assert compiled.acceptance_samples(64, [rng])[0] == 64
+        assert compiled.acceptance_samples(64, stream_seeds(rng))[0] == 64
         assert compiled.acceptance_probability()[0] == 1.0
 
     def test_exact_acceptance_matches_depolarizing_formula(self, rng):
@@ -139,7 +144,7 @@ class TestRunRBSVSequence:
         compiled = CompiledSequence(SequenceSpec(n=2, elements=elements,
                                                  noise=Depolarizing(0.02)))
         exact = compiled.acceptance_probability()[0]
-        p_acc = compiled.acceptance_samples(50_000, [rng])[0] / 50_000
+        p_acc = compiled.acceptance_samples(50_000, stream_seeds(rng))[0] / 50_000
         sigma = math.sqrt(exact * (1 - exact) / 50_000)
         assert abs(p_acc - exact) < 4 * sigma
 

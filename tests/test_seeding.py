@@ -4,7 +4,16 @@ import pytest
 from rbsim.channels import NoiseModel, PauliChannel, SpamModel
 from rbsim.rb import _closed_survivals, _draw_elements, run_standard_rb
 from rbsim.rbsv import RBSVConfig, _acceptances, run_rbsv
-from rbsim.seeding import generator_for, parallel_map, run_ensemble, seed_plan
+from rbsim.seeding import (
+    generator_for,
+    parallel_map,
+    redraw,
+    run_ensemble,
+    seed_plan,
+    seed_plans,
+    stream_words,
+    unit_seeds,
+)
 
 
 def test_same_inputs_same_seed():
@@ -29,6 +38,62 @@ def test_collision_scan():
     assert len(seen) == count  # no collisions observed
 
 
+def test_vectorised_seed_plan_matches_scalar_over_the_collision_scan_set():
+    rng = np.random.default_rng(0)
+    masters = rng.integers(0, 2 ** 63, size=100, dtype=np.uint64)
+    for master in masters:
+        for rep in range(100):
+            assert (seed_plans(int(master), range(100), rep).tolist()
+                    == [seed_plan(int(master), j, rep) for j in range(100)])
+    extremes = [0, 1, 2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1]
+    for master in extremes:
+        for rep in extremes:
+            assert (seed_plans(master, np.array(extremes, dtype=np.uint64), rep).tolist()
+                    == [seed_plan(master, j, rep) for j in extremes])
+    assert np.array_equal(unit_seeds(9, [4, 2]), [[seed_plan(9, 4), seed_plan(9, 2)],
+                                                  [seed_plan(9, 4, 1), seed_plan(9, 2, 1)]])
+
+
+def test_stream_words_are_splitmix64_outputs():
+    # word i of the stream with seed s is SplitMix64's i-th output from state s
+    mask, gamma = (1 << 64) - 1, 0x9E3779B97F4A7C15
+    for seed in (0, 12345, 2 ** 64 - 1):
+        state, outputs = seed, []
+        for _ in range(12):
+            state = (state + gamma) & mask
+            z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & mask
+            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+            outputs.append(z ^ (z >> 31))
+        assert stream_words([seed], 0, 12)[0].tolist() == outputs
+        assert stream_words([seed, 1], 5, 7)[0].tolist() == outputs[5:]
+
+
+def test_redraw_refills_in_order_from_past_the_budget():
+    # even columns take words with the top bit clear, odd ones words with it
+    # set: about half are refilled, and some refill words are skipped
+    seeds, budget = seed_plans(5, range(40)), 6
+
+    def valid(words, columns):
+        return (words >> np.uint64(63)) == columns % 2
+
+    words = redraw(seeds, stream_words(seeds, 0, budget), valid)
+    skipped = 0
+    for k, seed in enumerate(seeds):
+        stream = stream_words([seed], 0, 300)[0].tolist()
+        want, index = [], budget
+        for c in range(budget):
+            word = stream[c]
+            if word >> 63 != c % 2:
+                while stream[index] >> 63 != c % 2:
+                    index, skipped = index + 1, skipped + 1
+                word, index = stream[index], index + 1
+            want.append(word)
+        assert words[k].tolist() == want
+    assert skipped > 0
+    alone = redraw(seeds[3:4], stream_words(seeds[3:4], 0, budget), valid)
+    assert np.array_equal(alone, words[3:4])
+
+
 def test_generator_streams_are_reproducible():
     a = generator_for(9, 3, 1).random(8)
     b = generator_for(9, 3, 1).random(8)
@@ -45,16 +110,20 @@ def test_parallel_map_preserves_order():
 def test_run_ensemble_chunk_layout_and_seeding():
     lengths, k_m, seed = (4, 1, 9), 3, 123
 
-    def one_length(m, rngs, indices):
-        return [(m, index, rng.random()) for rng, index in zip(rngs, indices)]
+    def one_length(m, seeds, indices):
+        words = stream_words(seeds[0], 0, 1)[:, 0]
+        return [(m, index, int(word), int(rep)) for word, rep, index
+                in zip(words, seeds[1], indices)]
 
     chunks = run_ensemble(seed, lengths, k_m, one_length)
     assert len(chunks) == len(lengths)
     for im, (m, chunk) in enumerate(zip(lengths, chunks)):
         assert [c[:2] for c in chunk] == [(m, im * k_m + j) for j in range(k_m)]
-        # each unit draws from its own stream, whatever ran before it
-        assert [c[2] for c in chunk] == [generator_for(seed, im * k_m + j).random()
-                                         for j in range(k_m)]
+        # each unit draws from its own streams, whatever ran before it
+        units = [im * k_m + j for j in range(k_m)]
+        assert [c[2] for c in chunk] == stream_words([seed_plan(seed, u) for u in units],
+                                                     0, 1)[:, 0].tolist()
+        assert [c[3] for c in chunk] == [seed_plan(seed, u, 1) for u in units]
 
 
 # Pauli noise whose survival depends on the sequence, so a count drawn with
@@ -66,10 +135,10 @@ PAULI_NOISE = NoiseModel(gate=PauliChannel({"II": 0.9, "XI": 0.07, "IZ": 0.03}),
 def unit_outputs(config, m, indices):
     """Per unit: rows and signs of its elements, its sampled RB survival count
     and its sampled RBSV accept count, from a batch of the given units."""
-    streams = [[generator_for(config.seed, i) for i in indices] for _ in range(2)]
-    rows, phases = _draw_elements(config, m, streams[0])
-    survived = _closed_survivals(config, rows, phases, streams[0]) * config.shots
-    accepted = _acceptances(config, m, streams[1], list(indices)) * config.n_m
+    seeds = unit_seeds(config.seed, indices)
+    rows, phases = _draw_elements(config, m, seeds[0])
+    survived = _closed_survivals(config, rows, phases, seeds[1]) * config.shots
+    accepted = _acceptances(config, m, seeds, list(indices)) * config.n_m
     return [(rows[:, j].tolist(), phases[:, j].tolist(), survived[j], accepted[j])
             for j in range(len(indices))]
 
