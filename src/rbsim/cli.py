@@ -328,12 +328,12 @@ def _cmd_rbsv(cfg: dict, args) -> int:
 
 
 def _cmd_compare(cfg: dict, args) -> int:
-    rb_config = build_rb_config(cfg, args)
-    rbsv_config = build_rbsv_config(cfg, args)
+    # RBSVConfig extends RBConfig, and both protocols read the same sequences
+    config = build_rbsv_config(cfg, args)
     t0 = time.perf_counter()
-    data = run_standard_rb(rb_config)
-    fit, r_rb = fit_rb_data(data, 2 ** rb_config.n, coefficient_bounds=rb_config.fit_bounds)
-    result = run_rbsv(rbsv_config)
+    result = run_rbsv(config, with_rb=True)
+    data = result.rb
+    fit, r_rb = fit_rb_data(data, 2 ** config.n, coefficient_bounds=config.fit_bounds)
     wall = time.perf_counter() - t0
     summary = {
         "rb": _fit_summary(fit, "r_rb", r_rb),
@@ -343,7 +343,7 @@ def _cmd_compare(cfg: dict, args) -> int:
         "ratio_rbsv_over_rb": (result.r_rbsv / r_rb) if r_rb else None,
         "engine": data.engine,
         "wall_time_s": wall,
-        "reproducibility": _repro_block(cfg, rb_config.seed),
+        "reproducibility": _repro_block(cfg, config.seed),
     }
     _emit(args, "compare_summary.json", summary, rb=rb_csv(data), rbsv=rbsv_csv(result))
     print(f"r_rb = {r_rb!r}  r_rbsv = {result.r_rbsv!r}")

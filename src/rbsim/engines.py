@@ -12,10 +12,12 @@ signs never enter), starting from the Z group.  Every element's rows are
 spanned into two half tables, the images of all 2^n x-halves and all 2^n
 z-halves (a block of positions at a time); at each position a stabilizer's
 image is one lookup per half, and it then collects the position's channel
-eigenvalues, computed once per channel value.  For other noise (``dense``,
-n <= 6) each sequence's expectations are read off ``run_sequence_exact``,
-also the tests' oracle.  Both apply ``1 - 4p/3`` per touched qubit for
-``meas_flip``.
+eigenvalues, computed once per channel value.  The propagation through the
+last element is kept, so the open sequence (RBSV acceptance) and the same
+sequence closed by its inverse (RB survival) share it.  For other noise
+(``dense``, n <= 6) each sequence's expectations are read off
+``run_sequence_exact``, also the tests' oracle.  Both apply ``1 - 4p/3`` per
+touched qubit for ``meas_flip``.
 """
 
 from __future__ import annotations
@@ -206,7 +208,10 @@ class CompiledSequence:
     stabilizers of its ideal output state; the probabilities average them,
     and the samples draw each sequence's count of ``reps`` repetitions from
     its own repetition stream with the binomial law of ``reps`` repetitions
-    that each measure a uniformly drawn stabilizer.
+    that each measure a uniformly drawn stabilizer.  The Pauli path keeps its
+    propagation through the last element, so a readout after
+    ``append_inverse`` multiplies only the closing channel, meas and flips
+    onto the open sequence's.
     """
 
     def __init__(self, spec: SequenceSpec | SequenceBatch):
@@ -214,6 +219,8 @@ class CompiledSequence:
         self.n = spec.n
         self.channels = list(self.batch.channels)
         self.closed = False
+        self._prefix = None  # the Pauli path's propagation through the last element
+        self._tables = {}    # eigenvalue tables by channel identity: no value hash per position
 
     @property
     def engine(self) -> str:
@@ -237,12 +244,41 @@ class CompiledSequence:
         """Expectation of each stabilizer of each sequence's ideal output state
         (``(K, 2^n)``, identity first), measurement flips included."""
         if self.engine == "pauli":
-            group, expectations = self._pauli_expectations()
+            group, factors = self._pauli_factors()
         else:
             group, expectations = self._dense_expectations()
-        return expectations * _flip_factors(group, self.n, self.batch.spam.meas_flip)
+            factors = [expectations]
+        factors.append(_flip_factors(group, self.n, self.batch.spam.meas_flip))
+        # multiplied in the order the noise acts; the first product is a new
+        # array, so a kept prefix is never written
+        expectations = factors[0] * factors[1]
+        for factor in factors[2:]:
+            expectations *= factor
+        return expectations
 
-    def _pauli_expectations(self):
+    def _eigenvalues(self, ch: NoiseChannel) -> np.ndarray:
+        if id(ch) not in self._tables:
+            self._tables[id(ch)] = _eigenvalues(ch, self.n)
+        return self._tables[id(ch)]
+
+    def _pauli_factors(self):
+        """The final group and the factors whose product, in order, is each
+        stabilizer's expectation: the expectations through the last element,
+        computed once per instance, then the closing and meas channels'
+        eigenvalues."""
+        if self._prefix is None:
+            self._prefix = self._pauli_prefix()
+        z_group, group, expectations = self._prefix
+        tail = [self.batch.spam.meas]
+        if self.closed:
+            group = z_group
+            tail.insert(0, self.channels[-1])
+        return group, [expectations] + [self._eigenvalues(ch)[group] for ch in tail
+                                        if not isinstance(ch, Ideal)]
+
+    def _pauli_prefix(self):
+        """The Z group, and each sequence's group and stabilizer expectations
+        after the prep channel and every position with its channel."""
         n, batch = self.n, self.batch
         if n > MAX_TABLE_QUBITS:
             raise ValueError(f"Pauli engine limited to n <= {MAX_TABLE_QUBITS}")
@@ -252,13 +288,10 @@ class CompiledSequence:
         # the span is linear, so mapping every element of it keeps that order
         z_group = np.broadcast_to(_span(np.int64(1) << np.arange(n, 2 * n), n), (k_m, size))
         expectations = np.ones(z_group.shape)
-        tables = {}  # per call, by identity: no value hash per position
 
         def collect(ch, group):  # a channel acts on the stabilizers of the state it follows
             if not isinstance(ch, Ideal):
-                if id(ch) not in tables:
-                    tables[id(ch)] = _eigenvalues(ch, n)
-                expectations[...] *= tables[id(ch)][group]
+                expectations[...] *= self._eigenvalues(ch)[group]
 
         collect(batch.spam.prep, z_group)
         # position l's half tables: sequence k's x-half table starts at
@@ -273,11 +306,7 @@ class CompiledSequence:
             for half, ch in zip(halves, self.channels[start:start + step]):
                 group = half[base + (group & (size - 1))] ^ half[z_base + (group >> n)]
                 collect(ch, group)
-        if self.closed:
-            group = z_group
-            collect(self.channels[-1], group)
-        collect(batch.spam.meas, group)
-        return group, expectations
+        return z_group, group, expectations
 
     def _dense_expectations(self):
         n, spam = self.n, self.batch.spam

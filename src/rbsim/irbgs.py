@@ -29,7 +29,8 @@ from .cliffords import CliffordElement
 from .engines import engine_for
 from .fitting import DecayFit
 from .paulis import PauliString
-from .rb import RBConfig, RBData, _closed_survivals, _draw_elements, fit_rb_data, run_standard_rb
+from .rb import (RBConfig, RBData, _compile, _draw_elements, _survivals, fit_rb_data,
+                 run_standard_rb)
 from .seeding import run_ensemble
 
 __all__ = [
@@ -487,8 +488,8 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         # random elements at the even positions, the fixed element at the odd
         elements, signs = (np.repeat(a, 2, axis=0) for a in _draw_elements(base_cfg, m, seeds[0]))
         elements[1::2], signs[1::2] = fixed_element.rows, fixed_element.phases
-        channels = [gate_channel, fixed_channel] * m + [gate_channel]
-        return _closed_survivals(base_cfg, elements, signs, seeds[1], channels)
+        compiled = _compile(base_cfg, elements, signs, [gate_channel, fixed_channel] * m)
+        return _survivals(base_cfg, compiled, seeds[1], gate_channel)
 
     # its own stream, so the interleaved sequences are not the baseline's
     chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_length)

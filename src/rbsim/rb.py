@@ -172,22 +172,30 @@ def _draw_elements(config: RBConfig, m: int, seeds) -> tuple:
     return table_rows[picks], table_phases[picks]
 
 
-def _closed_survivals(config: RBConfig, elements: np.ndarray, phases: np.ndarray,
-                      seeds, channels=None) -> np.ndarray:
-    """Survival of each sequence closed by the inverse of its product: exact,
-    or the surviving fraction of ``config.shots`` repetitions drawn from its
-    repetition stream ``seeds[k]``.
+def _compile(config: RBConfig, elements: np.ndarray, phases: np.ndarray,
+             channels=None) -> CompiledSequence:
+    """The drawn sequences as one compiled batch, with one channel per position
+    (default: the gate channel everywhere) and the config's SPAM."""
+    channels = channels or [config.noise.gate] * len(elements)
+    return CompiledSequence(SequenceBatch(config.n, elements, phases, channels,
+                                          config.noise.spam))
 
-    ``channels`` holds one channel per position plus one for the inverse
-    (default: the gate channel everywhere).
-    """
-    channels = channels or [config.noise.gate] * (len(elements) + 1)
-    compiled = CompiledSequence(SequenceBatch(config.n, elements, phases, channels[:-1],
-                                              config.noise.spam))
-    compiled.append_inverse(channels[-1])
+
+def _survivals(config: RBConfig, compiled: CompiledSequence, seeds, channel) -> np.ndarray:
+    """Survival of each sequence of ``compiled`` closed by the inverse of its
+    product followed by ``channel``: exact, or the surviving fraction of
+    ``config.shots`` repetitions drawn from its repetition stream ``seeds[k]``."""
+    compiled.append_inverse(channel)
     if config.exact:
         return compiled.survival_probability()
     return compiled.survival_samples(config.shots, seeds) / config.shots
+
+
+def _rb_data(config: RBConfig, chunks) -> RBData:
+    """The ``RBData`` of one row of per-sequence survivals per length."""
+    return RBData.from_chunks(config.lengths, chunks,
+                              shots=0 if config.exact else config.shots, exact=config.exact,
+                              engine=engine_for(config.noise.channels))
 
 
 def run_standard_rb(config: RBConfig) -> RBData:
@@ -199,12 +207,10 @@ def run_standard_rb(config: RBConfig) -> RBData:
     """
 
     def one_length(m, seeds, indices):
-        return _closed_survivals(config, *_draw_elements(config, m, seeds[0]), seeds[1])
+        compiled = _compile(config, *_draw_elements(config, m, seeds[0]))
+        return _survivals(config, compiled, seeds[1], config.noise.gate)
 
-    chunks = run_ensemble(config.seed, config.lengths, config.k_m, one_length)
-    return RBData.from_chunks(config.lengths, chunks,
-                              shots=0 if config.exact else config.shots, exact=config.exact,
-                              engine=engine_for(config.noise.channels))
+    return _rb_data(config, run_ensemble(config.seed, config.lengths, config.k_m, one_length))
 
 
 def fit_rb_data(data, d: int, coefficient_bounds):

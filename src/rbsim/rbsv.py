@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import CompiledSequence, SequenceBatch, engine_for
+from .engines import engine_for
 from .fitting import DecayFit
-from .rb import RBConfig, _draw_elements, fit_rb_data, length_stats
+from .rb import (RBConfig, RBData, _compile, _draw_elements, _rb_data, _survivals, fit_rb_data,
+                 length_stats)
 from .seeding import run_ensemble
 
 __all__ = [
@@ -120,6 +121,7 @@ class RBSVResult:
     fit: DecayFit | None = None
     r_rbsv: float | None = None
     degenerate: bool = False
+    rb: RBData | None = None    # RB survivals of the same sequences, see run_rbsv
 
     def points(self):
         return list(zip(self.lengths, self.f_bar))
@@ -145,14 +147,16 @@ class RBSVConfig(RBConfig):
             )
 
 
-def _acceptances(config: RBSVConfig, m: int, seeds, indices) -> np.ndarray:
+def _acceptances(config: RBSVConfig, m: int, seeds, indices, close: bool = False) -> np.ndarray:
     """Acceptance of each sequence of one length: exact, or the accepted
     fraction of ``n_m`` repetitions.  Unit k's elements come from the stream
-    seeded by ``seeds[0, k]``, its repetitions from ``seeds[1, k]``."""
-    elements, phases = _draw_elements(config, m, seeds[0])
-    compiled = CompiledSequence(SequenceBatch(config.n, elements, phases,
-                                              [config.noise.gate] * len(elements),
-                                              config.noise.spam))
+    seeded by ``seeds[0, k]``, its repetitions from ``seeds[1, k]``.
+
+    With ``close`` the same batch is then closed by its inverse and the gate
+    channel, and row k holds sequence k's acceptance and its RB survival
+    (``rb._survivals``, from the same repetition stream).
+    """
+    compiled = _compile(config, *_draw_elements(config, m, seeds[0]))
     include = config.include_identity_stabilizer
     if config.exact:
         p_acc = compiled.acceptance_probability(include)
@@ -164,15 +168,26 @@ def _acceptances(config: RBSVConfig, m: int, seeds, indices) -> np.ndarray:
             f"sequence {indices[zero[0]]} (m={m}) accepted 0/{config.n_m} repetitions; "
             "the noise is too strong for verification to proceed"
         )
-    return p_acc
+    if not close:
+        return p_acc
+    return np.stack([p_acc, _survivals(config, compiled, seeds[1], config.noise.gate)], axis=1)
 
 
-def run_rbsv(config: RBSVConfig) -> RBSVResult:
+def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
     """Full verification-based benchmarking run: sample sequences, estimate
-    acceptance per sequence, convert to fidelity lower bounds, average and fit."""
+    acceptance per sequence, convert to fidelity lower bounds, average and fit.
 
-    p_acc = np.array(run_ensemble(config.seed, config.lengths, config.k_m,
-                                  lambda m, seeds, units: _acceptances(config, m, seeds, units)))
+    With ``with_rb`` the run also closes each length's sequences by their
+    inverse and sets ``result.rb`` to their standard RB data, equal to
+    ``run_standard_rb(config)``: one draw and one propagation per length
+    serve both protocols.
+    """
+
+    p_acc = np.array(run_ensemble(
+        config.seed, config.lengths, config.k_m,
+        lambda m, seeds, units: _acceptances(config, m, seeds, units, close=with_rb)))
+    if with_rb:  # (lengths, K, 2) -> two contiguous (lengths, K) arrays
+        p_acc, survivals = np.array(np.moveaxis(p_acc, 2, 0))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays
         [[config.r_policy.choose(p) for p in row] for row in p_acc.tolist()]).transpose(2, 0, 1)
     bounds = np.vectorize(fidelity_lower_bound)(p_acc, copies)
@@ -194,4 +209,6 @@ def run_rbsv(config: RBSVConfig) -> RBSVResult:
     fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)
     result.fit = fit
     result.degenerate = fit.degenerate or fit.at_boundary
+    if with_rb:
+        result.rb = _rb_data(config, survivals)
     return result

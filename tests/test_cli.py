@@ -3,11 +3,14 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from rbsim import rb as rb_module, rbsv as rbsv_module
 from rbsim.cli import main
+from rbsim.engines import CompiledSequence
 
 
 def write_config(tmp_path, name, payload):
@@ -230,26 +233,39 @@ class TestConfigErrors:
         assert exc.value.code == 2
 
 
+def assert_fails_without_artifacts(tmp_path, capsys, cfg, fragment):
+    """``rbsv`` and ``compare`` on ``cfg`` both exit 2 with the same single
+    ``error:`` line holding ``fragment``, and write no CSV."""
+    path = write_config(tmp_path, "failing.json", cfg)
+    errors = []
+    for command in ("rbsv", "compare"):
+        out = tmp_path / command
+        assert main([command, "--config", path, "--out", str(out)]) == 2, command
+        errors.append(capsys.readouterr().err)
+        assert not list(out.glob("*.csv")), command
+    assert errors[0] == errors[1]
+    lines = errors[0].strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert fragment in lines[0]
+
+
 class TestRunFailures:
     def test_too_noisy_device(self, tmp_path, capsys):
         cfg = {"protocol": "rbsv", "n": 1, "lengths": [2, 4, 6], "K_m": 6, "N_m": 2,
                "include_identity_stabilizer": False, "seed": 5,
                "noise": {"gate": {"kind": "depolarizing", "epsilon": 1.0}}}
-        path = write_config(tmp_path, "noisy.json", cfg)
-        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert_one_error(capsys, "too strong for verification")
+        assert_fails_without_artifacts(tmp_path, capsys, cfg, "too strong for verification")
 
     def test_fixed_copy_count_underflow(self, tmp_path, capsys):
         # P_acc^R underflows at R = 10^4 from m = 5 on; the optimal R keeps P^R = 1/e
         cfg = {"protocol": "rbsv", "n": 2, "lengths": [5, 10, 20, 40], "K_m": 2,
                "mode": "exact", "R_policy": {"kind": "fixed", "R": 10000}, "seed": 1,
                "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.05}}}
-        path = write_config(tmp_path, "fixed.json", cfg)
-        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 2
-        assert_one_error(capsys, "P_acc^R underflows at P_acc = 0.9")
+        assert_fails_without_artifacts(tmp_path, capsys, cfg, "P_acc^R underflows at P_acc = 0.9")
         del cfg["R_policy"]
         path = write_config(tmp_path, "optimal.json", cfg)
-        assert main(["rbsv", "--config", path, "--out", str(tmp_path / "out")]) == 0
+        for command in ("rbsv", "compare"):
+            assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 0
 
 
 class TestRuns:
@@ -410,18 +426,81 @@ def test_summary_names_engine(tmp_path, engine, channel):
 
 
 def test_info_log_has_one_line_per_length(tmp_path):
-    # RBSV_LOG is read by the CLI process itself, so run it as one
-    cfg = dict(small_rbsv_config(), protocol="rb")
-    del cfg["N_m"]
-    path = write_config(tmp_path, "rb.json", cfg)
+    # RBSV_LOG is read by the CLI process itself, so run it as one; compare
+    # runs one ensemble for both protocols
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, RBSV_LOG="INFO",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "rbsim.cli", "rb", "--config", path,
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    lines = [line for line in proc.stderr.splitlines() if " rbsim.seeding INFO " in line]
-    assert [line.split(" INFO ")[1].split()[:2] for line in lines] == \
-        [[f"m={m}", f"K_m={cfg['K_m']}"] for m in cfg["lengths"]]
-    assert all(re.search(r" \d+\.\d{3} s$", line) for line in lines)
+    for command in ("rb", "compare"):
+        cfg = dict(small_rbsv_config(), protocol=command)
+        if command == "rb":
+            del cfg["N_m"]
+        path = write_config(tmp_path, f"{command}.json", cfg)
+        proc = subprocess.run([sys.executable, "-m", "rbsim.cli", command, "--config", path,
+                               "--out", str(tmp_path / command)],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = [line for line in proc.stderr.splitlines() if " rbsim.seeding INFO " in line]
+        assert [line.split(" INFO ")[1].split()[:2] for line in lines] == \
+            [[f"m={m}", f"K_m={cfg['K_m']}"] for m in cfg["lengths"]], command
+        assert all(re.search(r" \d+\.\d{3} s$", line) for line in lines)
+
+
+COMPARE_NOISE = {
+    "depolarizing": {"gate": {"kind": "depolarizing", "epsilon": 0.02}},
+    "pauli-spam": {"gate": {"kind": "pauli",
+                            "probabilities": {"II": 0.95, "XI": 0.03, "IZ": 0.02}},
+                   "prep": {"kind": "depolarizing", "epsilon": 0.02},
+                   "meas": {"kind": "pauli", "probabilities": {"II": 0.97, "YI": 0.03}},
+                   "p_meas": 0.03},
+    "delta-dense": {"gate": {"kind": "delta_depolarizing", "delta": 0.02, "p_prime": 0.98}},
+}
+
+
+@pytest.mark.parametrize("noise", sorted(COMPARE_NOISE))
+@pytest.mark.parametrize("rb_mode", ["clifford", "generator"])
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_compare_csvs_equal_separate_runs(mode, rb_mode, noise, tmp_path):
+    # compare reads both observables off one batch per length; each must be
+    # what the protocol's own subcommand writes for the same config
+    rbsv = {"protocol": "rbsv", "n": 2, "lengths": [2, 4, 7], "K_m": 5, "N_m": 16,
+            "shots": 16, "mode": mode, "rb_mode": rb_mode, "b": 2,
+            "noise": COMPARE_NOISE[noise], "seed": 23}
+    rb = dict(rbsv, protocol="rb")
+    del rb["N_m"]
+    outs = {}
+    for command, cfg in (("rb", rb), ("rbsv", rbsv), ("compare", rbsv)):
+        path = write_config(tmp_path, f"{command}.json", cfg)
+        outs[command] = tmp_path / command
+        assert main([command, "--config", path, "--out", str(outs[command])]) == 0
+    for name in ("rb", "rbsv"):
+        assert (outs["compare"] / f"{name}.csv").read_bytes() == \
+            (outs[name] / f"{name}.csv").read_bytes(), name
+    summary = json.loads((outs["compare"] / "compare_summary.json").read_text())
+    for name in ("rb", "rbsv"):
+        alone = json.loads((outs[name] / f"{name}_summary.json").read_text())
+        assert summary[f"r_{name}"] == alone[f"r_{name}"]
+        assert summary["engine"] == alone["engine"]
+
+
+@pytest.mark.parametrize("mode", ["sampled", "exact"])
+def test_compare_draws_and_propagates_each_length_once(mode, tmp_path, monkeypatch):
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    draw = counted("draw", rb_module._draw_elements)
+    for module in (rb_module, rbsv_module):
+        monkeypatch.setattr(module, "_draw_elements", draw)
+    for method in ("__init__", "_pauli_prefix"):
+        monkeypatch.setattr(CompiledSequence, method,
+                            counted(method, getattr(CompiledSequence, method)))
+    cfg = dict(small_rbsv_config(), mode=mode)
+    path = write_config(tmp_path, "compare.json", cfg)
+    assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 0
+    lengths = len(cfg["lengths"])
+    assert calls == {"draw": lengths, "__init__": lengths, "_pauli_prefix": lengths}

@@ -369,6 +369,42 @@ class TestBatchEngine:
         want = [oracle_survival(spec, ch) for spec in specs]
         assert np.max(np.abs(compiled.survival_probability() - want)) < 1e-12
 
+    @pytest.mark.parametrize("spam", ["mixed", "trivial"])
+    @pytest.mark.parametrize("path", ["pauli", "dense"])
+    def test_closing_after_a_readout_equals_fresh_instances(self, path, spam, rng):
+        # compare reads acceptance, closes, then reads survival on one instance;
+        # every value must be bit for bit that of an instance read only once
+        pauli, composed = mixed_channels(2)
+        closing = pauli
+        if path == "dense":
+            closing = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
+        spam = MIXED_SPAM[2] if spam == "mixed" else SpamModel()
+        batch = random_batch(2, 4, [pauli, composed, Ideal(), closing, pauli], spam, rng)
+        seeds = stream_seeds(rng, 4)
+
+        def readouts(compiled, closed):
+            if closed:
+                return [compiled.survival_probability(), compiled.survival_samples(50, seeds),
+                        compiled.propagate_faults()]
+            return [compiled.acceptance_probability(), compiled.acceptance_probability(False),
+                    compiled.acceptance_samples(50, seeds), compiled.propagate_faults()]
+
+        shared = CompiledSequence(batch)
+        assert shared.engine == path
+        got = readouts(shared, False)
+        shared.append_inverse(closing)
+        got += readouts(shared, True)
+        fresh = CompiledSequence(batch)
+        want = readouts(fresh, False)
+        fresh = CompiledSequence(batch)
+        fresh.append_inverse(closing)
+        want += readouts(fresh, True)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        # the readouts differ between the open and the closed sequence
+        assert not np.array_equal(got[3], got[-1])
+        with pytest.raises(ValueError, match="already closed"):
+            shared.append_inverse(closing)
+
     def test_one_stream_per_sequence(self, rng):
         batch = random_batch(2, 3, [Depolarizing(0.1)] * 2, SpamModel(), rng)
         with pytest.raises(ValueError):
@@ -397,7 +433,7 @@ class TestPauliKernel:
             compiled = CompiledSequence(batch)
             if closed:
                 compiled.append_inverse(noise)
-            group, _ = compiled._pauli_expectations()
+            group, _ = compiled._pauli_factors()
             assert group.shape == (3, 2 ** n)
             for k in range(3):
                 product = product_of(batch.sequence(k))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rbsim.channels import NoiseModel, PauliChannel, SpamModel
-from rbsim.rb import _closed_survivals, _draw_elements, run_standard_rb
+from rbsim.rb import _compile, _draw_elements, _survivals, run_standard_rb
 from rbsim.rbsv import RBSVConfig, _acceptances, run_rbsv
 from rbsim.seeding import (
     generator_for,
@@ -137,7 +137,8 @@ def unit_outputs(config, m, indices):
     and its sampled RBSV accept count, from a batch of the given units."""
     seeds = unit_seeds(config.seed, indices)
     rows, phases = _draw_elements(config, m, seeds[0])
-    survived = _closed_survivals(config, rows, phases, seeds[1]) * config.shots
+    compiled = _compile(config, rows, phases)
+    survived = _survivals(config, compiled, seeds[1], config.noise.gate) * config.shots
     accepted = _acceptances(config, m, seeds, list(indices)) * config.n_m
     return [(rows[:, j].tolist(), phases[:, j].tolist(), survived[j], accepted[j])
             for j in range(len(indices))]
