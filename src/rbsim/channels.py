@@ -1,8 +1,8 @@
 """Noise channels, SPAM models and density-matrix helpers.
 
-Channels act on dense density matrices (the dense engine's representation)
-and, when Pauli-diagonal, expose their Pauli fault distribution and Pauli
-eigenvalues, the only form in which the Pauli engine reads them.
+Channels act on dense density matrices (the tests' oracle and the channel
+analysis) and, for the engine, on Pauli coefficients ``Tr(P rho)``
+(``pauli_action``): by their Pauli eigenvalues when Pauli-diagonal.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .paulis import PauliString
+from .paulis import PauliString, packed_phase_exponent
 
 __all__ = [
     "NoiseChannel",
@@ -30,6 +30,7 @@ __all__ = [
     "average_fidelity",
     "depolarizing_parameter",
     "measurement_success_probability",
+    "pauli_action",
     "channel_from_spec",
     "config_integer",
     "rotation_unitary",
@@ -296,10 +297,11 @@ def depolarizing_parameter(ch: NoiseChannel, n: int) -> float:
 
 
 def walsh_hadamard(values) -> np.ndarray:
-    """``out[x] = sum_y values[y] (-1)^popcount(x & y)``; the length is a power of 2."""
-    out = np.array(values, dtype=float)
+    """``out[..., x] = sum_y values[..., y] (-1)^popcount(x & y)`` along the
+    last axis, whose length is a power of 2; real or complex."""
+    out = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
     h = 1
-    while h < out.size:
+    while h < out.shape[-1]:
         pairs = out.reshape(-1, 2, h)
         pairs[:, 0], pairs[:, 1] = pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]
         h *= 2
@@ -347,6 +349,49 @@ def pauli_eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
     idx = np.arange(4 ** n)
     low = (1 << n) - 1
     return spectrum[((idx & low) << n) | (idx >> n)]
+
+
+_I_POWERS = np.array([1, 1j, -1, -1j])
+
+
+def pauli_action(ch: NoiseChannel, n: int) -> list:
+    """The channel on Pauli coefficients ``c_b = Tr(P_b rho)`` (packed ``b``):
+    stages applied in order, each a list of ``(sources, weights)`` pairs that
+    maps ``c`` to ``sum(weights * c[..., sources])``.  A Pauli-diagonal
+    channel is one stage of its eigenvalues, a ``ComposedChannel`` its
+    parts' stages, a ``DeltaDepolarizing`` the ``(1, p', ..., p')`` diagonal
+    mixed with ``U rho U†`` over the nonzero terms ``u_j P_j`` of U, one
+    gather per offset ``j ^ k`` (``P_j P_a P_k`` is ``P_(j^a^k)`` times a
+    power of i).  Other channels raise ``UnsupportedChannelError``."""
+    paulis = np.arange(4 ** n)
+    if ch.is_pauli_diagonal:
+        return [[(paulis, pauli_eigenvalues(ch, n))]]
+    if isinstance(ch, ComposedChannel):
+        return [stage for part in ch.channels for stage in pauli_action(part, n)]
+    if not isinstance(ch, DeltaDepolarizing):
+        raise UnsupportedChannelError(f"{type(ch).__name__} has no Pauli-basis action")
+    u = ch.perturbation
+    if u.shape != (1 << n, 1 << n):
+        raise ValueError("perturbation dimension does not match state")
+    # P_j = i^popcount(x & z) X^x Z^z, and Tr(X^x Z^z u) sums (-1)^popcount(Z & r)
+    # u[r, r ^ X] over rows r (X, Z: row masks; qubit 0 the top bit): a
+    # Walsh-Hadamard transform per X, whose butterflies keep zero terms zero
+    r = np.arange(1 << n)
+    x = sum(((r >> (n - 1 - q)) & 1) << q for q in range(n))  # row mask -> packed letters
+    coefficients = (walsh_hadamard(u[r, r[:, None] ^ r]) / len(r)
+                    * _I_POWERS[np.bitwise_count(x[:, None] & x) & 3])
+    terms = [(int(j), c) for j, c in zip((x[:, None] | x << n).ravel(), coefficients.ravel())
+             if c != 0]
+    diagonal = np.full(4 ** n, ch.p_prime)
+    diagonal[0] = 1.0
+    weights = {0: (1.0 - ch.delta) * diagonal}
+    for j, u_j in terms:
+        for k, u_k in terms:
+            a = paulis ^ j ^ k
+            power = packed_phase_exponent(j, a, n) + packed_phase_exponent(j ^ a, k, n)
+            term = ch.delta * u_j * np.conj(u_k) * _I_POWERS[power & 3]
+            weights[j ^ k] = weights.get(j ^ k, 0.0) + term
+    return [[(paulis ^ t, np.real(w)) for t, w in weights.items()]]
 
 
 # ---------------------------------------------------------------------------

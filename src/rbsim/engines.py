@@ -6,61 +6,45 @@ sequences with one channel per position; a ``SequenceSpec`` is the batch of
 one).  Acceptance and RB survival are means over them.  Sampled mode counts,
 per sequence, the words of its repetition stream that fall below its
 probability (``_binomials``): one Binomial(reps, p) draw, at O(reps) cost.
-The noise picks the path.  For Pauli-diagonal noise (``pauli``) each
-sequence carries its 2^n packed stabilizers (bit q = x_q, bit n+q = z_q;
-signs never enter), starting from the Z group.  Every element's rows are
-spanned into two half tables, the images of all 2^n x-halves and all 2^n
-z-halves (a block of positions at a time); at each position a stabilizer's
-image is one lookup per half, and it then collects the position's channel
-eigenvalues, computed once per channel value.  The propagation through the
-last element is kept, so the open sequence (RBSV acceptance) and the same
-sequence closed by its inverse (RB survival) share it.  For other noise
-(``dense``, n <= 6) each sequence's expectations are read off
-``run_sequence_exact``, also the tests' oracle.  Both apply ``1 - 4p/3`` per
-touched qubit for ``meas_flip``.
+
+The engine works in the Pauli basis, in the frame of each sequence's ideal
+product U: for packed Paulis b (bit q = x_q, bit n+q = z_q) it carries the
+image ``U P_b U† = i^e P_g``, one lookup per half in the two half tables
+spanned from each element's rows, and the coefficient ``Tr(U P_b U† rho)``.
+A Pauli-diagonal channel scales a coefficient by its eigenvalue at the
+image, so Pauli-diagonal noise (``pauli``) tracks only the Z group, whose
+coefficients are the stabilizer expectations, with no signs.  Other noise
+(``dense``, n <= 6) tracks all 4^n Paulis and e: its channels act
+(``channels.pauli_action``) on the signed coefficients scattered to the
+images, which are then gathered back.  The inverse returns every image to
+its Pauli, so the open (RBSV) and the closed (RB) sequence share the
+propagation.  ``run_sequence_exact`` is one sequence's dense state, the
+tests' oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
-from .cliffords import (
-    CliffordElement,
-    MAX_DENSE_QUBITS,
-    clifford_to_matrix,
-    compose,
-    inverse,
-    stabilizer_group,
-)
-from .channels import (
-    NoiseChannel,
-    Ideal,
-    SpamModel,
-    apply_channel,
-    pauli_eigenvalues,
-    zero_state,
-)
+from .cliffords import CliffordElement, MAX_DENSE_QUBITS, clifford_to_matrix
+from .channels import (NoiseChannel, Ideal, SpamModel, apply_channel, pauli_action,
+                       pauli_eigenvalues, zero_state)
+from .paulis import packed_phase_exponent
 from .seeding import stream_words
 
-__all__ = [
-    "SequenceSpec",
-    "run_sequence_exact",
-    "engine_for",
-    "SequenceBatch",
-    "CompiledSequence",
-]
+__all__ = ["SequenceSpec", "run_sequence_exact", "engine_for", "SequenceBatch",
+           "CompiledSequence"]
 
-# the Pauli engine holds a 4^n eigenvalue table per channel, the 2^n
-# stabilizers of every sequence and, per sequence and position, two 2^n-entry
-# half tables
+# the engine holds a 4^n eigenvalue table per channel, the 2^n stabilizers of
+# every sequence and, per sequence and position, two 2^n-entry half tables
+# (noise that is not Pauli-diagonal: 4^n Paulis, up to ``MAX_DENSE_QUBITS``)
 MAX_TABLE_QUBITS = 8
 
 # half-table words built at once: a block of positions, so that small batches
-# pay few array calls per position while large ones stay cache-sized and the
-# memory of a call stays bounded
+# pay few array calls per position while large ones stay cache-sized and bounded
 _TABLE_WORDS = 1 << 14
 
 # repetition words counted at once, for the same reason
@@ -113,17 +97,14 @@ def _flip_factors(group: np.ndarray, n: int, p: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dense engine
+# Dense state of one sequence
 # ---------------------------------------------------------------------------
 
 
 def run_sequence_exact(spec: SequenceSpec) -> np.ndarray:
     """Exact output state (Λ_m ∘ C_m) ... (Λ_1 ∘ C_1) Λ_prep(|0..0><0..0|)."""
     if spec.n > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"dense engine limited to n <= {MAX_DENSE_QUBITS}; "
-            "larger registers need Pauli-diagonal noise"
-        )
+        raise ValueError(f"dense state limited to n <= {MAX_DENSE_QUBITS}")
     rho = apply_channel(spec.spam.prep, zero_state(spec.n))
     for i, element in enumerate(spec.elements):
         u = clifford_to_matrix(element)
@@ -159,11 +140,6 @@ class SequenceBatch:
                         .reshape(spec.m, 1, 2 * spec.n) for f in ("rows", "phases"))
         return cls(spec.n, rows, phases, [spec.channel_for(i) for i in range(spec.m)], spec.spam)
 
-    def sequence(self, k: int) -> list:
-        """The signed elements of sequence ``k``."""
-        return [CliffordElement._trusted(self.n, tuple(rows), tuple(phases)) for rows, phases
-                in zip(self.elements[:, k].tolist(), self.phases[:, k].tolist())]
-
 
 @lru_cache(maxsize=8)
 def _eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
@@ -173,21 +149,26 @@ def _eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
     return table
 
 
-def _span(words: np.ndarray, n: int) -> np.ndarray:
+def _span(words: np.ndarray, n: int, phases: np.ndarray | None = None):
     """The XOR of each subset of the n ``words`` on the last axis, in subset
-    index order (bit j of the index selects ``words[..., j]``): ``(..., 2^n)``."""
+    index order (bit j of the index selects ``words[..., j]``): ``(..., 2^n)``;
+    with the words' ``phases``, also each ascending product's exponent of i."""
     out = np.zeros(words.shape[:-1] + (1 << n,), dtype=np.int64)
+    out_phases = None if phases is None else np.zeros_like(out)
     for j in range(n):
-        out[..., 1 << j:2 << j] = out[..., :1 << j] ^ words[..., j, None]
-    return out
+        low, word = out[..., :1 << j], words[..., j, None]
+        if phases is not None:
+            out_phases[..., 1 << j:2 << j] = (out_phases[..., :1 << j] + phases[..., j, None]
+                                              + packed_phase_exponent(low, word, n))
+        out[..., 1 << j:2 << j] = low ^ word
+    return out if phases is None else (out, out_phases)
 
 
 def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
     """Per sequence k, the count of the first ``reps`` words of the stream
     seeded by ``seeds[k]`` whose top 53 bits lie below ``p_k 2^53``:
-    Binomial(reps, p_k) with p_k rounded up to a multiple of 2^-53.  The
-    words are counted ``_COUNT_WORDS`` at a time, so memory does not grow
-    with ``reps``; the cost is O(reps) per sequence."""
+    Binomial(reps, p_k) with p_k rounded up to a multiple of 2^-53, counted
+    ``_COUNT_WORDS`` at a time so that memory does not grow with ``reps``."""
     seeds = np.asarray(seeds, dtype=np.uint64)
     if seeds.shape != probabilities.shape:
         raise ValueError("need one stream seed per sequence")
@@ -206,12 +187,8 @@ class CompiledSequence:
 
     ``propagate_faults()`` gives each sequence's ``<s>`` for the 2^n
     stabilizers of its ideal output state; the probabilities average them,
-    and the samples draw each sequence's count of ``reps`` repetitions from
-    its own repetition stream with the binomial law of ``reps`` repetitions
-    that each measure a uniformly drawn stabilizer.  The Pauli path keeps its
-    propagation through the last element, so a readout after
-    ``append_inverse`` multiplies only the closing channel, meas and flips
-    onto the open sequence's.
+    and the samples draw each sequence's count of ``reps`` repetitions, each
+    measuring a uniformly drawn stabilizer, from its own repetition stream.
     """
 
     def __init__(self, spec: SequenceSpec | SequenceBatch):
@@ -219,8 +196,8 @@ class CompiledSequence:
         self.n = spec.n
         self.channels = list(self.batch.channels)
         self.closed = False
-        self._prefix = None  # the Pauli path's propagation through the last element
-        self._tables = {}    # eigenvalue tables by channel identity: no value hash per position
+        self._prefix = None  # the engine and its propagation through the last element
+        self._tables = {}    # eigenvalues or pauli_action by channel identity: no value hash
 
     @property
     def engine(self) -> str:
@@ -228,13 +205,8 @@ class CompiledSequence:
 
     def append_inverse(self, channel: NoiseChannel):
         """Close every sequence: append the inverse of its ideal product as one
-        more element, followed by ``channel``.
-
-        The Pauli path needs no rows for it: the inverse without its signs (a
-        Pauli frame, which Pauli-diagonal noise cannot tell apart) returns
-        every stabilizer to the prepared Z group.  The dense path appends
-        the signed inverse.
-        """
+        more element, followed by ``channel``.  It needs no rows: the inverse
+        returns every tracked Pauli's image to the Pauli itself."""
         if self.closed:
             raise ValueError("the sequence is already closed")
         self.closed = True
@@ -243,87 +215,86 @@ class CompiledSequence:
     def propagate_faults(self) -> np.ndarray:
         """Expectation of each stabilizer of each sequence's ideal output state
         (``(K, 2^n)``, identity first), measurement flips included."""
-        if self.engine == "pauli":
-            group, factors = self._pauli_factors()
-        else:
-            group, expectations = self._dense_expectations()
-            factors = [expectations]
-        factors.append(_flip_factors(group, self.n, self.batch.spam.meas_flip))
-        # multiplied in the order the noise acts; the first product is a new
-        # array, so a kept prefix is never written
-        expectations = factors[0] * factors[1]
-        for factor in factors[2:]:
-            expectations *= factor
-        return expectations
+        group, expectations = self._readout()
+        # a new array: the kept prefix is never written
+        return expectations * _flip_factors(group, self.n, self.batch.spam.meas_flip)
 
-    def _eigenvalues(self, ch: NoiseChannel) -> np.ndarray:
-        if id(ch) not in self._tables:
-            self._tables[id(ch)] = _eigenvalues(ch, self.n)
-        return self._tables[id(ch)]
-
-    def _pauli_factors(self):
-        """The final group and the factors whose product, in order, is each
-        stabilizer's expectation: the expectations through the last element,
-        computed once per instance, then the closing and meas channels'
-        eigenvalues."""
-        if self._prefix is None:
-            self._prefix = self._pauli_prefix()
-        z_group, group, expectations = self._prefix
+    def _readout(self):
+        """Each sequence's packed stabilizer group and their expectations
+        before the flips: the propagation through the last element, computed
+        once per instance and engine, then the closing and meas channels."""
+        engine = self.engine
+        if self._prefix is None or self._prefix[0] != engine:
+            self._prefix = engine, self._propagate(engine == "dense")
+        _, (z_columns, tracked, group, phases, coefficients) = self._prefix
         tail = [self.batch.spam.meas]
         if self.closed:
-            group = z_group
+            group, phases = tracked, 0  # every image back at its Pauli, unsigned
             tail.insert(0, self.channels[-1])
-        return group, [expectations] + [self._eigenvalues(ch)[group] for ch in tail
-                                        if not isinstance(ch, Ideal)]
+        for ch in tail:
+            coefficients = self._apply(ch, group, phases, coefficients)
+        return group[:, z_columns], coefficients[:, z_columns]
 
-    def _pauli_prefix(self):
-        """The Z group, and each sequence's group and stabilizer expectations
-        after the prep channel and every position with its channel."""
+    def _apply(self, ch: NoiseChannel, group, phases, coefficients) -> np.ndarray:
+        """``coefficients`` on the images ``i^phases P_group`` after ``ch``, as
+        a new array unless ``ch`` is ideal."""
+        if isinstance(ch, Ideal):
+            return coefficients
+        if id(ch) not in self._tables:
+            self._tables[id(ch)] = (_eigenvalues(ch, self.n) if ch.is_pauli_diagonal
+                                    else pauli_action(ch, self.n))
+        table = self._tables[id(ch)]
+        if ch.is_pauli_diagonal:
+            return coefficients * table[group]
+        sign = 1 - (phases & 2)
+        lab = np.empty_like(coefficients)
+        np.put_along_axis(lab, group, sign * coefficients, axis=1)
+        for stage in table:
+            lab = sum(weights * lab[:, sources] for sources, weights in stage)
+        return sign * np.take_along_axis(lab, group, axis=1)
+
+    def _propagate(self, signed: bool):
+        """The Z group's columns, the tracked Paulis (the Z group, or all 4^n
+        when ``signed``), and each sequence's images of them, their exponents
+        of i (signed only) and coefficients after prep and every position."""
         n, batch = self.n, self.batch
-        if n > MAX_TABLE_QUBITS:
-            raise ValueError(f"Pauli engine limited to n <= {MAX_TABLE_QUBITS}")
+        if n > (limit := MAX_DENSE_QUBITS if signed else MAX_TABLE_QUBITS):
+            raise ValueError(f"{self.engine} engine limited to n <= {limit}")
         k_m = batch.elements.shape[1]
         size = 1 << n
         # a stabilizer group is the span of its n generators, in subset order;
         # the span is linear, so mapping every element of it keeps that order
-        z_group = np.broadcast_to(_span(np.int64(1) << np.arange(n, 2 * n), n), (k_m, size))
-        expectations = np.ones(z_group.shape)
-
-        def collect(ch, group):  # a channel acts on the stabilizers of the state it follows
-            if not isinstance(ch, Ideal):
-                expectations[...] *= self._eigenvalues(ch)[group]
-
-        collect(batch.spam.prep, z_group)
+        z_group = _span(np.int64(1) << np.arange(n, 2 * n), n)
+        paulis = np.arange(size * size) if signed else z_group
+        group = tracked = np.broadcast_to(paulis, (k_m, paulis.size))
+        phases = np.zeros(group.shape, dtype=np.int64) if signed else None
+        # |0..0><0..0| has coefficient 1 on the Z group, 0 elsewhere
+        coefficients = self._apply(batch.spam.prep, group, phases,
+                                   (group & (size - 1) == 0).astype(float))
         # position l's half tables: sequence k's x-half table starts at
         # base[k], its z-half table at z_base[k]
         base = np.arange(k_m)[:, None] << (n + 1)
         z_base = base + size
         step = max(1, _TABLE_WORDS // (k_m << (n + 1)))
-        group = z_group
         for start in range(0, len(batch.elements), step):
-            block = batch.elements[start:start + step]
-            halves = _span(block.reshape(len(block), k_m, 2, n), n).reshape(len(block), -1)
-            for half, ch in zip(halves, self.channels[start:start + step]):
-                group = half[base + (group & (size - 1))] ^ half[z_base + (group >> n)]
-                collect(ch, group)
-        return z_group, group, expectations
-
-    def _dense_expectations(self):
-        n, spam = self.n, self.batch.spam
-        groups, expectations = [], []
-        for k in range(self.batch.elements.shape[1]):
-            elements = self.batch.sequence(k)
-            product = reduce(compose, elements, CliffordElement.identity(n))
-            if self.closed:
-                elements.append(inverse(product))
-                product = CliffordElement.identity(n)
-            spec = SequenceSpec(n, elements, self.channels, spam)
-            rho = apply_channel(spam.meas, run_sequence_exact(spec))
-            group = stabilizer_group(product)
-            # Tr(s rho) = sum_ij conj(s_ij) rho_ij for each signed (Hermitian) stabilizer s
-            expectations.append([np.real(np.vdot(s.to_matrix(), rho)) for s in group])
-            groups.append([s.bits for s in group])
-        return np.array(groups, dtype=np.int64), np.array(expectations)
+            block = batch.elements[start:start + step].reshape(-1, k_m, 2, n)
+            if signed:
+                block_phases = batch.phases[start:start + step].reshape(block.shape)
+                halves, half_phases = (t.reshape(len(block), -1)
+                                       for t in _span(block, n, block_phases))
+            else:
+                halves = _span(block, n).reshape(len(block), -1)
+            for i, (half, ch) in enumerate(zip(halves, self.channels[start:start + step])):
+                x, z = group & (size - 1), group >> n
+                x_image, z_image = half[base + x], half[z_base + z]
+                if signed:
+                    # P_g = i^popcount(x & z) X^x Z^z: its image is the halves' product
+                    phases = (phases + half_phases[i][base + x] + half_phases[i][z_base + z]
+                              + np.bitwise_count(x & z)
+                              + packed_phase_exponent(x_image, z_image, n))
+                group = x_image ^ z_image
+                coefficients = self._apply(ch, group, phases, coefficients)
+        return z_group if signed else slice(None), tracked, group, phases, coefficients
 
     def acceptance_probability(self, include_identity: bool = True) -> np.ndarray:
         """Per sequence, the mean of ``(1 + <s>)/2`` over the stabilizers, with

@@ -10,7 +10,6 @@ __all__ = ["DecayFit", "fit_decay", "r_from_p"]
 
 _GRID_SIZE = 512
 _ZOOM_SIZE = 33
-_MAX_ITERATIONS = 200
 _STEP_TOL = 1e-12
 
 
@@ -80,15 +79,14 @@ def _profile(ps, ms, ys, w, bounds):
 def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
     """Fit ``value = A0 + B0 * p^m`` to (m, value) points.
 
-    Stage 1 evaluates the profile (the best A0, B0 and weighted SSE for a
-    fixed p) in one array call over 512 points log-spaced in 1 - p, p = 0
-    included.  When ``coefficient_bounds`` is given as
-    ((a_lo, a_hi), (b_lo, b_hi)) the coefficients are box-constrained and
-    stage 2 zooms in on the best grid point: each round evaluates the
-    profile at 33 points of the bracket and keeps the best one's two
-    neighbours, until the bracket is narrower than 1e-12 in p.  Without
-    bounds (a free fit) stage 2 is a Gauss-Newton polish of (A0, B0, p)
-    from the best grid point, which also gives the covariance.  ``weights``
+    The profile (the best A0, B0 and weighted SSE for a fixed p) is
+    evaluated in one array call over 512 points log-spaced in 1 - p, p = 0
+    included, then zoomed in on around the best grid point: each round
+    evaluates it at 33 points of the bracket and keeps the best one's two
+    neighbours, until the bracket is narrower than 1e-12 in p.  With
+    ``coefficient_bounds`` ((a_lo, a_hi), (b_lo, b_hi)) the coefficients are
+    box-constrained; without them (a free fit) the result also carries the
+    Gauss-Newton covariance of (A0, B0, p) at the fitted p.  ``weights``
     follow the usual 1/stderr^2 convention.
     """
     pts = sorted((float(m), float(v)) for m, v in points)
@@ -104,7 +102,6 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
             raise ValueError("weights must match points")
         if np.any(w < 0) or not np.any(w > 0):
             raise ValueError("weights must be non-negative and not all zero")
-    sw = np.sqrt(w)
 
     if np.allclose(ys, ys[0], rtol=0.0, atol=1e-15):
         return DecayFit(a0=float(ys[0]), b0=0.0, p=1.0, residual_rms=0.0,
@@ -112,60 +109,33 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
 
     grid = 1.0 - np.logspace(-9.0, 0.0, _GRID_SIZE)
     best = int(np.argmin(_profile(grid, ms, ys, w, coefficient_bounds)[2]))
-    p = float(grid[best])
-
+    # the grid decreases in p, so its neighbours bracket the best point
+    lo = float(grid[min(best + 1, _GRID_SIZE - 1)])
+    hi = float(grid[max(best - 1, 0)])
+    while hi - lo >= _STEP_TOL:
+        ps = np.linspace(lo, hi, _ZOOM_SIZE)
+        i = int(np.argmin(_profile(ps, ms, ys, w, coefficient_bounds)[2]))
+        lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, _ZOOM_SIZE - 1)])
+    p = (lo + hi) / 2.0
+    a0, b0, _ = (float(c[0]) for c in _profile([p], ms, ys, w, coefficient_bounds))
+    cov = None
     if coefficient_bounds is None:
-        a0, b0, _ = _profile([p], ms, ys, w, None)
-        theta = np.array([a0[0], b0[0], p])
-        converged = False
-        for _ in range(_MAX_ITERATIONS):
-            a0, b0, p = theta
-            p = min(max(p, 0.0), 1.0 - 1e-15)
-            x = p ** ms
-            resid = a0 + b0 * x - ys
-            jac = np.vstack([np.ones_like(x), x, b0 * ms * p ** (ms - 1.0)]).T
-            jw = jac * sw[:, None]
-            try:
-                step, *_ = np.linalg.lstsq(jw, -(resid * sw), rcond=None)
-            except np.linalg.LinAlgError:
-                break
-            theta = theta + step
-            theta[2] = min(max(theta[2], 0.0), 1.0)
-            if float(np.max(np.abs(step))) < _STEP_TOL:
-                converged = True
-                break
-        a0, b0, p = theta
-        cov = None
         x = p ** ms
-        jac = np.vstack([np.ones_like(x), x, b0 * ms * p ** (np.maximum(ms - 1.0, 0.0))]).T
-        jw = jac * sw[:, None]
+        jw = np.vstack([np.ones_like(x), x, b0 * ms * p ** np.maximum(ms - 1.0, 0.0)]).T
+        jw *= np.sqrt(w)[:, None]
         jtj = jw.T @ jw
         if np.linalg.matrix_rank(jtj) == 3:
-            dof = max(ms.size - 3, 1)
-            resid = (a0 + b0 * x - ys) * sw
-            cov = np.linalg.inv(jtj) * float(resid @ resid) / dof
-    else:
-        # the grid decreases in p, so its neighbours bracket the best point
-        lo = float(grid[min(best + 1, _GRID_SIZE - 1)])
-        hi = float(grid[max(best - 1, 0)])
-        while hi - lo >= _STEP_TOL:
-            ps = np.linspace(lo, hi, _ZOOM_SIZE)
-            i = int(np.argmin(_profile(ps, ms, ys, w, coefficient_bounds)[2]))
-            lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, _ZOOM_SIZE - 1)])
-        p = (lo + hi) / 2.0
-        a0, b0, _ = (float(c[0]) for c in _profile([p], ms, ys, w, coefficient_bounds))
-        converged = True
-        cov = None
+            resid = (a0 + b0 * x - ys) * np.sqrt(w)
+            cov = np.linalg.inv(jtj) * float(resid @ resid) / max(ms.size - 3, 1)
 
-    p = min(max(float(p), 0.0), 1.0)
     resid = (a0 + b0 * p ** ms - ys)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return DecayFit(
-        a0=float(a0),
-        b0=float(b0),
+        a0=a0,
+        b0=b0,
         p=p,
         residual_rms=rms,
-        converged=bool(converged),
+        converged=True,
         degenerate=False,
         at_boundary=bool(p <= 0.0 or p >= 1.0 - 1e-12),
         covariance=cov,

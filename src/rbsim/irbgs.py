@@ -29,8 +29,8 @@ from .cliffords import CliffordElement
 from .engines import engine_for
 from .fitting import DecayFit
 from .paulis import PauliString
-from .rb import (RBConfig, RBData, _compile, _draw_elements, _survivals, fit_rb_data,
-                 run_standard_rb)
+from .rb import (RBConfig, RBData, _compile, _draw_elements, _survivals, fit_lengths,
+                 fit_rb_data, run_standard_rb)
 from .seeding import run_ensemble
 
 __all__ = [
@@ -432,13 +432,11 @@ class IRBGSConfig:
     fit_strategy: str = "auto"
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
+        object.__setattr__(self, "lengths", fit_lengths(self.lengths))
         if self.n != 2:
             raise ValueError("the synthesis construction targets two qubits")
         if self.recipe is None:
             raise ValueError("an interleaved run needs a synthesis recipe")
-        if not self.lengths or any(m < 1 for m in self.lengths):
-            raise ValueError("lengths must be non-empty with m >= 1")
         if not self.cpdag_shares_noise and self.noise_n_dagger is None:
             raise ValueError("cpdag_shares_noise=False needs a noise_n_dagger channel")
 

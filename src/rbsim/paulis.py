@@ -138,8 +138,9 @@ def symplectic_inner(v, w, n: int):
     return np.bitwise_count((v & (w >> n)) ^ (w & (v >> n))) & 1
 
 
-def packed_phase_exponent(v: int, w: int, n: int) -> int:
-    """Exponent of i (mod 4) picked up by the packed product ``v @ w``.
+def packed_phase_exponent(v, w, n: int):
+    """Exponent of i (mod 4) picked up by the packed product ``v @ w``, for
+    ints or, elementwise, int64 arrays (broadcast).
 
     Aaronson-Gottesman bookkeeping summed over the qubits, one bit mask per
     sign: Y*Z, X*Y and Z*X give +1, Y*X, X*Z and Z*Y give -1.
@@ -149,7 +150,9 @@ def packed_phase_exponent(v: int, w: int, n: int) -> int:
     x2, z2 = w & mask, w >> n
     plus = (x1 & z1 & z2 & ~x2) | (x1 & ~z1 & x2 & z2) | (~x1 & z1 & x2 & ~z2)
     minus = (x1 & z1 & x2 & ~z2) | (x1 & ~z1 & z2 & ~x2) | (~x1 & z1 & x2 & z2)
-    return (plus.bit_count() - minus.bit_count()) & 3
+    if isinstance(plus, int):
+        return (plus.bit_count() - minus.bit_count()) & 3
+    return (np.bitwise_count(plus).astype(np.int64) - np.bitwise_count(minus)) & 3
 
 
 def pauli_multiply(a: PauliString, b: PauliString) -> PauliString:

@@ -50,6 +50,16 @@ def driver_fit_bounds(d: int, strategy: str, spam_trivial: bool):
     raise ValueError(f"unknown fit strategy {strategy!r}")
 
 
+def fit_lengths(lengths) -> tuple:
+    """``lengths`` as ints, each m >= 1, with the 3 distinct ones a fit needs."""
+    lengths = tuple(int(m) for m in lengths)
+    if not lengths or any(m < 1 for m in lengths):
+        raise ValueError("lengths must be a non-empty list of m >= 1")
+    if len(set(lengths)) < 3:
+        raise ValueError("need at least 3 points with 3 distinct lengths")
+    return lengths
+
+
 @dataclass(frozen=True)
 class RBConfig:
     """Configuration shared by the benchmarking drivers.
@@ -72,9 +82,7 @@ class RBConfig:
     fit_strategy: str = "auto"
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", tuple(int(m) for m in self.lengths))
-        if not self.lengths or any(m < 1 for m in self.lengths):
-            raise ValueError("lengths must be a non-empty list of m >= 1")
+        object.__setattr__(self, "lengths", fit_lengths(self.lengths))
         if self.k_m < 1:
             raise ValueError("k_m must be >= 1")
         if not self.exact and self.shots < 1:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from rbsim.channels import SpamModel, choi_matrix
+from rbsim.cliffords import CliffordElement
 from rbsim.paulis import PauliString
 
 HERMITICITY_ATOL = 1e-12
@@ -115,6 +116,12 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) 
         return bool(np.allclose(a, b, atol=atol))
     phase = b[idx] / a[idx]
     return abs(abs(phase) - 1.0) < 1e-9 and bool(np.allclose(phase * a, b, atol=atol))
+
+
+def batch_sequence(batch, k: int) -> list:
+    """The signed elements of sequence ``k`` of a ``SequenceBatch``."""
+    return [CliffordElement(batch.n, rows, phases) for rows, phases
+            in zip(batch.elements[:, k].tolist(), batch.phases[:, k].tolist())]
 
 
 def maximally_mixed_state(n: int) -> np.ndarray:

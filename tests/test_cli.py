@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from rbsim import rb as rb_module, rbsv as rbsv_module
+from rbsim import irbgs as irbgs_module, rb as rb_module, rbsv as rbsv_module
 from rbsim.cli import main
 from rbsim.engines import CompiledSequence
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name, payload):
@@ -225,6 +227,37 @@ class TestConfigErrors:
         path = write_config(tmp_path, "recipe.json", dict(IRBGS_CONFIG, recipe={"path": missing}))
         assert main(["irbgs", "--config", path]) == 2
         assert_one_error(capsys, f"field 'recipe': cannot read {missing!r}")
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        assert main(["rb", "--config", str(tmp_path)]) == 2
+        assert_one_error(capsys, f"cannot read {str(tmp_path)!r}: ")
+
+    def test_out_path_is_an_existing_file(self, tmp_path, capsys):
+        cfg = {"protocol": "rb", "n": 1, "lengths": [1, 2, 3], "K_m": 2, "mode": "exact",
+               "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.01}}}
+        path = write_config(tmp_path, "rb.json", cfg)
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        assert main(["rb", "--config", path, "--out", str(taken)]) == 2
+        assert_one_error(capsys, f"cannot write {os.path.join(str(taken), 'rb.csv')!r}: ")
+        assert taken.read_text() == "kept"
+
+    @pytest.mark.parametrize("lengths", [[2, 4], [5, 5, 5]])
+    @pytest.mark.parametrize("command", ["rb", "rbsv", "compare", "irbgs"])
+    def test_fewer_than_three_distinct_lengths_refused_before_any_draw(
+            self, tmp_path, capsys, monkeypatch, command, lengths):
+        def refuse(*args):
+            raise AssertionError("elements drawn for a config the fit cannot take")
+
+        for module in (rb_module, rbsv_module, irbgs_module):
+            monkeypatch.setattr(module, "_draw_elements", refuse)
+        cfg = IRBGS_CONFIG if command == "irbgs" else dict(small_rbsv_config(), protocol=command)
+        cfg = dict(cfg, lengths=lengths)
+        if command == "rb":
+            del cfg["N_m"]
+        path = write_config(tmp_path, "short.json", cfg)
+        assert main([command, "--config", path]) == 2
+        assert_one_error(capsys, "need at least 3 points with 3 distinct lengths")
 
     def test_threads_other_than_one_rejected(self, tmp_path):
         path = write_config(tmp_path, "rbsv.json", small_rbsv_config())
@@ -496,11 +529,44 @@ def test_compare_draws_and_propagates_each_length_once(mode, tmp_path, monkeypat
     draw = counted("draw", rb_module._draw_elements)
     for module in (rb_module, rbsv_module):
         monkeypatch.setattr(module, "_draw_elements", draw)
-    for method in ("__init__", "_pauli_prefix"):
+    for method in ("__init__", "_propagate"):
         monkeypatch.setattr(CompiledSequence, method,
                             counted(method, getattr(CompiledSequence, method)))
-    cfg = dict(small_rbsv_config(), mode=mode)
-    path = write_config(tmp_path, "compare.json", cfg)
-    assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 0
-    lengths = len(cfg["lengths"])
-    assert calls == {"draw": lengths, "__init__": lengths, "_pauli_prefix": lengths}
+    # Pauli noise and noise that is not Pauli-diagonal alike
+    for noise in ("depolarizing", "delta-dense"):
+        calls.clear()
+        cfg = dict(small_rbsv_config(), mode=mode, noise=COMPARE_NOISE[noise])
+        path = write_config(tmp_path, f"{noise}.json", cfg)
+        assert main(["compare", "--config", path, "--out", str(tmp_path / noise)]) == 0
+        lengths = len(cfg["lengths"])
+        assert calls == {"draw": lengths, "__init__": lengths, "_propagate": lengths}, noise
+
+
+@pytest.mark.parametrize("command, config, artifacts", [
+    ("compare", "rbsv_two_qubit.json", ["compare_summary.json", "rb.csv", "rbsv.csv"]),
+    ("irbgs", "irbgs_cnot.json",
+     ["irbgs_baseline.csv", "irbgs_interleaved.csv", "irbgs_summary.json"]),
+    ("plan", "plan_two_qubit.json", ["plan.json"]),
+    ("verify-synthesis", None, []),
+])
+def test_shipped_configs_run(tmp_path, command, config, artifacts):
+    # the configs README advertises, through the command-line entry point
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    args = [command]
+    if config:
+        args += ["--config", str(ROOT / "configs" / config), "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "rbsim.cli", *args], capture_output=True,
+                          text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    if not config:
+        assert proc.stdout.count(" pass ") == 7 and "FAIL" not in proc.stdout
+        return
+    assert sorted(os.listdir(tmp_path / "out")) == artifacts
+    lengths = json.loads((ROOT / "configs" / config).read_text()).get("lengths")
+    for name in artifacts:
+        path = tmp_path / "out" / name
+        if name.endswith(".json"):
+            assert json.loads(path.read_text())
+        else:
+            assert len(read_csv(path)) == len(lengths)

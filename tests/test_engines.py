@@ -3,18 +3,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rbsim import channels, cliffords
 from rbsim.channels import (
     ComposedChannel,
     DeltaDepolarizing,
     Depolarizing,
     Ideal,
+    NoiseChannel,
     PauliChannel,
     SpamModel,
+    UnsupportedChannelError,
     measurement_success_probability,
     rotation_unitary,
     zero_state,
 )
 from rbsim.cliffords import (
+    MAX_DENSE_QUBITS,
     CliffordElement,
     compose,
     inverse,
@@ -35,6 +39,7 @@ from rbsim.rb import RBConfig, _draw_elements
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import (
+    batch_sequence,
     check_density_matrix,
     circuit_unitary,
     maximally_mixed_state,
@@ -302,7 +307,7 @@ def assert_batch_matches_dense_oracle(batch, closing):
     """Every sequence of a Pauli-path batch matches its own dense oracle to
     1e-12: acceptance with the identity in and out, survival after
     ``append_inverse``."""
-    specs = [SequenceSpec(batch.n, batch.sequence(k), batch.channels, batch.spam)
+    specs = [SequenceSpec(batch.n, batch_sequence(batch, k), batch.channels, batch.spam)
              for k in range(batch.elements.shape[1])]
     compiled = CompiledSequence(batch)
     assert compiled.engine == "pauli"
@@ -354,7 +359,7 @@ class TestBatchEngine:
         batch = random_batch(2, 3, [pauli, composed, Ideal()], MIXED_SPAM[2], rng)
         whole = CompiledSequence(batch).propagate_faults()
         for k in range(batch.elements.shape[1]):
-            one = CompiledSequence(SequenceSpec(2, batch.sequence(k), batch.channels, batch.spam))
+            one = CompiledSequence(SequenceSpec(2, batch_sequence(batch, k), batch.channels, batch.spam))
             assert np.array_equal(one.propagate_faults()[0], whole[k])
 
     def test_dense_path_runs_per_sequence(self, rng):
@@ -362,7 +367,7 @@ class TestBatchEngine:
         batch = random_batch(2, 3, [ch, Depolarizing(0.05)], SpamModel(), rng)
         compiled = CompiledSequence(batch)
         assert compiled.engine == "dense"
-        specs = [SequenceSpec(2, batch.sequence(k), batch.channels) for k in range(3)]
+        specs = [SequenceSpec(2, batch_sequence(batch, k), batch.channels) for k in range(3)]
         want = [oracle_acceptance(spec) for spec in specs]
         assert np.max(np.abs(compiled.acceptance_probability() - want)) < 1e-12
         compiled.append_inverse(ch)
@@ -414,7 +419,7 @@ class TestBatchEngine:
 def drawn_batch(n, k_m, mode, channels, spam, rng):
     """k_m sequences drawn as the drivers draw them, one random Clifford or
     one random generator gate per position."""
-    config = RBConfig(n=n, lengths=(1,), mode=mode, generator_block=1)
+    config = RBConfig(n=n, lengths=(1, 2, 3), mode=mode, generator_block=1)
     elements = _draw_elements(config, len(channels), stream_seeds(rng, k_m))
     return SequenceBatch(n, *elements, channels, spam)
 
@@ -433,10 +438,10 @@ class TestPauliKernel:
             compiled = CompiledSequence(batch)
             if closed:
                 compiled.append_inverse(noise)
-            group, _ = compiled._pauli_factors()
+            group, _ = compiled._readout()
             assert group.shape == (3, 2 ** n)
             for k in range(3):
-                product = product_of(batch.sequence(k))
+                product = product_of(batch_sequence(batch, k))
                 if closed:
                     product = compose(product, inverse(product))
                 assert group[k].tolist() == [s.bits for s in stabilizer_group(product)]
@@ -481,6 +486,81 @@ class TestPauliKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def oracle_expectations(spec, closing=None):
+    """Dense ``<s>`` of each stabilizer of the ideal output state, in the
+    engine's order, from the +1 probability after meas and flips; with
+    ``closing``, of ``spec`` closed by its signed inverse and ``closing``."""
+    product = product_of(spec.elements)
+    if closing is not None:
+        spec = SequenceSpec(spec.n, spec.elements + [inverse(product)],
+                            [spec.channel_for(i) for i in range(spec.m)] + [closing], spec.spam)
+        product = compose(product, inverse(product))
+    rho = run_sequence_exact(spec)
+    return [2.0 * measurement_success_probability(rho, s, spec.spam) - 1.0
+            for s in stabilizer_group(product)]
+
+
+def non_pauli_batch(n, mode, rng):
+    """Three drawn sequences under noise that is not Pauli-diagonal: at
+    positions, in a ``ComposedChannel``, in prep, with Pauli meas and flips."""
+    delta = DeltaDepolarizing(0.2, 0.9, rotation_unitary(n, n - 1, "Y", 0.3))
+    pauli = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
+    spam = SpamModel(prep=DeltaDepolarizing(0.3, 0.95, rotation_unitary(n, 0, "X", 0.4)),
+                     meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}), meas_flip=0.04)
+    channels = [ComposedChannel([Depolarizing(0.02), delta, pauli]), pauli, Ideal(), delta,
+                Depolarizing(0.03)]
+    return drawn_batch(n, 3, mode, channels, spam, rng)
+
+
+class TestNonPauliNoise:
+    """Noise that is not Pauli-diagonal, on all 4^n Paulis of each sequence."""
+
+    @pytest.mark.parametrize("mode", ["clifford", "generator"])
+    @pytest.mark.parametrize("n", range(1, MAX_DENSE_QUBITS + 1))
+    def test_every_expectation_matches_dense_oracle(self, n, mode, rng):
+        batch = non_pauli_batch(n, mode, rng)
+        closing = DeltaDepolarizing(0.25, 0.97, rotation_unitary(n, 0, "Z", 0.5))
+        specs = [SequenceSpec(n, batch_sequence(batch, k), batch.channels, batch.spam)
+                 for k in range(3)]
+        compiled = CompiledSequence(batch)
+        assert compiled.engine == "dense"
+        want = [oracle_expectations(spec) for spec in specs]
+        assert np.max(np.abs(compiled.propagate_faults() - want)) < 1e-12
+        compiled.append_inverse(closing)
+        want = [oracle_expectations(spec, closing) for spec in specs]
+        assert np.max(np.abs(compiled.propagate_faults() - want)) < 1e-12
+
+    def test_engine_builds_no_dense_state(self, rng, monkeypatch):
+        batch = non_pauli_batch(3, "clifford", rng)
+        closing = DeltaDepolarizing(0.25, 0.97, rotation_unitary(3, 0, "Z", 0.5))
+        specs = [SequenceSpec(3, batch_sequence(batch, k), batch.channels, batch.spam)
+                 for k in range(3)]
+        want = [[oracle_expectations(spec) for spec in specs],
+                [oracle_expectations(spec, closing) for spec in specs]]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the engine called a dense or per-element routine")
+
+        for module in (engines, cliffords, channels):
+            for name in ("run_sequence_exact", "clifford_to_matrix", "compose", "inverse",
+                         "stabilizer_group", "apply_channel"):
+                monkeypatch.setattr(module, name, refuse, raising=False)
+        compiled = CompiledSequence(batch)
+        got = [compiled.propagate_faults()]
+        compiled.append_inverse(closing)
+        got.append(compiled.propagate_faults())
+        assert all(np.max(np.abs(g - w)) < 1e-12 for g, w in zip(got, want))
+
+    def test_other_channel_classes_unsupported(self, rng):
+        class Dephase(NoiseChannel):
+            def apply(self, rho):
+                return np.diag(np.diag(rho))
+
+        batch = random_batch(1, 2, [Dephase()], SpamModel(), rng)
+        with pytest.raises(UnsupportedChannelError, match="Dephase"):
+            CompiledSequence(batch).propagate_faults()
 
 
 class TestSequenceSpec:

@@ -10,7 +10,7 @@ from rbsim.engines import SequenceBatch
 from rbsim.rb import RBConfig, _draw_elements, fit_rb_data, generator_gate_set, run_standard_rb
 from rbsim.seeding import seed_plans, stream_words
 
-from conftest import seed_with_word, stream_seeds
+from conftest import batch_sequence, seed_with_word, stream_seeds
 
 
 def depolarizing_model(eps):
@@ -20,7 +20,7 @@ def depolarizing_model(eps):
 def drawn_sequence(config, m, rng):
     """The elements ``_draw_elements`` draws for one sequence of length m from
     a stream seeded by ``rng``."""
-    return SequenceBatch(config.n, *_draw_elements(config, m, stream_seeds(rng)), []).sequence(0)
+    return batch_sequence(SequenceBatch(config.n, *_draw_elements(config, m, stream_seeds(rng)), []), 0)
 
 
 def drawn_gates(n, m, b, rng):
@@ -31,7 +31,7 @@ def drawn_gates(n, m, b, rng):
     """
     gates = {CliffordElement.from_gates(n, [g]).key(): g for g in generator_gate_set(n)}
     assert len(gates) == len(generator_gate_set(n))
-    config = RBConfig(n=n, lengths=(m,), mode="generator", generator_block=b)
+    config = RBConfig(n=n, lengths=(m, m + 1, m + 2), mode="generator", generator_block=b)
     return [gates[e.key()] for e in drawn_sequence(config, m, rng)]
 
 
@@ -40,7 +40,7 @@ class TestSampleRBSequence:
 
     def test_inverse_closes_sequence(self, rng):
         for mode, per_element in (("clifford", 1), ("generator", 3)):
-            config = RBConfig(n=2, lengths=(1,), mode=mode, generator_block=per_element)
+            config = RBConfig(n=2, lengths=(1, 2, 3), mode=mode, generator_block=per_element)
             for m in (1, 2, 7):
                 elements = drawn_sequence(config, m, rng)
                 assert len(elements) == m * per_element
@@ -76,7 +76,7 @@ class TestGeneratorSequences:
     def test_picks_across_a_batch_chi_square(self, n, critical):
         # G - 1 degrees of freedom at alpha = 0.01; every unit of the batch
         # draws from its own stream
-        config = RBConfig(n=n, lengths=(1,), mode="generator", generator_block=3)
+        config = RBConfig(n=n, lengths=(1, 2, 3), mode="generator", generator_block=3)
         g = len(generator_gate_set(n))
         rows, phases = _draw_elements(config, 100, seed_plans(31, range(400)))
         keys = np.concatenate([rows, phases], axis=-1).reshape(-1, 4 * n)
@@ -91,7 +91,7 @@ class TestGeneratorSequences:
         # refilled from past the budget, so each pick is exactly uniform
         g = len(generator_gate_set(n))
         assert ((1 << 64) % g != 0) == refilled
-        config = RBConfig(n=n, lengths=(1,), mode="generator", generator_block=2)
+        config = RBConfig(n=n, lengths=(1, 2, 3), mode="generator", generator_block=2)
         m, index = 3, 4
         budget = m * config.generator_block
         seed = seed_with_word(2 ** 64 - 1, index)
@@ -102,12 +102,12 @@ class TestGeneratorSequences:
         gate_set = generator_gate_set(n)
         want = [gate_set[i] for i in (words[:budget] % np.uint64(g)).tolist()]
         gates = {CliffordElement.from_gates(n, [gate]).key(): gate for gate in gate_set}
-        drawn = SequenceBatch(n, *_draw_elements(config, m, [seed]), []).sequence(0)
+        drawn = batch_sequence(SequenceBatch(n, *_draw_elements(config, m, [seed]), []), 0)
         assert [gates[e.key()] for e in drawn] == want
 
     def test_block_length_validated(self):
         with pytest.raises(ValueError):
-            RBConfig(n=2, lengths=(1,), mode="generator", generator_block=0)
+            RBConfig(n=2, lengths=(1, 2, 3), mode="generator", generator_block=0)
 
 
 class TestRunStandardRB:
@@ -155,7 +155,7 @@ class TestRunStandardRB:
         # each of the n measured qubits flips with probability 2p/3
         p = 0.1
         for n in (1, 2, 3):
-            cfg = RBConfig(n=n, lengths=(1, 4), k_m=3, exact=True,
+            cfg = RBConfig(n=n, lengths=(1, 4, 7), k_m=3, exact=True,
                            noise=NoiseModel(spam=SpamModel(meas_flip=p)), seed=4)
             assert np.allclose(run_standard_rb(cfg).p_m, (1 - 2 * p / 3) ** n, atol=1e-12)
 
@@ -198,8 +198,11 @@ class TestRunStandardRB:
         with pytest.raises(ValueError):
             RBConfig(n=2, lengths=(0,))
         with pytest.raises(ValueError):
-            RBConfig(n=2, lengths=(1,), k_m=0)
+            RBConfig(n=2, lengths=(1, 2, 3), k_m=0)
         with pytest.raises(ValueError):
-            RBConfig(n=2, lengths=(1,), mode="bogus")
+            RBConfig(n=2, lengths=(1, 2, 3), mode="bogus")
         with pytest.raises(ValueError):
-            RBConfig(n=2, lengths=(1,), fit_strategy="bogus")
+            RBConfig(n=2, lengths=(1, 2, 3), fit_strategy="bogus")
+        for lengths in ((2, 4), (5, 5, 5)):
+            with pytest.raises(ValueError, match="need at least 3 points with 3 distinct"):
+                RBConfig(n=2, lengths=lengths)

@@ -169,7 +169,7 @@ class TestVarianceBound:
     def test_bounds_exact_rb_survival_variance(self, n, channel):
         d = 2 ** n
         r = (d - 1) * (1 - depolarizing_parameter(channel, n)) / d
-        data = run_standard_rb(RBConfig(n=n, lengths=(5, 20), k_m=300, exact=True,
+        data = run_standard_rb(RBConfig(n=n, lengths=(5, 10, 20), k_m=300, exact=True,
                                         noise=NoiseModel(gate=channel), seed=5))
         for m, survivals in zip(data.lengths, data.per_sequence):
             assert np.var(survivals, ddof=1) <= variance_bound(m, r, d)
