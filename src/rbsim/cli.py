@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+import tempfile
 import time
 
 import numpy as np
@@ -22,7 +23,7 @@ from . import __version__
 from .channels import NoiseModel, SpamModel, channel_from_spec, config_integer
 from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
-from .rb import RBConfig, RBData, fit_rb_data, run_standard_rb
+from .rb import RBConfig, RBData, run_standard_rb
 from .rbsv import FailureSignatureError, RBSVConfig, RBSVResult, RPolicy, run_rbsv
 from .resources import ResourcePlan
 from .seeding import seed_plan
@@ -248,14 +249,17 @@ def _repro_block(cfg: dict, seed: int) -> dict:
     return {"seed": seed, "config_hash": _config_hash(cfg), "version": __version__}
 
 
-def _write_text(path: str, text: str):
+def _artifact_dir(args) -> str:
+    """``--out`` (default: the working directory), created if missing and checked
+    with a temporary file, so a path that cannot take the artifacts fails before the run."""
+    out = args.out or "."
     try:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        os.makedirs(out, exist_ok=True)
+        with tempfile.TemporaryFile(dir=out):
+            pass
     except OSError as exc:
-        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
-    log.info("wrote %s", path)
+        raise ConfigError(f"cannot write {out!r}: {exc.strerror}") from exc
+    return out
 
 
 def rb_csv(data: RBData) -> str:
@@ -280,20 +284,25 @@ def _fit_summary(fit: DecayFit, r_name: str, r_value: float) -> dict:
         "B0": fit.b0,
         "p": fit.p,
         "fit_residual": fit.residual_rms,
-        "converged": fit.converged,
+        "converged": not fit.degenerate,
         "degenerate": fit.degenerate,
         "at_boundary": fit.at_boundary,
     }
 
 
-def _emit(args, summary_name: str, summary: dict, **csvs):
+def _emit(out: str, summary_name: str, summary: dict, **csvs):
     """Write each ``name=text`` CSV as ``<name>.csv`` and the summary JSON
-    under ``--out`` (default: the working directory)."""
-    out = args.out or "."
-    for name, text in csvs.items():
-        _write_text(os.path.join(out, f"{name}.csv"), text)
-    _write_text(os.path.join(out, summary_name),
-                json.dumps(summary, indent=1, sort_keys=True) + "\n")
+    in the directory ``out`` (see ``_artifact_dir``)."""
+    files = {f"{name}.csv": text for name, text in csvs.items()}
+    files[summary_name] = json.dumps(summary, indent=1, sort_keys=True) + "\n"
+    for name, text in files.items():
+        path = os.path.join(out, name)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
+        log.info("wrote %s", path)
 
 
 # ---------------------------------------------------------------------------
@@ -303,20 +312,21 @@ def _emit(args, summary_name: str, summary: dict, **csvs):
 
 def _cmd_rb(cfg: dict, args) -> int:
     config = build_rb_config(cfg, args)
+    out = _artifact_dir(args)
     t0 = time.perf_counter()
     data = run_standard_rb(config)
-    fit, r_rb = fit_rb_data(data, 2 ** config.n, coefficient_bounds=config.fit_bounds)
     wall = time.perf_counter() - t0
-    summary = _fit_summary(fit, "r_rb", r_rb)
+    summary = _fit_summary(data.fit, "r_rb", data.r_rb)
     summary.update(engine=data.engine, wall_time_s=wall,
                    reproducibility=_repro_block(cfg, config.seed))
-    _emit(args, "rb_summary.json", summary, rb=rb_csv(data))
-    print(f"r_rb = {r_rb!r} (p = {fit.p!r})")
+    _emit(out, "rb_summary.json", summary, rb=rb_csv(data))
+    print(f"r_rb = {data.r_rb!r} (p = {data.fit.p!r})")
     return 0
 
 
 def _cmd_rbsv(cfg: dict, args) -> int:
     config = build_rbsv_config(cfg, args)
+    out = _artifact_dir(args)
     t0 = time.perf_counter()
     result = run_rbsv(config)
     wall = time.perf_counter() - t0
@@ -327,7 +337,7 @@ def _cmd_rbsv(cfg: dict, args) -> int:
         n_saturated_total=int(np.sum(result.n_saturated)),
         reproducibility=_repro_block(cfg, config.seed),
     )
-    _emit(args, "rbsv_summary.json", summary, rbsv=rbsv_csv(result))
+    _emit(out, "rbsv_summary.json", summary, rbsv=rbsv_csv(result))
     print(f"r_rbsv = {result.r_rbsv!r} (p = {result.fit.p!r})")
     return 0
 
@@ -335,28 +345,29 @@ def _cmd_rbsv(cfg: dict, args) -> int:
 def _cmd_compare(cfg: dict, args) -> int:
     # RBSVConfig extends RBConfig, and both protocols read the same sequences
     config = build_rbsv_config(cfg, args)
+    out = _artifact_dir(args)
     t0 = time.perf_counter()
     result = run_rbsv(config, with_rb=True)
     data = result.rb
-    fit, r_rb = fit_rb_data(data, 2 ** config.n, coefficient_bounds=config.fit_bounds)
     wall = time.perf_counter() - t0
     summary = {
-        "rb": _fit_summary(fit, "r_rb", r_rb),
+        "rb": _fit_summary(data.fit, "r_rb", data.r_rb),
         "rbsv": _fit_summary(result.fit, "r_rbsv", result.r_rbsv),
-        "r_rb": r_rb,
+        "r_rb": data.r_rb,
         "r_rbsv": result.r_rbsv,
-        "ratio_rbsv_over_rb": (result.r_rbsv / r_rb) if r_rb else None,
+        "ratio_rbsv_over_rb": (result.r_rbsv / data.r_rb) if data.r_rb else None,
         "engine": data.engine,
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, config.seed),
     }
-    _emit(args, "compare_summary.json", summary, rb=rb_csv(data), rbsv=rbsv_csv(result))
-    print(f"r_rb = {r_rb!r}  r_rbsv = {result.r_rbsv!r}")
+    _emit(out, "compare_summary.json", summary, rb=rb_csv(data), rbsv=rbsv_csv(result))
+    print(f"r_rb = {data.r_rb!r}  r_rbsv = {result.r_rbsv!r}")
     return 0
 
 
 def _cmd_irbgs(cfg: dict, args) -> int:
     config = build_irbgs_config(cfg, args)
+    out = _artifact_dir(args)
     t0 = time.perf_counter()
     estimate = run_irbgs(config)
     wall = time.perf_counter() - t0
@@ -375,7 +386,7 @@ def _cmd_irbgs(cfg: dict, args) -> int:
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, config.seed),
     }
-    _emit(args, "irbgs_summary.json", summary, irbgs_baseline=rb_csv(estimate.baseline_data),
+    _emit(out, "irbgs_summary.json", summary, irbgs_baseline=rb_csv(estimate.baseline_data),
           irbgs_interleaved=rb_csv(estimate.interleaved_data))
     print(f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
           f"class {estimate.noise_class})")
@@ -392,7 +403,7 @@ def _cmd_plan(cfg: dict, args) -> int:
     for key, val in values.items():
         print(f"{key:<{width}}  {val}")
     if args.out:
-        _emit(args, "plan.json", values)
+        _emit(_artifact_dir(args), "plan.json", values)
     return 0
 
 

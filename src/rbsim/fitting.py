@@ -21,7 +21,6 @@ class DecayFit:
     b0: float
     p: float
     residual_rms: float
-    converged: bool
     degenerate: bool = False
     at_boundary: bool = False
     covariance: np.ndarray | None = field(default=None, repr=False)
@@ -105,7 +104,7 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
 
     if np.allclose(ys, ys[0], rtol=0.0, atol=1e-15):
         return DecayFit(a0=float(ys[0]), b0=0.0, p=1.0, residual_rms=0.0,
-                        converged=False, degenerate=True, at_boundary=True)
+                        degenerate=True, at_boundary=True)
 
     grid = 1.0 - np.logspace(-9.0, 0.0, _GRID_SIZE)
     best = int(np.argmin(_profile(grid, ms, ys, w, coefficient_bounds)[2]))
@@ -135,7 +134,6 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
         b0=b0,
         p=p,
         residual_rms=rms,
-        converged=True,
         degenerate=False,
         at_boundary=bool(p <= 0.0 or p >= 1.0 - 1e-12),
         covariance=cov,

@@ -27,10 +27,8 @@ from .channels import (
 )
 from .cliffords import CliffordElement
 from .engines import engine_for
-from .fitting import DecayFit
 from .paulis import PauliString
-from .rb import (RBConfig, RBData, _compile, _draw_elements, _survivals, fit_lengths,
-                 fit_rb_data, run_standard_rb)
+from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, fit_lengths, run_standard_rb
 from .seeding import run_ensemble
 
 __all__ = [
@@ -128,24 +126,26 @@ class RecipeGate:
         return out
 
 
+# the generator targets a recipe may name instead of a 4x4 literal
+_NAMED_TARGETS = {
+    "IxP": np.kron(_I, _P),
+    "PxP": np.kron(_P, _P),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+    "IxH": np.kron(_I, _H),
+    "HxH": np.kron(_H, _H),
+    "IxPdag": np.kron(_I, _P.conj().T),
+    "PdagxPdag": np.kron(_P.conj().T, _P.conj().T),
+}
+
+
 def _target_matrix(spec) -> np.ndarray:
     """Accept a named generator target ('IxP', 'CNOT', ...) or a 4x4 literal
     of [re, im] pairs."""
     if isinstance(spec, str):
         name = spec.strip()
-        builders = {
-            "IxP": np.kron(_I, _P),
-            "PxP": np.kron(_P, _P),
-            "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]],
-                             dtype=complex),
-            "IxH": np.kron(_I, _H),
-            "HxH": np.kron(_H, _H),
-            "IxPdag": np.kron(_I, _P.conj().T),
-            "PdagxPdag": np.kron(_P.conj().T, _P.conj().T),
-        }
-        if name not in builders:
+        if name not in _NAMED_TARGETS:
             raise ValueError(f"unknown target name {name!r}")
-        return builders[name]
+        return _NAMED_TARGETS[name].copy()
     try:
         arr = np.asarray(spec, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -375,23 +375,23 @@ def _noise_class_of(ch: NoiseChannel):
 
 
 def clifford_element_from_unitary(u: np.ndarray, n: int) -> CliffordElement:
-    """Tableau of a dense Clifford unitary; raises if ``u`` is not Clifford."""
+    """Tableau of a dense Clifford unitary; raises if ``u`` is not Clifford.
+
+    Every row's image U P_r U† has Pauli coefficients Tr(P_b† U P_r U†)/d,
+    read in one contraction; for a Clifford they are ±1 at one b, else 0.
+    """
     d = 2 ** n
     if u.shape != (d, d):
         raise ValueError("unitary dimension mismatch")
-    paulis = [PauliString(n, idx).to_matrix() for idx in range(4 ** n)]
-    rows, phases = [], []
-    for row in range(2 * n):
-        # packed bit `row` is X_row for row < n and Z_{row-n} above; a Clifford
-        # maps it to one signed Pauli
-        img = u @ paulis[1 << row] @ u.conj().T
-        found = [(idx, ph) for idx, cand in enumerate(paulis) for ph, sign in ((0, 1), (2, -1))
-                 if np.allclose(img, sign * cand, atol=1e-9)]
-        if not found:
-            raise ValueError("unitary does not map Paulis to Paulis; not a Clifford")
-        rows.append(found[0][0])
-        phases.append(found[0][1])
-    elem = CliffordElement(n, rows, phases)
+    paulis = np.array([PauliString(n, b).to_matrix() for b in range(4 ** n)])
+    r = np.arange(2 * n)  # packed bit r is X_r for r < n and Z_{r-n} above
+    coefficients = np.einsum("bij,rij->rb", paulis.conj(), u @ paulis[1 << r] @ u.conj().T) / d
+    rows = np.argmax(np.abs(coefficients), axis=1)
+    signs = np.rint(coefficients[r, rows].real)
+    coefficients[r, rows] -= signs  # what is left must vanish
+    if not (np.all(np.abs(signs) == 1) and np.all(np.abs(coefficients) <= 1e-9)):
+        raise ValueError("unitary does not map Paulis to Paulis; not a Clifford")
+    elem = CliffordElement(n, rows, np.where(signs < 0, 2, 0))
     if not elem.is_valid():
         raise ValueError("recovered tableau is not symplectically valid")
     return elem
@@ -409,10 +409,8 @@ class IrbEstimate:
     r_n_est: float
     bound: float
     noise_class: str
-    baseline_fit: DecayFit | None = None
-    interleaved_fit: DecayFit | None = None
-    baseline_data: RBData | None = None      # the plain run
-    interleaved_data: RBData | None = None   # the interleaved run
+    baseline_data: RBData | None = None      # the plain run, with its fit
+    interleaved_data: RBData | None = None   # the interleaved run, with its fit
 
 
 @dataclass(frozen=True)
@@ -445,7 +443,8 @@ class IRBGSConfig:
 
 
 def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
-    """Baseline + interleaved exact-mode runs, fits, estimate and bound.
+    """Baseline + interleaved exact-mode runs (each fitted, see
+    ``RBData.fitted``), estimate and bound.
 
     The fixed element is the recipe's ideal Clifford product; its channel is
     the recipe's non-Clifford noise applied once per CP instance (single
@@ -468,7 +467,6 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         noise=config.noise, seed=config.seed, fit_strategy=config.fit_strategy,
     )
     baseline = run_standard_rb(base_cfg)
-    baseline_fit, _ = fit_rb_data(baseline, d, coefficient_bounds=base_cfg.fit_bounds)
 
     gate_channel = config.noise.gate
     # net channel of the synthesized fixed element: one Λ_N per CP instance
@@ -490,15 +488,11 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         return _survivals(base_cfg, compiled, seeds[1], gate_channel)
 
     # its own stream, so the interleaved sequences are not the baseline's
-    chunks = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_length)
-    interleaved_data = RBData.from_chunks(
-        config.lengths, chunks, shots=0, exact=True,
+    interleaved = RBData.fitted(
+        base_cfg, run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_length),
         engine=engine_for(config.noise.channels + (fixed_channel,)))
-    interleaved_fit, _ = fit_rb_data(interleaved_data, d,
-                                     coefficient_bounds=base_cfg.fit_bounds)
 
-    p = baseline_fit.p
-    p_bar_c = interleaved_fit.p
+    p, p_bar_c = baseline.fit.p, interleaved.fit.p
     noise_class, delta = _noise_class_of(config.noise_n)
     return IrbEstimate(
         p=p,
@@ -509,8 +503,6 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         r_n_est=irbgs_estimate(p, p_bar_c, d, n_cp),
         bound=error_bound(noise_class, p, d, delta),
         noise_class=noise_class,
-        baseline_fit=baseline_fit,
-        interleaved_fit=interleaved_fit,
         baseline_data=baseline,
-        interleaved_data=interleaved_data,
+        interleaved_data=interleaved,
     )

@@ -11,7 +11,7 @@ import numpy as np
 from .channels import NoiseModel
 from .cliffords import MAX_DENSE_QUBITS, GeneratorGate, random_clifford_rows
 from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, SequenceSpec, engine_for
-from .fitting import fit_decay, r_from_p
+from .fitting import DecayFit, fit_decay, r_from_p
 from .seeding import redraw, run_ensemble, stream_words
 
 __all__ = [
@@ -104,10 +104,10 @@ class RBConfig:
                                  self.noise.spam.is_trivial)
 
 
-def length_stats(chunks) -> tuple:
-    """Per-length mean and standard error of the per-sequence values, one
-    equally long row per length."""
-    vals = np.asarray(chunks, dtype=float)
+def length_stats(values) -> tuple:
+    """Per-length mean and standard error of an ``(L, K)`` array of
+    per-sequence values."""
+    vals = np.asarray(values, dtype=float)
     k = vals.shape[1]
     errs = vals.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(len(vals))
     return vals.mean(axis=1), errs
@@ -115,25 +115,31 @@ def length_stats(chunks) -> tuple:
 
 @dataclass
 class RBData:
-    """Per-length averaged survival probabilities."""
+    """Per-length averaged survival probabilities and their decay fit."""
 
     lengths: list
     p_m: np.ndarray
     stderr: np.ndarray
-    per_sequence: list  # one array of per-sequence survivals per length
+    per_sequence: np.ndarray  # (L, K), one row of per-sequence survivals per length
     k_m: int
     shots: int
     exact: bool
     engine: str  # "pauli" or "dense", see engines.engine_for
+    fit: DecayFit | None = None
+    r_rb: float | None = None
 
     @classmethod
-    def from_chunks(cls, lengths, chunks: list, shots: int, exact: bool,
-                    engine: str) -> "RBData":
-        """Aggregate one list of per-sequence survivals per length."""
-        per_sequence = [np.array(c) for c in chunks]
+    def fitted(cls, config: RBConfig, per_sequence, engine: str | None = None) -> "RBData":
+        """Per-length mean, standard error and decay fit (d = 2^n, ``config.fit_bounds``)
+        of ``(L, K)`` survivals run under ``config``, by default on its noise's engine."""
+        per_sequence = np.asarray(per_sequence, dtype=float)
         p_m, stderr = length_stats(per_sequence)
-        return cls(lengths=list(lengths), p_m=p_m, stderr=stderr, per_sequence=per_sequence,
-                   k_m=len(per_sequence[0]), shots=shots, exact=exact, engine=engine)
+        data = cls(lengths=list(config.lengths), p_m=p_m, stderr=stderr,
+                   per_sequence=per_sequence, k_m=per_sequence.shape[1],
+                   shots=0 if config.exact else config.shots, exact=config.exact,
+                   engine=engine or engine_for(config.noise.channels))
+        data.fit, data.r_rb = fit_rb_data(data, 2 ** config.n, config.fit_bounds)
+        return data
 
     def points(self):
         return list(zip(self.lengths, self.p_m))
@@ -199,15 +205,9 @@ def _survivals(config: RBConfig, compiled: CompiledSequence, seeds, channel) -> 
     return compiled.survival_samples(config.shots, seeds) / config.shots
 
 
-def _rb_data(config: RBConfig, chunks) -> RBData:
-    """The ``RBData`` of one row of per-sequence survivals per length."""
-    return RBData.from_chunks(config.lengths, chunks,
-                              shots=0 if config.exact else config.shots, exact=config.exact,
-                              engine=engine_for(config.noise.channels))
-
-
 def run_standard_rb(config: RBConfig) -> RBData:
-    """Run the full protocol and average survival over k_m sequences per length.
+    """Run the full protocol, average survival over k_m sequences per length
+    and fit the decay.
 
     Each sequence's survival is exact in exact mode and, in sampled mode, the
     count of ``shots`` repetitions drawn from its repetition stream.  The
@@ -218,7 +218,7 @@ def run_standard_rb(config: RBConfig) -> RBData:
         compiled = _compile(config, *_draw_elements(config, m, seeds[0]))
         return _survivals(config, compiled, seeds[1], config.noise.gate)
 
-    return _rb_data(config, run_ensemble(config.seed, config.lengths, config.k_m, one_length))
+    return RBData.fitted(config, run_ensemble(config.seed, config.lengths, config.k_m, one_length))
 
 
 def fit_rb_data(data, d: int, coefficient_bounds):

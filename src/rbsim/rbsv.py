@@ -17,8 +17,7 @@ import numpy as np
 
 from .engines import engine_for
 from .fitting import DecayFit
-from .rb import (RBConfig, RBData, _compile, _draw_elements, _rb_data, _survivals, fit_rb_data,
-                 length_stats)
+from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, fit_rb_data, length_stats
 from .seeding import run_ensemble
 
 __all__ = [
@@ -109,8 +108,8 @@ class RBSVResult:
     lengths: list
     f_bar: np.ndarray           # averaged lower bound per length
     stderr: np.ndarray
-    per_sequence_bounds: list   # one array per length
-    per_sequence_p_acc: list    # one array per length
+    per_sequence_bounds: np.ndarray  # (L, K), one row per length
+    per_sequence_p_acc: np.ndarray   # (L, K), one row per length
     mean_p_acc: np.ndarray
     mean_copies: np.ndarray
     n_saturated: np.ndarray     # sequences at the copy cap, per length
@@ -183,9 +182,9 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
     serve both protocols.
     """
 
-    p_acc = np.array(run_ensemble(
+    p_acc = run_ensemble(
         config.seed, config.lengths, config.k_m,
-        lambda m, seeds, units: _acceptances(config, m, seeds, units, close=with_rb)))
+        lambda m, seeds, units: _acceptances(config, m, seeds, units, close=with_rb))
     if with_rb:  # (lengths, K, 2) -> two contiguous (lengths, K) arrays
         p_acc, survivals = np.array(np.moveaxis(p_acc, 2, 0))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays
@@ -196,8 +195,8 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
         lengths=list(config.lengths),
         f_bar=f_bar,
         stderr=stderr,
-        per_sequence_bounds=list(bounds),
-        per_sequence_p_acc=list(p_acc),
+        per_sequence_bounds=bounds,
+        per_sequence_p_acc=p_acc,
         mean_p_acc=p_acc.mean(axis=1),
         mean_copies=copies.mean(axis=1),
         n_saturated=saturated.sum(axis=1).astype(int),
@@ -206,9 +205,8 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
         exact=config.exact,
         engine=engine_for(config.noise.channels),
     )
-    fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)
-    result.fit = fit
-    result.degenerate = fit.degenerate or fit.at_boundary
+    result.fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)
+    result.degenerate = result.fit.degenerate or result.fit.at_boundary
     if with_rb:
-        result.rb = _rb_data(config, survivals)
+        result.rb = RBData.fitted(config, survivals)
     return result

@@ -10,8 +10,8 @@ from its seed (Steele, Lea & Flood 2014), read as a counter-based generator
 evaluation and no generator object is built per unit.  A result therefore
 depends only on the master seed and the unit's index, never on the order
 units run in or on the batch they run in.  ``run_ensemble`` hands each
-length's units to one batched call and logs one INFO line per length (m,
-K_m, seconds).
+length's units to one batched call, stacks the lengths' results into one
+array and logs one INFO line per length (m, K_m, seconds).
 """
 
 from __future__ import annotations
@@ -129,23 +129,23 @@ def parallel_map(fn, items) -> list:
     return [fn(item) for item in items]
 
 
-def run_ensemble(seed: int, lengths, k_m: int, one_length) -> list:
-    """``k_m`` independent sequences per length, one result each.
+def run_ensemble(seed: int, lengths, k_m: int, one_length) -> np.ndarray:
+    """``k_m`` independent sequences per length, one ``(L, K, ...)`` array.
 
     Sequence ``j`` at the ``im``-th length is work unit ``im * k_m + j``.
     Each length is one call ``one_length(m, seeds, indices)`` that returns
-    its units' results in order, drawing each unit's randomness only from
-    its two streams: ``seeds = unit_seeds(seed, indices)``, so unit j's
-    elements come from the stream seeded by ``seeds[0, j]`` and its sampled
-    repetitions from the one seeded by ``seeds[1, j]``.
+    an array of its units' results, unit first (row ``im`` of the result),
+    drawing each unit's randomness only from its two streams: ``seeds =
+    unit_seeds(seed, indices)``, so unit j's elements come from the stream
+    seeded by ``seeds[0, j]`` and its sampled repetitions from ``seeds[1, j]``.
     """
 
     def length(task):
         im, m = task
         t0 = time.perf_counter()
         indices = list(range(im * k_m, (im + 1) * k_m))
-        results = list(one_length(m, unit_seeds(seed, indices), indices))
+        results = one_length(m, unit_seeds(seed, indices), indices)
         log.info("m=%d K_m=%d %.3f s", m, k_m, time.perf_counter() - t0)
         return results
 
-    return parallel_map(length, list(enumerate(lengths)))
+    return np.stack(parallel_map(length, list(enumerate(lengths))))

@@ -232,14 +232,22 @@ class TestConfigErrors:
         assert main(["rb", "--config", str(tmp_path)]) == 2
         assert_one_error(capsys, f"cannot read {str(tmp_path)!r}: ")
 
-    def test_out_path_is_an_existing_file(self, tmp_path, capsys):
-        cfg = {"protocol": "rb", "n": 1, "lengths": [1, 2, 3], "K_m": 2, "mode": "exact",
-               "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.01}}}
-        path = write_config(tmp_path, "rb.json", cfg)
+    def test_out_path_is_an_existing_file(self, tmp_path, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("elements drawn before the artifact directory was checked")
+
+        for module in (rb_module, rbsv_module, irbgs_module):
+            monkeypatch.setattr(module, "_draw_elements", refuse)
         taken = tmp_path / "taken"
         taken.write_text("kept")
-        assert main(["rb", "--config", path, "--out", str(taken)]) == 2
-        assert_one_error(capsys, f"cannot write {os.path.join(str(taken), 'rb.csv')!r}: ")
+        for command in ("rb", "rbsv", "compare", "irbgs"):
+            cfg = (IRBGS_CONFIG if command == "irbgs"
+                   else dict(small_rbsv_config(), protocol=command))
+            if command == "rb":
+                cfg = {k: v for k, v in cfg.items() if k != "N_m"}
+            path = write_config(tmp_path, f"{command}.json", cfg)
+            assert main([command, "--config", path, "--out", str(taken)]) == 2, command
+            assert_one_error(capsys, f"cannot write {str(taken)!r}: ")
         assert taken.read_text() == "kept"
 
     @pytest.mark.parametrize("lengths", [[2, 4], [5, 5, 5]])
@@ -510,10 +518,13 @@ def test_compare_csvs_equal_separate_runs(mode, rb_mode, noise, tmp_path):
         assert (outs["compare"] / f"{name}.csv").read_bytes() == \
             (outs[name] / f"{name}.csv").read_bytes(), name
     summary = json.loads((outs["compare"] / "compare_summary.json").read_text())
+    run_keys = {"engine", "wall_time_s", "reproducibility", "n_saturated_total"}
     for name in ("rb", "rbsv"):
         alone = json.loads((outs[name] / f"{name}_summary.json").read_text())
         assert summary[f"r_{name}"] == alone[f"r_{name}"]
         assert summary["engine"] == alone["engine"]
+        # the fit block is the protocol's own summary, apart from run facts
+        assert summary[name] == {k: v for k, v in alone.items() if k not in run_keys}
 
 
 @pytest.mark.parametrize("mode", ["sampled", "exact"])

@@ -98,13 +98,13 @@ class TestFitDecay:
         assert abs(fit.a0 - 0.25) < 1e-9
         assert abs(fit.b0 - 0.74) < 1e-9
         assert abs(fit.p - 0.999) < 1e-9
-        assert fit.converged and not fit.degenerate
+        assert not fit.degenerate and not fit.at_boundary
 
     def test_constant_data_degenerate(self):
         fit = fit_decay([(m, 1.0) for m in range(1, 10)])
         assert fit.degenerate
         assert fit.p == 1.0
-        assert not fit.converged
+        assert fit.at_boundary
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
@@ -251,7 +251,7 @@ class TestRFromP:
 
 
 def test_fit_value_evaluates_curve():
-    fit = DecayFit(a0=0.25, b0=0.7, p=0.99, residual_rms=0.0, converged=True)
+    fit = DecayFit(a0=0.25, b0=0.7, p=0.99, residual_rms=0.0)
     assert np.allclose(fit.value([0, 10]), [0.95, 0.25 + 0.7 * 0.99 ** 10])
 
 

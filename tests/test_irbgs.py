@@ -15,6 +15,7 @@ from rbsim.channels import (
     depolarizing_parameter,
     rotation_unitary,
 )
+from rbsim.cliffords import conjugate_pauli
 from rbsim.fitting import r_from_p
 from rbsim.irbgs import (
     IRBGSConfig,
@@ -33,6 +34,7 @@ from rbsim.irbgs import (
     run_irbgs,
     verify_synthesis,
 )
+from rbsim.paulis import PauliString
 
 from conftest import equal_up_to_global_phase, pauli_matrix
 
@@ -219,6 +221,9 @@ class TestRunIRBGS:
         assert abs(est.r_n_est - 0.75 * 0.0005) < 1e-6
         assert est.noise_class == "depolarizing"
         assert est.nonclifford_count == 2
+        # the estimate reads the fits its two runs carry
+        assert run_irbgs(cfg).p == est.baseline_data.fit.p
+        assert est.p_bar_c == est.interleaved_data.fit.p
 
     def test_ideal_nonclifford_noise_gives_zero(self):
         cfg = IRBGSConfig(lengths=(2, 6, 10, 14), k_m=3, seed=6,
@@ -263,6 +268,16 @@ class TestCliffordFromUnitary:
         for recipe in builtin_recipes():
             elem = clifford_element_from_unitary(np.asarray(recipe.target), 2)
             assert elem.is_valid()
+
+    def test_images_match_dense_conjugation(self):
+        for recipe in builtin_recipes():
+            u = np.asarray(recipe.target, dtype=complex)
+            elem = clifford_element_from_unitary(u, 2)
+            for b in range(16):
+                pauli = PauliString(2, b)
+                assert np.allclose(conjugate_pauli(elem, pauli).to_matrix(),
+                                   u @ pauli.to_matrix() @ u.conj().T, atol=1e-12), \
+                    (recipe.name, pauli)
 
     def test_non_clifford_rejected(self):
         with pytest.raises(ValueError):

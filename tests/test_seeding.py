@@ -112,18 +112,19 @@ def test_run_ensemble_chunk_layout_and_seeding():
 
     def one_length(m, seeds, indices):
         words = stream_words(seeds[0], 0, 1)[:, 0]
-        return [(m, index, int(word), int(rep)) for word, rep, index
-                in zip(words, seeds[1], indices)]
+        columns = (np.full(k_m, m), indices, words, seeds[1])
+        return np.stack([np.asarray(c, dtype=np.uint64) for c in columns], axis=1)
 
-    chunks = run_ensemble(seed, lengths, k_m, one_length)
-    assert len(chunks) == len(lengths)
-    for im, (m, chunk) in enumerate(zip(lengths, chunks)):
-        assert [c[:2] for c in chunk] == [(m, im * k_m + j) for j in range(k_m)]
-        # each unit draws from its own streams, whatever ran before it
+    results = run_ensemble(seed, lengths, k_m, one_length)
+    assert isinstance(results, np.ndarray)
+    assert results.shape == (len(lengths), k_m, 4) and results.dtype == np.uint64
+    for im, (m, rows) in enumerate(zip(lengths, results)):
         units = [im * k_m + j for j in range(k_m)]
-        assert [c[2] for c in chunk] == stream_words([seed_plan(seed, u) for u in units],
-                                                     0, 1)[:, 0].tolist()
-        assert [c[3] for c in chunk] == [seed_plan(seed, u, 1) for u in units]
+        assert rows[:, :2].tolist() == [[m, u] for u in units]
+        # each unit draws from its own streams, whatever ran before it
+        assert rows[:, 2].tolist() == stream_words([seed_plan(seed, u) for u in units],
+                                                   0, 1)[:, 0].tolist()
+        assert rows[:, 3].tolist() == [seed_plan(seed, u, 1) for u in units]
 
 
 # Pauli noise whose survival depends on the sequence, so a count drawn with
