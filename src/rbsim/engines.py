@@ -7,10 +7,13 @@ one).  Acceptance and RB survival are means over them.  Sampled mode counts,
 per sequence, the words of its repetition stream that fall below its
 probability (``_binomials``): one Binomial(reps, p) draw, at O(reps) cost.
 
-The engine works in the Pauli basis, in the frame of each sequence's ideal
-product U: for packed Paulis b (bit q = x_q, bit n+q = z_q) it carries the
-image ``U P_b U† = i^e P_g``, one lookup per half in the two half tables
-spanned from each element's rows, and the coefficient ``Tr(U P_b U† rho)``.
+A batch is a table of element rows plus, per position and sequence, the
+table row that sequence applies there: one row per drawn Clifford, or one
+per generator gate however many sequences and positions pick it.  The engine
+works in the Pauli basis, in the frame of each sequence's ideal product U:
+for packed Paulis b (bit q = x_q, bit n+q = z_q) it carries the image
+``U P_b U† = i^e P_g``, one lookup per half in the two half tables spanned
+from the picked row, and the coefficient ``Tr(U P_b U† rho)``.
 A Pauli-diagonal channel scales a coefficient by its eigenvalue at the
 image, so Pauli-diagonal noise (``pauli``) tracks only the Z group, whose
 coefficients are the stabilizer expectations, with no signs.  Other noise
@@ -39,12 +42,13 @@ __all__ = ["SequenceSpec", "run_sequence_exact", "engine_for", "SequenceBatch",
            "CompiledSequence"]
 
 # the engine holds a 4^n eigenvalue table per channel, the 2^n stabilizers of
-# every sequence and, per sequence and position, two 2^n-entry half tables
-# (noise that is not Pauli-diagonal: 4^n Paulis, up to ``MAX_DENSE_QUBITS``)
+# every sequence and, per table row in use, two 2^n-entry half tables (noise
+# that is not Pauli-diagonal: 4^n Paulis, up to ``MAX_DENSE_QUBITS``)
 MAX_TABLE_QUBITS = 8
 
-# half-table words built at once: a block of positions, so that small batches
-# pay few array calls per position while large ones stay cache-sized and bounded
+# half-table words built at once: the rows of a block of positions, so that
+# small batches pay few array calls per position while large ones stay
+# cache-sized and bounded
 _TABLE_WORDS = 1 << 14
 
 # repetition words counted at once, for the same reason
@@ -122,23 +126,26 @@ def run_sequence_exact(spec: SequenceSpec) -> np.ndarray:
 class SequenceBatch:
     """K noisy sequences of L positions that share one channel per position.
 
-    ``elements[l, k]`` holds the 2n packed image rows of sequence k's element
-    at position l (the layout of ``CliffordElement.rows``), ``phases[l, k]``
-    their exponents of i; ``channels[l]`` acts after position l.
+    ``rows[t]`` holds the 2n packed image rows of table entry t (the layout
+    of ``CliffordElement.rows``), ``phases[t]`` their exponents of i;
+    ``elements[l, k]`` is the entry sequence k applies at position l, and
+    ``channels[l]`` acts after position l.
     """
 
     n: int
-    elements: np.ndarray
-    phases: np.ndarray
+    rows: np.ndarray      # (T, 2n)
+    phases: np.ndarray    # (T, 2n)
+    elements: np.ndarray  # (L, K) table indices
     channels: list
     spam: SpamModel = field(default_factory=SpamModel)
 
     @classmethod
     def of(cls, spec: SequenceSpec) -> "SequenceBatch":
-        """The batch of one sequence."""
+        """The batch of one sequence: its elements, picked once each."""
         rows, phases = (np.array([getattr(e, f) for e in spec.elements], dtype=np.int64)
-                        .reshape(spec.m, 1, 2 * spec.n) for f in ("rows", "phases"))
-        return cls(spec.n, rows, phases, [spec.channel_for(i) for i in range(spec.m)], spec.spam)
+                        .reshape(spec.m, 2 * spec.n) for f in ("rows", "phases"))
+        return cls(spec.n, rows, phases, np.arange(spec.m).reshape(spec.m, 1),
+                   [spec.channel_for(i) for i in range(spec.m)], spec.spam)
 
 
 @lru_cache(maxsize=8)
@@ -162,6 +169,27 @@ def _span(words: np.ndarray, n: int, phases: np.ndarray | None = None):
                                               + packed_phase_exponent(low, word, n))
         out[..., 1 << j:2 << j] = low ^ word
     return out if phases is None else (out, out_phases)
+
+
+def _halves(rows: np.ndarray, phases: np.ndarray, n: int, signed: bool) -> tuple:
+    """The x- and z-half tables of every element in ``rows`` (``(..., 2n)``),
+    flat, element after element; when ``signed``, also their exponents of i."""
+    rows = rows.reshape(-1, 2, n)
+    if signed:
+        return tuple(t.ravel() for t in _span(rows, n, phases.reshape(rows.shape)))
+    return _span(rows, n).ravel(), None
+
+
+def _block_halves(batch: SequenceBatch, picks: np.ndarray, signed: bool) -> tuple:
+    """``_halves`` of the rows a block of positions picks, and the picks into
+    them: the run of table rows from the least to the greatest pick when it
+    is no longer than the block (as for position-major picks), else the
+    picked rows in position-major order."""
+    lo, hi = picks.min(), picks.max() + 1
+    if hi - lo <= picks.size:
+        return _halves(batch.rows[lo:hi], batch.phases[lo:hi], batch.n, signed), picks - lo
+    return (_halves(batch.rows[picks], batch.phases[picks], batch.n, signed),
+            np.arange(picks.size).reshape(picks.shape))
 
 
 def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
@@ -271,25 +299,29 @@ class CompiledSequence:
         # |0..0><0..0| has coefficient 1 on the Z group, 0 elsewhere
         coefficients = self._apply(batch.spam.prep, group, phases,
                                    (group & (size - 1) == 0).astype(float))
-        # position l's half tables: sequence k's x-half table starts at
-        # base[k], its z-half table at z_base[k]
-        base = np.arange(k_m)[:, None] << (n + 1)
-        z_base = base + size
+        # a block of positions spans the half tables of the rows it picks; a
+        # table whose half tables take no more words than a block's, or than
+        # one 4^n eigenvalue table (the generator gates' always), is spanned once
         step = max(1, _TABLE_WORDS // (k_m << (n + 1)))
+        whole = len(batch.rows) <= max(step * k_m, size >> 1)
+        if whole:
+            halves = _halves(batch.rows, batch.phases, n, signed)
         for start in range(0, len(batch.elements), step):
-            block = batch.elements[start:start + step].reshape(-1, k_m, 2, n)
-            if signed:
-                block_phases = batch.phases[start:start + step].reshape(block.shape)
-                halves, half_phases = (t.reshape(len(block), -1)
-                                       for t in _span(block, n, block_phases))
-            else:
-                halves = _span(block, n).reshape(len(block), -1)
-            for i, (half, ch) in enumerate(zip(halves, self.channels[start:start + step])):
+            picks = batch.elements[start:start + step]
+            if not whole:
+                halves, picks = _block_halves(batch, picks, signed)
+            half, half_phases = halves
+            # row t's x-half table starts at word t << (n + 1), its z-half
+            # table 2^n words later
+            x_bases = picks[:, :, None] << (n + 1)
+            for x_base, z_base, ch in zip(x_bases, x_bases + size,
+                                          self.channels[start:start + step]):
                 x, z = group & (size - 1), group >> n
-                x_image, z_image = half[base + x], half[z_base + z]
+                x_at, z_at = x_base + x, z_base + z
+                x_image, z_image = half[x_at], half[z_at]
                 if signed:
                     # P_g = i^popcount(x & z) X^x Z^z: its image is the halves' product
-                    phases = (phases + half_phases[i][base + x] + half_phases[i][z_base + z]
+                    phases = (phases + half_phases[x_at] + half_phases[z_at]
                               + np.bitwise_count(x & z)
                               + packed_phase_exponent(x_image, z_image, n))
                 group = x_image ^ z_image

@@ -27,7 +27,7 @@ from .channels import (
 )
 from .cliffords import CliffordElement
 from .engines import engine_for
-from .paulis import PauliString
+from .paulis import pauli_basis
 from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, fit_lengths, run_standard_rb
 from .seeding import run_ensemble
 
@@ -383,7 +383,7 @@ def clifford_element_from_unitary(u: np.ndarray, n: int) -> CliffordElement:
     d = 2 ** n
     if u.shape != (d, d):
         raise ValueError("unitary dimension mismatch")
-    paulis = np.array([PauliString(n, b).to_matrix() for b in range(4 ** n)])
+    paulis = pauli_basis(n)
     r = np.arange(2 * n)  # packed bit r is X_r for r < n and Z_{r-n} above
     coefficients = np.einsum("bij,rij->rb", paulis.conj(), u @ paulis[1 << r] @ u.conj().T) / d
     rows = np.argmax(np.abs(coefficients), axis=1)
@@ -481,10 +481,13 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
     )
 
     def one_length(m, seeds, indices):
-        # random elements at the even positions, the fixed element at the odd
-        elements, signs = (np.repeat(a, 2, axis=0) for a in _draw_elements(base_cfg, m, seeds[0]))
-        elements[1::2], signs[1::2] = fixed_element.rows, fixed_element.phases
-        compiled = _compile(base_cfg, elements, signs, [gate_channel, fixed_channel] * m)
+        # random elements at the even positions, the fixed element, one more
+        # table row, at the odd
+        rows, phases, picks = _draw_elements(base_cfg, m, seeds[0])
+        picks = np.stack([picks, np.full_like(picks, len(rows))], axis=1).reshape(2 * m, -1)
+        rows = np.append(rows, [fixed_element.rows], axis=0)
+        phases = np.append(phases, [fixed_element.phases], axis=0)
+        compiled = _compile(base_cfg, rows, phases, picks, [gate_channel, fixed_channel] * m)
         return _survivals(base_cfg, compiled, seeds[1], gate_channel)
 
     # its own stream, so the interleaved sequences are not the baseline's

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["PauliString", "pauli_multiply", "packed_phase_exponent", "symplectic_inner"]
+__all__ = ["PauliString", "pauli_multiply", "packed_phase_exponent", "symplectic_inner",
+           "pauli_basis"]
 
 _I2 = np.eye(2, dtype=complex)
 _X2 = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -130,6 +131,20 @@ class PauliString:
 
     def __repr__(self) -> str:
         return f"PauliString({self.label()!r})"
+
+
+def pauli_basis(n: int) -> np.ndarray:
+    """The dense matrices of all 4^n packed Paulis, ``(4^n, 2^n, 2^n)``: entry
+    b is ``PauliString(n, b).to_matrix()``, built as one batched Kronecker
+    product per qubit (qubit 0 leftmost) of the stacked letter matrices."""
+    letters = np.stack(_LETTER_MATRIX)
+    packed = np.arange(4 ** n)
+    basis, index = np.ones((1, 1, 1), dtype=complex), np.zeros_like(packed)
+    for q in range(n):
+        basis = np.einsum("aij,bkl->abikjl", basis, letters).reshape(
+            4 * len(basis), 2 * basis.shape[1], -1)
+        index = 4 * index + ((packed >> q) & 1 | ((packed >> (n + q)) & 1) << 1)
+    return basis[index]
 
 
 def symplectic_inner(v, w, n: int):

@@ -122,8 +122,7 @@ class RBData:
     stderr: np.ndarray
     per_sequence: np.ndarray  # (L, K), one row of per-sequence survivals per length
     k_m: int
-    shots: int
-    exact: bool
+    shots: int                 # 0 in exact mode
     engine: str  # "pauli" or "dense", see engines.engine_for
     fit: DecayFit | None = None
     r_rb: float | None = None
@@ -136,7 +135,7 @@ class RBData:
         p_m, stderr = length_stats(per_sequence)
         data = cls(lengths=list(config.lengths), p_m=p_m, stderr=stderr,
                    per_sequence=per_sequence, k_m=per_sequence.shape[1],
-                   shots=0 if config.exact else config.shots, exact=config.exact,
+                   shots=0 if config.exact else config.shots,
                    engine=engine or engine_for(config.noise.channels))
         data.fit, data.r_rb = fit_rb_data(data, 2 ** config.n, config.fit_bounds)
         return data
@@ -161,37 +160,41 @@ def generator_gate_set(n: int) -> list:
 def _generator_table(n: int) -> tuple:
     """Packed rows and phases ``(G, 2n)`` of the gates of ``generator_gate_set(n)``."""
     table = SequenceBatch.of(SequenceSpec(n, [[g] for g in generator_gate_set(n)]))
-    rows, phases = table.elements[:, 0], table.phases[:, 0]
-    rows.flags.writeable = phases.flags.writeable = False  # shared by every caller
-    return rows, phases
+    table.rows.flags.writeable = table.phases.flags.writeable = False  # shared by every caller
+    return table.rows, table.phases
 
 
 def _draw_elements(config: RBConfig, m: int, seeds) -> tuple:
-    """Packed rows and phases ``(L, K, 2n)``, position-major, of one sequence
-    per element stream in ``seeds``: m random Cliffords, or m blocks of
-    ``generator_block`` random generator gates (L = m b).
+    """One sequence per element stream in ``seeds`` as a ``SequenceBatch``'s
+    table: packed rows and phases ``(T, 2n)`` and the ``(L, K)`` row each
+    sequence picks at each position.  Clifford mode draws m random Cliffords
+    per stream, one table row each, position-major; generator mode picks
+    ``generator_block`` gates per element (L = m b) from the G gates of
+    ``generator_gate_set``.
 
-    Generator gate l of a stream is its word l mod G, for the G gates of
-    ``generator_gate_set``; a word at or above 2^64 - (2^64 mod G) is
-    refilled by ``seeding.redraw``, so each pick is exactly uniform.
+    Generator gate l of a stream is its word l mod G; a word at or above
+    2^64 - (2^64 mod G) is refilled by ``seeding.redraw``, so each pick is
+    exactly uniform.
     """
     if config.mode == "clifford":
-        return random_clifford_rows(config.n, seeds, m)
+        rows, phases = random_clifford_rows(config.n, seeds, m)
+        return (rows.reshape(-1, 2 * config.n), phases.reshape(-1, 2 * config.n),
+                np.arange(m * len(seeds)).reshape(m, len(seeds)))
     table_rows, table_phases = _generator_table(config.n)
     g = len(table_rows)
     last = np.uint64((1 << 64) - (1 << 64) % g - 1)  # the last word kept
     words = redraw(seeds, stream_words(seeds, 0, m * config.generator_block),
                    lambda w, cols: w <= last)
-    picks = (words % np.uint64(g)).T.astype(np.intp)
-    return table_rows[picks], table_phases[picks]
+    return table_rows, table_phases, (words % np.uint64(g)).T.astype(np.intp)
 
 
-def _compile(config: RBConfig, elements: np.ndarray, phases: np.ndarray,
+def _compile(config: RBConfig, rows: np.ndarray, phases: np.ndarray, picks: np.ndarray,
              channels=None) -> CompiledSequence:
-    """The drawn sequences as one compiled batch, with one channel per position
+    """The drawn sequences (a table and its ``(L, K)`` picks, see
+    ``_draw_elements``) as one compiled batch, with one channel per position
     (default: the gate channel everywhere) and the config's SPAM."""
-    channels = channels or [config.noise.gate] * len(elements)
-    return CompiledSequence(SequenceBatch(config.n, elements, phases, channels,
+    channels = channels or [config.noise.gate] * len(picks)
+    return CompiledSequence(SequenceBatch(config.n, rows, phases, picks, channels,
                                           config.noise.spam))
 
 

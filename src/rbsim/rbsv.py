@@ -113,9 +113,6 @@ class RBSVResult:
     mean_p_acc: np.ndarray
     mean_copies: np.ndarray
     n_saturated: np.ndarray     # sequences at the copy cap, per length
-    k_m: int
-    n_m: int
-    exact: bool
     engine: str                 # "pauli" or "dense", see engines.engine_for
     fit: DecayFit | None = None
     r_rbsv: float | None = None
@@ -200,9 +197,6 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
         mean_p_acc=p_acc.mean(axis=1),
         mean_copies=copies.mean(axis=1),
         n_saturated=saturated.sum(axis=1).astype(int),
-        k_m=config.k_m,
-        n_m=config.n_m,
-        exact=config.exact,
         engine=engine_for(config.noise.channels),
     )
     result.fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)

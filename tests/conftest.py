@@ -12,6 +12,7 @@ import pytest
 
 from rbsim.channels import SpamModel, choi_matrix
 from rbsim.cliffords import CliffordElement
+from rbsim.engines import SequenceBatch
 from rbsim.paulis import PauliString
 
 HERMITICITY_ATOL = 1e-12
@@ -120,8 +121,18 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) 
 
 def batch_sequence(batch, k: int) -> list:
     """The signed elements of sequence ``k`` of a ``SequenceBatch``."""
+    picks = batch.elements[:, k]
     return [CliffordElement(batch.n, rows, phases) for rows, phases
-            in zip(batch.elements[:, k].tolist(), batch.phases[:, k].tolist())]
+            in zip(batch.rows[picks].tolist(), batch.phases[picks].tolist())]
+
+
+def position_major_batch(n: int, rows, phases, channels, spam=None):
+    """A ``SequenceBatch`` of ``(L, K, 2n)`` rows and phases: one table row
+    per position and sequence, position-major."""
+    rows, phases = np.asarray(rows), np.asarray(phases)
+    picks = np.arange(rows.shape[0] * rows.shape[1]).reshape(rows.shape[:2])
+    return SequenceBatch(n, rows.reshape(-1, 2 * n), phases.reshape(-1, 2 * n), picks,
+                         channels, spam or SpamModel())
 
 
 def maximally_mixed_state(n: int) -> np.ndarray:

@@ -10,6 +10,7 @@ from rbsim.channels import (
     Depolarizing,
     Ideal,
     NoiseChannel,
+    NoiseModel,
     PauliChannel,
     SpamModel,
     UnsupportedChannelError,
@@ -35,7 +36,7 @@ from rbsim.engines import (
     SequenceSpec,
     run_sequence_exact,
 )
-from rbsim.rb import RBConfig, _draw_elements
+from rbsim.rb import RBConfig, _compile, _draw_elements
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import (
@@ -43,6 +44,7 @@ from conftest import (
     check_density_matrix,
     circuit_unitary,
     maximally_mixed_state,
+    position_major_batch,
     stream_seeds,
     survival_probability,
 )
@@ -226,7 +228,7 @@ class TestTrajectoryEngine:
         n, k_m, reps, draws = 2, 3, 50, 2000
         rows, phases = random_clifford_rows(n, stream_seeds(rng, k_m), 6)
         noise = PauliChannel({"II": 0.9, "XI": 0.06, "ZZ": 0.04})
-        batch = SequenceBatch(n, rows, phases, [noise] * 6, SpamModel(meas_flip=0.05))
+        batch = position_major_batch(n, rows, phases, [noise] * 6, SpamModel(meas_flip=0.05))
         compiled = CompiledSequence(batch)
         p = compiled.acceptance_probability()
         assert np.ptp(p) > 1e-3  # the units' probabilities differ
@@ -277,7 +279,7 @@ class TestSampledCounts:
         k_m, reps = 200, 10 ** 6
         noise = Depolarizing(0.2)
         rows, phases = random_clifford_rows(1, seed_plans(3, range(k_m)), 2)
-        compiled = CompiledSequence(SequenceBatch(1, rows, phases, [noise] * 2))
+        compiled = CompiledSequence(position_major_batch(1, rows, phases, [noise] * 2))
         compiled.append_inverse(noise)
         p = compiled.survival_probability()
         compiled.survival_samples(1, seed_plans(3, range(k_m), 1))  # warm caches
@@ -297,10 +299,14 @@ def random_batch(n, k_m, channels, spam, rng, fixed=None):
     fixed element at odd ones."""
     m = len(channels) // 2 if fixed is not None else len(channels)
     rows, phases = random_clifford_rows(n, stream_seeds(rng, k_m), m)
-    if fixed is not None:
-        rows, phases = np.repeat(rows, 2, axis=0), np.repeat(phases, 2, axis=0)
-        rows[1::2], phases[1::2] = fixed.rows, fixed.phases
-    return SequenceBatch(n, rows, phases, channels, spam)
+    if fixed is None:
+        return position_major_batch(n, rows, phases, channels, spam)
+    # the fixed element is one more table row, picked at every odd position
+    picks = np.arange(m * k_m).reshape(m, k_m)
+    picks = np.stack([picks, np.full_like(picks, m * k_m)], axis=1).reshape(2 * m, k_m)
+    return SequenceBatch(n, np.append(rows.reshape(-1, 2 * n), [fixed.rows], axis=0),
+                         np.append(phases.reshape(-1, 2 * n), [fixed.phases], axis=0),
+                         picks, channels, spam)
 
 
 def assert_batch_matches_dense_oracle(batch, closing):
@@ -350,8 +356,7 @@ class TestBatchEngine:
         pauli, composed = mixed_channels(n)
         fixed = random_clifford(n, rng)
         batch = random_batch(n, 4, [Depolarizing(0.03), composed] * 3, MIXED_SPAM[n], rng, fixed)
-        assert np.array_equal(batch.elements[1::2], np.broadcast_to(
-            fixed.rows, batch.elements[1::2].shape))
+        assert [e.key() for e in batch_sequence(batch, 0)[1::2]] == [fixed.key()] * 3
         assert_batch_matches_dense_oracle(batch, pauli)
 
     def test_batch_of_one_equals_its_sequence(self, rng):
@@ -420,8 +425,8 @@ def drawn_batch(n, k_m, mode, channels, spam, rng):
     """k_m sequences drawn as the drivers draw them, one random Clifford or
     one random generator gate per position."""
     config = RBConfig(n=n, lengths=(1, 2, 3), mode=mode, generator_block=1)
-    elements = _draw_elements(config, len(channels), stream_seeds(rng, k_m))
-    return SequenceBatch(n, *elements, channels, spam)
+    table = _draw_elements(config, len(channels), stream_seeds(rng, k_m))
+    return SequenceBatch(n, *table, channels, spam)
 
 
 class TestPauliKernel:
@@ -486,6 +491,67 @@ class TestPauliKernel:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def readouts(batch, closing, seeds):
+    """Every readout of a batch: stabilizer expectations, acceptance with and
+    without the identity, and their samples; then, closed by ``closing``, the
+    same for survival."""
+    compiled = CompiledSequence(batch)
+    got = [compiled.propagate_faults(), compiled.acceptance_probability(),
+           compiled.acceptance_probability(False), compiled.acceptance_samples(50, seeds)]
+    compiled.append_inverse(closing)
+    return got + [compiled.propagate_faults(), compiled.survival_probability(),
+                  compiled.survival_samples(50, seeds)]
+
+
+class TestGateTable:
+    """Generator-mode batches pick each gate from one table of the G gates."""
+
+    @pytest.mark.parametrize("words", [None, 1])
+    @pytest.mark.parametrize("noise", ["pauli", "delta"])
+    @pytest.mark.parametrize("n", range(1, MAX_DENSE_QUBITS + 1))
+    def test_gate_table_equals_one_row_per_element(self, n, noise, words, rng, monkeypatch):
+        # the same sequences, once as picks from the gate table and once with
+        # one table row per position and sequence, give the same bits; with
+        # one-word blocks, both are spanned a block of positions at a time
+        if noise == "pauli":
+            gate = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
+            spam = SpamModel(prep=Depolarizing(0.05), meas_flip=0.03)
+        else:
+            gate = DeltaDepolarizing(0.2, 0.9, rotation_unitary(n, n - 1, "Y", 0.3))
+            spam = SpamModel(prep=Depolarizing(0.05),
+                             meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}))
+        batch = drawn_batch(n, 3, "generator", [gate, Depolarizing(0.03)] * 3, spam, rng)
+        assert len(batch.rows) == 3 * n + n * (n - 1) and batch.elements.shape == (6, 3)
+        materialised = position_major_batch(n, batch.rows[batch.elements],
+                                            batch.phases[batch.elements], batch.channels, spam)
+        seeds = stream_seeds(rng, 3)
+        want = readouts(batch, gate, seeds)
+        if words is not None:
+            monkeypatch.setattr(engines, "_TABLE_WORDS", words)
+        for table in (batch, materialised):
+            assert all(np.array_equal(a, b) for a, b in zip(readouts(table, gate, seeds), want))
+        assert CompiledSequence(batch).engine == ("pauli" if noise == "pauli" else "dense")
+
+    def test_generator_batch_builds_no_per_position_rows(self):
+        # n = 6, K = 200, 400 positions: the (L, K, 2n) int64 rows of every
+        # position alone would take 7.7 MB, their phases as much again
+        n, k_m, m, b = 6, 200, 10, 40
+        pauli = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
+        config = RBConfig(n=n, lengths=(1, 2, 3), mode="generator", generator_block=b,
+                          noise=NoiseModel(gate=pauli, spam=SpamModel(prep=Depolarizing(0.01))))
+        seeds = seed_plans(3, range(k_m))
+        _compile(config, *_draw_elements(config, 1, seeds)).propagate_faults()  # warm caches
+        tracemalloc.start()
+        try:
+            compiled = _compile(config, *_draw_elements(config, m, seeds))
+            assert compiled.batch.elements.shape == (m * b, k_m)
+            compiled.propagate_faults()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 << 20
 
 
 def oracle_expectations(spec, closing=None):

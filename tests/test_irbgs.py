@@ -34,9 +34,12 @@ from rbsim.irbgs import (
     run_irbgs,
     verify_synthesis,
 )
+from rbsim import irbgs as irbgs_module
+from rbsim.engines import CompiledSequence
 from rbsim.paulis import PauliString
+from rbsim.rb import _compile as compile_batch
 
-from conftest import equal_up_to_global_phase, pauli_matrix
+from conftest import equal_up_to_global_phase, pauli_matrix, position_major_batch
 
 
 class TestCPMatrix:
@@ -251,6 +254,38 @@ class TestRunIRBGS:
         assert est.noise_class == "delta"
         r_n_true = r_from_p(depolarizing_parameter(lam_n, 2), 4)
         assert abs(r_n_true - est.r_n_est) <= est.bound
+
+    @pytest.mark.parametrize("lengths, k_m", [((2, 6, 10), 4), ((20, 60, 100), 30)])
+    def test_fixed_element_is_one_table_row(self, lengths, k_m, monkeypatch):
+        # the interleaved sequences pick the fixed element from one extra table
+        # row at every odd position; their survivals equal, bit for bit, those
+        # of the same sequences with one table row per position and sequence
+        # (at K = 30 and m = 60, 100 the table outgrows one span block)
+        batches = []
+
+        def spy(*args, **kwargs):
+            compiled = compile_batch(*args, **kwargs)
+            batches.append(compiled.batch)
+            return compiled
+
+        monkeypatch.setattr(irbgs_module, "_compile", spy)
+        lam_n = PauliChannel({"II": 0.99, "ZZ": 0.01})
+        cfg = IRBGSConfig(lengths=lengths, k_m=k_m, seed=8,
+                          noise=NoiseModel(gate=Depolarizing(0.001)),
+                          noise_n=lam_n, recipe=builtin_recipes()[0])
+        est = run_irbgs(cfg)
+        fixed = clifford_element_from_unitary(np.asarray(cfg.recipe.target, dtype=complex), 2)
+        assert len(batches) == len(lengths)
+        for m, batch, got in zip(lengths, batches, est.interleaved_data.per_sequence):
+            assert len(batch.rows) == m * k_m + 1 and batch.elements.shape == (2 * m, k_m)
+            assert np.all(batch.elements[1::2] == m * k_m)
+            assert (batch.rows[-1].tolist(), batch.phases[-1].tolist()) == \
+                (list(fixed.rows), list(fixed.phases))
+            one_per_element = CompiledSequence(position_major_batch(
+                2, batch.rows[batch.elements], batch.phases[batch.elements], batch.channels,
+                batch.spam))
+            one_per_element.append_inverse(cfg.noise.gate)
+            assert np.array_equal(one_per_element.survival_probability(), got)
 
     def test_unverified_recipe_refused(self):
         base = builtin_recipes()[0]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rbsim.paulis import PauliString, pauli_multiply
+from rbsim.paulis import PauliString, pauli_basis, pauli_multiply
 
 from conftest import pauli_from_bits, pauli_letters, pauli_matrix
 
@@ -141,3 +141,11 @@ def test_values_are_frozen_and_hashed_by_value():
     assert {s: 1}[PauliString(2, 0b1011, 2)] == 1
     with pytest.raises(AttributeError):
         s.bits = 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pauli_basis_is_each_packed_paulis_matrix(n):
+    basis = pauli_basis(n)
+    assert basis.shape == (4 ** n, 2 ** n, 2 ** n)
+    for b in range(4 ** n):
+        assert np.array_equal(basis[b], PauliString(n, b).to_matrix()), b

@@ -78,8 +78,8 @@ class TestGeneratorSequences:
         # draws from its own stream
         config = RBConfig(n=n, lengths=(1, 2, 3), mode="generator", generator_block=3)
         g = len(generator_gate_set(n))
-        rows, phases = _draw_elements(config, 100, seed_plans(31, range(400)))
-        keys = np.concatenate([rows, phases], axis=-1).reshape(-1, 4 * n)
+        rows, phases, picks = _draw_elements(config, 100, seed_plans(31, range(400)))
+        keys = np.concatenate([rows[picks], phases[picks]], axis=-1).reshape(-1, 4 * n)
         counts = np.unique(keys, axis=0, return_counts=True)[1]
         assert len(counts) == g
         expected = len(keys) / g

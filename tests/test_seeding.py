@@ -137,11 +137,11 @@ def unit_outputs(config, m, indices):
     """Per unit: rows and signs of its elements, its sampled RB survival count
     and its sampled RBSV accept count, from a batch of the given units."""
     seeds = unit_seeds(config.seed, indices)
-    rows, phases = _draw_elements(config, m, seeds[0])
-    compiled = _compile(config, rows, phases)
+    rows, phases, picks = _draw_elements(config, m, seeds[0])
+    compiled = _compile(config, rows, phases, picks)
     survived = _survivals(config, compiled, seeds[1], config.noise.gate) * config.shots
     accepted = _acceptances(config, m, seeds, list(indices)) * config.n_m
-    return [(rows[:, j].tolist(), phases[:, j].tolist(), survived[j], accepted[j])
+    return [(rows[picks[:, j]].tolist(), phases[picks[:, j]].tolist(), survived[j], accepted[j])
             for j in range(len(indices))]
 
 
