@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import importlib.util
 import json
 import logging
 import os
@@ -23,35 +22,16 @@ import numpy as np
 from . import __version__
 from .channels import NoiseModel, SpamModel, channel_from_spec, config_integer
 from .fitting import DecayFit
+from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, run_standard_rb
 from .rbsv import FailureSignatureError, RBSVConfig, RBSVResult, RPolicy, run_rbsv
+from .resources import ResourcePlan
 from .seeding import seed_plan
 
 __all__ = ["main", "load_config", "build_rb_config", "build_rbsv_config",
            "build_irbgs_config", "seed_plan"]
 
 log = logging.getLogger("rbsim")
-
-
-def _lazy(name: str):
-    """The submodule ``rbsim.<name>``, executed at its first attribute access,
-    so that ``rb``, ``rbsv`` and ``compare`` never compile or run it.  It is
-    registered in ``sys.modules`` and on the package at once, where
-    ``bench/tracing.py`` looks up the callables it wraps."""
-    full = f"{__package__}.{name}"
-    if full in sys.modules:
-        return sys.modules[full]
-    spec = importlib.util.find_spec(full)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[full] = module
-    setattr(sys.modules[__package__], name, module)
-    spec.loader.exec_module(module)
-    return module
-
-
-irbgs = _lazy("irbgs")
-resources = _lazy("resources")
 
 DEFAULT_LENGTHS = tuple(range(5, 51, 5))
 
@@ -205,7 +185,7 @@ def _load_recipe_file(path: str, source: str) -> list:
     """``load_recipes(path)``; a file that cannot be read or parsed raises a
     ``ConfigError`` naming ``source`` and the path."""
     try:
-        return irbgs.load_recipes(path)
+        return load_recipes(path)
     except OSError as exc:
         raise ConfigError(f"{source}: cannot read {path!r}: {exc.strerror}") from exc
     except ValueError as exc:  # json.JSONDecodeError included
@@ -215,7 +195,7 @@ def _load_recipe_file(path: str, source: str) -> list:
 def _resolve_recipe(cfg: dict):
     spec = _field(cfg, "recipe", "cnot")
     if isinstance(spec, str):
-        for recipe in irbgs.builtin_recipes():
+        for recipe in builtin_recipes():
             if recipe.name == spec or recipe.target_name == spec:
                 return recipe
         raise ConfigError(f"unknown built-in recipe {spec!r}")
@@ -228,7 +208,7 @@ def _resolve_recipe(cfg: dict):
     raise ConfigError("field 'recipe' must be a built-in name or {path, index}")
 
 
-def build_irbgs_config(cfg: dict, overrides) -> irbgs.IRBGSConfig:
+def build_irbgs_config(cfg: dict, overrides) -> IRBGSConfig:
     n = _field(cfg, "n", 2, kind=config_integer)
     noise = _noise_model(cfg, n)
     try:
@@ -241,7 +221,7 @@ def build_irbgs_config(cfg: dict, overrides) -> irbgs.IRBGSConfig:
     lengths = _field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list)
     k_m = _field(cfg, "K_m", 30, kind=config_integer)
     try:
-        return irbgs.IRBGSConfig(
+        return IRBGSConfig(
             lengths=lengths,
             k_m=k_m,
             seed=seed,
@@ -389,7 +369,7 @@ def _cmd_irbgs(cfg: dict, args) -> int:
     config = build_irbgs_config(cfg, args)
     out = _artifact_dir(args)
     t0 = time.perf_counter()
-    estimate = irbgs.run_irbgs(config)
+    estimate = run_irbgs(config)
     wall = time.perf_counter() - t0
     summary = {
         "p": estimate.p,
@@ -415,7 +395,7 @@ def _cmd_irbgs(cfg: dict, args) -> int:
 
 def _cmd_plan(cfg: dict, args) -> int:
     try:
-        plan = resources.ResourcePlan.from_dict(cfg)
+        plan = ResourcePlan.from_dict(cfg)
         values = plan.evaluate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"resource plan: {exc}") from exc
@@ -429,10 +409,10 @@ def _cmd_plan(cfg: dict, args) -> int:
 
 def _cmd_verify_synthesis(args) -> int:
     recipes = (_load_recipe_file(args.recipes, "--recipes") if args.recipes
-               else irbgs.builtin_recipes())
+               else builtin_recipes())
     failures = 0
     for recipe in recipes:
-        report = irbgs.verify_synthesis(recipe)
+        report = verify_synthesis(recipe)
         status = "pass" if report.passed else "FAIL"
         print(f"{recipe.name:<26s} {status}  max_deviation={report.max_deviation:.3e}  "
               f"L={recipe.nonclifford_count}")

@@ -171,25 +171,13 @@ def _span(words: np.ndarray, n: int, phases: np.ndarray | None = None):
     return out if phases is None else (out, out_phases)
 
 
-def _halves(rows: np.ndarray, phases: np.ndarray, n: int, signed: bool) -> tuple:
+def _halves(rows: np.ndarray, phases: np.ndarray | None, n: int) -> tuple:
     """The x- and z-half tables of every element in ``rows`` (``(..., 2n)``),
-    flat, element after element; when ``signed``, also their exponents of i."""
+    flat, element after element, and given ``phases``, their exponents of i."""
     rows = rows.reshape(-1, 2, n)
-    if signed:
-        return tuple(t.ravel() for t in _span(rows, n, phases.reshape(rows.shape)))
-    return _span(rows, n).ravel(), None
-
-
-def _block_halves(batch: SequenceBatch, picks: np.ndarray, signed: bool) -> tuple:
-    """``_halves`` of the rows a block of positions picks, and the picks into
-    them: the run of table rows from the least to the greatest pick when it
-    is no longer than the block (as for position-major picks), else the
-    picked rows in position-major order."""
-    lo, hi = picks.min(), picks.max() + 1
-    if hi - lo <= picks.size:
-        return _halves(batch.rows[lo:hi], batch.phases[lo:hi], batch.n, signed), picks - lo
-    return (_halves(batch.rows[picks], batch.phases[picks], batch.n, signed),
-            np.arange(picks.size).reshape(picks.shape))
+    if phases is None:
+        return _span(rows, n).ravel(), None
+    return tuple(t.ravel() for t in _span(rows, n, phases.reshape(rows.shape)))
 
 
 def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
@@ -299,23 +287,30 @@ class CompiledSequence:
         # |0..0><0..0| has coefficient 1 on the Z group, 0 elsewhere
         coefficients = self._apply(batch.spam.prep, group, phases,
                                    (group & (size - 1) == 0).astype(float))
-        # a block of positions spans the half tables of the rows it picks; a
-        # table whose half tables take no more words than a block's, or than
-        # one 4^n eigenvalue table (the generator gates' always), is spanned once
+        # row t's x-half table starts at word t << (n + 1), its z-half table
+        # 2^n words later.  A table no larger than a block of positions' rows,
+        # or than one 4^n eigenvalue table (the generator gates' always), is
+        # spanned once; any other, one block's picked rows at a time in
+        # position-major order, so that every block has the same bases
         step = max(1, _TABLE_WORDS // (k_m << (n + 1)))
         whole = len(batch.rows) <= max(step * k_m, size >> 1)
         if whole:
-            halves = _halves(batch.rows, batch.phases, n, signed)
+            halves = _halves(batch.rows, batch.phases if signed else None, n)
+        else:
+            bases = np.arange(step * k_m).reshape(step, k_m, 1) << (n + 1)
+            block_bases = bases, bases + size
         for start in range(0, len(batch.elements), step):
             picks = batch.elements[start:start + step]
-            if not whole:
-                halves, picks = _block_halves(batch, picks, signed)
+            if whole:
+                x_bases = picks[:, :, None] << (n + 1)
+                z_bases = x_bases + size
+            else:
+                halves = _halves(batch.rows.take(picks, axis=0),
+                                 batch.phases.take(picks, axis=0) if signed else None, n)
+                # cut to the block: ``channels`` may end in the closing channel
+                x_bases, z_bases = (b[:len(picks)] for b in block_bases)
             half, half_phases = halves
-            # row t's x-half table starts at word t << (n + 1), its z-half
-            # table 2^n words later
-            x_bases = picks[:, :, None] << (n + 1)
-            for x_base, z_base, ch in zip(x_bases, x_bases + size,
-                                          self.channels[start:start + step]):
+            for x_base, z_base, ch in zip(x_bases, z_bases, self.channels[start:start + step]):
                 x, z = group & (size - 1), group >> n
                 x_at, z_at = x_base + x, z_base + z
                 x_image, z_image = half[x_at], half[z_at]

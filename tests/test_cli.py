@@ -581,32 +581,3 @@ def test_shipped_configs_run(tmp_path, command, config, artifacts):
             assert json.loads(path.read_text())
         else:
             assert len(read_csv(path)) == len(lengths)
-
-
-# the CLI's run, then those of rbsim.irbgs and rbsim.resources that have been
-# executed: one the run never used is still its lazy placeholder
-EXECUTED_MODULES = """
-import sys, types
-from rbsim.cli import main
-code = main(sys.argv[1:])
-print(code, [name for name in ("rbsim.irbgs", "rbsim.resources")
-             if type(sys.modules[name]) is types.ModuleType])
-"""
-
-
-@pytest.mark.parametrize("command, config, executed", [
-    ("rbsv", small_rbsv_config(), []),
-    ("compare", small_rbsv_config(), []),
-    ("irbgs", IRBGS_CONFIG, ["rbsim.irbgs"]),
-    ("plan", None, ["rbsim.resources"]),
-])
-def test_runs_execute_only_the_modules_they_use(tmp_path, command, config, executed):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
-    path = (write_config(tmp_path, "config.json", config) if config
-            else str(ROOT / "configs" / "plan_two_qubit.json"))
-    proc = subprocess.run([sys.executable, "-c", EXECUTED_MODULES, command, "--config", path,
-                           "--out", str(tmp_path / "out")],
-                          capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {executed!r}"

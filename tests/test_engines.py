@@ -356,7 +356,8 @@ class TestBatchEngine:
         pauli, composed = mixed_channels(n)
         fixed = random_clifford(n, rng)
         batch = random_batch(n, 4, [Depolarizing(0.03), composed] * 3, MIXED_SPAM[n], rng, fixed)
-        assert [e.key() for e in batch_sequence(batch, 0)[1::2]] == [fixed.key()] * 3
+        assert all([e.key() for e in batch_sequence(batch, k)[1::2]] == [fixed.key()] * 3
+                   for k in range(4))
         assert_batch_matches_dense_oracle(batch, pauli)
 
     def test_batch_of_one_equals_its_sequence(self, rng):
