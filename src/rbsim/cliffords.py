@@ -20,11 +20,17 @@ exactly uniform on [1, 4^w), and the low 2w - 1 bits of the next; the
 signs are the low 2n bits of the last word.  A level word whose chunks are
 all zero (probability at most 2^-56 for n <= 8) is refilled from the words
 past the stream's budget, so an element depends only on its stream.
+Levels n - 1 and n - 2 act first, on the identity rows, and their four
+draws take only 15·8·3·2 = 720 values (6 at n = 1, which has one level):
+``symplectic_rows`` looks their rows up in one table per n, built by the
+same level code (``_level``) over every draw combination and indexed by
+the draws' mixed radix, then applies levels n - 3 .. 0 by transvection.
 ``random_clifford`` is the batch of one.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,39 +315,77 @@ def _transvect(t, v, n: int):
     return v ^ (t * symplectic_inner(t, v, n))
 
 
-def symplectic_rows(n: int, draws) -> np.ndarray:
-    """Packed rows ``(N, 2n)`` of N uniformly random elements of Sp(2n, 2).
+def _level(n: int, k: int, first, second) -> tuple:
+    """Level k's transvections ``(t1, t2, h0, Z_f or 0)`` from its two draws.
 
-    ``draws`` holds the 2n level arrays of ``_level_draws``.  Level k
-    reads its first draw as a nonzero string f on qubits k.. (low n-k bits
-    x, next n-k bits z), maps x_k to f by at most two transvections
-    (Koenig-Smolin Lemma 2) and z_k to a string anticommuting with f picked
-    by the second draw; levels are composed from the last one down.
+    The first draw is a nonzero string f on qubits k.. (low n - k bits x,
+    next n - k bits z).  t1 and t2 map x_k to f (Koenig-Smolin Lemma 2); h0
+    maps z_k to a string anticommuting with f picked by bits 1.. of the
+    second draw, and bit 0 of the second draw drops the last step Z_f.
     """
     def on_qubits(v, k):
         return ((v & ((1 << (n - k)) - 1)) << k) | ((v >> (n - k)) << (n + k))
 
-    e = np.int64(1)
-    rows = np.broadcast_to(e << np.arange(2 * n, dtype=np.int64), (len(draws[0]), 2 * n))
-    levels = []
-    for k in range(n):
-        f, bits, x = on_qubits(draws[2 * k], k), draws[2 * k + 1], e << k
-        # z anticommutes with x = X_k and with f where they commute: Y_k, plus,
-        # when f misses qubit k, an X or Y on f's lowest qubit that
-        # anticommutes with f there
-        support = (f | (f >> n)) & ((1 << n) - 1)
-        low = support & -support
-        y_k = x | (x << n)
-        z = np.where(f & x, y_k, y_k | np.where(f & (f >> n) & low, low, low | (low << n)))
-        anticommute, same = (f >> (n + k)) & 1, f == x
-        t1 = np.where(same, 0, np.where(anticommute, x ^ f, x ^ z))
-        t2 = np.where(same | (anticommute == 1), 0, z ^ f)
-        h0 = _transvect(t2, _transvect(t1, x | on_qubits(bits >> 1, k + 1), n), n)
-        levels.append((t1, t2, h0, np.where(bits & 1, 0, f)))  # bit 0 drops Z_f
-    for steps in reversed(levels):
-        for t in steps:
+    f, x = on_qubits(first, k), np.int64(1) << k
+    # z anticommutes with x = X_k and with f where they commute: Y_k, plus,
+    # when f misses qubit k, an X or Y on f's lowest qubit that
+    # anticommutes with f there
+    support = (f | (f >> n)) & ((1 << n) - 1)
+    low = support & -support
+    y_k = x | (x << n)
+    z = np.where(f & x, y_k, y_k | np.where(f & (f >> n) & low, low, low | (low << n)))
+    anticommute, same = (f >> (n + k)) & 1, f == x
+    t1 = np.where(same, 0, np.where(anticommute, x ^ f, x ^ z))
+    t2 = np.where(same | (anticommute == 1), 0, z ^ f)
+    h0 = _transvect(t2, _transvect(t1, x | on_qubits(second >> 1, k + 1), n), n)
+    return t1, t2, h0, np.where(second & 1, 0, f)
+
+
+def _apply_levels(n: int, rows: np.ndarray, levels, draws) -> np.ndarray:
+    """Apply ``levels`` (ascending; ``draws`` holds their draw pairs in the
+    same order) to ``(N, 2n)`` rows, the last level first."""
+    for k, first, second in reversed(list(zip(levels, draws[0::2], draws[1::2]))):
+        for t in _level(n, k, first, second):
             rows = _transvect(t[:, None], rows, n)
     return rows
+
+
+def _tail_radices(n: int) -> tuple:
+    """Radices of the draws ``(f - 1, second)`` of the last two levels (one
+    level at n = 1), level n - 2 first: ``(15, 8, 3, 2)``."""
+    return tuple(r for w in range(min(n, 2), 0, -1) for r in ((1 << 2 * w) - 1, 1 << (2 * w - 1)))
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_table(n: int) -> np.ndarray:
+    """Read-only ``(720, 2n)`` rows (``(6, 2)`` at n = 1) that the last two
+    levels give from the identity, row i for the draws whose mixed radix
+    over ``_tail_radices(n)`` is i; built by the sampler's own level code."""
+    radices, tail = _tail_radices(n), max(n - 2, 0)
+    draws = np.indices(radices, dtype=np.int64).reshape(len(radices), -1)
+    draws[0::2] += 1  # a first draw f is its digit + 1
+    rows = np.broadcast_to(np.int64(1) << np.arange(2 * n, dtype=np.int64), (draws.shape[1], 2 * n))
+    table = _apply_levels(n, rows, range(tail, n), draws)
+    table.flags.writeable = False
+    return table
+
+
+def symplectic_rows(n: int, draws) -> np.ndarray:
+    """Packed rows ``(N, 2n)`` of N uniformly random elements of Sp(2n, 2).
+
+    ``draws`` holds the 2n level arrays of ``_level_draws``; level k maps
+    x_k to the nonzero string f of its first draw and z_k to a string
+    anticommuting with f picked by its second (``_level``), and levels are
+    composed from the last one down.  The last two levels (qubits n - 2 and
+    n - 1) start from the identity, so their result is looked up in
+    ``_tail_table(n)``, by the mixed radix ``((f₁ - 1)·8 + s₁)·6 + (f₂ - 1)·2
+    + s₂`` of their draws (level n - 2 first; ``(f - 1)·2 + s`` at n = 1);
+    levels n - 3 .. 0 follow by transvection.
+    """
+    tail = max(n - 2, 0)
+    digits = [d - 1 if i % 2 == 0 else d for i, d in enumerate(draws[2 * tail:])]  # f - 1, second
+    rows = _tail_table(n)[np.ravel_multi_index(digits, _tail_radices(n))]
+    return _apply_levels(n, rows, range(tail), draws[:2 * tail])
 
 
 def random_clifford_rows(n: int, seeds, size: int) -> tuple:

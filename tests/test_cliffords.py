@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -19,7 +20,7 @@ from rbsim.cliffords import (
     symplectic_rows,
 )
 from rbsim.paulis import PauliString, packed_phase_exponent, pauli_multiply
-from rbsim.seeding import stream_words
+from rbsim.seeding import seed_plans, stream_words
 
 from conftest import (
     _phase_exponents,
@@ -291,6 +292,42 @@ class TestRandomClifford:
         # the refill comes from the unit's own stream, whatever its batch
         batch = random_clifford_rows(n, [7, seed, 8], size)
         assert np.array_equal(batch[0][:, 1], rows[:, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_tail_table_is_the_symplectic_group_of_the_last_two_qubits(self, n):
+        # the last two levels alone, from the identity, reach each element
+        # of Sp(4, 2) (Sp(2, 2) at n = 1) exactly once and leave the other
+        # qubits alone; checked on the table, not on the level code
+        table = cliffords._tail_table(n)
+        tail = min(n, 2)
+        assert table.shape == (symplectic_group_order(tail), 2 * n)
+        assert len(np.unique(table, axis=0)) == len(table)
+        assert all(CliffordElement(n, rows, [0] * (2 * n)).is_valid() for rows in table)
+        for r in [*range(n - tail), *range(n, 2 * n - tail)]:
+            assert np.all(table[:, r] == 1 << r)
+
+    # sha256 of the little-endian int64 rows then phases of
+    # random_clifford_rows(n, seed_plans(7, range(200)), 50), recorded from the
+    # sampler before its last two levels became a table lookup
+    PINNED_STREAM_DIGESTS = {
+        1: "17aad65e16c7d4cb6dc1bfd89903ecc93978ec1c9f3e22dba11afd204d9b314a",
+        2: "129a1379855f6a6e341f2ecd8ad45a029c6a85f995ded959b3fd90cf8b7e03a8",
+        3: "7baa4b5627ffaf31ee28a852277e228b3092f3e9a5b4bc651770161aa537758d",
+        4: "561f116ef20fedfd3869b09bd2dd231e1e58cea005d616513694b219a0a48504",
+        5: "e9cb17cb76209365da4392a4f0f9da80e5a6a840358c65324f30a6e54852229b",
+        6: "1b6abf483a086007eee13d42b9d5858f40367b282d535cc4df0c5b09d877c1d2",
+        31: "f4e9c1e180212a6fe29cc6182124e017230dd146877015e3693a0a184bd49a6e",
+    }
+
+    @pytest.mark.parametrize("n", sorted(PINNED_STREAM_DIGESTS))
+    def test_sampler_stream_is_pinned(self, n):
+        # every element, and so every CSV of a fixed master seed, stays
+        # byte-identical across changes to how the sampler computes its rows
+        rows, phases = random_clifford_rows(n, seed_plans(7, range(200)), 50)
+        digest = hashlib.sha256()
+        for a in (rows, phases):
+            digest.update(np.ascontiguousarray(a, dtype="<i8").tobytes())
+        assert digest.hexdigest() == self.PINNED_STREAM_DIGESTS[n]
 
     def test_sampler_register_limit(self):
         with pytest.raises(ValueError):
