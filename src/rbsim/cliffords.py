@@ -12,9 +12,10 @@ every operation returns a new element, and the ``PauliString`` images share
 the row encoding, so there are no bit-array views.
 
 The uniform sampler, the Koenig-Smolin transvection construction
-(arXiv:1406.2170), runs on int64 arrays.  ``random_clifford_rows`` reads
+(arXiv:1406.2170), runs on int64 arrays.  ``random_clifford_table`` reads
 each element from 2n + 1 consecutive words of its stream
-(``seeding.stream_words``), derived for the whole batch at once: level k
+(``seeding.stream_rows``), derived for the whole batch at once, however
+many elements each stream gives: level k
 (w = n - k) takes the first nonzero 2w-bit chunk of one word, which is
 exactly uniform on [1, 4^w), and the low 2w - 1 bits of the next; the
 signs are the low 2n bits of the last word.  A level word whose chunks are
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .paulis import PauliString, packed_phase_exponent, pauli_multiply, symplectic_inner
-from .seeding import redraw, stream_words
+from .seeding import redraw, stream_rows
 
 __all__ = [
     "GeneratorGate",
@@ -47,6 +48,7 @@ __all__ = [
     "inverse",
     "random_clifford",
     "random_clifford_rows",
+    "random_clifford_table",
     "symplectic_rows",
     "stabilizer_group",
     "stabilizer_generators",
@@ -69,6 +71,9 @@ MAX_MATERIALIZED_GROUP_QUBITS = 12
 # the sampler's rows are int64 words of 2n bits, and a level draw takes at
 # most 62 bits of one stream word
 MAX_SAMPLED_QUBITS = 31
+
+# elements the sampler draws at once
+_DRAW_ELEMENTS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -269,21 +274,20 @@ def inverse(c: CliffordElement) -> CliffordElement:
 # ---------------------------------------------------------------------------
 
 
-def _clifford_words(n: int, seeds: np.ndarray, size: int) -> np.ndarray:
-    """Each stream's first ``size (2n + 1)`` words as ``(size, K, 2n + 1)``:
-    2n + 1 per element, level k's two at 2k and 2k + 1 and the signs last.
-    A level word whose whole 2(n - k)-bit chunks are all zero is refilled
-    by ``seeding.redraw``."""
+def _clifford_words(n: int, seeds: np.ndarray, counts) -> np.ndarray:
+    """Stream k's first ``counts[k] (2n + 1)`` words as ``counts[k]``
+    consecutive rows of 2n + 1, one per element, stream after stream: level
+    k's two words at 2k and 2k + 1 and the signs last.  A level word whose
+    whole 2(n - k)-bit chunks are all zero is refilled by ``seeding.redraw``."""
     width = 2 * n + 1
     # the bits of a level word's whole chunks; 0 marks the words any value suits
     region = np.zeros(width, dtype=np.uint64)
     for k in range(n):
         chunk = 2 * (n - k)
         region[2 * k] = (1 << (chunk * (64 // chunk))) - 1
-    region = np.tile(region, size)
-    words = stream_words(seeds, 0, size * width)
-    redraw(seeds, words, lambda w, cols: ((w & region[cols]) != 0) | (region[cols] == 0))
-    return words.reshape(len(seeds), size, width).swapaxes(0, 1)
+    words = stream_rows(seeds, counts, width)
+    return redraw(seeds, words, lambda w, cols: ((w & region[cols]) != 0) | (region[cols] == 0),
+                  counts)
 
 
 def _level_draws(n: int, words: np.ndarray) -> tuple:
@@ -388,17 +392,36 @@ def symplectic_rows(n: int, draws) -> np.ndarray:
     return _apply_levels(n, rows, range(tail), draws[:2 * tail])
 
 
-def random_clifford_rows(n: int, seeds, size: int) -> tuple:
-    """Packed image rows and phases (0 or 2), each ``(size, K, 2n)``, of
-    ``size`` uniformly random elements from each of the K streams seeded by
-    ``seeds`` (element-major: ``[i, k]`` is stream k's i-th element, from
-    its words ``i (2n + 1)`` to ``(i + 1)(2n + 1) - 1``)."""
+def random_clifford_table(n: int, seeds, counts) -> tuple:
+    """Packed image rows (int64) and phases (0 or 2, int8), each
+    ``(sum(counts), 2n)``, of ``counts[k]`` uniformly random elements from
+    each stream ``seeds[k]``, stream after stream: its i-th element from its
+    words ``i (2n + 1)`` to ``(i + 1)(2n + 1) - 1``.  Streams are drawn in
+    blocks of about ``_DRAW_ELEMENTS`` elements, which bounds the sampler's
+    temporaries."""
     if not 1 <= n <= MAX_SAMPLED_QUBITS:
         raise ValueError(f"the sampler takes 1 <= n <= {MAX_SAMPLED_QUBITS} qubits")
     seeds = np.asarray(seeds, dtype=np.uint64)
-    draws, signs = _level_draws(n, _clifford_words(n, seeds, size).reshape(-1, 2 * n + 1))
-    shape = (size, len(seeds), 2 * n)
-    return symplectic_rows(n, draws).reshape(shape), 2 * signs.reshape(shape)
+    counts = np.asarray(counts, dtype=np.intp)
+    ends = np.cumsum(counts)
+    rows = np.empty((counts.sum(), 2 * n), dtype=np.int64)
+    phases = np.empty(rows.shape, dtype=np.int8)
+    # a block is the streams whose first element falls in one window
+    firsts = np.flatnonzero(np.diff((ends - counts) // _DRAW_ELEMENTS, prepend=-1))
+    for low, high in zip(firsts, [*firsts[1:], len(seeds)]):
+        draws, signs = _level_draws(n, _clifford_words(n, seeds[low:high], counts[low:high]))
+        block = slice(ends[low] - counts[low], ends[high - 1])
+        rows[block] = symplectic_rows(n, draws)
+        np.left_shift(signs, 1, out=phases[block])
+    return rows, phases
+
+
+def random_clifford_rows(n: int, seeds, size: int) -> tuple:
+    """``random_clifford_table`` with ``size`` elements per stream, each
+    ``(size, K, 2n)``, element-major: ``[i, k]`` is stream k's i-th element."""
+    k = len(seeds)
+    return tuple(a.reshape(k, size, 2 * n).swapaxes(0, 1)
+                 for a in random_clifford_table(n, seeds, np.full(k, size)))
 
 
 def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:

@@ -6,6 +6,10 @@ sequences with one channel per position; a ``SequenceSpec`` is the batch of
 one).  Acceptance and RB survival are means over them.  Sampled mode counts,
 per sequence, the words of its repetition stream that fall below its
 probability (``_binomials``): one Binomial(reps, p) draw, at O(reps) cost.
+The sequences of a batch may differ in length: end-aligned and longest
+first, those under way at a position are a prefix of the batch, and only
+they are stepped.  They are propagated a block at a time, so that the
+engine's state stays within ``_STATE_WORDS`` tracked Paulis whatever K.
 
 A batch is a table of element rows plus, per position and sequence, the
 table row that sequence applies there: one row per drawn Clifford, or one
@@ -52,7 +56,11 @@ MAX_TABLE_QUBITS = 8
 _TABLE_WORDS = 1 << 14
 
 # repetition words counted at once, for the same reason
-_COUNT_WORDS = 1 << 16
+_COUNT_WORDS = 1 << 13
+
+# tracked Paulis (sequences x Paulis per sequence) propagated at once: bounds
+# the engine's state whatever the number and the length of the sequences
+_STATE_WORDS = 1 << 13
 
 
 @dataclass
@@ -129,7 +137,10 @@ class SequenceBatch:
     ``rows[t]`` holds the 2n packed image rows of table entry t (the layout
     of ``CliffordElement.rows``), ``phases[t]`` their exponents of i;
     ``elements[l, k]`` is the entry sequence k applies at position l, and
-    ``channels[l]`` acts after position l.
+    ``channels[l]`` acts after position l.  Sequences may be shorter than L:
+    ``elements[l, k]`` is -1 before sequence k starts, and they are
+    end-aligned, longest first, so that the sequences under way at any
+    position are a prefix of the batch and all of them end at position L - 1.
     """
 
     n: int
@@ -180,6 +191,17 @@ def _halves(rows: np.ndarray, phases: np.ndarray | None, n: int) -> tuple:
     return tuple(t.ravel() for t in _span(rows, n, phases.reshape(rows.shape)))
 
 
+def _started(elements: np.ndarray) -> np.ndarray:
+    """Per position, the number of sequences under way: the end-aligned layout
+    of ``SequenceBatch``, checked."""
+    started = elements >= 0
+    widths = started.sum(axis=1)
+    if np.any(np.diff(widths) < 0) or not np.array_equal(
+            started, np.arange(elements.shape[1]) < widths[:, None]):
+        raise ValueError("sequences must be end-aligned, longest first")
+    return widths
+
+
 def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
     """Per sequence k, the count of the first ``reps`` words of the stream
     seeded by ``seeds[k]`` whose top 53 bits lie below ``p_k 2^53``:
@@ -205,6 +227,9 @@ class CompiledSequence:
     stabilizers of its ideal output state; the probabilities average them,
     and the samples draw each sequence's count of ``reps`` repetitions, each
     measuring a uniformly drawn stabilizer, from its own repetition stream.
+    Acceptance always reads the open sequences, survival the sequences as
+    they stand (closed after ``append_inverse``), so a batch closed before
+    its first readout gives both from one propagation.
     """
 
     def __init__(self, spec: SequenceSpec | SequenceBatch):
@@ -212,7 +237,8 @@ class CompiledSequence:
         self.n = spec.n
         self.channels = list(self.batch.channels)
         self.closed = False
-        self._prefix = None  # the engine and its propagation through the last element
+        self._engine = None  # the engine of the cached readouts
+        self._readouts = {}  # open (False) and closed (True) readouts, see _readout
         self._tables = {}    # eigenvalues or pauli_action by channel identity: no value hash
 
     @property
@@ -231,25 +257,21 @@ class CompiledSequence:
     def propagate_faults(self) -> np.ndarray:
         """Expectation of each stabilizer of each sequence's ideal output state
         (``(K, 2^n)``, identity first), measurement flips included."""
-        group, expectations = self._readout()
-        # a new array: the kept prefix is never written
+        return self._expectations(self.closed)
+
+    def _expectations(self, closed: bool) -> np.ndarray:
+        group, expectations = self._readout(closed)
+        # a new array: the cached readout is never written
         return expectations * _flip_factors(group, self.n, self.batch.spam.meas_flip)
 
-    def _readout(self):
-        """Each sequence's packed stabilizer group and their expectations
-        before the flips: the propagation through the last element, computed
-        once per instance and engine, then the closing and meas channels."""
+    def _readout(self, closed: bool):
+        """Each open or closed sequence's packed stabilizer group and their
+        expectations before the flips.  One propagation per engine reads out
+        the open sequences and, once the batch is closed, the closed ones."""
         engine = self.engine
-        if self._prefix is None or self._prefix[0] != engine:
-            self._prefix = engine, self._propagate(engine == "dense")
-        _, (z_columns, tracked, group, phases, coefficients) = self._prefix
-        tail = [self.batch.spam.meas]
-        if self.closed:
-            group, phases = tracked, 0  # every image back at its Pauli, unsigned
-            tail.insert(0, self.channels[-1])
-        for ch in tail:
-            coefficients = self._apply(ch, group, phases, coefficients)
-        return group[:, z_columns], coefficients[:, z_columns]
+        if self._engine != engine or closed not in self._readouts:
+            self._engine, self._readouts = engine, self._propagate(engine == "dense")
+        return self._readouts[closed]
 
     def _apply(self, ch: NoiseChannel, group, phases, coefficients) -> np.ndarray:
         """``coefficients`` on the images ``i^phases P_group`` after ``ch``, as
@@ -269,65 +291,94 @@ class CompiledSequence:
             lab = sum(weights * lab[:, sources] for sources, weights in stage)
         return sign * np.take_along_axis(lab, group, axis=1)
 
-    def _propagate(self, signed: bool):
-        """The Z group's columns, the tracked Paulis (the Z group, or all 4^n
-        when ``signed``), and each sequence's images of them, their exponents
-        of i (signed only) and coefficients after prep and every position."""
+    def _propagate(self, signed: bool) -> dict:
+        """The open (key False) and, once closed, the closed (True) readouts:
+        each sequence's Z group and its coefficients after the meas channel.
+
+        Each sequence tracks the Z group's Paulis, or all 4^n when ``signed``,
+        through prep and its positions: their images, exponents of i (signed
+        only) and coefficients.  Sequences are propagated ``_STATE_WORDS``
+        tracked Paulis at a time, and the sequences of a block under way at a
+        position are a prefix of it (``_started``), which alone is stepped.
+        """
         n, batch = self.n, self.batch
         if n > (limit := MAX_DENSE_QUBITS if signed else MAX_TABLE_QUBITS):
             raise ValueError(f"{self.engine} engine limited to n <= {limit}")
-        k_m = batch.elements.shape[1]
         size = 1 << n
+        elements = batch.elements
+        length, count = elements.shape
+        widths = _started(elements)
         # a stabilizer group is the span of its n generators, in subset order;
         # the span is linear, so mapping every element of it keeps that order
         z_group = _span(np.int64(1) << np.arange(n, 2 * n), n)
         paulis = np.arange(size * size) if signed else z_group
-        group = tracked = np.broadcast_to(paulis, (k_m, paulis.size))
-        phases = np.zeros(group.shape, dtype=np.int64) if signed else None
-        # |0..0><0..0| has coefficient 1 on the Z group, 0 elsewhere
-        coefficients = self._apply(batch.spam.prep, group, phases,
-                                   (group & (size - 1) == 0).astype(float))
+        z_columns = z_group if signed else slice(None)
+        block = max(1, min(count, _STATE_WORDS // paulis.size))
         # row t's x-half table starts at word t << (n + 1), its z-half table
         # 2^n words later.  A table no larger than a block of positions' rows,
         # or than one 4^n eigenvalue table (the generator gates' always), is
-        # spanned once; any other, one block's picked rows at a time in
-        # position-major order, so that every block has the same bases
-        step = max(1, _TABLE_WORDS // (k_m << (n + 1)))
-        whole = len(batch.rows) <= max(step * k_m, size >> 1)
+        # spanned once; any other, one block's picked rows at a time
+        step = max(1, _TABLE_WORDS // (block << (n + 1)))
+        whole = len(batch.rows) <= max(step * block, size >> 1)
         if whole:
             halves = _halves(batch.rows, batch.phases if signed else None, n)
-        else:
-            bases = np.arange(step * k_m).reshape(step, k_m, 1) << (n + 1)
-            block_bases = bases, bases + size
-        for start in range(0, len(batch.elements), step):
-            picks = batch.elements[start:start + step]
-            if whole:
-                x_bases = picks[:, :, None] << (n + 1)
-                z_bases = x_bases + size
-            else:
-                halves = _halves(batch.rows.take(picks, axis=0),
-                                 batch.phases.take(picks, axis=0) if signed else None, n)
-                # cut to the block: ``channels`` may end in the closing channel
-                x_bases, z_bases = (b[:len(picks)] for b in block_bases)
-            half, half_phases = halves
-            for x_base, z_base, ch in zip(x_bases, z_bases, self.channels[start:start + step]):
-                x, z = group & (size - 1), group >> n
-                x_at, z_at = x_base + x, z_base + z
-                x_image, z_image = half[x_at], half[z_at]
-                if signed:
-                    # P_g = i^popcount(x & z) X^x Z^z: its image is the halves' product
-                    phases = (phases + half_phases[x_at] + half_phases[z_at]
-                              + np.bitwise_count(x & z)
-                              + packed_phase_exponent(x_image, z_image, n))
-                group = x_image ^ z_image
-                coefficients = self._apply(ch, group, phases, coefficients)
-        return z_group if signed else slice(None), tracked, group, phases, coefficients
+        tails = {False: [batch.spam.meas]}
+        if self.closed:  # every image back at its Pauli, unsigned
+            tails[True] = [self.channels[-1], batch.spam.meas]
+        readouts = {closed: (np.empty((count, size), dtype=np.int64), np.empty((count, size)))
+                    for closed in tails}
+        for low in range(0, count, block):
+            high = min(low + block, count)
+            tracked = np.broadcast_to(paulis, (high - low, paulis.size))
+            group = tracked.copy()
+            phases = np.zeros(group.shape, dtype=np.int64) if signed else None
+            # |0..0><0..0| has coefficient 1 on the Z group, 0 elsewhere
+            coefficients = self._apply(batch.spam.prep, group, phases,
+                                       (group & (size - 1) == 0).astype(float))
+            active = np.clip(widths - low, 0, high - low)
+            for start in range(np.searchsorted(widths, low, side="right"), length, step):
+                stop = min(start + step, length)
+                picks = elements[start:stop, low:high]
+                picks = picks[picks >= 0]  # each position's prefix, position-major
+                if whole:
+                    bases = picks << (n + 1)
+                else:
+                    halves = _halves(batch.rows.take(picks, axis=0),
+                                     batch.phases.take(picks, axis=0) if signed else None, n)
+                    bases = np.arange(len(picks)) << (n + 1)
+                half, half_phases = halves
+                widths_here = active[start:stop]
+                for first, w, ch in zip(np.cumsum(widths_here) - widths_here, widths_here,
+                                        self.channels[start:stop]):
+                    x_base = bases[first:first + w, None]
+                    x, z = group[:w] & (size - 1), group[:w] >> n
+                    if signed:
+                        # P_g = i^popcount(x & z) X^x Z^z: its image is the halves' product
+                        y = np.bitwise_count(x & z)
+                    x += x_base  # the two halves' addresses in the table
+                    z += x_base + size
+                    x_image, z_image = half[x], half[z]
+                    if signed:
+                        phases[:w] += (half_phases[x] + half_phases[z] + y
+                                       + packed_phase_exponent(x_image, z_image, n))
+                    np.bitwise_xor(x_image, z_image, out=group[:w])
+                    coefficients[:w] = self._apply(ch, group[:w], None if phases is None
+                                                   else phases[:w], coefficients[:w])
+            for closed, tail in tails.items():
+                images, signs = (tracked, 0) if closed else (group, phases)
+                out = coefficients
+                for ch in tail:
+                    out = self._apply(ch, images, signs, out)
+                readout_group, readout = readouts[closed]
+                readout_group[low:high] = images[:, z_columns]
+                readout[low:high] = out[:, z_columns]
+        return readouts
 
     def acceptance_probability(self, include_identity: bool = True) -> np.ndarray:
-        """Per sequence, the mean of ``(1 + <s>)/2`` over the stabilizers, with
-        or without the identity (clipped to [0, 1] against round-off, as is
-        the survival)."""
-        expectations = self.propagate_faults()
+        """Per open sequence, the mean of ``(1 + <s>)/2`` over the stabilizers,
+        with or without the identity (clipped to [0, 1] against round-off, as
+        is the survival)."""
+        expectations = self._expectations(False)
         if not include_identity:
             expectations = expectations[:, 1:]
         return np.clip(np.mean((1.0 + expectations) / 2.0, axis=1), 0.0, 1.0)
@@ -339,7 +390,7 @@ class CompiledSequence:
         return np.clip(np.mean(self.propagate_faults(), axis=1), 0.0, 1.0)
 
     def acceptance_samples(self, reps: int, seeds, include_identity: bool = True) -> np.ndarray:
-        """Per sequence, the accept count of ``reps`` repetitions, one fresh
+        """Per open sequence, the accept count of ``reps`` repetitions, one fresh
         uniform stabilizer each, drawn from its repetition stream ``seeds[k]``."""
         return _binomials(reps, seeds, self.acceptance_probability(include_identity))
 

@@ -480,19 +480,21 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         + [config.recipe_clifford_noise]
     )
 
-    def one_length(m, seeds, indices):
+    def run_units(lengths, seeds, units):
         # random elements at the even positions, the fixed element, one more
-        # table row, at the odd
-        rows, phases, picks = _draw_elements(base_cfg, m, seeds[0])
-        picks = np.stack([picks, np.full_like(picks, len(rows))], axis=1).reshape(2 * m, -1)
+        # table row, at the odd: each unit's 2m positions keep the pattern
+        rows, phases, picks = _draw_elements(base_cfg, lengths, seeds[0])
+        channels = [gate_channel, fixed_channel] * len(picks)
+        fixed = np.where(picks < 0, -1, len(rows))
+        picks = np.stack([picks, fixed], axis=1).reshape(len(channels), -1)
         rows = np.append(rows, [fixed_element.rows], axis=0)
         phases = np.append(phases, [fixed_element.phases], axis=0)
-        compiled = _compile(base_cfg, rows, phases, picks, [gate_channel, fixed_channel] * m)
-        return _survivals(base_cfg, compiled, seeds[1], gate_channel)
+        return _survivals(base_cfg, _compile(base_cfg, rows, phases, picks, channels, close=True),
+                          seeds[1])
 
     # its own stream, so the interleaved sequences are not the baseline's
     interleaved = RBData.fitted(
-        base_cfg, run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, one_length),
+        base_cfg, run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, run_units),
         engine=engine_for(config.noise.channels + (fixed_channel,)))
 
     p, p_bar_c = baseline.fit.p, interleaved.fit.p

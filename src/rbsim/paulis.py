@@ -31,6 +31,7 @@ _Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 # indexed by the local letter x | z << 1
 _LETTER_MATRIX = (_I2, _X2, _Z2, _Y2)
 _LETTER_CHAR = "IXZY"
+_I_POWERS = (1, 1j, -1, -1j)
 _PHASE_PREFIX = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 
 
@@ -119,10 +120,17 @@ class PauliString:
     # -- dense form ------------------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
-        """Dense 2^n x 2^n matrix (qubit 0 is the leftmost tensor factor)."""
-        out = np.array([[1j ** self.phase]], dtype=complex)
-        for q in range(self.n):
-            out = np.kron(out, _LETTER_MATRIX[self._letter(q)])
+        """Dense 2^n x 2^n matrix (qubit 0 is the leftmost tensor factor, the
+        top bit of a basis index): the signed permutation ``i^phase X^x Z^z``
+        times ``i`` per Y letter, so column c holds ``(-1)^popcount(z & c)``
+        times that power of i at row ``c ^ x``."""
+        n, bits = self.n, self.bits
+        x = sum(((bits >> q) & 1) << (n - 1 - q) for q in range(n))
+        z = sum(((bits >> (n + q)) & 1) << (n - 1 - q) for q in range(n))
+        columns = np.arange(1 << n)
+        out = np.zeros((1 << n, 1 << n), dtype=complex)
+        out[columns ^ x, columns] = (_I_POWERS[(self.phase + (x & z).bit_count()) & 3]
+                                     * np.where(np.bitwise_count(columns & z) & 1, -1, 1))
         return out
 
     def label(self) -> str:

@@ -1,5 +1,13 @@
 """Standard Clifford randomized benchmarking (with inverse step) and the
-generator-sequence variant; produces per-length average survival data."""
+generator-sequence variant; produces per-length average survival data.
+
+A run draws the elements of every sequence of every length in one pass and
+compiles them into one ``SequenceBatch``, end-aligned: ordered longest
+first, a sequence of L_k positions starts at position L - L_k, so the
+sequences under way at any position are a prefix of the batch and all of
+them close at the last one.  Each sequence still draws only from its own
+streams, so its survival does not depend on the others.
+"""
 
 from __future__ import annotations
 
@@ -9,10 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import NoiseModel
-from .cliffords import MAX_DENSE_QUBITS, GeneratorGate, random_clifford_rows
+from .cliffords import MAX_DENSE_QUBITS, GeneratorGate, random_clifford_table
 from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, SequenceSpec, engine_for
 from .fitting import DecayFit, fit_decay, r_from_p
-from .seeding import redraw, run_ensemble, stream_words
+from .seeding import redraw, run_ensemble, stream_rows
 
 __all__ = [
     "RBConfig",
@@ -164,45 +172,66 @@ def _generator_table(n: int) -> tuple:
     return table.rows, table.phases
 
 
-def _draw_elements(config: RBConfig, m: int, seeds) -> tuple:
-    """One sequence per element stream in ``seeds`` as a ``SequenceBatch``'s
-    table: packed rows and phases ``(T, 2n)`` and the ``(L, K)`` row each
-    sequence picks at each position.  Clifford mode draws m random Cliffords
-    per stream, one table row each, position-major; generator mode picks
-    ``generator_block`` gates per element (L = m b) from the G gates of
-    ``generator_gate_set``.
+def _end_aligned(spans: np.ndarray) -> np.ndarray:
+    """``(L, K)`` indices, L = max(spans), into the positions of K sequences
+    laid out one after another (sequence k's ``spans[k]`` of them): sequence
+    k's at positions L - spans[k] .. L - 1, -1 before it starts."""
+    length = spans.max()
+    position = np.arange(length)[:, None] - (length - spans)
+    waiting = position < 0
+    position += np.cumsum(spans) - spans
+    position[waiting] = -1
+    return position
+
+
+def _draw_elements(config: RBConfig, lengths, seeds) -> tuple:
+    """One sequence per element stream in ``seeds``, of ``lengths[k]``
+    elements (one length for all, or one per stream, longest first), as a
+    ``SequenceBatch``'s table: packed rows and phases ``(T, 2n)`` and the
+    ``(L, K)`` end-aligned row each sequence picks at each position (-1
+    before it starts).  Clifford mode draws ``lengths[k]`` random Cliffords
+    per stream, one table row each, stream after stream; generator mode
+    picks ``generator_block`` gates per element (L_k = m_k b) from the G
+    gates of ``generator_gate_set``.
 
     Generator gate l of a stream is its word l mod G; a word at or above
     2^64 - (2^64 mod G) is refilled by ``seeding.redraw``, so each pick is
     exactly uniform.
     """
+    lengths = np.broadcast_to(np.asarray(lengths, dtype=np.int64), (len(seeds),))
     if config.mode == "clifford":
-        rows, phases = random_clifford_rows(config.n, seeds, m)
-        return (rows.reshape(-1, 2 * config.n), phases.reshape(-1, 2 * config.n),
-                np.arange(m * len(seeds)).reshape(m, len(seeds)))
+        rows, phases = random_clifford_table(config.n, seeds, lengths)
+        return rows, phases, _end_aligned(lengths)
     table_rows, table_phases = _generator_table(config.n)
     g = len(table_rows)
     last = np.uint64((1 << 64) - (1 << 64) % g - 1)  # the last word kept
-    words = redraw(seeds, stream_words(seeds, 0, m * config.generator_block),
-                   lambda w, cols: w <= last)
-    return table_rows, table_phases, (words % np.uint64(g)).T.astype(np.intp)
+    words = redraw(seeds, stream_rows(seeds, lengths, config.generator_block),
+                   lambda w, cols: w <= last, lengths)
+    words %= np.uint64(g)
+    at = _end_aligned(lengths * config.generator_block)
+    picks = words.view(np.int64).ravel()[at]  # every pick is below G: the same value
+    picks[at < 0] = -1
+    return table_rows, table_phases, picks
 
 
 def _compile(config: RBConfig, rows: np.ndarray, phases: np.ndarray, picks: np.ndarray,
-             channels=None) -> CompiledSequence:
+             channels=None, close: bool = False) -> CompiledSequence:
     """The drawn sequences (a table and its ``(L, K)`` picks, see
     ``_draw_elements``) as one compiled batch, with one channel per position
-    (default: the gate channel everywhere) and the config's SPAM."""
+    (default: the gate channel everywhere) and the config's SPAM; with
+    ``close``, each closed by the inverse of its product and the gate channel."""
     channels = channels or [config.noise.gate] * len(picks)
-    return CompiledSequence(SequenceBatch(config.n, rows, phases, picks, channels,
-                                          config.noise.spam))
+    compiled = CompiledSequence(SequenceBatch(config.n, rows, phases, picks, channels,
+                                              config.noise.spam))
+    if close:
+        compiled.append_inverse(config.noise.gate)
+    return compiled
 
 
-def _survivals(config: RBConfig, compiled: CompiledSequence, seeds, channel) -> np.ndarray:
-    """Survival of each sequence of ``compiled`` closed by the inverse of its
-    product followed by ``channel``: exact, or the surviving fraction of
-    ``config.shots`` repetitions drawn from its repetition stream ``seeds[k]``."""
-    compiled.append_inverse(channel)
+def _survivals(config: RBConfig, compiled: CompiledSequence, seeds) -> np.ndarray:
+    """Survival of each closed sequence of ``compiled``: exact, or the
+    surviving fraction of ``config.shots`` repetitions drawn from its
+    repetition stream ``seeds[k]``."""
     if config.exact:
         return compiled.survival_probability()
     return compiled.survival_samples(config.shots, seeds) / config.shots
@@ -212,16 +241,18 @@ def run_standard_rb(config: RBConfig) -> RBData:
     """Run the full protocol, average survival over k_m sequences per length
     and fit the decay.
 
-    Each sequence's survival is exact in exact mode and, in sampled mode, the
-    count of ``shots`` repetitions drawn from its repetition stream.  The
-    inverse element carries one noise application.
+    Every sequence of every length is drawn, propagated and counted in one
+    batch (``seeding.run_ensemble``).  Each sequence's survival is exact in
+    exact mode and, in sampled mode, the count of ``shots`` repetitions drawn
+    from its repetition stream.  The inverse element carries one noise
+    application.
     """
 
-    def one_length(m, seeds, indices):
-        compiled = _compile(config, *_draw_elements(config, m, seeds[0]))
-        return _survivals(config, compiled, seeds[1], config.noise.gate)
+    def run_units(lengths, seeds, units):
+        compiled = _compile(config, *_draw_elements(config, lengths, seeds[0]), close=True)
+        return _survivals(config, compiled, seeds[1])
 
-    return RBData.fitted(config, run_ensemble(config.seed, config.lengths, config.k_m, one_length))
+    return RBData.fitted(config, run_ensemble(config.seed, config.lengths, config.k_m, run_units))
 
 
 def fit_rb_data(data, d: int, coefficient_bounds):

@@ -143,16 +143,18 @@ class RBSVConfig(RBConfig):
             )
 
 
-def _acceptances(config: RBSVConfig, m: int, seeds, indices, close: bool = False) -> np.ndarray:
-    """Acceptance of each sequence of one length: exact, or the accepted
-    fraction of ``n_m`` repetitions.  Unit k's elements come from the stream
-    seeded by ``seeds[0, k]``, its repetitions from ``seeds[1, k]``.
+def _acceptances(config: RBSVConfig, lengths, seeds, units, close: bool = False) -> np.ndarray:
+    """Acceptance of each sequence: exact, or the accepted fraction of
+    ``n_m`` repetitions.  Unit ``units[k]`` has ``lengths[k]`` elements
+    (longest first, see ``rb._draw_elements``), drawn from the stream seeded
+    by ``seeds[0, k]``, and its repetitions from ``seeds[1, k]``.  A zero
+    acceptance raises ``FailureSignatureError`` naming the lowest such unit.
 
-    With ``close`` the same batch is then closed by its inverse and the gate
+    With ``close`` the same batch is also closed by its inverse and the gate
     channel, and row k holds sequence k's acceptance and its RB survival
-    (``rb._survivals``, from the same repetition stream).
+    (``rb._survivals``, from the same repetition stream and propagation).
     """
-    compiled = _compile(config, *_draw_elements(config, m, seeds[0]))
+    compiled = _compile(config, *_draw_elements(config, lengths, seeds[0]), close=close)
     include = config.include_identity_stabilizer
     if config.exact:
         p_acc = compiled.acceptance_probability(include)
@@ -160,28 +162,30 @@ def _acceptances(config: RBSVConfig, m: int, seeds, indices, close: bool = False
         p_acc = compiled.acceptance_samples(config.n_m, seeds[1], include) / config.n_m
     zero = np.flatnonzero(p_acc == 0.0)
     if zero.size:
+        k = zero[np.argmin(units[zero])]
         raise FailureSignatureError(
-            f"sequence {indices[zero[0]]} (m={m}) accepted 0/{config.n_m} repetitions; "
+            f"sequence {units[k]} (m={lengths[k]}) accepted 0/{config.n_m} repetitions; "
             "the noise is too strong for verification to proceed"
         )
     if not close:
         return p_acc
-    return np.stack([p_acc, _survivals(config, compiled, seeds[1], config.noise.gate)], axis=1)
+    return np.stack([p_acc, _survivals(config, compiled, seeds[1])], axis=1)
 
 
 def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
     """Full verification-based benchmarking run: sample sequences, estimate
     acceptance per sequence, convert to fidelity lower bounds, average and fit.
 
-    With ``with_rb`` the run also closes each length's sequences by their
-    inverse and sets ``result.rb`` to their standard RB data, equal to
-    ``run_standard_rb(config)``: one draw and one propagation per length
-    serve both protocols.
+    Every sequence of every length is drawn, propagated and counted in one
+    batch (``seeding.run_ensemble``).  With ``with_rb`` the run also closes
+    the sequences by their inverse and sets ``result.rb`` to their standard
+    RB data, equal to ``run_standard_rb(config)``: one draw and one
+    propagation serve both protocols.
     """
 
     p_acc = run_ensemble(
         config.seed, config.lengths, config.k_m,
-        lambda m, seeds, units: _acceptances(config, m, seeds, units, close=with_rb))
+        lambda lengths, seeds, units: _acceptances(config, lengths, seeds, units, close=with_rb))
     if with_rb:  # (lengths, K, 2) -> two contiguous (lengths, K) arrays
         p_acc, survivals = np.array(np.moveaxis(p_acc, 2, 0))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays

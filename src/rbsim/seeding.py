@@ -1,5 +1,5 @@
-"""Deterministic seed derivation, counter-based streams and the one loop
-that runs an ensemble length by length.
+"""Deterministic seed derivation, counter-based streams and the one call
+that runs an ensemble.
 
 Unit j of an ensemble owns two streams: its elements come from stream
 ``(j, 0)`` and its sampled repetitions from stream ``(j, 1)``, seeded by
@@ -9,9 +9,10 @@ from its seed (Steele, Lea & Flood 2014), read as a counter-based generator
 ``_splitmix64(s + i·γ)``, so any words of any streams are one uint64 array
 evaluation and no generator object is built per unit.  A result therefore
 depends only on the master seed and the unit's index, never on the order
-units run in or on the batch they run in.  ``run_ensemble`` hands each
-length's units to one batched call, stacks the lengths' results into one
-array and logs one INFO line per length (m, K_m, seconds).
+units run in or on the batch they run in.  ``run_ensemble`` hands every
+unit of every length to one batched call, longest first, returns the
+results as one ``(L, K)`` array in unit order and logs one INFO line per
+length (m, K_m, seconds of that one call).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import time
 
 import numpy as np
 
-__all__ = ["seed_plan", "seed_plans", "unit_seeds", "stream_words", "redraw",
+__all__ = ["seed_plan", "seed_plans", "unit_seeds", "stream_words", "stream_rows", "redraw",
            "generator_for", "parallel_map", "run_ensemble"]
 
 log = logging.getLogger(__name__)
@@ -89,31 +90,50 @@ def stream_words(seeds, start: int, count: int) -> np.ndarray:
     return _mix(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)
 
 
-def redraw(seeds, words: np.ndarray, valid) -> np.ndarray:
+def stream_rows(seeds, counts, width: int) -> np.ndarray:
+    """The first ``counts[k] · width`` words of each stream of ``seeds`` as
+    ``counts[k]`` consecutive rows of ``width``, stream after stream: a
+    ``(sum(counts), width)`` uint64 array whose row r of stream k holds its
+    words ``r · width .. (r + 1) · width - 1``."""
+    counts = np.asarray(counts, dtype=np.intp)
+    row = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    # word i of a stream is _mix(seed + (i + 1)·γ), built in one array
+    words = (row * width).astype(np.uint64)[:, None] + np.arange(1, width + 1, dtype=np.uint64)
+    words *= _WORD_GAMMA
+    words += np.repeat(np.asarray(seeds, dtype=np.uint64), counts)[:, None]
+    return _mix(words)
+
+
+def redraw(seeds, words: np.ndarray, valid, counts) -> np.ndarray:
     """Replace, in place, each word that ``valid`` rejects; return ``words``.
 
-    ``words[k]`` holds the first B words of stream ``seeds[k]``, a fixed
-    budget.  ``valid(words, columns)`` tells which of a ``(K', C)`` array's
-    words are usable, column c holding words of budget column
-    ``columns[c]``.  The rejected words of a stream, in column order, take
-    its words past the budget (B, B + 1, ...), skipping any that the
-    column also rejects.  So a unit's words depend only on its own stream.
+    ``words`` is a ``(R, W)`` array of ``stream_rows(seeds, counts, W)``:
+    stream k's first ``counts[k] · W`` words, a fixed budget.
+    ``valid(words, columns)`` tells which of an array's words are usable,
+    ``columns`` (broadcast against it) giving each word's column.  The
+    rejected words of a stream, in stream order, take its words past the
+    budget, skipping any that their column also rejects.  So a unit's words
+    depend only on its own stream.
     """
-    budget = words.shape[1]
-    columns = np.arange(budget)
+    width = words.shape[1]
+    columns = np.arange(width)
     rejected = ~valid(words, columns)
     if not rejected.any():
         return words
     seeds = np.asarray(seeds, dtype=np.uint64)
-    for k in np.flatnonzero(rejected.any(axis=1)):
-        index = budget
-        for c in np.flatnonzero(rejected[k]):
-            while True:
-                word = stream_words(seeds[k:k + 1], index, 1)
-                index += 1
-                if valid(word, columns[c:c + 1])[0, 0]:
-                    break
-            words[k, c] = word[0, 0]
+    counts = np.asarray(counts)
+    stream_of = np.repeat(np.arange(len(seeds)), counts)
+    following = {}  # each stream's next word past its budget
+    for r, c in zip(*np.nonzero(rejected)):
+        k = stream_of[r]
+        index = following.get(k, counts[k] * width)
+        while True:
+            word = stream_words(seeds[k:k + 1], index, 1)
+            index += 1
+            if valid(word, columns[c:c + 1])[0, 0]:
+                break
+        following[k] = index
+        words[r, c] = word[0, 0]
     return words
 
 
@@ -125,27 +145,31 @@ def generator_for(master_seed: int, j: int, rep: int = 0) -> np.random.Generator
 
 
 def parallel_map(fn, items) -> list:
-    """Order-preserving map; items must be independent for determinism."""
+    """Order-preserving map; items must be independent for determinism.  The
+    ensembles run as one batch instead; this stays as a ``bench/tracing.py``
+    target."""
     return [fn(item) for item in items]
 
 
-def run_ensemble(seed: int, lengths, k_m: int, one_length) -> np.ndarray:
+def run_ensemble(seed: int, lengths, k_m: int, run_units) -> np.ndarray:
     """``k_m`` independent sequences per length, one ``(L, K, ...)`` array.
 
     Sequence ``j`` at the ``im``-th length is work unit ``im * k_m + j``.
-    Each length is one call ``one_length(m, seeds, indices)`` that returns
-    an array of its units' results, unit first (row ``im`` of the result),
-    drawing each unit's randomness only from its two streams: ``seeds =
-    unit_seeds(seed, indices)``, so unit j's elements come from the stream
-    seeded by ``seeds[0, j]`` and its sampled repetitions from ``seeds[1, j]``.
+    Every unit of every length goes to one call ``run_units(lengths, seeds,
+    units)``, longest first (ties in unit order): unit ``units[i]`` has
+    length ``lengths[i]`` and streams ``seeds[:, i]``, with ``seeds =
+    unit_seeds(seed, units)``, so its elements come from the stream seeded
+    by ``seeds[0, i]`` and its sampled repetitions from ``seeds[1, i]``.  The
+    call returns its units' results, unit first in the order given; they come
+    back in unit order, row ``im`` of the result for the im-th length.
     """
-
-    def length(task):
-        im, m = task
-        t0 = time.perf_counter()
-        indices = list(range(im * k_m, (im + 1) * k_m))
-        results = one_length(m, unit_seeds(seed, indices), indices)
-        log.info("m=%d K_m=%d %.3f s", m, k_m, time.perf_counter() - t0)
-        return results
-
-    return np.stack(parallel_map(length, list(enumerate(lengths))))
+    t0 = time.perf_counter()
+    per_unit = np.repeat(np.asarray(lengths, dtype=np.int64), k_m)
+    units = np.argsort(-per_unit, kind="stable")
+    results = run_units(per_unit[units], unit_seeds(seed, units), units)
+    ordered = np.empty_like(results)
+    ordered[units] = results
+    seconds = time.perf_counter() - t0
+    for m in lengths:
+        log.info("m=%d K_m=%d %.3f s", m, k_m, seconds)
+    return ordered.reshape(len(lengths), k_m, *results.shape[1:])

@@ -122,6 +122,7 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, atol: float = 1e-10) 
 def batch_sequence(batch, k: int) -> list:
     """The signed elements of sequence ``k`` of a ``SequenceBatch``."""
     picks = batch.elements[:, k]
+    picks = picks[picks >= 0]  # -1 before an end-aligned sequence starts
     return [CliffordElement(batch.n, rows, phases) for rows, phases
             in zip(batch.rows[picks].tolist(), batch.phases[picks].tolist())]
 

@@ -6,11 +6,15 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rbsim import irbgs as irbgs_module, rb as rb_module, rbsv as rbsv_module
 from rbsim.cli import main
 from rbsim.engines import CompiledSequence
+from rbsim.channels import NoiseModel, PauliChannel
+from rbsim.rbsv import RBSVConfig
+from rbsim.seeding import seed_plan, unit_seeds
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -468,12 +472,13 @@ def test_summary_names_engine(tmp_path, engine, channel):
 
 def test_info_log_has_one_line_per_length(tmp_path):
     # RBSV_LOG is read by the CLI process itself, so run it as one; compare
-    # runs one ensemble for both protocols
+    # runs one ensemble for both protocols.  The lines come in config order,
+    # each with the seconds of the one pass that ran every length
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, RBSV_LOG="INFO",
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     for command in ("rb", "compare"):
-        cfg = dict(small_rbsv_config(), protocol=command)
+        cfg = dict(small_rbsv_config(), protocol=command, lengths=[6, 3, 12, 9])
         if command == "rb":
             del cfg["N_m"]
         path = write_config(tmp_path, f"{command}.json", cfg)
@@ -485,6 +490,7 @@ def test_info_log_has_one_line_per_length(tmp_path):
         assert [line.split(" INFO ")[1].split()[:2] for line in lines] == \
             [[f"m={m}", f"K_m={cfg['K_m']}"] for m in cfg["lengths"]], command
         assert all(re.search(r" \d+\.\d{3} s$", line) for line in lines)
+        assert len({line.split()[-2] for line in lines}) == 1
 
 
 COMPARE_NOISE = {
@@ -528,29 +534,72 @@ def test_compare_csvs_equal_separate_runs(mode, rb_mode, noise, tmp_path):
 
 
 @pytest.mark.parametrize("mode", ["sampled", "exact"])
-def test_compare_draws_and_propagates_each_length_once(mode, tmp_path, monkeypatch):
-    calls = Counter()
+def test_compare_draws_and_propagates_each_unit_once(mode, tmp_path, monkeypatch):
+    calls, drawn, propagated = Counter(), Counter(), Counter()
+    draw_elements, propagate = rb_module._draw_elements, CompiledSequence._propagate
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def draw(config, lengths, seeds):
+        calls["draw"] += 1
+        drawn.update(np.asarray(seeds).tolist())  # each unit's element stream
+        return draw_elements(config, lengths, seeds)
 
-    draw = counted("draw", rb_module._draw_elements)
+    def counted_propagate(self, signed):
+        calls["_propagate"] += 1
+        # a sequence is propagated with its picks, which are its own table rows
+        for k in range(self.batch.elements.shape[1]):
+            picks = self.batch.elements[:, k]
+            propagated[tuple(self.batch.rows[picks[picks >= 0]].ravel())] += 1
+        return propagate(self, signed)
+
+    def counted_init(self, spec):
+        calls["__init__"] += 1
+        init(self, spec)
+
+    init = CompiledSequence.__init__
     for module in (rb_module, rbsv_module):
         monkeypatch.setattr(module, "_draw_elements", draw)
-    for method in ("__init__", "_propagate"):
-        monkeypatch.setattr(CompiledSequence, method,
-                            counted(method, getattr(CompiledSequence, method)))
+    monkeypatch.setattr(CompiledSequence, "_propagate", counted_propagate)
+    monkeypatch.setattr(CompiledSequence, "__init__", counted_init)
     # Pauli noise and noise that is not Pauli-diagonal alike
     for noise in ("depolarizing", "delta-dense"):
-        calls.clear()
+        calls.clear(), drawn.clear(), propagated.clear()
         cfg = dict(small_rbsv_config(), mode=mode, noise=COMPARE_NOISE[noise])
         path = write_config(tmp_path, f"{noise}.json", cfg)
         assert main(["compare", "--config", path, "--out", str(tmp_path / noise)]) == 0
-        lengths = len(cfg["lengths"])
-        assert calls == {"draw": lengths, "__init__": lengths, "_propagate": lengths}, noise
+        units = range(len(cfg["lengths"]) * cfg["K_m"])
+        # every unit's elements are drawn once, from its own stream, and every
+        # sequence is propagated once, all in one batch
+        assert drawn == Counter(seed_plan(cfg["seed"], u) for u in units), noise
+        assert len(propagated) == len(units) and set(propagated.values()) == {1}, noise
+        assert calls == {"draw": 1, "__init__": 1, "_propagate": 1}, noise
+
+
+@pytest.mark.parametrize("command", ["rbsv", "compare"])
+def test_zero_acceptance_names_the_lowest_unit_in_config_order(command, tmp_path, capsys):
+    # a certain X flip after every element leaves each sequence's one
+    # non-identity stabilizer at +1 or -1, so whole units accept nothing; at
+    # this seed they lie at two lengths, and the longest length, which the
+    # batch holds first, is not the one the lowest failing unit has
+    cfg = {"protocol": "rbsv", "n": 1, "lengths": [3, 7, 5], "K_m": 3, "N_m": 10,
+           "mode": "exact", "include_identity_stabilizer": False, "seed": 0,
+           "noise": {"gate": {"kind": "pauli", "probabilities": {"X": 1.0}}}}
+    config = RBSVConfig(n=1, lengths=cfg["lengths"], k_m=3, n_m=10, exact=True, seed=0,
+                        noise=NoiseModel(gate=PauliChannel({"X": 1.0})),
+                        include_identity_stabilizer=False)
+    failing = []
+    for im, m in enumerate(config.lengths):
+        units = range(im * 3, (im + 1) * 3)
+        seeds = unit_seeds(config.seed, units)
+        compiled = rb_module._compile(config, *rb_module._draw_elements(config, m, seeds[0]))
+        failing += [(u, m) for u, p in zip(units, compiled.acceptance_probability(False))
+                    if p == 0.0]
+    assert len({m for _, m in failing}) == 2 and max(m for _, m in failing) != failing[0][1]
+    path = write_config(tmp_path, "zero.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out)]) == 2
+    unit, m = failing[0]
+    assert_one_error(capsys, f"sequence {unit} (m={m}) accepted 0/10 repetitions")
+    assert not list(out.glob("*.csv")) and not list(out.glob("*.json"))
 
 
 @pytest.mark.parametrize("command, config, artifacts", [

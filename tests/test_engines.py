@@ -444,7 +444,7 @@ class TestPauliKernel:
             compiled = CompiledSequence(batch)
             if closed:
                 compiled.append_inverse(noise)
-            group, _ = compiled._readout()
+            group, _ = compiled._readout(closed)
             assert group.shape == (3, 2 ** n)
             for k in range(3):
                 product = product_of(batch_sequence(batch, k))
@@ -619,6 +619,27 @@ class TestNonPauliNoise:
         compiled.append_inverse(closing)
         got.append(compiled.propagate_faults())
         assert all(np.max(np.abs(g - w)) < 1e-12 for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("k_m", [100, 400])
+    def test_signed_state_memory_is_bounded(self, k_m):
+        # n = 6, m = 10 under delta_depolarizing: holding the 4^n signed Paulis
+        # of all K = 100 sequences at once peaked at 50.4 MB; blocks of
+        # sequences keep the peak under a quarter of that whatever K
+        n, m = 6, 10
+        gate = DeltaDepolarizing(0.02, 0.99, rotation_unitary(n, 0, "X", 0.01))
+        config = RBConfig(n=n, lengths=(1, 2, 3), noise=NoiseModel(gate=gate))
+        seeds = seed_plans(3, range(k_m))
+        _compile(config, *_draw_elements(config, 1, seeds[:2])).propagate_faults()  # warm caches
+        tracemalloc.start()
+        try:
+            compiled = _compile(config, *_draw_elements(config, m, seeds), close=True)
+            assert compiled.engine == "dense"
+            compiled.acceptance_probability()
+            compiled.survival_probability()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50.4e6 / 4
 
     def test_other_channel_classes_unsupported(self, rng):
         class Dephase(NoiseChannel):

@@ -257,10 +257,11 @@ class TestRunIRBGS:
 
     @pytest.mark.parametrize("lengths, k_m", [((2, 6, 10), 4), ((20, 60, 100), 30)])
     def test_fixed_element_is_one_table_row(self, lengths, k_m, monkeypatch):
-        # the interleaved sequences pick the fixed element from one extra table
-        # row at every odd position; their survivals equal, bit for bit, those
-        # of the same sequences with one table row per position and sequence
-        # (at K = 30 and m = 60, 100 the table outgrows one span block)
+        # the interleaved sequences, every length in one end-aligned batch,
+        # pick the fixed element from one extra table row at every odd
+        # position of each; their survivals equal, bit for bit, those of the
+        # same sequences with one table row per position and sequence (at
+        # K = 30 and m = 60, 100 the table outgrows one span block)
         batches = []
 
         def spy(*args, **kwargs):
@@ -275,17 +276,26 @@ class TestRunIRBGS:
                           noise_n=lam_n, recipe=builtin_recipes()[0])
         est = run_irbgs(cfg)
         fixed = clifford_element_from_unitary(np.asarray(cfg.recipe.target, dtype=complex), 2)
-        assert len(batches) == len(lengths)
-        for m, batch, got in zip(lengths, batches, est.interleaved_data.per_sequence):
-            assert len(batch.rows) == m * k_m + 1 and batch.elements.shape == (2 * m, k_m)
-            assert np.all(batch.elements[1::2] == m * k_m)
-            assert (batch.rows[-1].tolist(), batch.phases[-1].tolist()) == \
-                (list(fixed.rows), list(fixed.phases))
+        assert len(batches) == 1
+        batch = batches[0]
+        # the batch holds the units longest first, ties in unit order
+        per_unit = np.repeat(lengths, k_m)
+        units = np.argsort(-per_unit, kind="stable")
+        assert len(batch.rows) == sum(lengths) * k_m + 1
+        assert batch.elements.shape == (2 * max(lengths), len(units))
+        assert (batch.rows[-1].tolist(), batch.phases[-1].tolist()) == \
+            (list(fixed.rows), list(fixed.phases))
+        got = est.interleaved_data.per_sequence.ravel()[units]
+        for m in lengths:
+            columns = np.flatnonzero(per_unit[units] == m)
+            assert np.all(batch.elements[:-2 * m, columns] == -1)
+            picks = batch.elements[-2 * m:, columns]
+            assert np.all(picks[1::2] == len(batch.rows) - 1)
             one_per_element = CompiledSequence(position_major_batch(
-                2, batch.rows[batch.elements], batch.phases[batch.elements], batch.channels,
+                2, batch.rows[picks], batch.phases[picks], batch.channels[-2 * m:],
                 batch.spam))
             one_per_element.append_inverse(cfg.noise.gate)
-            assert np.array_equal(one_per_element.survival_probability(), got)
+            assert np.array_equal(one_per_element.survival_probability(), got[columns])
 
     def test_unverified_recipe_refused(self):
         base = builtin_recipes()[0]

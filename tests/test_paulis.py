@@ -118,6 +118,16 @@ def test_every_packed_value_matches_dense_oracle(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
+def test_to_matrix_equals_the_kron_chain(n):
+    # the signed permutation built by index arithmetic is, entry for entry,
+    # the phase times the Kronecker product of the letters
+    for s in _every_pauli(n):
+        got = s.to_matrix()
+        assert got.dtype == complex and got.shape == (2 ** n, 2 ** n)
+        assert np.array_equal(got, pauli_matrix(pauli_letters(s), 1j ** s.phase)), s
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_every_pair_commutes_as_matrices(n):
     paulis = [PauliString(n, bits) for bits in range(4 ** n)]
     mats = [pauli_matrix(pauli_letters(s)) for s in paulis]

@@ -11,6 +11,7 @@ from rbsim.seeding import (
     run_ensemble,
     seed_plan,
     seed_plans,
+    stream_rows,
     stream_words,
     unit_seeds,
 )
@@ -76,7 +77,7 @@ def test_redraw_refills_in_order_from_past_the_budget():
     def valid(words, columns):
         return (words >> np.uint64(63)) == columns % 2
 
-    words = redraw(seeds, stream_words(seeds, 0, budget), valid)
+    words = redraw(seeds, stream_words(seeds, 0, budget), valid, [1] * len(seeds))
     skipped = 0
     for k, seed in enumerate(seeds):
         stream = stream_words([seed], 0, 300)[0].tolist()
@@ -90,8 +91,31 @@ def test_redraw_refills_in_order_from_past_the_budget():
             want.append(word)
         assert words[k].tolist() == want
     assert skipped > 0
-    alone = redraw(seeds[3:4], stream_words(seeds[3:4], 0, budget), valid)
+    alone = redraw(seeds[3:4], stream_words(seeds[3:4], 0, budget), valid, [1])
     assert np.array_equal(alone, words[3:4])
+
+
+def test_ragged_stream_rows_refill_as_one_row_per_stream():
+    # streams of different row counts laid out one after another: each
+    # stream's rows are its words in order, and its rejected words take the
+    # words past its own budget exactly as a one-row layout of them does
+    seeds, counts, width = seed_plans(6, range(7)), [3, 1, 4, 1, 5, 2, 6], 4
+
+    def valid(words, columns):
+        return (words >> np.uint64(63)) == columns % 2
+
+    rows = stream_rows(seeds, counts, width)
+    assert rows.shape == (sum(counts), width) and rows.dtype == np.uint64
+    words = redraw(seeds, rows.copy(), valid, counts)
+    assert not np.array_equal(words, rows)
+    at = 0
+    for seed, count in zip(seeds, counts):
+        flat = stream_words([seed], 0, count * width)
+        assert np.array_equal(rows[at:at + count].ravel(), flat[0])
+        # width is even, so a word's column parity is that of its budget index
+        alone = redraw([seed], flat, valid, [1])
+        assert np.array_equal(words[at:at + count].ravel(), alone[0])
+        at += count
 
 
 def test_generator_streams_are_reproducible():
@@ -108,14 +132,18 @@ def test_parallel_map_preserves_order():
 
 
 def test_run_ensemble_chunk_layout_and_seeding():
-    lengths, k_m, seed = (4, 1, 9), 3, 123
+    lengths, k_m, seed = (4, 1, 9, 4), 3, 123
+    calls = []
 
-    def one_length(m, seeds, indices):
+    def run_units(unit_lengths, seeds, units):
+        calls.append(units.tolist())
         words = stream_words(seeds[0], 0, 1)[:, 0]
-        columns = (np.full(k_m, m), indices, words, seeds[1])
+        columns = (unit_lengths, units, words, seeds[1])
         return np.stack([np.asarray(c, dtype=np.uint64) for c in columns], axis=1)
 
-    results = run_ensemble(seed, lengths, k_m, one_length)
+    results = run_ensemble(seed, lengths, k_m, run_units)
+    # one call for every unit of every length, longest first, ties in unit order
+    assert calls == [[6, 7, 8, 0, 1, 2, 9, 10, 11, 3, 4, 5]]
     assert isinstance(results, np.ndarray)
     assert results.shape == (len(lengths), k_m, 4) and results.dtype == np.uint64
     for im, (m, rows) in enumerate(zip(lengths, results)):
@@ -133,16 +161,18 @@ PAULI_NOISE = NoiseModel(gate=PauliChannel({"II": 0.9, "XI": 0.07, "IZ": 0.03}),
                          spam=SpamModel(meas_flip=0.02))
 
 
-def unit_outputs(config, m, indices):
+def unit_outputs(config, lengths, indices):
     """Per unit: rows and signs of its elements, its sampled RB survival count
-    and its sampled RBSV accept count, from a batch of the given units."""
+    and its sampled RBSV accept count, from one batch of the given units
+    (``lengths[j]`` elements for unit ``indices[j]``, longest first)."""
     seeds = unit_seeds(config.seed, indices)
-    rows, phases, picks = _draw_elements(config, m, seeds[0])
-    compiled = _compile(config, rows, phases, picks)
-    survived = _survivals(config, compiled, seeds[1], config.noise.gate) * config.shots
-    accepted = _acceptances(config, m, seeds, list(indices)) * config.n_m
-    return [(rows[picks[:, j]].tolist(), phases[picks[:, j]].tolist(), survived[j], accepted[j])
-            for j in range(len(indices))]
+    rows, phases, picks = _draw_elements(config, lengths, seeds[0])
+    compiled = _compile(config, rows, phases, picks, close=True)
+    survived = _survivals(config, compiled, seeds[1]) * config.shots
+    accepted = _acceptances(config, lengths, seeds, np.asarray(indices)) * config.n_m
+    started = [picks[:, j][picks[:, j] >= 0] for j in range(len(indices))]
+    return [(rows[p].tolist(), phases[p].tolist(), survived[j], accepted[j])
+            for j, p in enumerate(started)]
 
 
 @pytest.mark.parametrize("mode", ["clifford", "generator"])
@@ -154,7 +184,12 @@ def test_unit_results_do_not_depend_on_the_batch(mode):
     batched = {m: unit_outputs(config, m, units[m]) for m in lengths}
     reverse = {m: unit_outputs(config, m, units[m]) for m in reversed(lengths)}
     alone = {m: [unit_outputs(config, m, [i])[0] for i in units[m]] for m in lengths}
-    assert batched == reverse == alone
+    # every length in one end-aligned batch, longest first
+    longest_first = sorted(lengths, reverse=True)
+    together = unit_outputs(config, np.repeat(longest_first, k_m),
+                            [u for m in longest_first for u in units[m]])
+    joined = {m: together[i * k_m:(i + 1) * k_m] for i, m in enumerate(longest_first)}
+    assert batched == reverse == alone == joined
     # the units differ, and the drivers report the same per-unit values
     assert len({tuple(map(tuple, u[0])) for u in batched[6]}) == k_m
     data = run_standard_rb(config)
