@@ -26,10 +26,9 @@ from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify
 from .rb import RBConfig, RBData, run_standard_rb
 from .rbsv import FailureSignatureError, RBSVConfig, RBSVResult, RPolicy, run_rbsv
 from .resources import ResourcePlan
-from .seeding import seed_plan
 
 __all__ = ["main", "load_config", "build_rb_config", "build_rbsv_config",
-           "build_irbgs_config", "seed_plan"]
+           "build_irbgs_config"]
 
 log = logging.getLogger("rbsim")
 
@@ -264,14 +263,14 @@ def _artifact_dir(args) -> str:
 
 def rb_csv(data: RBData) -> str:
     lines = ["m,P_m,stderr,K_m,shots"]
-    for m, pm, se in zip(data.lengths, data.p_m, data.stderr):
+    for m, pm, se in zip(data.lengths, data.mean, data.stderr):
         lines.append(f"{int(m)},{float(pm)!r},{float(se)!r},{data.k_m},{data.shots}")
     return "\n".join(lines) + "\n"
 
 
 def rbsv_csv(result: RBSVResult) -> str:
     lines = ["m,F_bar_m,mean_p_acc,mean_R,n_saturated"]
-    for m, fb, pa, rr, ns in zip(result.lengths, result.f_bar, result.mean_p_acc,
+    for m, fb, pa, rr, ns in zip(result.bounds.lengths, result.bounds.mean, result.mean_p_acc,
                                  result.mean_copies, result.n_saturated):
         lines.append(f"{int(m)},{float(fb)!r},{float(pa)!r},{float(rr)!r},{int(ns)}")
     return "\n".join(lines) + "\n"
@@ -316,11 +315,11 @@ def _cmd_rb(cfg: dict, args) -> int:
     t0 = time.perf_counter()
     data = run_standard_rb(config)
     wall = time.perf_counter() - t0
-    summary = _fit_summary(data.fit, "r_rb", data.r_rb)
+    summary = _fit_summary(data.fit, "r_rb", data.r)
     summary.update(engine=data.engine, wall_time_s=wall,
                    reproducibility=_repro_block(cfg, config.seed))
     _emit(out, "rb_summary.json", summary, rb=rb_csv(data))
-    print(f"r_rb = {data.r_rb!r} (p = {data.fit.p!r})")
+    print(f"r_rb = {data.r!r} (p = {data.fit.p!r})")
     return 0
 
 
@@ -330,15 +329,16 @@ def _cmd_rbsv(cfg: dict, args) -> int:
     t0 = time.perf_counter()
     result = run_rbsv(config)
     wall = time.perf_counter() - t0
-    summary = _fit_summary(result.fit, "r_rbsv", result.r_rbsv)
+    bounds = result.bounds
+    summary = _fit_summary(bounds.fit, "r_rbsv", bounds.r)
     summary.update(
-        engine=result.engine,
+        engine=bounds.engine,
         wall_time_s=wall,
         n_saturated_total=int(np.sum(result.n_saturated)),
         reproducibility=_repro_block(cfg, config.seed),
     )
     _emit(out, "rbsv_summary.json", summary, rbsv=rbsv_csv(result))
-    print(f"r_rbsv = {result.r_rbsv!r} (p = {result.fit.p!r})")
+    print(f"r_rbsv = {bounds.r!r} (p = {bounds.fit.p!r})")
     return 0
 
 
@@ -348,20 +348,20 @@ def _cmd_compare(cfg: dict, args) -> int:
     out = _artifact_dir(args)
     t0 = time.perf_counter()
     result = run_rbsv(config, with_rb=True)
-    data = result.rb
+    data, bounds = result.rb, result.bounds
     wall = time.perf_counter() - t0
     summary = {
-        "rb": _fit_summary(data.fit, "r_rb", data.r_rb),
-        "rbsv": _fit_summary(result.fit, "r_rbsv", result.r_rbsv),
-        "r_rb": data.r_rb,
-        "r_rbsv": result.r_rbsv,
-        "ratio_rbsv_over_rb": (result.r_rbsv / data.r_rb) if data.r_rb else None,
+        "rb": _fit_summary(data.fit, "r_rb", data.r),
+        "rbsv": _fit_summary(bounds.fit, "r_rbsv", bounds.r),
+        "r_rb": data.r,
+        "r_rbsv": bounds.r,
+        "ratio_rbsv_over_rb": (bounds.r / data.r) if data.r else None,
         "engine": data.engine,
         "wall_time_s": wall,
         "reproducibility": _repro_block(cfg, config.seed),
     }
     _emit(out, "compare_summary.json", summary, rb=rb_csv(data), rbsv=rbsv_csv(result))
-    print(f"r_rb = {data.r_rb!r}  r_rbsv = {result.r_rbsv!r}")
+    print(f"r_rb = {data.r!r}  r_rbsv = {bounds.r!r}")
     return 0
 
 

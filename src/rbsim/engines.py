@@ -2,8 +2,8 @@
 
 ``CompiledSequence`` computes, exactly, the expectation of every stabilizer
 of the ideal output state after each sequence of a ``SequenceBatch`` (K
-sequences with one channel per position; a ``SequenceSpec`` is the batch of
-one).  Acceptance and RB survival are means over them.  Sampled mode counts,
+sequences with one channel per position), the engine's one input.
+Acceptance and RB survival are means over them.  Sampled mode counts,
 per sequence, the words of its repetition stream that fall below its
 probability (``_binomials``): one Binomial(reps, p) draw, at O(reps) cost.
 The sequences of a batch may differ in length: end-aligned and longest
@@ -25,8 +25,8 @@ coefficients are the stabilizer expectations, with no signs.  Other noise
 (``channels.pauli_action``) on the signed coefficients scattered to the
 images, which are then gathered back.  The inverse returns every image to
 its Pauli, so the open (RBSV) and the closed (RB) sequence share the
-propagation.  ``run_sequence_exact`` is one sequence's dense state, the
-tests' oracle.
+propagation.  ``run_sequence_exact`` is the dense state of one sequence of
+a batch, the tests' oracle.
 """
 
 from __future__ import annotations
@@ -42,8 +42,7 @@ from .channels import (NoiseChannel, Ideal, SpamModel, apply_channel, pauli_acti
 from .paulis import packed_phase_exponent
 from .seeding import stream_words
 
-__all__ = ["SequenceSpec", "run_sequence_exact", "engine_for", "SequenceBatch",
-           "CompiledSequence"]
+__all__ = ["run_sequence_exact", "engine_for", "SequenceBatch", "CompiledSequence"]
 
 # the engine holds a 4^n eigenvalue table per channel, the 2^n stabilizers of
 # every sequence and, per table row in use, two 2^n-entry half tables (noise
@@ -61,38 +60,6 @@ _COUNT_WORDS = 1 << 13
 # tracked Paulis (sequences x Paulis per sequence) propagated at once: bounds
 # the engine's state whatever the number and the length of the sequences
 _STATE_WORDS = 1 << 13
-
-
-@dataclass
-class SequenceSpec:
-    """A noisy Clifford sequence: elements plus one channel per element.
-
-    ``noise`` may be a single channel (applied after every element) or a
-    list with one channel per element.  ``elements`` entries may be
-    CliffordElements or GeneratorGate lists.
-    """
-
-    n: int
-    elements: list
-    noise: NoiseChannel | list = field(default_factory=Ideal)
-    spam: SpamModel = field(default_factory=SpamModel)
-
-    def __post_init__(self):
-        self.elements = [e if isinstance(e, CliffordElement)
-                         else CliffordElement.from_gates(self.n, e) for e in self.elements]
-        if any(e.n != self.n for e in self.elements):
-            raise ValueError("element register size mismatch")
-        if isinstance(self.noise, (list, tuple)):
-            if len(self.noise) != len(self.elements):
-                raise ValueError("need one noise channel per element")
-            self.noise = list(self.noise)
-
-    @property
-    def m(self) -> int:
-        return len(self.elements)
-
-    def channel_for(self, i: int) -> NoiseChannel:
-        return self.noise[i] if isinstance(self.noise, list) else self.noise
 
 
 def engine_for(channels) -> str:
@@ -113,15 +80,17 @@ def _flip_factors(group: np.ndarray, n: int, p: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def run_sequence_exact(spec: SequenceSpec) -> np.ndarray:
-    """Exact output state (Λ_m ∘ C_m) ... (Λ_1 ∘ C_1) Λ_prep(|0..0><0..0|)."""
-    if spec.n > MAX_DENSE_QUBITS:
+def run_sequence_exact(batch: SequenceBatch, k: int = 0) -> np.ndarray:
+    """Exact output state (Λ_m ∘ C_m) ... (Λ_1 ∘ C_1) Λ_prep(|0..0><0..0|) of
+    sequence ``k`` of ``batch``: its elements and the channels of their positions."""
+    if batch.n > MAX_DENSE_QUBITS:
         raise ValueError(f"dense state limited to n <= {MAX_DENSE_QUBITS}")
-    rho = apply_channel(spec.spam.prep, zero_state(spec.n))
-    for i, element in enumerate(spec.elements):
-        u = clifford_to_matrix(element)
-        rho = u @ rho @ u.conj().T
-        rho = apply_channel(spec.channel_for(i), rho)
+    rho = apply_channel(batch.spam.prep, zero_state(batch.n))
+    for t, ch in zip(batch.elements[:, k].tolist(), batch.channels):
+        if t < 0:  # before an end-aligned sequence starts
+            continue
+        u = clifford_to_matrix(CliffordElement(batch.n, batch.rows[t], batch.phases[t]))
+        rho = apply_channel(ch, u @ rho @ u.conj().T)
     return rho
 
 
@@ -150,13 +119,12 @@ class SequenceBatch:
     channels: list
     spam: SpamModel = field(default_factory=SpamModel)
 
-    @classmethod
-    def of(cls, spec: SequenceSpec) -> "SequenceBatch":
-        """The batch of one sequence: its elements, picked once each."""
-        rows, phases = (np.array([getattr(e, f) for e in spec.elements], dtype=np.int64)
-                        .reshape(spec.m, 2 * spec.n) for f in ("rows", "phases"))
-        return cls(spec.n, rows, phases, np.arange(spec.m).reshape(spec.m, 1),
-                   [spec.channel_for(i) for i in range(spec.m)], spec.spam)
+    def __post_init__(self):
+        table = (len(self.rows), 2 * self.n)
+        if np.shape(self.rows) != table or np.shape(self.phases) != table:
+            raise ValueError(f"rows and phases must be (T, 2n) = (T, {2 * self.n})")
+        if len(self.channels) != len(self.elements):
+            raise ValueError("need one noise channel per position")
 
 
 @lru_cache(maxsize=8)
@@ -220,8 +188,7 @@ def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
 
 
 class CompiledSequence:
-    """Exact stabilizer expectations of a ``SequenceBatch`` (a ``SequenceSpec``
-    is the batch of one).
+    """Exact stabilizer expectations of a ``SequenceBatch``.
 
     ``propagate_faults()`` gives each sequence's ``<s>`` for the 2^n
     stabilizers of its ideal output state; the probabilities average them,
@@ -232,9 +199,9 @@ class CompiledSequence:
     its first readout gives both from one propagation.
     """
 
-    def __init__(self, spec: SequenceSpec | SequenceBatch):
-        self.batch = spec if isinstance(spec, SequenceBatch) else SequenceBatch.of(spec)
-        self.n = spec.n
+    def __init__(self, batch: SequenceBatch):
+        self.batch = batch
+        self.n = batch.n
         self.channels = list(self.batch.channels)
         self.closed = False
         self._engine = None  # the engine of the cached readouts

@@ -7,6 +7,11 @@ first, a sequence of L_k positions starts at position L - L_k, so the
 sequences under way at any position are a prefix of the batch and all of
 them close at the last one.  Each sequence still draws only from its own
 streams, so its survival does not depend on the others.
+
+Every fitted per-length curve of the drivers is an ``RBData``: survivals
+here and in ``irbgs``, fidelity bounds in ``rbsv``.  ``RBData.fitted`` alone
+takes the per-length statistics (``length_stats``) and applies the fit rule
+(``fit_rb_data``).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import NoiseModel
-from .cliffords import MAX_DENSE_QUBITS, GeneratorGate, random_clifford_table
-from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, SequenceSpec, engine_for
+from .cliffords import MAX_DENSE_QUBITS, CliffordElement, GeneratorGate, random_clifford_table
+from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, engine_for
 from .fitting import DecayFit, fit_decay, r_from_p
 from .seeding import redraw, run_ensemble, stream_rows
 
@@ -123,33 +128,35 @@ def length_stats(values) -> tuple:
 
 @dataclass
 class RBData:
-    """Per-length averaged survival probabilities and their decay fit."""
+    """A fitted per-length curve: the per-length mean and standard error of
+    per-sequence values (RB survivals, RBSV fidelity bounds) and the decay
+    fit A0 + B0 p^m of the means, with the infidelity r read off p."""
 
     lengths: list
-    p_m: np.ndarray
+    mean: np.ndarray
     stderr: np.ndarray
-    per_sequence: np.ndarray  # (L, K), one row of per-sequence survivals per length
+    per_sequence: np.ndarray  # (L, K), one row of per-sequence values per length
     k_m: int
-    shots: int                 # 0 in exact mode
+    shots: int                 # config.shots, 0 in exact mode
     engine: str  # "pauli" or "dense", see engines.engine_for
     fit: DecayFit | None = None
-    r_rb: float | None = None
+    r: float | None = None
 
     @classmethod
     def fitted(cls, config: RBConfig, per_sequence, engine: str | None = None) -> "RBData":
         """Per-length mean, standard error and decay fit (d = 2^n, ``config.fit_bounds``)
-        of ``(L, K)`` survivals run under ``config``, by default on its noise's engine."""
+        of ``(L, K)`` values run under ``config``, by default on its noise's engine."""
         per_sequence = np.asarray(per_sequence, dtype=float)
-        p_m, stderr = length_stats(per_sequence)
-        data = cls(lengths=list(config.lengths), p_m=p_m, stderr=stderr,
+        mean, stderr = length_stats(per_sequence)
+        data = cls(lengths=list(config.lengths), mean=mean, stderr=stderr,
                    per_sequence=per_sequence, k_m=per_sequence.shape[1],
                    shots=0 if config.exact else config.shots,
                    engine=engine or engine_for(config.noise.channels))
-        data.fit, data.r_rb = fit_rb_data(data, 2 ** config.n, config.fit_bounds)
+        data.fit, data.r = fit_rb_data(data, 2 ** config.n, config.fit_bounds)
         return data
 
     def points(self):
-        return list(zip(self.lengths, self.p_m))
+        return list(zip(self.lengths, self.mean))
 
 
 def generator_gate_set(n: int) -> list:
@@ -167,9 +174,11 @@ def generator_gate_set(n: int) -> list:
 @lru_cache(maxsize=None)
 def _generator_table(n: int) -> tuple:
     """Packed rows and phases ``(G, 2n)`` of the gates of ``generator_gate_set(n)``."""
-    table = SequenceBatch.of(SequenceSpec(n, [[g] for g in generator_gate_set(n)]))
-    table.rows.flags.writeable = table.phases.flags.writeable = False  # shared by every caller
-    return table.rows, table.phases
+    gates = [CliffordElement.from_gates(n, [g]) for g in generator_gate_set(n)]
+    rows, phases = (np.array([getattr(g, f) for g in gates], dtype=np.int64)
+                    for f in ("rows", "phases"))
+    rows.flags.writeable = phases.flags.writeable = False  # shared by every caller
+    return rows, phases
 
 
 def _end_aligned(spans: np.ndarray) -> np.ndarray:
@@ -258,7 +267,7 @@ def run_standard_rb(config: RBConfig) -> RBData:
 def fit_rb_data(data, d: int, coefficient_bounds):
     """Fit the decay curve of per-length averages and return (DecayFit, r).
 
-    ``data`` is an ``RBData`` or ``RBSVResult``; ``coefficient_bounds`` are
+    ``data`` is an ``RBData``; ``coefficient_bounds`` are
     explicit bounds, or None for a free fit.  Points are weighted by
     1/stderr^2 only when every stderr is above round-off.
     """

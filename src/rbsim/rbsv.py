@@ -2,8 +2,8 @@
 
 For each random sequence the driver estimates the acceptance probability of
 a single-copy stabilizer measurement, exponentiates it to the chosen copy
-count R, converts it to a fidelity lower bound, averages the bounds per
-length and fits the usual decay curve.
+count R and converts it to a fidelity lower bound.  The bounds are a fitted
+per-length curve like any other, an ``rb.RBData`` (``RBData.fitted``).
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engines import engine_for
-from .fitting import DecayFit
-from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, fit_rb_data, length_stats
+from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals
 from .seeding import run_ensemble
 
 __all__ = [
@@ -103,24 +101,14 @@ class RPolicy:
 
 @dataclass
 class RBSVResult:
-    """Per-length averaged fidelity lower bounds plus the decay fit."""
+    """The fitted curve of fidelity lower bounds and the acceptances behind it."""
 
-    lengths: list
-    f_bar: np.ndarray           # averaged lower bound per length
-    stderr: np.ndarray
-    per_sequence_bounds: np.ndarray  # (L, K), one row per length
+    bounds: RBData                   # per-sequence bounds, per-length F_bar_m, fit, r_rbsv
     per_sequence_p_acc: np.ndarray   # (L, K), one row per length
     mean_p_acc: np.ndarray
     mean_copies: np.ndarray
     n_saturated: np.ndarray     # sequences at the copy cap, per length
-    engine: str                 # "pauli" or "dense", see engines.engine_for
-    fit: DecayFit | None = None
-    r_rbsv: float | None = None
-    degenerate: bool = False
     rb: RBData | None = None    # RB survivals of the same sequences, see run_rbsv
-
-    def points(self):
-        return list(zip(self.lengths, self.f_bar))
 
 
 @dataclass(frozen=True)
@@ -174,7 +162,8 @@ def _acceptances(config: RBSVConfig, lengths, seeds, units, close: bool = False)
 
 def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
     """Full verification-based benchmarking run: sample sequences, estimate
-    acceptance per sequence, convert to fidelity lower bounds, average and fit.
+    acceptance per sequence and convert it to a fidelity lower bound, whose
+    fitted per-length curve is ``result.bounds``.
 
     Every sequence of every length is drawn, propagated and counted in one
     batch (``seeding.run_ensemble``).  With ``with_rb`` the run also closes
@@ -190,21 +179,11 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
         p_acc, survivals = np.array(np.moveaxis(p_acc, 2, 0))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays
         [[config.r_policy.choose(p) for p in row] for row in p_acc.tolist()]).transpose(2, 0, 1)
-    bounds = np.vectorize(fidelity_lower_bound)(p_acc, copies)
-    f_bar, stderr = length_stats(bounds)
-    result = RBSVResult(
-        lengths=list(config.lengths),
-        f_bar=f_bar,
-        stderr=stderr,
-        per_sequence_bounds=bounds,
+    return RBSVResult(
+        bounds=RBData.fitted(config, np.vectorize(fidelity_lower_bound)(p_acc, copies)),
         per_sequence_p_acc=p_acc,
         mean_p_acc=p_acc.mean(axis=1),
         mean_copies=copies.mean(axis=1),
         n_saturated=saturated.sum(axis=1).astype(int),
-        engine=engine_for(config.noise.channels),
+        rb=RBData.fitted(config, survivals) if with_rb else None,
     )
-    result.fit, result.r_rbsv = fit_rb_data(result, 2 ** config.n, config.fit_bounds)
-    result.degenerate = result.fit.degenerate or result.fit.at_boundary
-    if with_rb:
-        result.rb = RBData.fitted(config, survivals)
-    return result

@@ -10,7 +10,7 @@ here because only the tests use them.
 import numpy as np
 import pytest
 
-from rbsim.channels import SpamModel, choi_matrix
+from rbsim.channels import Ideal, SpamModel, choi_matrix
 from rbsim.cliffords import CliffordElement
 from rbsim.engines import SequenceBatch
 from rbsim.paulis import PauliString
@@ -125,6 +125,17 @@ def batch_sequence(batch, k: int) -> list:
     picks = picks[picks >= 0]  # -1 before an end-aligned sequence starts
     return [CliffordElement(batch.n, rows, phases) for rows, phases
             in zip(batch.rows[picks].tolist(), batch.phases[picks].tolist())]
+
+
+def batch_of_one(n: int, elements, noise=None, spam=None):
+    """The ``SequenceBatch`` of one sequence of ``CliffordElement``s with
+    ``noise`` after each: one channel (default ideal), or one per element."""
+    m = len(elements)
+    rows, phases = (np.array([getattr(e, f) for e in elements], dtype=np.int64)
+                    .reshape(m, 2 * n) for f in ("rows", "phases"))
+    channels = list(noise) if isinstance(noise, (list, tuple)) else [noise or Ideal()] * m
+    return SequenceBatch(n, rows, phases, np.arange(m).reshape(m, 1), channels,
+                         spam or SpamModel())
 
 
 def position_major_batch(n: int, rows, phases, channels, spam=None):

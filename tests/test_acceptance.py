@@ -104,7 +104,7 @@ def comparison_ensemble():
                                 noise=depolarizing_model(eps), seed=seed)
             result = run_rbsv(sv_cfg)
             rb_runs.append(r_rb)
-            rbsv_runs.append(result.r_rbsv)
+            rbsv_runs.append(result.bounds.r)
         out[eps] = (np.array(rbsv_runs), np.array(rb_runs))
     out["elapsed"] = time.perf_counter() - t0
     return out
@@ -199,7 +199,7 @@ def test_criterion_3_bound_validity_exact_mode():
         cfg = RBSVConfig(n=2, lengths=LENGTHS, k_m=4, exact=True,
                          noise=depolarizing_model(eps), seed=31)
         result = run_rbsv(cfg)
-        for m, bounds, p_accs in zip(result.lengths, result.per_sequence_bounds,
+        for m, bounds, p_accs in zip(result.bounds.lengths, result.bounds.per_sequence,
                                      result.per_sequence_p_acc):
             q = (1 - eps) ** m
             true_fid = q + (1 - q) / 4
@@ -358,7 +358,7 @@ def test_criterion_9_acceptance_overestimates_fidelity():
         cfg = RBSVConfig(n=2, lengths=LENGTHS, k_m=5, exact=True,
                          noise=depolarizing_model(eps), seed=91)
         result = run_rbsv(cfg)
-        for m, p_accs in zip(result.lengths, result.per_sequence_p_acc):
+        for m, p_accs in zip(result.bounds.lengths, result.per_sequence_p_acc):
             q = (1 - eps) ** m
             true_fid = q + (1 - q) / 4
             margin = float(np.min(p_accs - true_fid))

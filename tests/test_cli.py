@@ -608,6 +608,8 @@ def test_zero_acceptance_names_the_lowest_unit_in_config_order(command, tmp_path
      ["irbgs_baseline.csv", "irbgs_interleaved.csv", "irbgs_summary.json"]),
     ("plan", "plan_two_qubit.json", ["plan.json"]),
     ("verify-synthesis", None, []),
+    ("rb", "rb_two_qubit.json", ["rb.csv", "rb_summary.json"]),
+    ("rbsv", "rbsv_two_qubit.json", ["rbsv.csv", "rbsv_summary.json"]),
 ])
 def test_shipped_configs_run(tmp_path, command, config, artifacts):
     # the configs README advertises, through the command-line entry point

@@ -33,13 +33,13 @@ from rbsim.engines import (
     MAX_TABLE_QUBITS,
     CompiledSequence,
     SequenceBatch,
-    SequenceSpec,
     run_sequence_exact,
 )
 from rbsim.rb import RBConfig, _compile, _draw_elements
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import (
+    batch_of_one,
     batch_sequence,
     check_density_matrix,
     circuit_unitary,
@@ -64,15 +64,15 @@ def product_of(elements):
 class TestExactEngine:
     def test_noiseless_matches_dense_state(self, rng):
         gates = parse_circuit("H 0\nCNOT 0 1\nP 1\nH 1")
-        spec = SequenceSpec(n=2, elements=[[g] for g in gates])
-        rho = run_sequence_exact(spec)
+        seq = batch_of_one(2, [CliffordElement.from_gates(2, [g]) for g in gates])
+        rho = run_sequence_exact(seq)
         psi = circuit_unitary(gates, 2)[:, 0]
         fidelity = float(np.real(psi.conj() @ rho @ psi))
         assert abs(fidelity - 1.0) < 1e-12
 
     def test_empty_sequence_returns_prepared_state(self):
-        spec = SequenceSpec(n=2, elements=[], spam=SpamModel(prep=Depolarizing(0.4)))
-        rho = run_sequence_exact(spec)
+        seq = batch_of_one(2, [], spam=SpamModel(prep=Depolarizing(0.4)))
+        rho = run_sequence_exact(seq)
         expected = 0.6 * zero_state(2) + 0.4 * maximally_mixed_state(2)
         assert np.allclose(rho, expected, atol=1e-12)
 
@@ -80,8 +80,8 @@ class TestExactEngine:
     def test_depolarizing_closed_form(self, m, rng):
         eps = 0.03
         elements = random_elements(2, m, rng)
-        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(eps))
-        rho = run_sequence_exact(spec)
+        seq = batch_of_one(2, elements, noise=Depolarizing(eps))
+        rho = run_sequence_exact(seq)
         # global depolarizing commutes with the unitaries
         from rbsim.cliffords import clifford_to_matrix
 
@@ -102,9 +102,21 @@ class TestExactEngine:
             rho = Depolarizing(0.05).apply(u @ rho @ u.conj().T)
             check_density_matrix(rho)
 
+    def test_reads_sequence_k_of_an_end_aligned_batch(self, rng):
+        # sequences of 3, 2 and 1 elements start at positions 0, 1 and 2, and
+        # each meets only the channels of its own positions
+        channels = [Depolarizing(0.3), PauliChannel({"II": 0.8, "XZ": 0.2}), Depolarizing(0.05)]
+        spam = SpamModel(prep=Depolarizing(0.1))
+        config = RBConfig(n=2, lengths=(1, 2, 3))
+        batch = SequenceBatch(2, *_draw_elements(config, [3, 2, 1], stream_seeds(rng, 3)),
+                              channels, spam)
+        for k in range(3):
+            one = batch_of_one(2, batch_sequence(batch, k), channels[k:], spam)
+            assert np.array_equal(run_sequence_exact(batch, k), run_sequence_exact(one))
+
     def test_large_register_rejected(self):
         with pytest.raises(ValueError):
-            run_sequence_exact(SequenceSpec(n=7, elements=[]))
+            run_sequence_exact(batch_of_one(7, []))
 
 
 class TestSurvivalProbability:
@@ -122,33 +134,38 @@ class TestSurvivalProbability:
         assert abs(survival_probability(rho) - (p + (1 - p) / 4)) < 1e-12
 
 
-def oracle_acceptance(spec, include_identity=True):
-    """Dense group average of the measurement success probability."""
-    rho = run_sequence_exact(spec)
-    group = stabilizer_group(product_of(spec.elements))
+def oracle_acceptance(seq, include_identity=True):
+    """Dense group average of the measurement success probability of a batch
+    of one."""
+    rho = run_sequence_exact(seq)
+    group = stabilizer_group(product_of(batch_sequence(seq, 0)))
     if not include_identity:
         group = group[1:]
-    return float(np.mean([measurement_success_probability(rho, s, spec.spam) for s in group]))
+    return float(np.mean([measurement_success_probability(rho, s, seq.spam) for s in group]))
 
 
-def oracle_survival(spec, closing):
-    """Dense survival of ``spec`` closed by its signed inverse and ``closing``."""
-    channels = [spec.channel_for(i) for i in range(spec.m)] + [closing]
-    closed = SequenceSpec(n=spec.n, elements=spec.elements + [inverse(product_of(spec.elements))],
-                          noise=channels, spam=spec.spam)
-    return survival_probability(run_sequence_exact(closed), spec.spam)
+def closed_by(seq, closing):
+    """A batch of one closed by its signed inverse and ``closing``."""
+    elements = batch_sequence(seq, 0)
+    return batch_of_one(seq.n, elements + [inverse(product_of(elements))],
+                        seq.channels + [closing], seq.spam)
 
 
-def assert_matches_dense_oracle(spec, closing):
+def oracle_survival(seq, closing):
+    """Dense survival of a batch of one closed by its signed inverse and ``closing``."""
+    return survival_probability(run_sequence_exact(closed_by(seq, closing)), seq.spam)
+
+
+def assert_matches_dense_oracle(seq, closing):
     """Pauli-engine acceptance (identity in and out) and survival after
     ``append_inverse`` equal the dense oracle to 1e-12."""
-    compiled = CompiledSequence(spec)
+    compiled = CompiledSequence(seq)
     assert compiled.engine == "pauli"
     for include_identity in (True, False):
         assert abs(compiled.acceptance_probability(include_identity)
-                   - oracle_acceptance(spec, include_identity)) < 1e-12
+                   - oracle_acceptance(seq, include_identity)) < 1e-12
     compiled.append_inverse(closing)
-    assert abs(compiled.survival_probability() - oracle_survival(spec, closing)) < 1e-12
+    assert abs(compiled.survival_probability() - oracle_survival(seq, closing)) < 1e-12
 
 
 class TestTrajectoryEngine:
@@ -156,7 +173,7 @@ class TestTrajectoryEngine:
 
     def test_noiseless_stabilizer_always_accepts(self, rng):
         elements = random_elements(2, 5, rng)
-        compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
+        compiled = CompiledSequence(batch_of_one(2, elements))
         assert compiled.acceptance_probability() == 1.0
         assert compiled.acceptance_probability(include_identity=False) == 1.0
         assert compiled.acceptance_samples(200, stream_seeds(rng)) == 200
@@ -165,21 +182,21 @@ class TestTrajectoryEngine:
     def test_batch_acceptance_matches_exact_group_average(self, rng):
         for n in (1, 2, 3):
             ch = PauliChannel({"I" * n: 0.97, "X" + "I" * (n - 1): 0.02, "Z" * n: 0.01})
-            spec = SequenceSpec(n=n, elements=random_elements(n, 10, rng), noise=ch)
-            assert_matches_dense_oracle(spec, ch)
+            seq = batch_of_one(n, random_elements(n, 10, rng), noise=ch)
+            assert_matches_dense_oracle(seq, ch)
 
     def test_batch_acceptance_with_measurement_flips(self, rng):
         for n in (1, 2, 3):
             spam = SpamModel(meas_flip=0.08)
-            spec = SequenceSpec(n=n, elements=random_elements(n, 5, rng),
+            seq = batch_of_one(n, random_elements(n, 5, rng),
                                 noise=Depolarizing(0.02), spam=spam)
-            assert_matches_dense_oracle(spec, Depolarizing(0.02))
+            assert_matches_dense_oracle(seq, Depolarizing(0.02))
 
     def test_batch_survival_matches_depolarizing_formula(self, rng):
         eps = 0.04
         elements = random_elements(2, 7, rng)
-        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(eps))
-        compiled = CompiledSequence(spec)
+        seq = batch_of_one(2, elements, noise=Depolarizing(eps))
+        compiled = CompiledSequence(seq)
         compiled.append_inverse(Depolarizing(eps))
         p_theory = 0.25 + 0.75 * (1 - eps) ** 8
         assert abs(compiled.survival_probability() - p_theory) < 1e-12
@@ -189,34 +206,34 @@ class TestTrajectoryEngine:
             meas = PauliChannel({"I" * n: 0.9, "Y" * n: 0.1})
             spam = SpamModel(prep=Depolarizing(0.1), meas=meas, meas_flip=0.05)
             composed = ComposedChannel([Depolarizing(0.03), meas])
-            spec = SequenceSpec(n=n, elements=random_elements(n, 3, rng),
+            seq = batch_of_one(n, random_elements(n, 3, rng),
                                 noise=composed, spam=spam)
-            assert_matches_dense_oracle(spec, Ideal())
+            assert_matches_dense_oracle(seq, Ideal())
 
     def test_non_pauli_noise_takes_dense_path(self, rng):
         ch = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
         elements = random_elements(2, 2, rng)
-        for spec in (SequenceSpec(n=2, elements=elements, noise=ch),
-                     SequenceSpec(n=2, elements=elements, spam=SpamModel(prep=ch))):
-            compiled = CompiledSequence(spec)
+        for seq in (batch_of_one(2, elements, noise=ch),
+                     batch_of_one(2, elements, spam=SpamModel(prep=ch))):
+            compiled = CompiledSequence(seq)
             assert compiled.engine == "dense"
-            assert abs(compiled.acceptance_probability() - oracle_acceptance(spec)) < 1e-12
+            assert abs(compiled.acceptance_probability() - oracle_acceptance(seq)) < 1e-12
         # a non-Pauli closing channel moves a Pauli sequence onto the dense path
-        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(0.05))
-        compiled = CompiledSequence(spec)
+        seq = batch_of_one(2, elements, noise=Depolarizing(0.05))
+        compiled = CompiledSequence(seq)
         compiled.append_inverse(ch)
         assert compiled.engine == "dense"
-        assert abs(compiled.survival_probability() - oracle_survival(spec, ch)) < 1e-12
+        assert abs(compiled.survival_probability() - oracle_survival(seq, ch)) < 1e-12
 
     def test_measurement_flips_alone_give_closed_form_survival(self, rng):
         # each of the n measured qubits flips with probability 2p/3, on both paths
         p = 0.1
         for n in (1, 2, 3):
             spam = SpamModel(meas_flip=p)
-            spec = SequenceSpec(n=n, elements=random_elements(n, 4, rng), spam=spam)
+            seq = batch_of_one(n, random_elements(n, 4, rng), spam=spam)
             identity_but_dense = DeltaDepolarizing(0.0, 1.0, rotation_unitary(n, 0, "X", 0.3))
             for closing, engine in ((Ideal(), "pauli"), (identity_but_dense, "dense")):
-                compiled = CompiledSequence(spec)
+                compiled = CompiledSequence(seq)
                 compiled.append_inverse(closing)
                 assert compiled.engine == engine
                 assert abs(compiled.survival_probability() - (1 - 2 * p / 3) ** n) < 1e-12
@@ -313,19 +330,19 @@ def assert_batch_matches_dense_oracle(batch, closing):
     """Every sequence of a Pauli-path batch matches its own dense oracle to
     1e-12: acceptance with the identity in and out, survival after
     ``append_inverse``."""
-    specs = [SequenceSpec(batch.n, batch_sequence(batch, k), batch.channels, batch.spam)
+    seqs = [batch_of_one(batch.n, batch_sequence(batch, k), batch.channels, batch.spam)
              for k in range(batch.elements.shape[1])]
     compiled = CompiledSequence(batch)
     assert compiled.engine == "pauli"
     for include_identity in (True, False):
         got = compiled.acceptance_probability(include_identity)
-        want = [oracle_acceptance(spec, include_identity) for spec in specs]
+        want = [oracle_acceptance(seq, include_identity) for seq in seqs]
         assert np.max(np.abs(got - want)) < 1e-12
     # the sequences differ, so values paired with the wrong sequence show
     assert np.ptp(want) > 1e-4
     compiled.append_inverse(closing)
     got = compiled.survival_probability()
-    assert np.max(np.abs(got - [oracle_survival(spec, closing) for spec in specs])) < 1e-12
+    assert np.max(np.abs(got - [oracle_survival(seq, closing) for seq in seqs])) < 1e-12
 
 
 def mixed_channels(n):
@@ -365,7 +382,7 @@ class TestBatchEngine:
         batch = random_batch(2, 3, [pauli, composed, Ideal()], MIXED_SPAM[2], rng)
         whole = CompiledSequence(batch).propagate_faults()
         for k in range(batch.elements.shape[1]):
-            one = CompiledSequence(SequenceSpec(2, batch_sequence(batch, k), batch.channels, batch.spam))
+            one = CompiledSequence(batch_of_one(2, batch_sequence(batch, k), batch.channels, batch.spam))
             assert np.array_equal(one.propagate_faults()[0], whole[k])
 
     def test_dense_path_runs_per_sequence(self, rng):
@@ -373,11 +390,11 @@ class TestBatchEngine:
         batch = random_batch(2, 3, [ch, Depolarizing(0.05)], SpamModel(), rng)
         compiled = CompiledSequence(batch)
         assert compiled.engine == "dense"
-        specs = [SequenceSpec(2, batch_sequence(batch, k), batch.channels) for k in range(3)]
-        want = [oracle_acceptance(spec) for spec in specs]
+        seqs = [batch_of_one(2, batch_sequence(batch, k), batch.channels) for k in range(3)]
+        want = [oracle_acceptance(seq) for seq in seqs]
         assert np.max(np.abs(compiled.acceptance_probability() - want)) < 1e-12
         compiled.append_inverse(ch)
-        want = [oracle_survival(spec, ch) for spec in specs]
+        want = [oracle_survival(seq, ch) for seq in seqs]
         assert np.max(np.abs(compiled.survival_probability() - want)) < 1e-12
 
     @pytest.mark.parametrize("spam", ["mixed", "trivial"])
@@ -555,17 +572,16 @@ class TestGateTable:
         assert peak < 3 << 20
 
 
-def oracle_expectations(spec, closing=None):
-    """Dense ``<s>`` of each stabilizer of the ideal output state, in the
-    engine's order, from the +1 probability after meas and flips; with
-    ``closing``, of ``spec`` closed by its signed inverse and ``closing``."""
-    product = product_of(spec.elements)
+def oracle_expectations(seq, closing=None):
+    """Dense ``<s>`` of each stabilizer of the ideal output state of a batch
+    of one, in the engine's order, from the +1 probability after meas and
+    flips; with ``closing``, of it closed by its signed inverse and ``closing``."""
+    product = product_of(batch_sequence(seq, 0))
     if closing is not None:
-        spec = SequenceSpec(spec.n, spec.elements + [inverse(product)],
-                            [spec.channel_for(i) for i in range(spec.m)] + [closing], spec.spam)
+        seq = closed_by(seq, closing)
         product = compose(product, inverse(product))
-    rho = run_sequence_exact(spec)
-    return [2.0 * measurement_success_probability(rho, s, spec.spam) - 1.0
+    rho = run_sequence_exact(seq)
+    return [2.0 * measurement_success_probability(rho, s, seq.spam) - 1.0
             for s in stabilizer_group(product)]
 
 
@@ -589,23 +605,23 @@ class TestNonPauliNoise:
     def test_every_expectation_matches_dense_oracle(self, n, mode, rng):
         batch = non_pauli_batch(n, mode, rng)
         closing = DeltaDepolarizing(0.25, 0.97, rotation_unitary(n, 0, "Z", 0.5))
-        specs = [SequenceSpec(n, batch_sequence(batch, k), batch.channels, batch.spam)
+        seqs = [batch_of_one(n, batch_sequence(batch, k), batch.channels, batch.spam)
                  for k in range(3)]
         compiled = CompiledSequence(batch)
         assert compiled.engine == "dense"
-        want = [oracle_expectations(spec) for spec in specs]
+        want = [oracle_expectations(seq) for seq in seqs]
         assert np.max(np.abs(compiled.propagate_faults() - want)) < 1e-12
         compiled.append_inverse(closing)
-        want = [oracle_expectations(spec, closing) for spec in specs]
+        want = [oracle_expectations(seq, closing) for seq in seqs]
         assert np.max(np.abs(compiled.propagate_faults() - want)) < 1e-12
 
     def test_engine_builds_no_dense_state(self, rng, monkeypatch):
         batch = non_pauli_batch(3, "clifford", rng)
         closing = DeltaDepolarizing(0.25, 0.97, rotation_unitary(3, 0, "Z", 0.5))
-        specs = [SequenceSpec(3, batch_sequence(batch, k), batch.channels, batch.spam)
+        seqs = [batch_of_one(3, batch_sequence(batch, k), batch.channels, batch.spam)
                  for k in range(3)]
-        want = [[oracle_expectations(spec) for spec in specs],
-                [oracle_expectations(spec, closing) for spec in specs]]
+        want = [[oracle_expectations(seq) for seq in seqs],
+                [oracle_expectations(seq, closing) for seq in seqs]]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the engine called a dense or per-element routine")
@@ -651,12 +667,12 @@ class TestNonPauliNoise:
             CompiledSequence(batch).propagate_faults()
 
 
-class TestSequenceSpec:
+class TestSequenceBatch:
     def test_per_element_noise_list(self, rng):
         elements = random_elements(2, 3, rng)
         channels = [Depolarizing(0.1), Ideal(), Depolarizing(0.2)]
-        spec = SequenceSpec(n=2, elements=elements, noise=channels)
-        rho = run_sequence_exact(spec)
+        seq = batch_of_one(2, elements, noise=channels)
+        rho = run_sequence_exact(seq)
         expected_retention = 0.9 * 0.8
         from rbsim.cliffords import clifford_to_matrix
 
@@ -674,16 +690,25 @@ class TestSequenceSpec:
                         PauliChannel({"I" * n: 0.7, "X" + "I" * (n - 1): 0.3}),
                         ComposedChannel([Depolarizing(0.05),
                                          PauliChannel({"I" * n: 0.8, "I" * (n - 1) + "Y": 0.2})])]
-            spec = SequenceSpec(n=n, elements=random_elements(n, 4, rng), noise=channels)
-            assert_matches_dense_oracle(spec, Depolarizing(0.05))
+            seq = batch_of_one(n, random_elements(n, 4, rng), noise=channels)
+            assert_matches_dense_oracle(seq, Depolarizing(0.05))
 
     def test_noise_list_length_must_match(self, rng):
-        with pytest.raises(ValueError):
-            SequenceSpec(n=2, elements=random_elements(2, 3, rng),
-                         noise=[Ideal(), Ideal()])
+        # three positions and two channels would silently drop the last position
+        rows, phases = random_clifford_rows(2, stream_seeds(rng, 2), 3)
+        with pytest.raises(ValueError, match="one noise channel per position"):
+            position_major_batch(2, rows, phases, [Ideal(), Ideal()])
+        with pytest.raises(ValueError, match="one noise channel per position"):
+            batch_of_one(2, random_elements(2, 3, rng), noise=[Ideal()] * 4)
 
-    def test_gate_list_elements_are_normalized(self):
-        spec = SequenceSpec(n=2, elements=[parse_circuit("H 0"), parse_circuit("CNOT 0 1")])
-        assert all(isinstance(e, CliffordElement) for e in spec.elements)
-        assert spec.m == 2
-
+    def test_table_must_be_t_by_2n(self, rng):
+        rows, phases = random_clifford_rows(2, stream_seeds(rng, 2), 3)
+        rows, phases = rows.reshape(-1, 4), phases.reshape(-1, 4)
+        picks = np.arange(6).reshape(3, 2)
+        for bad_rows, bad_phases in ((rows[:, :3], phases), (rows, phases[:-1]),
+                                     (rows.reshape(-1, 2, 2), phases)):
+            with pytest.raises(ValueError, match=r"\(T, 2n\)"):
+                SequenceBatch(2, bad_rows, bad_phases, picks, [Ideal()] * 3)
+        # a 2-qubit table does not make a 3-qubit batch
+        with pytest.raises(ValueError, match=r"\(T, 2n\)"):
+            SequenceBatch(3, rows, phases, picks, [Ideal()] * 3)

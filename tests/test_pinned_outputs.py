@@ -1,8 +1,10 @@
-"""Every CSV of a fixed set of small runs, pinned by its sha256.
+"""Every CSV and summary JSON of a fixed set of small runs, pinned by its sha256.
 
-The digests were recorded before the ensemble drivers ran every length as
-one batch; they hold the drivers to byte-identical outputs whatever the
-batching.  The cases cover every protocol, sampled and exact mode, Clifford
+The CSV digests were recorded before the ensemble drivers ran every length
+as one batch; they hold the drivers to byte-identical outputs whatever the
+batching.  The CSVs carry no fit, so the summaries' digests (wall time
+dropped, keys sorted) pin the fits, recorded before ``RBData`` became the
+one fitted-curve type of every driver.  The cases cover every protocol, sampled and exact mode, Clifford
 and generator elements, Pauli-diagonal and dense noise with SPAM, unsorted
 and repeated lengths, and the three benchmark workloads' configs at seed 7.
 """
@@ -161,17 +163,58 @@ PINNED_CSV_DIGESTS = {
     },
 }
 
+PINNED_SUMMARY_DIGESTS = {
+    'bench-compare-n2': '176548947b0c4f53d342e37710914e914d6ba472a7d43f02bddd7e3eeb4b32a7',
+    'bench-irbgs-exact-n2': 'd9cb44d0b466878db1ee187d55efcdb7de00ef6f1332c97938821cfaa0a7c3ed',
+    'bench-rbsv-gen-n6': '1abecd6b6a38f68def99725e9dc38f6f8c1e686e67800fa6fe1ba931ae34bd48',
+    'compare-exact-clifford-pauli-spam': '5ad5077e32aa76e26d662025c5e12ec9f1b45c62064237c2d17894326d69f942',
+    'compare-exact-generator-delta': '05e9ba55eade9ab761fdbf3f50eb9b6300c76dce3729f5149db69e083c2092e2',
+    'compare-sampled-clifford-delta-n3': 'd1dceef0bb4881e66ec7f37204139eb16c0948641882b4d5cc085fbb46ec210d',
+    'compare-sampled-clifford-depolarizing': 'a0fe511324a6a549ce76c4023c7d92edfb9d95d062eeb2f189900b953a164c8b',
+    'compare-sampled-generator-pauli-spam': 'bfa55645b66f741ce45e90c5c83c1f470257e68d7d0d5d9f20b146afbfcde4af',
+    'irbgs-delta': '384cae22f8b616babca3041d46ad7215562357d74244135126c276b2ac659991',
+    'irbgs-depolarizing': '014d343edb14073729e24e08dd2aeb08ec2405767552bf96ca7381a174ad6f1c',
+    'irbgs-pauli-spam': '95724b1d90ddc5cbd4a0ffd8caae2713f7ae1a71093777a3281beeae20f640a3',
+    'rb-exact-clifford-delta-n1': 'ff2932bf30f677d88e8eccf0b5d1a9e4333036a6cfe0278201bd55aecdd302bf',
+    'rb-exact-generator-pauli-spam': 'e6a3700d5158d6fcdb56b74041261e075924b974b4c77fbe690b4a2090de6542',
+    'rb-sampled-clifford-depolarizing': '5b6627ff0d2234ddd03343fb15ce7725b99574b751f6c53d471310ad1f640369',
+    'rb-sampled-generator-delta': '5b48d44d455abf433433ffa055d4b43f4058018c14eee2b2896682b73248e1f6',
+    'rbsv-exact-clifford-delta': '7965b6f8da2fd99575eeb14744246c535ee732bd30c46de5b3be909d1810d625',
+    'rbsv-exact-generator-delta-no-identity': 'e37fdafda4563405432e58a8048195fa7c65acac614f2ea947ff01cf3321273b',
+    'rbsv-sampled-clifford-pauli-spam': '7fab42d60be3a8e786432da4442b0029217487582f6009e68ed136d0f4401b02',
+    'rbsv-sampled-generator-depolarizing': '66ec6fb8b2ae037c322e02127141f7e0a503fba9ed1e9ac40a2c858b555b9dd1',
+}
 
-def csv_digests(command, cfg, tmp_path) -> dict:
-    """Run ``rbsim <command>`` on ``cfg`` and return each CSV's sha256 by name."""
+
+def _run(command, cfg, tmp_path):
+    """Run ``rbsim <command>`` on ``cfg``; the artifact directory."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(cfg))
     out = tmp_path / "out"
     assert main([command, "--config", str(config), "--out", str(out)]) == 0
+    return out
+
+
+def csv_digests(command, cfg, tmp_path) -> dict:
+    """Run ``rbsim <command>`` on ``cfg`` and return each CSV's sha256 by name."""
     return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.glob("*.csv"))}
+            for path in sorted(_run(command, cfg, tmp_path).glob("*.csv"))}
+
+
+def summary_digest(command, cfg, tmp_path) -> str:
+    """Run ``rbsim <command>`` on ``cfg`` and return the sha256 of its summary
+    JSON without ``wall_time_s``, dumped with sorted keys."""
+    (path,) = _run(command, cfg, tmp_path).glob("*_summary.json")
+    summary = json.loads(path.read_text())
+    del summary["wall_time_s"]
+    return hashlib.sha256(json.dumps(summary, sort_keys=True).encode()).hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_csv_outputs_are_pinned(case, tmp_path):
     assert csv_digests(*CASES[case], tmp_path) == PINNED_CSV_DIGESTS[case]
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_summary_outputs_are_pinned(case, tmp_path):
+    assert summary_digest(*CASES[case], tmp_path) == PINNED_SUMMARY_DIGESTS[case]

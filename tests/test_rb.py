@@ -4,7 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from rbsim.channels import Depolarizing, NoiseModel, SpamModel
+from rbsim.channels import Depolarizing, Ideal, NoiseModel, SpamModel
 from rbsim.cliffords import CliffordElement, compose, inverse, parse_circuit
 from rbsim.engines import SequenceBatch
 from rbsim.rb import RBConfig, _draw_elements, fit_rb_data, generator_gate_set, run_standard_rb
@@ -17,10 +17,11 @@ def depolarizing_model(eps):
     return NoiseModel(gate=Depolarizing(eps))
 
 
-def drawn_sequence(config, m, rng):
+def drawn_sequence(config, m, seeds):
     """The elements ``_draw_elements`` draws for one sequence of length m from
-    a stream seeded by ``rng``."""
-    return batch_sequence(SequenceBatch(config.n, *_draw_elements(config, m, stream_seeds(rng)), []), 0)
+    the stream ``seeds[0]``."""
+    rows, phases, picks = _draw_elements(config, m, seeds)
+    return batch_sequence(SequenceBatch(config.n, rows, phases, picks, [Ideal()] * len(picks)), 0)
 
 
 def drawn_gates(n, m, b, rng):
@@ -32,7 +33,7 @@ def drawn_gates(n, m, b, rng):
     gates = {CliffordElement.from_gates(n, [g]).key(): g for g in generator_gate_set(n)}
     assert len(gates) == len(generator_gate_set(n))
     config = RBConfig(n=n, lengths=(m, m + 1, m + 2), mode="generator", generator_block=b)
-    return [gates[e.key()] for e in drawn_sequence(config, m, rng)]
+    return [gates[e.key()] for e in drawn_sequence(config, m, stream_seeds(rng))]
 
 
 class TestSampleRBSequence:
@@ -42,7 +43,7 @@ class TestSampleRBSequence:
         for mode, per_element in (("clifford", 1), ("generator", 3)):
             config = RBConfig(n=2, lengths=(1, 2, 3), mode=mode, generator_block=per_element)
             for m in (1, 2, 7):
-                elements = drawn_sequence(config, m, rng)
+                elements = drawn_sequence(config, m, stream_seeds(rng))
                 assert len(elements) == m * per_element
                 assert all(e.is_valid() for e in elements)
                 product = reduce(compose, elements)
@@ -102,7 +103,7 @@ class TestGeneratorSequences:
         gate_set = generator_gate_set(n)
         want = [gate_set[i] for i in (words[:budget] % np.uint64(g)).tolist()]
         gates = {CliffordElement.from_gates(n, [gate]).key(): gate for gate in gate_set}
-        drawn = batch_sequence(SequenceBatch(n, *_draw_elements(config, m, [seed]), []), 0)
+        drawn = drawn_sequence(config, m, [seed])
         assert [gates[e.key()] for e in drawn] == want
 
     def test_block_length_validated(self):
@@ -114,7 +115,7 @@ class TestRunStandardRB:
     def test_noiseless_survival_is_one(self, rng):
         cfg = RBConfig(n=2, lengths=(1, 4, 9), k_m=3, exact=True, seed=4)
         data = run_standard_rb(cfg)
-        assert np.allclose(data.p_m, 1.0, atol=1e-12)
+        assert np.allclose(data.mean, 1.0, atol=1e-12)
 
     def test_exact_mode_closed_form_every_length(self):
         eps = 0.004
@@ -129,7 +130,7 @@ class TestRunStandardRB:
         cfg = RBConfig(n=2, lengths=tuple(range(1, 40, 3)), k_m=2, exact=True,
                        noise=depolarizing_model(0.01), seed=2)
         data = run_standard_rb(cfg)
-        assert all(a >= b - 1e-12 for a, b in zip(data.p_m, data.p_m[1:]))
+        assert all(a >= b - 1e-12 for a, b in zip(data.mean, data.mean[1:]))
 
     def test_fit_recovers_planted_parameter(self):
         eps = 0.001
@@ -147,7 +148,7 @@ class TestRunStandardRB:
                             noise=depolarizing_model(eps), seed=21)
         exact = run_standard_rb(exact_cfg)
         shots = run_standard_rb(shot_cfg)
-        for pe, ps in zip(exact.p_m, shots.p_m):
+        for pe, ps in zip(exact.mean, shots.mean):
             sigma = np.sqrt(pe * (1 - pe) / (10_000 * 4))
             assert abs(pe - ps) < 3.5 * sigma
 
@@ -157,7 +158,7 @@ class TestRunStandardRB:
         for n in (1, 2, 3):
             cfg = RBConfig(n=n, lengths=(1, 4, 7), k_m=3, exact=True,
                            noise=NoiseModel(spam=SpamModel(meas_flip=p)), seed=4)
-            assert np.allclose(run_standard_rb(cfg).p_m, (1 - 2 * p / 3) ** n, atol=1e-12)
+            assert np.allclose(run_standard_rb(cfg).mean, (1 - 2 * p / 3) ** n, atol=1e-12)
 
     def test_exact_survival_with_measurement_flips_matches_sampled_runs(self):
         noise = NoiseModel(gate=Depolarizing(0.01), spam=SpamModel(meas_flip=0.1))
@@ -165,11 +166,11 @@ class TestRunStandardRB:
         exact = run_standard_rb(RBConfig(n=2, lengths=lengths, k_m=k_m, exact=True,
                                          noise=noise, seed=3))
         sampled = np.mean([run_standard_rb(RBConfig(n=2, lengths=lengths, k_m=k_m, shots=shots,
-                                                    noise=noise, seed=seed)).p_m
+                                                    noise=noise, seed=seed)).mean
                            for seed in seeds], axis=0)
         # depolarizing noise and flips: the exact survival does not depend on the sequence
-        sigma = np.sqrt(exact.p_m * (1 - exact.p_m) / (k_m * shots * len(seeds)))
-        assert np.all(np.abs(sampled - exact.p_m) < 4 * sigma)
+        sigma = np.sqrt(exact.mean * (1 - exact.mean) / (k_m * shots * len(seeds)))
+        assert np.all(np.abs(sampled - exact.mean) < 4 * sigma)
 
     def test_generator_mode_decay_in_per_generator_parameter(self):
         eps = 0.002
@@ -190,7 +191,7 @@ class TestRunStandardRB:
         noise = NoiseModel(gate=DeltaDepolarizing(0.02, 0.99, rotation_unitary(2, 0, "Z", 0.1)))
         cfg = RBConfig(n=2, lengths=(2, 4, 6), k_m=2, shots=200, noise=noise, seed=8)
         data = run_standard_rb(cfg)
-        assert np.all(data.p_m <= 1.0) and np.all(data.p_m >= 0.0)
+        assert np.all(data.mean <= 1.0) and np.all(data.mean >= 0.0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

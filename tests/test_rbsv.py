@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from conftest import (
+    batch_of_one,
     depolarizing_rbsv_curve,
     maximally_mixed_state,
     pinned_offset_infidelity,
@@ -11,7 +12,7 @@ from conftest import (
 
 from rbsim.channels import Depolarizing, NoiseModel, measurement_success_probability
 from rbsim.cliffords import compose, random_clifford, stabilizer_group
-from rbsim.engines import CompiledSequence, SequenceSpec, run_sequence_exact
+from rbsim.engines import CompiledSequence, run_sequence_exact
 from rbsim.rbsv import (
     DEFAULT_COPY_CAP,
     FailureSignatureError,
@@ -103,7 +104,7 @@ class TestRunRBSVSequence:
 
     def test_noiseless_always_accepts(self, rng):
         elements = [random_clifford(2, rng) for _ in range(6)]
-        compiled = CompiledSequence(SequenceSpec(n=2, elements=elements))
+        compiled = CompiledSequence(batch_of_one(2, elements))
         assert compiled.acceptance_samples(64, stream_seeds(rng))[0] == 64
         assert compiled.acceptance_probability()[0] == 1.0
 
@@ -111,16 +112,16 @@ class TestRunRBSVSequence:
         eps = 0.01
         for m in (1, 5, 12):
             elements = [random_clifford(2, rng) for _ in range(m)]
-            spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(eps))
-            p_acc = CompiledSequence(spec).acceptance_probability()[0]
+            seq = batch_of_one(2, elements, noise=Depolarizing(eps))
+            p_acc = CompiledSequence(seq).acceptance_probability()[0]
             q = (1 - eps) ** m
             assert abs(p_acc - (1.0 - (3.0 / 8.0) * (1.0 - q))) < 1e-12
 
     def test_exact_acceptance_via_projector_oracle(self, rng):
         # independent oracle: average Tr((I+s)/2 rho) over the full group
         elements = [random_clifford(2, rng) for _ in range(4)]
-        spec = SequenceSpec(n=2, elements=elements, noise=Depolarizing(0.05))
-        rho = run_sequence_exact(spec)
+        seq = batch_of_one(2, elements, noise=Depolarizing(0.05))
+        rho = run_sequence_exact(seq)
         product = elements[0]
         for e in elements[1:]:
             product = compose(product, e)
@@ -128,7 +129,7 @@ class TestRunRBSVSequence:
             float(np.real(np.trace((np.eye(4) + s.to_matrix()) / 2 @ rho)))
             for s in stabilizer_group(product)
         ])
-        assert abs(CompiledSequence(spec).acceptance_probability()[0] - oracle) < 1e-12
+        assert abs(CompiledSequence(seq).acceptance_probability()[0] - oracle) < 1e-12
 
     def test_maximally_mixed_acceptance(self):
         # I/4 has acceptance 1*(1/4) + 0.5*(3/4) = 0.625 over the group
@@ -141,8 +142,7 @@ class TestRunRBSVSequence:
 
     def test_sampled_estimator_matches_exact(self, rng):
         elements = [random_clifford(2, rng) for _ in range(8)]
-        compiled = CompiledSequence(SequenceSpec(n=2, elements=elements,
-                                                 noise=Depolarizing(0.02)))
+        compiled = CompiledSequence(batch_of_one(2, elements, noise=Depolarizing(0.02)))
         exact = compiled.acceptance_probability()[0]
         p_acc = compiled.acceptance_samples(50_000, stream_seeds(rng))[0] / 50_000
         sigma = math.sqrt(exact * (1 - exact) / 50_000)
@@ -155,7 +155,7 @@ class TestRunRBSV:
         cfg = RBSVConfig(n=2, lengths=(5, 15, 25, 35), k_m=3, exact=True,
                          noise=depolarizing_model(eps), seed=12)
         result = run_rbsv(cfg)
-        for m, bounds in zip(result.lengths, result.per_sequence_bounds):
+        for m, bounds in zip(result.bounds.lengths, result.bounds.per_sequence):
             q = (1 - eps) ** m
             true_fidelity = q + (1 - q) / 4
             assert np.all(bounds <= true_fidelity + 1e-12)
@@ -165,7 +165,7 @@ class TestRunRBSV:
         cfg = RBSVConfig(n=2, lengths=(4, 10, 20), k_m=4, exact=True,
                          noise=depolarizing_model(eps), seed=3)
         result = run_rbsv(cfg)
-        for m, mean_p in zip(result.lengths, result.mean_p_acc):
+        for m, mean_p in zip(result.bounds.lengths, result.mean_p_acc):
             q = (1 - eps) ** m
             true_fidelity = q + (1 - q) / 4
             assert mean_p >= true_fidelity + 1e-12  # strict when q < 1
@@ -174,8 +174,8 @@ class TestRunRBSV:
         cfg = RBSVConfig(n=2, lengths=(2, 6, 10), k_m=2, exact=True, seed=1)
         result = run_rbsv(cfg)
         assert np.all(result.n_saturated == cfg.k_m)
-        assert result.degenerate
-        assert result.r_rbsv == 0.0
+        assert result.bounds.fit.degenerate
+        assert result.bounds.r == 0.0
 
     def test_ordering_against_rb_exact_mode(self):
         from rbsim.rb import RBConfig, fit_rb_data, run_standard_rb
@@ -189,7 +189,7 @@ class TestRunRBSV:
             sv_cfg = RBSVConfig(n=2, lengths=lengths, k_m=3, exact=True,
                                 noise=depolarizing_model(eps), seed=7)
             result = run_rbsv(sv_cfg)
-            assert result.r_rbsv >= r_rb
+            assert result.bounds.r >= r_rb
 
     def test_fixed_r_policy(self):
         cfg = RBSVConfig(n=2, lengths=(3, 6, 9), k_m=2, exact=True,
@@ -204,7 +204,7 @@ class TestRunRBSV:
                          noise=depolarizing_model(eps), seed=5,
                          include_identity_stabilizer=False)
         result = run_rbsv(cfg)
-        for m, mean_p in zip(result.lengths, result.mean_p_acc):
+        for m, mean_p in zip(result.bounds.lengths, result.mean_p_acc):
             q = (1 - eps) ** m
             assert abs(mean_p - (1.0 - 0.5 * (1.0 - q))) < 1e-12
 
@@ -221,7 +221,7 @@ def test_rbsv_supports_generator_mode_exact():
                      noise=depolarizing_model(eps), seed=23,
                      mode="generator", generator_block=b)
     result = run_rbsv(cfg)
-    for m, mean_p in zip(result.lengths, result.mean_p_acc):
+    for m, mean_p in zip(result.bounds.lengths, result.mean_p_acc):
         q = (1 - eps) ** (m * b)
         assert abs(mean_p - (1.0 - 0.375 * (1.0 - q))) < 1e-12
 
@@ -240,9 +240,9 @@ def test_bound_validity_for_arbitrary_channels(rng):
     for ch in channels:
         for m in (2, 6, 12):
             elements = [random_clifford(2, rng) for _ in range(m)]
-            spec = SequenceSpec(n=2, elements=elements, noise=ch)
-            p_acc = CompiledSequence(spec).acceptance_probability()[0]
-            rho = run_sequence_exact(spec)
+            seq = batch_of_one(2, elements, noise=ch)
+            p_acc = CompiledSequence(seq).acceptance_probability()[0]
+            rho = run_sequence_exact(seq)
             product = elements[0]
             for e in elements[1:]:
                 product = compose(product, e)
@@ -277,7 +277,7 @@ def test_exact_run_matches_closed_form_curve(eps, include_identity):
     result = run_rbsv(cfg)
     p_acc, f_bar = depolarizing_rbsv_curve(eps, LENGTHS, include_identity)
     assert np.all(np.abs(result.mean_p_acc - p_acc) < 1e-12)
-    assert np.all(np.abs(result.f_bar - f_bar) < 1e-12)
+    assert np.all(np.abs(result.bounds.mean - f_bar) < 1e-12)
     oracle = pinned_offset_infidelity(LENGTHS, f_bar)
-    assert abs(result.r_rbsv - oracle) < 1e-6 * oracle
+    assert abs(result.bounds.r - oracle) < 1e-6 * oracle
 
