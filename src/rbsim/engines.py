@@ -32,7 +32,6 @@ a batch, the tests' oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -125,14 +124,6 @@ class SequenceBatch:
             raise ValueError(f"rows and phases must be (T, 2n) = (T, {2 * self.n})")
         if len(self.channels) != len(self.elements):
             raise ValueError("need one noise channel per position")
-
-
-@lru_cache(maxsize=8)
-def _eigenvalues(ch: NoiseChannel, n: int) -> np.ndarray:
-    """``pauli_eigenvalues``, computed once per channel value and register size."""
-    table = pauli_eigenvalues(ch, n)
-    table.flags.writeable = False
-    return table
 
 
 def _span(words: np.ndarray, n: int, phases: np.ndarray | None = None):
@@ -246,7 +237,7 @@ class CompiledSequence:
         if isinstance(ch, Ideal):
             return coefficients
         if id(ch) not in self._tables:
-            self._tables[id(ch)] = (_eigenvalues(ch, self.n) if ch.is_pauli_diagonal
+            self._tables[id(ch)] = (pauli_eigenvalues(ch, self.n) if ch.is_pauli_diagonal
                                     else pauli_action(ch, self.n))
         table = self._tables[id(ch)]
         if ch.is_pauli_diagonal:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +23,6 @@ class DecayFit:
     residual_rms: float
     degenerate: bool = False
     at_boundary: bool = False
-    covariance: np.ndarray | None = field(default=None, repr=False)
-
-    def value(self, m) -> np.ndarray:
-        return self.a0 + self.b0 * self.p ** np.asarray(m, dtype=float)
 
 
 def r_from_p(p: float, d: int) -> float:
@@ -84,9 +80,8 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
     evaluates it at 33 points of the bracket and keeps the best one's two
     neighbours, until the bracket is narrower than 1e-12 in p.  With
     ``coefficient_bounds`` ((a_lo, a_hi), (b_lo, b_hi)) the coefficients are
-    box-constrained; without them (a free fit) the result also carries the
-    Gauss-Newton covariance of (A0, B0, p) at the fitted p.  ``weights``
-    follow the usual 1/stderr^2 convention.
+    box-constrained, without them free.  ``weights`` follow the usual
+    1/stderr^2 convention.
     """
     pts = sorted((float(m), float(v)) for m, v in points)
     ms = np.array([m for m, _ in pts])
@@ -117,16 +112,6 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
         lo, hi = float(ps[max(i - 1, 0)]), float(ps[min(i + 1, _ZOOM_SIZE - 1)])
     p = (lo + hi) / 2.0
     a0, b0, _ = (float(c[0]) for c in _profile([p], ms, ys, w, coefficient_bounds))
-    cov = None
-    if coefficient_bounds is None:
-        x = p ** ms
-        jw = np.vstack([np.ones_like(x), x, b0 * ms * p ** np.maximum(ms - 1.0, 0.0)]).T
-        jw *= np.sqrt(w)[:, None]
-        jtj = jw.T @ jw
-        if np.linalg.matrix_rank(jtj) == 3:
-            resid = (a0 + b0 * x - ys) * np.sqrt(w)
-            cov = np.linalg.inv(jtj) * float(resid @ resid) / max(ms.size - 3, 1)
-
     resid = (a0 + b0 * p ** ms - ys)
     rms = float(np.sqrt(np.mean(resid ** 2)))
     return DecayFit(
@@ -136,5 +121,4 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
         residual_rms=rms,
         degenerate=False,
         at_boundary=bool(p <= 0.0 or p >= 1.0 - 1e-12),
-        covariance=cov,
     )

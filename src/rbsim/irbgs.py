@@ -41,7 +41,6 @@ __all__ = [
     "builtin_recipes",
     "load_recipes",
     "rotation_expansion_recipe",
-    "rotation_chain_recipe",
     "irb_estimate",
     "irbgs_estimate",
     "error_bound",
@@ -119,12 +118,6 @@ class RecipeGate:
         g = _ONE_QUBIT[self.gate]
         return np.kron(g, _I) if q == 0 else np.kron(_I, g)
 
-    def to_json(self) -> dict:
-        out = {"gate": self.gate, "qubits": list(self.qubits)}
-        if self.k is not None:
-            out["k"] = self.k
-        return out
-
 
 # the generator targets a recipe may name instead of a 4x4 literal
 _NAMED_TARGETS = {
@@ -186,15 +179,6 @@ class SynthesisRecipe:
             out = g.matrix() @ out
         return out
 
-    def to_json(self) -> dict:
-        out = {"name": self.name, "gates": [g.to_json() for g in self.gates]}
-        if self.target_name is not None:
-            out["target"] = self.target_name
-        else:
-            t = np.asarray(self.target)
-            out["target"] = [[[float(v.real), float(v.imag)] for v in row] for row in t]
-        return out
-
     @classmethod
     def from_json(cls, entry: dict) -> "SynthesisRecipe":
         """Parse one recipe object; a missing or mistyped field raises
@@ -227,10 +211,6 @@ class SynthesisRecipe:
 class VerificationReport:
     passed: bool
     max_deviation: float
-    global_phase: complex
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def verify_synthesis(recipe: SynthesisRecipe, atol: float = VERIFY_ATOL) -> VerificationReport:
@@ -239,12 +219,12 @@ def verify_synthesis(recipe: SynthesisRecipe, atol: float = VERIFY_ATOL) -> Veri
     target = np.asarray(recipe.target, dtype=complex)
     idx = np.unravel_index(int(np.argmax(np.abs(product))), product.shape)
     if abs(product[idx]) < 1e-14:
-        return VerificationReport(False, float("inf"), 1.0 + 0j)
+        return VerificationReport(False, float("inf"))
     phase = target[idx] / product[idx]
     if abs(abs(phase) - 1.0) > 1e-12:
         phase = phase / abs(phase) if abs(phase) > 0 else 1.0 + 0j
     deviation = float(np.max(np.abs(phase * product - target)))
-    return VerificationReport(deviation <= atol, deviation, complex(phase))
+    return VerificationReport(deviation <= atol, deviation)
 
 
 # ---------------------------------------------------------------------------
@@ -278,18 +258,6 @@ def rotation_expansion_recipe(k: int) -> SynthesisRecipe:
         name=f"rotation-pair-k{k}",
         target=np.kron(_I, p_matrix(k)),
         gates=( _cp(0, 1, k), _g("X", 0), _cp(0, 1, k), _g("X", 0) ),
-    )
-
-
-def rotation_chain_recipe(k: int) -> SynthesisRecipe:
-    """I ⊗ P(2) from 2^(k-1) CP(k) gates, by repeated squaring of P(k)."""
-    if k < 2:
-        raise ValueError("the chain construction needs k >= 2")
-    pair = ( _cp(0, 1, k), _g("X", 0), _cp(0, 1, k), _g("X", 0) )
-    return SynthesisRecipe(
-        name=f"rotation-chain-k{k}",
-        target=np.kron(_I, _P),
-        gates=pair * (2 ** (k - 2)),
     )
 
 
@@ -423,9 +391,6 @@ class IRBGSConfig:
     noise: NoiseModel = field(default_factory=NoiseModel)
     noise_n: NoiseChannel = field(default_factory=Ideal)
     recipe: SynthesisRecipe = None
-    recipe_clifford_noise: NoiseChannel = field(default_factory=Ideal)
-    cpdag_shares_noise: bool = True
-    noise_n_dagger: NoiseChannel | None = None
     n: int = 2
     fit_strategy: str = "auto"
 
@@ -435,11 +400,6 @@ class IRBGSConfig:
             raise ValueError("the synthesis construction targets two qubits")
         if self.recipe is None:
             raise ValueError("an interleaved run needs a synthesis recipe")
-        if not self.cpdag_shares_noise and self.noise_n_dagger is None:
-            raise ValueError("cpdag_shares_noise=False needs a noise_n_dagger channel")
-
-    def dagger_channel(self) -> NoiseChannel:
-        return self.noise_n if self.cpdag_shares_noise else self.noise_n_dagger
 
 
 def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
@@ -447,8 +407,8 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
     ``RBData.fitted``), estimate and bound.
 
     The fixed element is the recipe's ideal Clifford product; its channel is
-    the recipe's non-Clifford noise applied once per CP instance (single
-    qubit recipe gates are noiseless by default).
+    ``noise_n`` once per CP or CP† instance of the recipe, whose single-qubit
+    gates are noiseless.
     """
     report = verify_synthesis(config.recipe)
     if not report.passed:
@@ -469,16 +429,7 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
     baseline = run_standard_rb(base_cfg)
 
     gate_channel = config.noise.gate
-    # net channel of the synthesized fixed element: one Λ_N per CP instance
-    # (CP† shares it unless configured otherwise), plus the (default ideal)
-    # lumped noise of its single-qubit Cliffords
-    cp_count = sum(1 for g in config.recipe.gates if g.gate == "CP")
-    cpdag_count = sum(1 for g in config.recipe.gates if g.gate == "CPDAG")
-    fixed_channel = ComposedChannel(
-        [config.noise_n] * cp_count
-        + [config.dagger_channel()] * cpdag_count
-        + [config.recipe_clifford_noise]
-    )
+    fixed_channel = ComposedChannel([config.noise_n] * n_cp)
 
     def run_units(lengths, seeds, units):
         # random elements at the even positions, the fixed element, one more

@@ -137,7 +137,6 @@ class RBData:
     stderr: np.ndarray
     per_sequence: np.ndarray  # (L, K), one row of per-sequence values per length
     k_m: int
-    shots: int                 # config.shots, 0 in exact mode
     engine: str  # "pauli" or "dense", see engines.engine_for
     fit: DecayFit | None = None
     r: float | None = None
@@ -150,7 +149,6 @@ class RBData:
         mean, stderr = length_stats(per_sequence)
         data = cls(lengths=list(config.lengths), mean=mean, stderr=stderr,
                    per_sequence=per_sequence, k_m=per_sequence.shape[1],
-                   shots=0 if config.exact else config.shots,
                    engine=engine or engine_for(config.noise.channels))
         data.fit, data.r = fit_rb_data(data, 2 ** config.n, config.fit_bounds)
         return data

@@ -7,6 +7,8 @@ and channels, the Clifford group orders and the dense survival oracle live
 here because only the tests use them.
 """
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,11 @@ def position_major_batch(n: int, rows, phases, channels, spam=None):
     picks = np.arange(rows.shape[0] * rows.shape[1]).reshape(rows.shape[:2])
     return SequenceBatch(n, rows.reshape(-1, 2 * n), phases.reshape(-1, 2 * n), picks,
                          channels, spam or SpamModel())
+
+
+def bundled_recipe_text() -> str:
+    """The bundled recipe file as shipped: the recipe format's worked example."""
+    return resources.files("rbsim").joinpath("data", "clifford_generator_recipes.json").read_text()
 
 
 def maximally_mixed_state(n: int) -> np.ndarray:

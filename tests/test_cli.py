@@ -16,6 +16,8 @@ from rbsim.channels import NoiseModel, PauliChannel
 from rbsim.rbsv import RBSVConfig
 from rbsim.seeding import seed_plan, unit_seeds
 
+from conftest import bundled_recipe_text
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -422,9 +424,7 @@ class TestRuns:
         assert out.count("pass") == 7
 
     def test_verify_synthesis_failure_exit_code(self, tmp_path):
-        from rbsim.irbgs import builtin_recipes
-
-        base = builtin_recipes()[0].to_json()
+        base = json.loads(bundled_recipe_text())[0]
         base["gates"] = base["gates"][:-1]
         path = write_config(tmp_path, "broken.json", [base])
         assert main(["verify-synthesis", "--recipes", path]) == 1

@@ -501,7 +501,7 @@ class TestPauliKernel:
         pauli = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
         spam = SpamModel(prep=Depolarizing(0.01), meas=pauli, meas_flip=0.01)
         batch = drawn_batch(n, k_m, "generator", [pauli] * length, spam, rng)
-        CompiledSequence(batch).propagate_faults()  # fills the eigenvalue cache
+        CompiledSequence(batch).propagate_faults()  # first-call costs stay out of the trace
         tracemalloc.start()
         try:
             CompiledSequence(batch).propagate_faults()

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -29,7 +28,6 @@ from rbsim.irbgs import (
     irbgs_estimate,
     load_recipes,
     p_matrix,
-    rotation_chain_recipe,
     rotation_expansion_recipe,
     run_irbgs,
     verify_synthesis,
@@ -39,7 +37,8 @@ from rbsim.engines import CompiledSequence
 from rbsim.paulis import PauliString
 from rbsim.rb import _compile as compile_batch
 
-from conftest import equal_up_to_global_phase, pauli_matrix, position_major_batch
+from conftest import (bundled_recipe_text, equal_up_to_global_phase, pauli_matrix,
+                      position_major_batch)
 
 
 class TestCPMatrix:
@@ -83,12 +82,6 @@ class TestVerifySynthesis:
         report = verify_synthesis(rotation_expansion_recipe(k))
         assert report.passed and report.max_deviation <= 1e-12
 
-    @pytest.mark.parametrize("k", [2, 3, 4])
-    def test_rotation_chain_builds_phase_gate(self, k):
-        recipe = rotation_chain_recipe(k)
-        assert recipe.nonclifford_count == 2 ** (k - 1)
-        assert verify_synthesis(recipe).passed
-
     def test_corrupted_recipe_fails_loudly(self):
         base = builtin_recipes()[0]
         corrupted = SynthesisRecipe(name="broken", target=base.target,
@@ -99,7 +92,7 @@ class TestVerifySynthesis:
 
     def test_recipe_json_roundtrip(self, tmp_path):
         path = tmp_path / "recipes.json"
-        path.write_text(json.dumps([r.to_json() for r in builtin_recipes()]))
+        path.write_text(bundled_recipe_text())
         loaded = load_recipes(path)
         assert [r.name for r in loaded] == [r.name for r in builtin_recipes()]
         assert all(verify_synthesis(r).passed for r in loaded)
@@ -352,20 +345,3 @@ def test_recipe_gate_validation():
         with pytest.raises(ValueError):
             RecipeGate("CP" if k is not None else "H", qubits, k)
     assert RecipeGate("CP", (0.0, 1), 2.0) == RecipeGate("CP", (0, 1), 2)
-
-
-def test_separate_cpdag_noise_channel():
-    # "phase-on-both" carries one CP and one CPDAG; with an ideal CPDAG
-    # channel the interleaved decay retains only one noise factor per step
-    recipe = builtin_recipes()[1]
-    assert sum(1 for g in recipe.gates if g.gate == "CPDAG") == 1
-    p, p_n = 0.999, 0.999
-    cfg = IRBGSConfig(lengths=tuple(range(2, 15, 3)), k_m=3, seed=2,
-                      noise=NoiseModel(gate=Depolarizing(1 - p)),
-                      noise_n=Depolarizing(1 - p_n), recipe=recipe,
-                      cpdag_shares_noise=False, noise_n_dagger=Ideal())
-    est = run_irbgs(cfg)
-    assert abs(est.p_bar_c - p * p_n) < 1e-6
-    with pytest.raises(ValueError, match="noise_n_dagger"):
-        IRBGSConfig(lengths=(2, 4, 6), k_m=2, noise=NoiseModel(),
-                    noise_n=Ideal(), recipe=recipe, cpdag_shares_noise=False)
