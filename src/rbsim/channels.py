@@ -1,13 +1,15 @@
 """Noise channels, SPAM models and density-matrix helpers.
 
-Channels act on dense density matrices (the tests' oracle and the channel
-analysis) and, for the engine, on Pauli coefficients ``Tr(P rho)``
-(``pauli_action``): by their Pauli eigenvalues when Pauli-diagonal.
+Channels act on dense density matrices (the tests' oracle) and, for the
+engine and the channel analysis, on Pauli coefficients ``Tr(P rho)``
+(``pauli_action``): by their Pauli eigenvalues when Pauli-diagonal.  No
+channel holds a dense matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,9 +27,6 @@ __all__ = [
     "UnsupportedChannelError",
     "zero_state",
     "apply_channel",
-    "channel_superoperator",
-    "choi_matrix",
-    "average_fidelity",
     "depolarizing_parameter",
     "measurement_success_probability",
     "pauli_action",
@@ -53,11 +52,11 @@ def zero_state(n: int) -> np.ndarray:
     return rho
 
 
-def rotation_unitary(n: int, qubit: int = 0, axis: str = "X", angle: float = 1e-2) -> np.ndarray:
-    """exp(-i*angle/2 * P_qubit) on the full register; the default perturbation."""
-    p = PauliString.single(n, qubit, axis).to_matrix()
-    d = 2 ** n
-    return np.cos(angle / 2) * np.eye(d, dtype=complex) - 1j * np.sin(angle / 2) * p
+def rotation_unitary(rotation: PauliString, angle: float) -> np.ndarray:
+    """The dense exp(-i*angle/2 * rotation) on the full register."""
+    d = 2 ** rotation.n
+    return (np.cos(angle / 2) * np.eye(d, dtype=complex)
+            - 1j * np.sin(angle / 2) * rotation.to_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -129,8 +128,8 @@ class PauliChannel(NoiseChannel):
         for key, prob in items:
             if key.phase != 0:
                 raise ValueError(f"Pauli key {key.label()} must carry phase +1")
-            if prob < 0:
-                raise ValueError(f"negative probability {prob}")
+            if not 0.0 <= prob <= 1.0:
+                raise ValueError(f"probability {prob} outside [0, 1]")
             n = key.n if n is None else n
             if key.n != n:
                 raise ValueError("Pauli keys act on different register sizes")
@@ -160,32 +159,32 @@ class PauliChannel(NoiseChannel):
 class DeltaDepolarizing(NoiseChannel):
     """rho -> (1-delta) (p' rho + (1-p') I/d) + delta U rho U†.
 
-    The perturbation is fixed to a unitary conjugation (one constructive
-    choice of the residual term); ``perturbation`` defaults to a small
-    single-qubit rotation when built through :func:`channel_from_spec`.
+    The perturbation is the Pauli rotation U = exp(-i angle/2 P) about the
+    Hermitian, phase-free ``rotation`` P (one constructive choice of the
+    residual term); :func:`channel_from_spec` builds a single-qubit one.
     """
 
     delta: float
     p_prime: float
-    perturbation: np.ndarray = field(default=None, repr=False)
+    rotation: PauliString
+    angle: float
 
     def __post_init__(self):
         if not 0.0 <= self.delta <= 1.0:
             raise ValueError(f"delta {self.delta} outside [0, 1]")
         if not 0.0 <= self.p_prime <= 1.0:
             raise ValueError(f"p' {self.p_prime} outside [0, 1]")
-        if self.perturbation is None:
-            raise ValueError("perturbation unitary is required")
-        u = self.perturbation
-        if np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))) > 1e-10:
-            raise ValueError("perturbation is not unitary")
+        if self.rotation.phase != 0:
+            raise ValueError(f"rotation {self.rotation.label()} must carry phase +1")
+        if not math.isfinite(self.angle):
+            raise ValueError(f"rotation angle {self.angle} is not finite")
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         d = rho.shape[0]
-        if self.perturbation.shape[0] != d:
-            raise ValueError("perturbation dimension does not match state")
+        if 2 ** self.rotation.n != d:
+            raise ValueError("rotation dimension does not match state")
         dep = self.p_prime * rho + (1 - self.p_prime) * np.trace(rho) * np.eye(d) / d
-        u = self.perturbation
+        u = rotation_unitary(self.rotation, self.angle)
         return (1 - self.delta) * dep + self.delta * (u @ rho @ u.conj().T)
 
     @property
@@ -252,54 +251,14 @@ class NoiseModel:
 
 
 # ---------------------------------------------------------------------------
-# Channel analysis: superoperators, Choi matrices, average fidelity
-# ---------------------------------------------------------------------------
-
-
-def channel_superoperator(ch: NoiseChannel, n: int) -> np.ndarray:
-    """d^2 x d^2 matrix S with vec(ch(rho)) = S vec(rho) (column stacking)."""
-    d = 2 ** n
-    s = np.empty((d * d, d * d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            unit = np.zeros((d, d), dtype=complex)
-            unit[i, j] = 1.0
-            s[:, j * d + i] = ch.apply(unit).reshape(-1, order="F")
-    return s
-
-
-def choi_matrix(ch: NoiseChannel, n: int) -> np.ndarray:
-    """Unnormalized Choi matrix sum_ij ch(|i><j|) ⊗ |i><j|: the superoperator's
-    entries ch(|i><j|)[a, c] reshuffled to row (a, i), column (c, j)."""
-    d = 2 ** n
-    s = channel_superoperator(ch, n).reshape(d, d, d, d)  # [c, a, j, i]
-    return s.transpose(1, 3, 0, 2).reshape(d * d, d * d)
-
-
-def average_fidelity(ch: NoiseChannel, n: int) -> float:
-    """Average fidelity of the channel with the identity over pure states."""
-    d = 2 ** n
-    omega = np.eye(d).reshape(-1) / np.sqrt(d)  # the maximally entangled state
-    f_ent = float(np.real(omega @ choi_matrix(ch, n) @ omega)) / d
-    return (d * f_ent + 1.0) / (d + 1.0)
-
-
-def depolarizing_parameter(ch: NoiseChannel, n: int) -> float:
-    """Retention p of the depolarizing channel with the same average fidelity."""
-    d = 2 ** n
-    f_avg = average_fidelity(ch, n)
-    return (d * f_avg - 1.0) / (d - 1.0)
-
-
-# ---------------------------------------------------------------------------
-# Pauli-diagonal channels: fault distribution and Pauli eigenvalues
+# The Pauli transfer form: fault distribution, eigenvalues, action and p
 # ---------------------------------------------------------------------------
 
 
 def walsh_hadamard(values) -> np.ndarray:
     """``out[..., x] = sum_y values[..., y] (-1)^popcount(x & y)`` along the
-    last axis, whose length is a power of 2; real or complex."""
-    out = np.array(values, dtype=complex if np.iscomplexobj(values) else float)
+    last axis, whose length is a power of 2."""
+    out = np.array(values, dtype=float)
     h = 1
     while h < out.shape[-1]:
         pairs = out.reshape(-1, 2, h)
@@ -357,12 +316,13 @@ _I_POWERS = np.array([1, 1j, -1, -1j])
 def pauli_action(ch: NoiseChannel, n: int) -> list:
     """The channel on Pauli coefficients ``c_b = Tr(P_b rho)`` (packed ``b``):
     stages applied in order, each a list of ``(sources, weights)`` pairs that
-    maps ``c`` to ``sum(weights * c[..., sources])``.  A Pauli-diagonal
-    channel is one stage of its eigenvalues, a ``ComposedChannel`` its
-    parts' stages, a ``DeltaDepolarizing`` the ``(1, p', ..., p')`` diagonal
-    mixed with ``U rho U†`` over the nonzero terms ``u_j P_j`` of U, one
-    gather per offset ``j ^ k`` (``P_j P_a P_k`` is ``P_(j^a^k)`` times a
-    power of i).  Other channels raise ``UnsupportedChannelError``."""
+    maps ``c`` to ``sum(weights * c[..., sources])``, with ``sources`` the
+    Paulis at one offset ``t`` (``b ^ t``).  A Pauli-diagonal channel is one
+    stage of its eigenvalues, a ``ComposedChannel`` its parts' stages, a
+    ``DeltaDepolarizing`` the ``(1, p', ..., p')`` diagonal mixed with
+    ``U rho U†`` over the two terms ``u_j P_j`` of its rotation, one gather
+    per offset ``j ^ k`` (``P_j P_a P_k`` is ``P_(j^a^k)`` times a power of
+    i).  Other channels raise ``UnsupportedChannelError``."""
     paulis = np.arange(4 ** n)
     if ch.is_pauli_diagonal:
         return [[(paulis, pauli_eigenvalues(ch, n))]]
@@ -370,18 +330,10 @@ def pauli_action(ch: NoiseChannel, n: int) -> list:
         return [stage for part in ch.channels for stage in pauli_action(part, n)]
     if not isinstance(ch, DeltaDepolarizing):
         raise UnsupportedChannelError(f"{type(ch).__name__} has no Pauli-basis action")
-    u = ch.perturbation
-    if u.shape != (1 << n, 1 << n):
-        raise ValueError("perturbation dimension does not match state")
-    # P_j = i^popcount(x & z) X^x Z^z, and Tr(X^x Z^z u) sums (-1)^popcount(Z & r)
-    # u[r, r ^ X] over rows r (X, Z: row masks; qubit 0 the top bit): a
-    # Walsh-Hadamard transform per X, whose butterflies keep zero terms zero
-    r = np.arange(1 << n)
-    x = sum(((r >> (n - 1 - q)) & 1) << q for q in range(n))  # row mask -> packed letters
-    coefficients = (walsh_hadamard(u[r, r[:, None] ^ r]) / len(r)
-                    * _I_POWERS[np.bitwise_count(x[:, None] & x) & 3])
-    terms = [(int(j), c) for j, c in zip((x[:, None] | x << n).ravel(), coefficients.ravel())
-             if c != 0]
+    if ch.rotation.n != n:
+        raise ValueError("rotation dimension does not match state")
+    # U = cos(angle/2) I - i sin(angle/2) P, identity term first
+    terms = [(0, np.cos(ch.angle / 2)), (ch.rotation.bits, -1j * np.sin(ch.angle / 2))]
     diagonal = np.full(4 ** n, ch.p_prime)
     diagonal[0] = 1.0
     weights = {0: (1.0 - ch.delta) * diagonal}
@@ -392,6 +344,25 @@ def pauli_action(ch: NoiseChannel, n: int) -> list:
             term = ch.delta * u_j * np.conj(u_k) * _I_POWERS[power & 3]
             weights[j ^ k] = weights.get(j ^ k, 0.0) + term
     return [[(paulis ^ t, np.real(w)) for t, w in weights.items()]]
+
+
+def depolarizing_parameter(ch: NoiseChannel, n: int) -> float:
+    """Retention p of the depolarizing channel with the same average fidelity,
+    ``(Tr R - 1)/(4^n - 1)`` for the Pauli transfer matrix R of
+    :func:`pauli_action`.  R is never built: each unit vector ``e_b`` is
+    carried through the stages as its coefficients at the offsets ``o`` it
+    reaches (at ``b ^ o``), and Tr R sums those left at offset 0."""
+    paulis = np.arange(4 ** n)
+    reached = {0: np.ones(4 ** n)}
+    for stage in pauli_action(ch, n):
+        moved = {}
+        for sources, weights in stage:
+            t = int(sources[0])  # sources[b] = b ^ t
+            for o, coefficients in reached.items():
+                # c'[a] gathers c[a ^ t]: e_b's entry at b ^ o lands at b ^ o ^ t
+                moved[o ^ t] = moved.get(o ^ t, 0.0) + weights[paulis ^ o ^ t] * coefficients
+        reached = moved
+    return float((np.sum(reached.get(0, 0.0)) - 1.0) / (4 ** n - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -507,11 +478,11 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     axis = spec.get("axis", "X")
     if not isinstance(axis, str) or axis.upper() not in ("X", "Y", "Z"):
         raise ValueError(f"channel field 'axis' must be one of 'X', 'Y', 'Z', not {axis!r}")
-    u = rotation_unitary(n, qubit=_spec_value(spec.get("qubit", 0), "qubit", config_integer),
-                         axis=axis,
-                         angle=_spec_value(spec.get("angle", 1e-2), "angle"))
+    rotation = PauliString.single(n, _spec_value(spec.get("qubit", 0), "qubit", config_integer),
+                                  axis)
     return DeltaDepolarizing(_spec_value(spec["delta"], "delta"),
-                             _spec_value(spec["p_prime"], "p_prime"), u)
+                             _spec_value(spec["p_prime"], "p_prime"), rotation,
+                             _spec_value(spec.get("angle", 1e-2), "angle"))
 
 
 def apply_channel(ch: NoiseChannel, rho: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import tempfile
@@ -57,10 +58,19 @@ def _setup_logging():
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number as a float; ``NaN``, ``Infinity`` and numbers that
+    overflow a float (``1e400``) raise a ``ConfigError``."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"config number {text} is not finite")
+    return value
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:

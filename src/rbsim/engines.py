@@ -197,7 +197,9 @@ class CompiledSequence:
         self.closed = False
         self._engine = None  # the engine of the cached readouts
         self._readouts = {}  # open (False) and closed (True) readouts, see _readout
-        self._tables = {}    # eigenvalues or pauli_action by channel identity: no value hash
+        # eigenvalues or pauli_action per channel, looked up at every position:
+        # by identity, which skips hashing the channel's value (a PauliChannel's keys)
+        self._tables = {}
 
     @property
     def engine(self) -> str:

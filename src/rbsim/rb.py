@@ -96,6 +96,8 @@ class RBConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "lengths", fit_lengths(self.lengths))
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.k_m < 1:
             raise ValueError("k_m must be >= 1")
         if not self.exact and self.shots < 1:

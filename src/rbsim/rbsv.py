@@ -88,10 +88,10 @@ class RPolicy:
     def __post_init__(self):
         if self.kind not in ("optimal", "fixed"):
             raise ValueError(f"unknown R policy {self.kind!r}")
-        if self.kind == "fixed" and self.fixed <= 0:
-            raise ValueError("fixed R must be positive")
-        if self.cap <= 0:
-            raise ValueError("R cap must be positive")
+        if self.kind == "fixed" and not 0 < self.fixed < math.inf:
+            raise ValueError(f"fixed R must be finite and positive, not {self.fixed}")
+        if not 0 < self.cap < math.inf:
+            raise ValueError(f"R cap must be finite and positive, not {self.cap}")
 
     def choose(self, p_acc: float):
         if self.kind == "fixed":

@@ -3,8 +3,10 @@
 The oracles here are built from first principles (literal 2x2 matrices,
 kron chains and basis permutations) so they never share code with the
 tableau implementation or the engines they check.  The checks on states
-and channels, the Clifford group orders and the dense survival oracle live
-here because only the tests use them.
+and channels, the dense channel analysis (superoperator, Choi matrix,
+average fidelity and the depolarizing parameter read from them), the
+Clifford group orders and the dense survival oracle live here because only
+the tests use them.
 """
 
 from importlib import resources
@@ -12,7 +14,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from rbsim.channels import Ideal, SpamModel, choi_matrix
+from rbsim.channels import Ideal, SpamModel
 from rbsim.cliffords import CliffordElement
 from rbsim.engines import SequenceBatch
 from rbsim.paulis import PauliString
@@ -182,6 +184,42 @@ def check_cptp(ch, n: int, *, eig_atol=1e-10, tp_atol=1e-12):
     tp = np.einsum("aiaj->ij", choi.reshape(d, d, d, d))
     if np.max(np.abs(tp - np.eye(d))) > tp_atol:
         raise ValueError("channel is not trace preserving")
+
+
+def channel_superoperator(ch, n: int) -> np.ndarray:
+    """d^2 x d^2 matrix S with vec(ch(rho)) = S vec(rho) (column stacking),
+    from d^2 dense applies of the channel."""
+    d = 2 ** n
+    s = np.empty((d * d, d * d), dtype=complex)
+    for j in range(d):
+        for i in range(d):
+            unit = np.zeros((d, d), dtype=complex)
+            unit[i, j] = 1.0
+            s[:, j * d + i] = ch.apply(unit).reshape(-1, order="F")
+    return s
+
+
+def choi_matrix(ch, n: int) -> np.ndarray:
+    """Unnormalized Choi matrix sum_ij ch(|i><j|) ⊗ |i><j|: the superoperator's
+    entries ch(|i><j|)[a, c] reshuffled to row (a, i), column (c, j)."""
+    d = 2 ** n
+    s = channel_superoperator(ch, n).reshape(d, d, d, d)  # [c, a, j, i]
+    return s.transpose(1, 3, 0, 2).reshape(d * d, d * d)
+
+
+def average_fidelity(ch, n: int) -> float:
+    """Average fidelity of the channel with the identity over pure states."""
+    d = 2 ** n
+    omega = np.eye(d).reshape(-1) / np.sqrt(d)  # the maximally entangled state
+    f_ent = float(np.real(omega @ choi_matrix(ch, n) @ omega)) / d
+    return (d * f_ent + 1.0) / (d + 1.0)
+
+
+def dense_depolarizing_parameter(ch, n: int) -> float:
+    """Retention p of the depolarizing channel with the same average fidelity,
+    read from the Choi matrix: the dense oracle of ``depolarizing_parameter``."""
+    d = 2 ** n
+    return (d * average_fidelity(ch, n) - 1.0) / (d - 1.0)
 
 
 def symplectic_group_order(n: int) -> int:

@@ -13,16 +13,14 @@ import time
 import mpmath
 import numpy as np
 import pytest
-from conftest import depolarizing_rbsv_curve, pinned_offset_infidelity
+from conftest import choi_matrix, depolarizing_rbsv_curve, pinned_offset_infidelity
 
 from rbsim.channels import (
     DeltaDepolarizing,
     Depolarizing,
     NoiseModel,
     PauliChannel,
-    choi_matrix,
     depolarizing_parameter,
-    rotation_unitary,
 )
 from rbsim.cli import main as cli_main
 from rbsim.cliffords import clifford_to_matrix, random_clifford
@@ -36,6 +34,7 @@ from rbsim.irbgs import (
     run_irbgs,
     verify_synthesis,
 )
+from rbsim.paulis import PauliString
 from rbsim.rb import RBConfig, driver_fit_bounds, fit_rb_data, run_standard_rb
 from rbsim.rbsv import RBSVConfig, run_rbsv
 from rbsim.resources import (
@@ -304,7 +303,7 @@ def _twirl_check(channel, n, n_samples, seed):
 
 
 def test_criterion_7_monte_carlo_twirl():
-    one = DeltaDepolarizing(0.15, 0.92, rotation_unitary(1, 0, "Y", 0.4))
+    one = DeltaDepolarizing(0.15, 0.92, PauliString.single(1, 0, "Y"), 0.4)
     two = PauliChannel({"II": 0.9, "XI": 0.04, "ZZ": 0.04, "YX": 0.02})
     d1, b1 = _twirl_check(one, 1, 10_000, seed=71)
     d2, b2 = _twirl_check(two, 2, 10_000, seed=72)

@@ -12,7 +12,6 @@ from rbsim.channels import (
     UnsupportedChannelError,
     apply_channel,
     channel_from_spec,
-    choi_matrix,
     depolarizing_parameter,
     fault_distribution,
     measurement_success_probability,
@@ -23,7 +22,15 @@ from rbsim.channels import (
 from rbsim.cliffords import clifford_to_matrix, random_clifford, stabilizer_group
 from rbsim.paulis import PauliString
 
-from conftest import check_cptp, check_density_matrix, maximally_mixed_state, pauli_matrix
+from conftest import (
+    channel_superoperator,
+    check_cptp,
+    check_density_matrix,
+    choi_matrix,
+    dense_depolarizing_parameter,
+    maximally_mixed_state,
+    pauli_matrix,
+)
 
 
 def random_state(n, rng):
@@ -51,7 +58,7 @@ class TestApplyChannel:
 
     def test_output_is_valid_density_matrix(self, rng):
         for ch in (Depolarizing(0.2), PauliChannel({"XI": 0.25, "II": 0.75}),
-                   DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "Y", 0.3))):
+                   DeltaDepolarizing(0.1, 0.95, PauliString.single(2, 0, "Y"), 0.3)):
             out = apply_channel(ch, random_state(2, rng))
             check_density_matrix(out)
 
@@ -61,8 +68,16 @@ class TestApplyChannel:
             Depolarizing(1.5)
         with pytest.raises(ValueError):
             PauliChannel({"I": 0.5, "X": 0.4})
-        with pytest.raises(ValueError):
-            DeltaDepolarizing(0.1, 0.9, 2 * rotation_unitary(1))
+        # NaN fails every range check rather than passing them all
+        with pytest.raises(ValueError, match="outside"):
+            PauliChannel({"I": float("nan"), "X": 0.1})
+        with pytest.raises(ValueError, match="outside"):
+            Depolarizing(float("nan"))
+        for angle in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="not finite"):
+                DeltaDepolarizing(0.1, 0.9, PauliString.single(1, 0, "X"), angle)
+        with pytest.raises(ValueError, match="phase"):
+            DeltaDepolarizing(0.1, 0.9, PauliString.from_label("-X"), 0.2)
 
 
 class TestCPTP:
@@ -71,14 +86,46 @@ class TestCPTP:
         (1, Depolarizing(0.3)),
         (2, Depolarizing(0.01)),
         (2, PauliChannel({"II": 0.9, "ZZ": 0.06, "XI": 0.04})),
-        (1, DeltaDepolarizing(0.2, 0.9, rotation_unitary(1, 0, "X", 0.4))),
+        (1, DeltaDepolarizing(0.2, 0.9, PauliString.single(1, 0, "X"), 0.4)),
         (3, Depolarizing(0.05)),
     ])
     def test_every_variant_is_cptp(self, n, ch):
         check_cptp(ch, n)
 
 
+# every channel class, two rotations composed, and a mixed composition
+ANALYSIS_CHANNELS = {
+    "ideal": lambda n: Ideal(),
+    "depolarizing": lambda n: Depolarizing(0.07),
+    "pauli": lambda n: PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06,
+                                     "Z" * n: 0.03, "Y" * n: 0.01}),
+    **{f"rotation-{axis}": lambda n, axis=axis: DeltaDepolarizing(
+        0.3, 0.95, PauliString.single(n, n - 1, axis), 0.4) for axis in "XYZ"},
+    "two-rotations": lambda n: ComposedChannel([
+        DeltaDepolarizing(1.0, 1.0, PauliString.single(n, 0, "X"), 0.3),
+        DeltaDepolarizing(0.5, 0.9, PauliString.single(n, n - 1, "Y"), 0.7)]),
+    "mixed": lambda n: ComposedChannel([
+        Depolarizing(0.02),
+        DeltaDepolarizing(0.2, 0.97, PauliString.single(n, 0, "Z"), 1.1),
+        PauliChannel({"I" * n: 0.95, "Y" + "I" * (n - 1): 0.05}),
+        DeltaDepolarizing(0.4, 0.99, PauliString.single(n, n - 1, "X"), 0.5)]),
+}
+
+
 class TestDepolarizingParameter:
+    @pytest.mark.parametrize("name", sorted(ANALYSIS_CHANNELS))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_the_dense_choi_oracle(self, n, name):
+        ch = ANALYSIS_CHANNELS[name](n)
+        assert abs(depolarizing_parameter(ch, n) - dense_depolarizing_parameter(ch, n)) < 1e-14
+
+    @pytest.mark.parametrize("name", sorted(ANALYSIS_CHANNELS))
+    def test_returns_at_eight_qubits(self, name):
+        # the dense oracle's d^2 applies of 256 x 256 matrices are out of reach
+        # here; the transfer form carries 4^8 coefficients per offset
+        p = depolarizing_parameter(ANALYSIS_CHANNELS[name](8), 8)
+        assert 0.0 < p <= 1.0 + 1e-12
+
     def test_depolarizing_gives_one_minus_eps(self):
         for n in (1, 2):
             for eps in (0.0, 0.01, 0.5):
@@ -167,7 +214,7 @@ class TestFaultSampling:
                 assert np.max(np.abs(apply_channel(ch, p) - lam[idx] * p)) < 1e-12
 
     def test_non_pauli_channel_rejected(self):
-        ch = DeltaDepolarizing(0.1, 0.9, rotation_unitary(1, 0, "X", 0.5))
+        ch = DeltaDepolarizing(0.1, 0.9, PauliString.single(1, 0, "X"), 0.5)
         with pytest.raises(UnsupportedChannelError):
             fault_distribution(ch, 1)
 
@@ -256,11 +303,29 @@ class TestConfigSpecs:
 
 
 def test_superoperator_matches_direct_action(rng):
-    from rbsim.channels import channel_superoperator
-
     ch = PauliChannel({"II": 0.85, "XZ": 0.1, "YI": 0.05})
     s = channel_superoperator(ch, 2)
     rho = random_state(2, rng)
     direct = apply_channel(ch, rho)
     via_superop = (s @ rho.reshape(-1, order="F")).reshape(4, 4, order="F")
     assert np.allclose(direct, via_superop, atol=1e-12)
+
+
+class TestDeltaDepolarizing:
+    def test_compares_and_hashes_by_value(self):
+        one = DeltaDepolarizing(0.1, 0.9, PauliString.single(2, 1, "Y"), 0.3)
+        same = DeltaDepolarizing(0.1, 0.9, PauliString.from_label("IY"), 0.3)
+        assert one == same and hash(one) == hash(same)
+        assert len({one, same, ComposedChannel([one]), ComposedChannel([same])}) == 2
+        assert one != DeltaDepolarizing(0.1, 0.9, PauliString.single(2, 0, "Y"), 0.3)
+        assert one != DeltaDepolarizing(0.1, 0.9, PauliString.single(2, 1, "Y"), 0.31)
+
+    def test_apply_is_the_rotation(self, rng):
+        # delta = 1, p' = 1: rho -> U rho U† with U = cos(a/2) I - i sin(a/2) P
+        rotation = PauliString.single(2, 0, "Y")
+        u = rotation_unitary(rotation, 0.4)
+        assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-15)
+        assert np.allclose(u, np.cos(0.2) * np.eye(4) - 1j * np.sin(0.2) * pauli_matrix("YI"))
+        rho = random_state(2, rng)
+        got = apply_channel(DeltaDepolarizing(1.0, 1.0, rotation, 0.4), rho)
+        assert np.allclose(got, u @ rho @ u.conj().T, atol=1e-14)

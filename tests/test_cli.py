@@ -191,6 +191,31 @@ class TestConfigErrors:
         assert main([command, "--config", path]) == 2
         assert_one_error(capsys, fragment)
 
+    @pytest.mark.parametrize("edit, number", [
+        ({"noise": {"gate": {"kind": "pauli", "probabilities": {"II": "@", "XI": 0.1}}}}, "NaN"),
+        ({"noise": {"gate": {"kind": "delta_depolarizing", "delta": 0.1, "p_prime": 0.9,
+                             "angle": "@"}}}, "NaN"),
+        ({"noise": {"gate": {"kind": "delta_depolarizing", "delta": 0.1, "p_prime": 0.9,
+                             "angle": "@"}}}, "1e400"),
+        ({"R_policy": {"kind": "fixed", "R": "@"}}, "NaN"),
+        ({"R_policy": {"cap": "@"}}, "NaN"),
+        ({"R_policy": {"cap": "@"}}, "Infinity"),
+        ({"noise": {"p_meas": "@"}}, "-Infinity"),
+    ])
+    def test_non_finite_numbers_refused(self, tmp_path, capsys, edit, number):
+        # Python's json reads NaN and Infinity, and 1e400 as inf
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(dict(small_rbsv_config(), **edit)).replace('"@"', number))
+        assert main(["rbsv", "--config", str(path)]) == 2
+        assert_one_error(capsys, f"config number {number} is not finite")
+
+    @pytest.mark.parametrize("rb_mode", ["clifford", "generator"])
+    def test_empty_register_refused(self, tmp_path, capsys, rb_mode):
+        cfg = {"protocol": "rb", "n": 0, "lengths": [1, 2, 3], "K_m": 2, "rb_mode": rb_mode,
+               "noise": {"gate": {"kind": "ideal"}}}
+        assert main(["rb", "--config", write_config(tmp_path, "n0.json", cfg)]) == 2
+        assert_one_error(capsys, "n must be >= 1")
+
     def test_integral_floats_accepted(self, tmp_path):
         runs = {}
         for name, k_m in (("int", 6), ("float", 6.0)):
@@ -610,6 +635,7 @@ def test_zero_acceptance_names_the_lowest_unit_in_config_order(command, tmp_path
     ("verify-synthesis", None, []),
     ("rb", "rb_two_qubit.json", ["rb.csv", "rb_summary.json"]),
     ("rbsv", "rbsv_two_qubit.json", ["rbsv.csv", "rbsv_summary.json"]),
+    ("rb", "rb_coherent_two_qubit.json", ["rb.csv", "rb_summary.json"]),
 ])
 def test_shipped_configs_run(tmp_path, command, config, artifacts):
     # the configs README advertises, through the command-line entry point

@@ -15,7 +15,6 @@ from rbsim.channels import (
     SpamModel,
     UnsupportedChannelError,
     measurement_success_probability,
-    rotation_unitary,
     zero_state,
 )
 from rbsim.cliffords import (
@@ -35,6 +34,7 @@ from rbsim.engines import (
     SequenceBatch,
     run_sequence_exact,
 )
+from rbsim.paulis import PauliString
 from rbsim.rb import RBConfig, _compile, _draw_elements
 from rbsim.seeding import seed_plans, stream_words
 
@@ -211,7 +211,7 @@ class TestTrajectoryEngine:
             assert_matches_dense_oracle(seq, Ideal())
 
     def test_non_pauli_noise_takes_dense_path(self, rng):
-        ch = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
+        ch = DeltaDepolarizing(0.1, 0.95, PauliString.single(2, 0, "X"), 0.2)
         elements = random_elements(2, 2, rng)
         for seq in (batch_of_one(2, elements, noise=ch),
                      batch_of_one(2, elements, spam=SpamModel(prep=ch))):
@@ -231,7 +231,7 @@ class TestTrajectoryEngine:
         for n in (1, 2, 3):
             spam = SpamModel(meas_flip=p)
             seq = batch_of_one(n, random_elements(n, 4, rng), spam=spam)
-            identity_but_dense = DeltaDepolarizing(0.0, 1.0, rotation_unitary(n, 0, "X", 0.3))
+            identity_but_dense = DeltaDepolarizing(0.0, 1.0, PauliString.single(n, 0, "X"), 0.3)
             for closing, engine in ((Ideal(), "pauli"), (identity_but_dense, "dense")):
                 compiled = CompiledSequence(seq)
                 compiled.append_inverse(closing)
@@ -386,7 +386,7 @@ class TestBatchEngine:
             assert np.array_equal(one.propagate_faults()[0], whole[k])
 
     def test_dense_path_runs_per_sequence(self, rng):
-        ch = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
+        ch = DeltaDepolarizing(0.1, 0.95, PauliString.single(2, 0, "X"), 0.2)
         batch = random_batch(2, 3, [ch, Depolarizing(0.05)], SpamModel(), rng)
         compiled = CompiledSequence(batch)
         assert compiled.engine == "dense"
@@ -405,7 +405,7 @@ class TestBatchEngine:
         pauli, composed = mixed_channels(2)
         closing = pauli
         if path == "dense":
-            closing = DeltaDepolarizing(0.1, 0.95, rotation_unitary(2, 0, "X", 0.2))
+            closing = DeltaDepolarizing(0.1, 0.95, PauliString.single(2, 0, "X"), 0.2)
         spam = MIXED_SPAM[2] if spam == "mixed" else SpamModel()
         batch = random_batch(2, 4, [pauli, composed, Ideal(), closing, pauli], spam, rng)
         seeds = stream_seeds(rng, 4)
@@ -537,7 +537,7 @@ class TestGateTable:
             gate = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
             spam = SpamModel(prep=Depolarizing(0.05), meas_flip=0.03)
         else:
-            gate = DeltaDepolarizing(0.2, 0.9, rotation_unitary(n, n - 1, "Y", 0.3))
+            gate = DeltaDepolarizing(0.2, 0.9, PauliString.single(n, n - 1, "Y"), 0.3)
             spam = SpamModel(prep=Depolarizing(0.05),
                              meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}))
         batch = drawn_batch(n, 3, "generator", [gate, Depolarizing(0.03)] * 3, spam, rng)
@@ -588,9 +588,9 @@ def oracle_expectations(seq, closing=None):
 def non_pauli_batch(n, mode, rng):
     """Three drawn sequences under noise that is not Pauli-diagonal: at
     positions, in a ``ComposedChannel``, in prep, with Pauli meas and flips."""
-    delta = DeltaDepolarizing(0.2, 0.9, rotation_unitary(n, n - 1, "Y", 0.3))
+    delta = DeltaDepolarizing(0.2, 0.9, PauliString.single(n, n - 1, "Y"), 0.3)
     pauli = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
-    spam = SpamModel(prep=DeltaDepolarizing(0.3, 0.95, rotation_unitary(n, 0, "X", 0.4)),
+    spam = SpamModel(prep=DeltaDepolarizing(0.3, 0.95, PauliString.single(n, 0, "X"), 0.4),
                      meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}), meas_flip=0.04)
     channels = [ComposedChannel([Depolarizing(0.02), delta, pauli]), pauli, Ideal(), delta,
                 Depolarizing(0.03)]
@@ -604,7 +604,7 @@ class TestNonPauliNoise:
     @pytest.mark.parametrize("n", range(1, MAX_DENSE_QUBITS + 1))
     def test_every_expectation_matches_dense_oracle(self, n, mode, rng):
         batch = non_pauli_batch(n, mode, rng)
-        closing = DeltaDepolarizing(0.25, 0.97, rotation_unitary(n, 0, "Z", 0.5))
+        closing = DeltaDepolarizing(0.25, 0.97, PauliString.single(n, 0, "Z"), 0.5)
         seqs = [batch_of_one(n, batch_sequence(batch, k), batch.channels, batch.spam)
                  for k in range(3)]
         compiled = CompiledSequence(batch)
@@ -617,7 +617,7 @@ class TestNonPauliNoise:
 
     def test_engine_builds_no_dense_state(self, rng, monkeypatch):
         batch = non_pauli_batch(3, "clifford", rng)
-        closing = DeltaDepolarizing(0.25, 0.97, rotation_unitary(3, 0, "Z", 0.5))
+        closing = DeltaDepolarizing(0.25, 0.97, PauliString.single(3, 0, "Z"), 0.5)
         seqs = [batch_of_one(3, batch_sequence(batch, k), batch.channels, batch.spam)
                  for k in range(3)]
         want = [[oracle_expectations(seq) for seq in seqs],
@@ -642,7 +642,7 @@ class TestNonPauliNoise:
         # of all K = 100 sequences at once peaked at 50.4 MB; blocks of
         # sequences keep the peak under a quarter of that whatever K
         n, m = 6, 10
-        gate = DeltaDepolarizing(0.02, 0.99, rotation_unitary(n, 0, "X", 0.01))
+        gate = DeltaDepolarizing(0.02, 0.99, PauliString.single(n, 0, "X"), 0.01)
         config = RBConfig(n=n, lengths=(1, 2, 3), noise=NoiseModel(gate=gate))
         seeds = seed_plans(3, range(k_m))
         _compile(config, *_draw_elements(config, 1, seeds[:2])).propagate_faults()  # warm caches

@@ -10,9 +10,7 @@ from rbsim.channels import (
     Ideal,
     NoiseModel,
     PauliChannel,
-    average_fidelity,
     depolarizing_parameter,
-    rotation_unitary,
 )
 from rbsim.cliffords import conjugate_pauli
 from rbsim.fitting import r_from_p
@@ -37,8 +35,8 @@ from rbsim.engines import CompiledSequence
 from rbsim.paulis import PauliString
 from rbsim.rb import _compile as compile_batch
 
-from conftest import (bundled_recipe_text, equal_up_to_global_phase, pauli_matrix,
-                      position_major_batch)
+from conftest import (average_fidelity, bundled_recipe_text, equal_up_to_global_phase,
+                      pauli_matrix, position_major_batch)
 
 
 class TestCPMatrix:
@@ -239,7 +237,7 @@ class TestRunIRBGS:
         assert abs(r_n_true - est.r_n_est) <= est.bound
 
     def test_delta_depolarizing_class_detected(self):
-        lam_n = DeltaDepolarizing(0.001, 0.9995, rotation_unitary(2, 1, "Z", 0.02))
+        lam_n = DeltaDepolarizing(0.001, 0.9995, PauliString.single(2, 1, "Z"), 0.02)
         cfg = IRBGSConfig(lengths=(2, 6, 10), k_m=2, seed=4,
                           noise=NoiseModel(gate=Depolarizing(0.001)),
                           noise_n=lam_n, recipe=builtin_recipes()[1])

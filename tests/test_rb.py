@@ -186,9 +186,10 @@ class TestRunStandardRB:
         assert abs(fit.p - (1 - eps) ** b) < 1e-6
 
     def test_non_pauli_noise_uses_exact_fallback(self):
-        from rbsim.channels import DeltaDepolarizing, SpamModel, rotation_unitary
+        from rbsim.channels import DeltaDepolarizing
+        from rbsim.paulis import PauliString
 
-        noise = NoiseModel(gate=DeltaDepolarizing(0.02, 0.99, rotation_unitary(2, 0, "Z", 0.1)))
+        noise = NoiseModel(gate=DeltaDepolarizing(0.02, 0.99, PauliString.single(2, 0, "Z"), 0.1))
         cfg = RBConfig(n=2, lengths=(2, 4, 6), k_m=2, shots=200, noise=noise, seed=8)
         data = run_standard_rb(cfg)
         assert np.all(data.mean <= 1.0) and np.all(data.mean >= 0.0)
@@ -200,6 +201,9 @@ class TestRunStandardRB:
             RBConfig(n=2, lengths=(0,))
         with pytest.raises(ValueError):
             RBConfig(n=2, lengths=(1, 2, 3), k_m=0)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be >= 1"):
+                RBConfig(n=n, lengths=(1, 2, 3), mode="generator")
         with pytest.raises(ValueError):
             RBConfig(n=2, lengths=(1, 2, 3), mode="bogus")
         with pytest.raises(ValueError):

@@ -90,6 +90,13 @@ class TestOptimalCopies:
         with pytest.raises(ValueError):
             optimal_copies(0.0)
 
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+    def test_policy_needs_finite_positive_copies(self, value):
+        with pytest.raises(ValueError, match="fixed R must be finite and positive"):
+            RPolicy(kind="fixed", fixed=value)
+        with pytest.raises(ValueError, match="R cap must be finite and positive"):
+            RPolicy(cap=value)
+
     def test_maximizes_bound_on_grid(self):
         for p_acc in (0.9, 0.99, 0.999):
             r, _ = optimal_copies(p_acc)
@@ -229,12 +236,13 @@ def test_rbsv_supports_generator_mode_exact():
 def test_bound_validity_for_arbitrary_channels(rng):
     # the verification inequality holds per sequence for any channel the
     # exact engine supports, not just depolarizing noise
-    from rbsim.channels import DeltaDepolarizing, PauliChannel, rotation_unitary
+    from rbsim.channels import DeltaDepolarizing, PauliChannel
     from rbsim.cliffords import clifford_to_matrix, random_clifford
+    from rbsim.paulis import PauliString
 
     channels = [
         PauliChannel({"II": 0.93, "XI": 0.03, "ZZ": 0.03, "YX": 0.01}),
-        DeltaDepolarizing(0.02, 0.97, rotation_unitary(2, 1, "Y", 0.15)),
+        DeltaDepolarizing(0.02, 0.97, PauliString.single(2, 1, "Y"), 0.15),
     ]
     r_grid = np.concatenate([np.linspace(0.1, 5, 25), np.linspace(10, 2000, 40)])
     for ch in channels:

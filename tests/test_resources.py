@@ -10,8 +10,8 @@ from rbsim.channels import (
     NoiseModel,
     PauliChannel,
     depolarizing_parameter,
-    rotation_unitary,
 )
+from rbsim.paulis import PauliString
 from rbsim.rb import RBConfig, run_standard_rb
 from rbsim.resources import (
     ResourcePlan,
@@ -158,12 +158,12 @@ class TestVarianceBound:
         pytest.param(2, Depolarizing(0.01), id="depolarizing"),
         pytest.param(2, PauliChannel({"II": 0.99, "XI": 0.006, "ZZ": 0.003, "YX": 0.001}),
                      id="pauli"),
-        pytest.param(2, DeltaDepolarizing(1.0, 1.0, rotation_unitary(2, 0, "X", 0.2)),
+        pytest.param(2, DeltaDepolarizing(1.0, 1.0, PauliString.single(2, 0, "X"), 0.2),
                      id="coherent-x"),
         pytest.param(1, Depolarizing(0.01), id="n1-depolarizing"),
         pytest.param(1, PauliChannel({"I": 0.99, "X": 0.006, "Z": 0.003, "Y": 0.001}),
                      id="n1-pauli"),
-        pytest.param(1, DeltaDepolarizing(1.0, 1.0, rotation_unitary(1, 0, "X", 0.2)),
+        pytest.param(1, DeltaDepolarizing(1.0, 1.0, PauliString.single(1, 0, "X"), 0.2),
                      id="n1-coherent-x"),
     ])
     def test_bounds_exact_rb_survival_variance(self, n, channel):
