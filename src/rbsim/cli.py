@@ -275,7 +275,7 @@ def rb_csv(data: RBData, shots: int) -> str:
     """The survival curve, with the repetitions per sequence (0: exact)."""
     lines = ["m,P_m,stderr,K_m,shots"]
     for m, pm, se in zip(data.lengths, data.mean, data.stderr):
-        lines.append(f"{int(m)},{float(pm)!r},{float(se)!r},{data.k_m},{shots}")
+        lines.append(f"{int(m)},{float(pm)!r},{float(se)!r},{data.per_sequence.shape[1]},{shots}")
     return "\n".join(lines) + "\n"
 
 

@@ -9,9 +9,8 @@ them close at the last one.  Each sequence still draws only from its own
 streams, so its survival does not depend on the others.
 
 Every fitted per-length curve of the drivers is an ``RBData``: survivals
-here and in ``irbgs``, fidelity bounds in ``rbsv``.  ``RBData.fitted`` alone
-takes the per-length statistics (``length_stats``) and applies the fit rule
-(``fit_rb_data``).
+here and in ``irbgs``, fidelity bounds in ``rbsv``.  ``RBData.fitted`` is
+the one fit rule.
 """
 
 from __future__ import annotations
@@ -27,40 +26,11 @@ from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, engine_f
 from .fitting import DecayFit, fit_decay, r_from_p
 from .seeding import redraw, run_ensemble, stream_rows
 
-__all__ = [
-    "RBConfig",
-    "RBData",
-    "run_standard_rb",
-    "length_stats",
-    "fit_rb_data",
-    "driver_fit_bounds",
-    "PHYSICAL_COEFFICIENT_BOUNDS",
-]
-
-# survival probabilities and fidelity bounds live on this scale; the decay
-# fit in the drivers is constrained to it to keep the estimate identifiable
-PHYSICAL_COEFFICIENT_BOUNDS = ((0.0, 1.0), (0.0, 1.0))
+__all__ = ["RBConfig", "RBData", "run_standard_rb"]
 
 # a per-length standard error at or below this is floating-point round-off
 # (exact mode with sequence-independent values), not a statistical spread
 ROUNDOFF_STDERR = 1e-12
-
-
-def driver_fit_bounds(d: int, strategy: str, spam_trivial: bool):
-    """Coefficient bounds the protocol drivers hand to the decay fit.
-
-    ``auto`` pins A0 to its known no-SPAM value 1/d when the SPAM model is
-    trivial (a three-parameter exponential is not identifiable on a shallow
-    decay arc), else boxes both coefficients to [0, 1]; ``box`` always
-    boxes; ``free`` leaves the fit unconstrained.
-    """
-    if strategy == "free":
-        return None
-    if strategy == "box" or not spam_trivial:
-        return PHYSICAL_COEFFICIENT_BOUNDS
-    if strategy == "auto":
-        return ((1.0 / d, 1.0 / d), (0.0, 1.0))
-    raise ValueError(f"unknown fit strategy {strategy!r}")
 
 
 def fit_lengths(lengths) -> tuple:
@@ -113,20 +83,6 @@ class RBConfig:
         if self.n > limit:
             raise ValueError(f"n = {self.n} exceeds the {engine} engine's limit of {limit} qubits")
 
-    @property
-    def fit_bounds(self):
-        return driver_fit_bounds(2 ** self.n, self.fit_strategy,
-                                 self.noise.spam.is_trivial)
-
-
-def length_stats(values) -> tuple:
-    """Per-length mean and standard error of an ``(L, K)`` array of
-    per-sequence values."""
-    vals = np.asarray(values, dtype=float)
-    k = vals.shape[1]
-    errs = vals.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(len(vals))
-    return vals.mean(axis=1), errs
-
 
 @dataclass
 class RBData:
@@ -138,25 +94,37 @@ class RBData:
     mean: np.ndarray
     stderr: np.ndarray
     per_sequence: np.ndarray  # (L, K), one row of per-sequence values per length
-    k_m: int
     engine: str  # "pauli" or "dense", see engines.engine_for
-    fit: DecayFit | None = None
-    r: float | None = None
+    fit: DecayFit
+    r: float
 
     @classmethod
     def fitted(cls, config: RBConfig, per_sequence, engine: str | None = None) -> "RBData":
-        """Per-length mean, standard error and decay fit (d = 2^n, ``config.fit_bounds``)
-        of ``(L, K)`` values run under ``config``, by default on its noise's engine."""
-        per_sequence = np.asarray(per_sequence, dtype=float)
-        mean, stderr = length_stats(per_sequence)
-        data = cls(lengths=list(config.lengths), mean=mean, stderr=stderr,
-                   per_sequence=per_sequence, k_m=per_sequence.shape[1],
-                   engine=engine or engine_for(config.noise.channels))
-        data.fit, data.r = fit_rb_data(data, 2 ** config.n, config.fit_bounds)
-        return data
+        """The curve of ``(L, K)`` values run under ``config`` (by default on
+        its noise's engine), fitted by the drivers' one rule (d = 2^n).
 
-    def points(self):
-        return list(zip(self.lengths, self.mean))
+        ``config.fit_strategy`` bounds the coefficients: ``auto`` pins A0 to
+        its no-SPAM value 1/d when the SPAM model is trivial (a
+        three-parameter exponential is not identifiable on a shallow decay
+        arc) and else boxes A0 and B0 to [0, 1], the scale of survivals and
+        fidelity bounds; ``box`` always boxes; ``free`` leaves them free.
+        The means are weighted by 1/stderr^2 only when every stderr is above
+        round-off.
+        """
+        per_sequence = np.asarray(per_sequence, dtype=float)
+        k = per_sequence.shape[1]
+        mean = per_sequence.mean(axis=1)
+        stderr = per_sequence.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(len(mean))
+        d = 2 ** config.n
+        bounds = ((0.0, 1.0), (0.0, 1.0))
+        if config.fit_strategy == "free":
+            bounds = None
+        elif config.fit_strategy == "auto" and config.noise.spam.is_trivial:
+            bounds = ((1.0 / d, 1.0 / d), (0.0, 1.0))
+        weights = 1.0 / stderr ** 2 if np.all(stderr > ROUNDOFF_STDERR) else None
+        fit = fit_decay(zip(config.lengths, mean), weights=weights, coefficient_bounds=bounds)
+        return cls(list(config.lengths), mean, stderr, per_sequence,
+                   engine or engine_for(config.noise.channels), fit, r_from_p(fit.p, d))
 
 
 def generator_gate_set(n: int) -> list:
@@ -262,16 +230,3 @@ def run_standard_rb(config: RBConfig) -> RBData:
         return _survivals(config, compiled, seeds[1])
 
     return RBData.fitted(config, run_ensemble(config.seed, config.lengths, config.k_m, run_units))
-
-
-def fit_rb_data(data, d: int, coefficient_bounds):
-    """Fit the decay curve of per-length averages and return (DecayFit, r).
-
-    ``data`` is an ``RBData``; ``coefficient_bounds`` are
-    explicit bounds, or None for a free fit.  Points are weighted by
-    1/stderr^2 only when every stderr is above round-off.
-    """
-    stderr = np.asarray(data.stderr, dtype=float)
-    weights = 1.0 / stderr ** 2 if np.all(stderr > ROUNDOFF_STDERR) else None
-    fit = fit_decay(data.points(), weights=weights, coefficient_bounds=coefficient_bounds)
-    return fit, r_from_p(fit.p, d)

@@ -35,7 +35,7 @@ from rbsim.irbgs import (
     verify_synthesis,
 )
 from rbsim.paulis import PauliString
-from rbsim.rb import RBConfig, driver_fit_bounds, fit_rb_data, run_standard_rb
+from rbsim.rb import RBConfig, run_standard_rb
 from rbsim.rbsv import RBSVConfig, run_rbsv
 from rbsim.resources import (
     hoeffding_shots,
@@ -77,7 +77,8 @@ def test_criterion_1_exact_rb_recovery():
     t0 = time.perf_counter()
     cfg = RBConfig(n=2, lengths=LENGTHS, k_m=10, exact=True,
                    noise=depolarizing_model(0.001), seed=1)
-    fit, r_rb = fit_rb_data(run_standard_rb(cfg), 4, coefficient_bounds=cfg.fit_bounds)
+    data = run_standard_rb(cfg)
+    fit, r_rb = data.fit, data.r
     elapsed = time.perf_counter() - t0
     ok = (abs(fit.p - 0.999) < 1e-6 and abs(r_rb - 0.00075) < 1e-6 and elapsed < 10.0)
     assert report("1", ok,
@@ -97,8 +98,7 @@ def comparison_ensemble():
         for seed in MASTER_SEEDS:
             rb_cfg = RBConfig(n=2, lengths=LENGTHS, k_m=200, shots=100,
                               noise=depolarizing_model(eps), seed=seed)
-            fit, r_rb = fit_rb_data(run_standard_rb(rb_cfg), 4,
-                                    coefficient_bounds=rb_cfg.fit_bounds)
+            r_rb = run_standard_rb(rb_cfg).r
             sv_cfg = RBSVConfig(n=2, lengths=LENGTHS, k_m=200, n_m=100,
                                 noise=depolarizing_model(eps), seed=seed)
             result = run_rbsv(sv_cfg)
@@ -159,8 +159,7 @@ def test_published_rbsv_beyond_valid_bound_curves():
         r_inside = pinned_offset_infidelity(LENGTHS, floor + inside * (fidelity - floor))
         top = int(np.argmax(r_corners))
         curve = floor + corners[top] * (fidelity - floor)
-        fit = fit_decay(list(zip(LENGTHS, curve)),
-                        coefficient_bounds=driver_fit_bounds(4, "auto", True))
+        fit = fit_decay(list(zip(LENGTHS, curve)), coefficient_bounds=((0.25, 0.25), (0.0, 1.0)))
         assert abs(r_from_p(fit.p, 4) - r_corners[top]) < 1e-3 * r_corners[top]
         assert r_inside.max() <= r_corners[top]
         assert r_corners[top] < PUBLISHED_RBSV[eps]

@@ -7,7 +7,7 @@ import pytest
 from rbsim.channels import Depolarizing, Ideal, NoiseModel, SpamModel
 from rbsim.cliffords import CliffordElement, compose, inverse, parse_circuit
 from rbsim.engines import SequenceBatch
-from rbsim.rb import RBConfig, _draw_elements, fit_rb_data, generator_gate_set, run_standard_rb
+from rbsim.rb import RBConfig, _draw_elements, generator_gate_set, run_standard_rb
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import batch_sequence, seed_with_word, stream_seeds
@@ -136,9 +136,9 @@ class TestRunStandardRB:
         eps = 0.001
         cfg = RBConfig(n=2, lengths=tuple(range(5, 51, 5)), k_m=5, exact=True,
                        noise=depolarizing_model(eps), seed=3)
-        fit, r = fit_rb_data(run_standard_rb(cfg), 4, coefficient_bounds=cfg.fit_bounds)
-        assert abs(fit.p - (1 - eps)) < 1e-6
-        assert abs(r - 0.75 * eps) < 1e-6
+        data = run_standard_rb(cfg)
+        assert abs(data.fit.p - (1 - eps)) < 1e-6
+        assert abs(data.r - 0.75 * eps) < 1e-6
 
     def test_shot_mode_converges_to_exact(self):
         eps = 0.01
@@ -182,8 +182,7 @@ class TestRunStandardRB:
         for m, vals in zip(data.lengths, data.per_sequence):
             expected = 0.25 + 0.75 * (1 - eps) ** (m * b + 1)
             assert np.allclose(vals, expected, atol=1e-12)
-        fit, _ = fit_rb_data(data, 4, coefficient_bounds=cfg.fit_bounds)
-        assert abs(fit.p - (1 - eps) ** b) < 1e-6
+        assert abs(data.fit.p - (1 - eps) ** b) < 1e-6
 
     def test_non_pauli_noise_uses_exact_fallback(self):
         from rbsim.channels import DeltaDepolarizing

@@ -185,14 +185,13 @@ class TestRunRBSV:
         assert result.bounds.r == 0.0
 
     def test_ordering_against_rb_exact_mode(self):
-        from rbsim.rb import RBConfig, fit_rb_data, run_standard_rb
+        from rbsim.rb import RBConfig, run_standard_rb
 
         for eps in (1e-4, 1e-3, 5e-3):
             lengths = tuple(range(5, 51, 5))
             rb_cfg = RBConfig(n=2, lengths=lengths, k_m=3, exact=True,
                               noise=depolarizing_model(eps), seed=7)
-            fit, r_rb = fit_rb_data(run_standard_rb(rb_cfg), 4,
-                                    coefficient_bounds=rb_cfg.fit_bounds)
+            r_rb = run_standard_rb(rb_cfg).r
             sv_cfg = RBSVConfig(n=2, lengths=lengths, k_m=3, exact=True,
                                 noise=depolarizing_model(eps), seed=7)
             result = run_rbsv(sv_cfg)
