@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -158,6 +160,20 @@ class TestFitDecay:
         weights[0] = 1e-8
         fit = fit_decay(list(zip(ms, ys)), weights=weights)
         assert abs(fit.p - 0.95) < 1e-6
+
+    @pytest.mark.parametrize("bounds", [None, UNIT_BOX, PINNED_A0])
+    def test_each_weight_stays_with_its_point_in_any_order(self, bounds):
+        # least squares does not depend on the order of its (point, weight) pairs
+        pairs = list(zip([(5, 0.9), (10, 0.83), (20, 0.6), (40, 0.5)], [1.0, 1.0, 1.0, 1000.0]))
+        fits = []
+        for order in itertools.permutations(pairs):
+            points, weights = zip(*order)
+            fits.append(fit_decay(points, weights=weights, coefficient_bounds=bounds))
+        for fit in fits[1:]:
+            assert abs(fit.p - fits[0].p) < 1e-9
+            assert abs(fit.a0 - fits[0].a0) < 1e-9 and abs(fit.b0 - fits[0].b0) < 1e-9
+        # the heavy point at m = 40 is fitted almost exactly
+        assert abs(fits[0].a0 + fits[0].b0 * fits[0].p ** 40 - 0.5) < 1e-3
 
     def test_bounded_fit_respects_box(self):
         ms = np.arange(5, 51, 5)
