@@ -186,8 +186,9 @@ class CompiledSequence:
     and the samples draw each sequence's count of ``reps`` repetitions, each
     measuring a uniformly drawn stabilizer, from its own repetition stream.
     Acceptance always reads the open sequences, survival the sequences as
-    they stand (closed after ``append_inverse``), so a batch closed before
-    its first readout gives both from one propagation.
+    they stand (closed after ``append_inverse``).  The first readout
+    propagates the batch once for both, so the batch is closed before it or
+    not at all.
     """
 
     def __init__(self, batch: SequenceBatch):
@@ -195,7 +196,6 @@ class CompiledSequence:
         self.n = batch.n
         self.channels = list(self.batch.channels)
         self.closed = False
-        self._engine = None  # the engine of the cached readouts
         self._readouts = {}  # open (False) and closed (True) readouts, see _readout
         # eigenvalues or pauli_action per channel, looked up at every position:
         # by identity, which skips hashing the channel's value (a PauliChannel's keys)
@@ -211,6 +211,8 @@ class CompiledSequence:
         returns every tracked Pauli's image to the Pauli itself."""
         if self.closed:
             raise ValueError("the sequence is already closed")
+        if self._readouts:
+            raise ValueError("close the sequence before its first readout")
         self.closed = True
         self.channels.append(channel)
 
@@ -226,11 +228,9 @@ class CompiledSequence:
 
     def _readout(self, closed: bool):
         """Each open or closed sequence's packed stabilizer group and their
-        expectations before the flips.  One propagation per engine reads out
-        the open sequences and, once the batch is closed, the closed ones."""
-        engine = self.engine
-        if self._engine != engine or closed not in self._readouts:
-            self._engine, self._readouts = engine, self._propagate(engine == "dense")
+        expectations before the flips, from the one propagation of the batch."""
+        if not self._readouts:
+            self._readouts = self._propagate(self.engine == "dense")
         return self._readouts[closed]
 
     def _apply(self, ch: NoiseChannel, group, phases, coefficients) -> np.ndarray:

@@ -156,15 +156,22 @@ def oracle_survival(seq, closing):
     return survival_probability(run_sequence_exact(closed_by(seq, closing)), seq.spam)
 
 
+def closed_by_inverse(batch, closing):
+    """``batch`` compiled and closed by ``append_inverse(closing)``."""
+    compiled = CompiledSequence(batch)
+    compiled.append_inverse(closing)
+    return compiled
+
+
 def assert_matches_dense_oracle(seq, closing):
     """Pauli-engine acceptance (identity in and out) and survival after
     ``append_inverse`` equal the dense oracle to 1e-12."""
     compiled = CompiledSequence(seq)
+    compiled.append_inverse(closing)  # acceptance still reads the open sequence
     assert compiled.engine == "pauli"
     for include_identity in (True, False):
         assert abs(compiled.acceptance_probability(include_identity)
                    - oracle_acceptance(seq, include_identity)) < 1e-12
-    compiled.append_inverse(closing)
     assert abs(compiled.survival_probability() - oracle_survival(seq, closing)) < 1e-12
 
 
@@ -333,6 +340,7 @@ def assert_batch_matches_dense_oracle(batch, closing):
     seqs = [batch_of_one(batch.n, batch_sequence(batch, k), batch.channels, batch.spam)
              for k in range(batch.elements.shape[1])]
     compiled = CompiledSequence(batch)
+    compiled.append_inverse(closing)  # acceptance still reads the open sequences
     assert compiled.engine == "pauli"
     for include_identity in (True, False):
         got = compiled.acceptance_probability(include_identity)
@@ -340,7 +348,6 @@ def assert_batch_matches_dense_oracle(batch, closing):
         assert np.max(np.abs(got - want)) < 1e-12
     # the sequences differ, so values paired with the wrong sequence show
     assert np.ptp(want) > 1e-4
-    compiled.append_inverse(closing)
     got = compiled.survival_probability()
     assert np.max(np.abs(got - [oracle_survival(seq, closing) for seq in seqs])) < 1e-12
 
@@ -389,18 +396,18 @@ class TestBatchEngine:
         ch = DeltaDepolarizing(0.1, 0.95, PauliString.single(2, 0, "X"), 0.2)
         batch = random_batch(2, 3, [ch, Depolarizing(0.05)], SpamModel(), rng)
         compiled = CompiledSequence(batch)
+        compiled.append_inverse(ch)
         assert compiled.engine == "dense"
         seqs = [batch_of_one(2, batch_sequence(batch, k), batch.channels) for k in range(3)]
         want = [oracle_acceptance(seq) for seq in seqs]
         assert np.max(np.abs(compiled.acceptance_probability() - want)) < 1e-12
-        compiled.append_inverse(ch)
         want = [oracle_survival(seq, ch) for seq in seqs]
         assert np.max(np.abs(compiled.survival_probability() - want)) < 1e-12
 
     @pytest.mark.parametrize("spam", ["mixed", "trivial"])
     @pytest.mark.parametrize("path", ["pauli", "dense"])
-    def test_closing_after_a_readout_equals_fresh_instances(self, path, spam, rng):
-        # compare reads acceptance, closes, then reads survival on one instance;
+    def test_a_batch_closed_first_equals_fresh_instances(self, path, spam, rng):
+        # compare closes, then reads acceptance and survival on one instance;
         # every value must be bit for bit that of an instance read only once
         pauli, composed = mixed_channels(2)
         closing = pauli
@@ -410,26 +417,32 @@ class TestBatchEngine:
         batch = random_batch(2, 4, [pauli, composed, Ideal(), closing, pauli], spam, rng)
         seeds = stream_seeds(rng, 4)
 
-        def readouts(compiled, closed):
-            if closed:
-                return [compiled.survival_probability(), compiled.survival_samples(50, seeds),
-                        compiled.propagate_faults()]
+        def acceptance(compiled):
             return [compiled.acceptance_probability(), compiled.acceptance_probability(False),
-                    compiled.acceptance_samples(50, seeds), compiled.propagate_faults()]
+                    compiled.acceptance_samples(50, seeds)]
 
-        shared = CompiledSequence(batch)
+        def survival(compiled):
+            return [compiled.survival_probability(), compiled.survival_samples(50, seeds),
+                    compiled.propagate_faults()]
+
+        def fresh(close):
+            compiled = CompiledSequence(batch)
+            if close:
+                compiled.append_inverse(closing)
+            return compiled
+
+        shared = fresh(True)
         assert shared.engine == path
-        got = readouts(shared, False)
-        shared.append_inverse(closing)
-        got += readouts(shared, True)
-        fresh = CompiledSequence(batch)
-        want = readouts(fresh, False)
-        fresh = CompiledSequence(batch)
-        fresh.append_inverse(closing)
-        want += readouts(fresh, True)
+        got = acceptance(shared) + survival(shared)
+        want = acceptance(fresh(False)) + survival(fresh(True))
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         # the readouts differ between the open and the closed sequence
-        assert not np.array_equal(got[3], got[-1])
+        assert not np.array_equal(fresh(False).propagate_faults(), got[-1])
+        # a readout propagates the batch once, so it cannot be closed after one
+        opened = fresh(False)
+        opened.acceptance_probability()
+        with pytest.raises(ValueError, match="before its first readout"):
+            opened.append_inverse(closing)
         with pytest.raises(ValueError, match="already closed"):
             shared.append_inverse(closing)
 
@@ -488,10 +501,8 @@ class TestPauliKernel:
         for key in ("whole", "blocks"):
             if key == "blocks":
                 monkeypatch.setattr(engines, "_TABLE_WORDS", words)
-            compiled = CompiledSequence(batch)
-            results[key] = [compiled.propagate_faults()]
-            compiled.append_inverse(pauli)
-            results[key].append(compiled.propagate_faults())
+            results[key] = [CompiledSequence(batch).propagate_faults(),
+                            closed_by_inverse(batch, pauli).propagate_faults()]
         assert all(np.array_equal(a, b) for a, b in zip(results["whole"], results["blocks"]))
 
     def test_traced_peak_stays_below_all_positions(self, rng):
@@ -518,7 +529,7 @@ def readouts(batch, closing, seeds):
     compiled = CompiledSequence(batch)
     got = [compiled.propagate_faults(), compiled.acceptance_probability(),
            compiled.acceptance_probability(False), compiled.acceptance_samples(50, seeds)]
-    compiled.append_inverse(closing)
+    compiled = closed_by_inverse(batch, closing)
     return got + [compiled.propagate_faults(), compiled.survival_probability(),
                   compiled.survival_samples(50, seeds)]
 
@@ -611,9 +622,8 @@ class TestNonPauliNoise:
         assert compiled.engine == "dense"
         want = [oracle_expectations(seq) for seq in seqs]
         assert np.max(np.abs(compiled.propagate_faults() - want)) < 1e-12
-        compiled.append_inverse(closing)
         want = [oracle_expectations(seq, closing) for seq in seqs]
-        assert np.max(np.abs(compiled.propagate_faults() - want)) < 1e-12
+        assert np.max(np.abs(closed_by_inverse(batch, closing).propagate_faults() - want)) < 1e-12
 
     def test_engine_builds_no_dense_state(self, rng, monkeypatch):
         batch = non_pauli_batch(3, "clifford", rng)
@@ -630,10 +640,8 @@ class TestNonPauliNoise:
             for name in ("run_sequence_exact", "clifford_to_matrix", "compose", "inverse",
                          "stabilizer_group", "apply_channel"):
                 monkeypatch.setattr(module, name, refuse, raising=False)
-        compiled = CompiledSequence(batch)
-        got = [compiled.propagate_faults()]
-        compiled.append_inverse(closing)
-        got.append(compiled.propagate_faults())
+        got = [CompiledSequence(batch).propagate_faults(),
+               closed_by_inverse(batch, closing).propagate_faults()]
         assert all(np.max(np.abs(g - w)) < 1e-12 for g, w in zip(got, want))
 
     @pytest.mark.parametrize("k_m", [100, 400])
