@@ -162,6 +162,8 @@ class DeltaDepolarizing(NoiseChannel):
     The perturbation is the Pauli rotation U = exp(-i angle/2 P) about the
     Hermitian, phase-free ``rotation`` P (one constructive choice of the
     residual term); :func:`channel_from_spec` builds a single-qubit one.
+    With ``delta`` or ``angle`` 0 it is plain depolarizing noise of strength
+    (1 - delta)(1 - p'), and Pauli-diagonal.
     """
 
     delta: float
@@ -189,7 +191,7 @@ class DeltaDepolarizing(NoiseChannel):
 
     @property
     def is_pauli_diagonal(self) -> bool:
-        return False
+        return self.delta == 0 or self.angle == 0
 
 
 @dataclass(frozen=True)
@@ -285,6 +287,10 @@ def fault_distribution(ch: NoiseChannel, n: int) -> np.ndarray:
         for key, prob in ch.probabilities:
             probs[key.bits] += prob
         return probs
+    if isinstance(ch, DeltaDepolarizing) and ch.is_pauli_diagonal:
+        if ch.rotation.n != n:
+            raise ValueError("rotation dimension does not match state")
+        return fault_distribution(Depolarizing((1 - ch.delta) * (1 - ch.p_prime)), n)
     if isinstance(ch, ComposedChannel):
         # XOR convolution of the component distributions: a product after the transform
         spectrum = np.ones(4 ** n)

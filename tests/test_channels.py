@@ -320,6 +320,23 @@ class TestDeltaDepolarizing:
         assert one != DeltaDepolarizing(0.1, 0.9, PauliString.single(2, 0, "Y"), 0.3)
         assert one != DeltaDepolarizing(0.1, 0.9, PauliString.single(2, 1, "Y"), 0.31)
 
+    @pytest.mark.parametrize("delta, angle", [(0.0, 0.3), (0.2, 0.0), (0.0, 0.0)])
+    def test_no_rotation_is_plain_depolarizing(self, delta, angle):
+        # delta 0 drops the rotation term and angle 0 makes it rho itself:
+        # depolarizing noise of strength (1 - delta)(1 - p')
+        for n in (1, 2, 3):
+            ch = DeltaDepolarizing(delta, 0.9, PauliString.single(n, n - 1, "Y"), angle)
+            assert ch.is_pauli_diagonal
+            lam = pauli_eigenvalues(ch, n)
+            assert np.array_equal(lam, pauli_eigenvalues(Depolarizing((1 - delta) * (1 - 0.9)), n))
+            for idx in range(4 ** n):
+                p = pauli_matrix(_packed_label(idx, n))
+                assert np.max(np.abs(apply_channel(ch, p) - lam[idx] * p)) < 1e-12
+        with pytest.raises(ValueError, match="rotation dimension"):
+            fault_distribution(DeltaDepolarizing(delta, 0.9, PauliString.single(1, 0, "Y"),
+                                                 angle), 2)
+        assert not DeltaDepolarizing(0.2, 0.9, PauliString.single(1, 0, "Y"), 0.3).is_pauli_diagonal
+
     def test_apply_is_the_rotation(self, rng):
         # delta = 1, p' = 1: rho -> U rho U† with U = cos(a/2) I - i sin(a/2) P
         rotation = PauliString.single(2, 0, "Y")

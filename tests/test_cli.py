@@ -481,6 +481,7 @@ def test_rbsv_with_pauli_channel_config(tmp_path):
 @pytest.mark.parametrize("engine, channel", [
     ("pauli", {"kind": "depolarizing", "epsilon": 0.01}),
     ("dense", {"kind": "delta_depolarizing", "delta": 0.01, "p_prime": 0.99}),
+    ("pauli", {"kind": "delta_depolarizing", "delta": 0.01, "p_prime": 0.99, "angle": 0}),
 ])
 def test_summary_names_engine(tmp_path, engine, channel):
     rbsv = dict(small_rbsv_config(), noise={"gate": channel})
@@ -493,6 +494,23 @@ def test_summary_names_engine(tmp_path, engine, channel):
         assert main([command, "--config", path, "--out", out]) == 0
         summary = json.load(open(os.path.join(out, f"{command}_summary.json")))
         assert summary["engine"] == engine, command
+
+
+def test_unrotated_delta_channel_runs_as_depolarizing_beyond_the_dense_limit(tmp_path):
+    # n = 7 is above the dense engine's limit; angle 0 is depolarizing noise
+    # of strength (1 - delta)(1 - p'), so the runs' curves are the same bits
+    csvs = {}
+    for name, gate in (("delta", {"kind": "delta_depolarizing", "delta": 0.1,
+                                  "p_prime": 0.9, "angle": 0}),
+                       ("depolarizing", {"kind": "depolarizing", "epsilon": (1 - 0.1) * (1 - 0.9)})):
+        cfg = {"protocol": "rb", "n": 7, "lengths": [1, 2, 3], "K_m": 2, "mode": "exact",
+               "noise": {"gate": gate}}
+        out = str(tmp_path / name)
+        assert main(["rb", "--config", write_config(tmp_path, f"{name}.json", cfg),
+                     "--out", out]) == 0
+        assert json.load(open(os.path.join(out, "rb_summary.json")))["engine"] == "pauli"
+        csvs[name] = open(os.path.join(out, "rb.csv")).read()
+    assert csvs["delta"] == csvs["depolarizing"]
 
 
 def test_info_log_has_one_line_per_length(tmp_path):

@@ -238,7 +238,9 @@ class TestTrajectoryEngine:
         for n in (1, 2, 3):
             spam = SpamModel(meas_flip=p)
             seq = batch_of_one(n, random_elements(n, 4, rng), spam=spam)
-            identity_but_dense = DeltaDepolarizing(0.0, 1.0, PauliString.single(n, 0, "X"), 0.3)
+            # U = exp(-i pi X) = -I: the identity channel, but not Pauli-diagonal as written
+            identity_but_dense = DeltaDepolarizing(1.0, 1.0, PauliString.single(n, 0, "X"),
+                                                   2 * np.pi)
             for closing, engine in ((Ideal(), "pauli"), (identity_but_dense, "dense")):
                 compiled = CompiledSequence(seq)
                 compiled.append_inverse(closing)
