@@ -32,6 +32,7 @@ __all__ = [
     "pauli_action",
     "channel_from_spec",
     "config_integer",
+    "config_number",
     "rotation_unitary",
 ]
 
@@ -434,8 +435,16 @@ def config_integer(value) -> int:
     raise ValueError(f"not an integer: {value!r}")
 
 
-def _spec_value(value, name: str, kind=float):
-    """``kind(value)`` of a channel spec field (``float`` or
+def config_number(value) -> float:
+    """A JSON number as a ``float``; a string, a boolean or null raises
+    ``ValueError`` rather than being converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"not a number: {value!r}")
+    return float(value)
+
+
+def _spec_value(value, name: str, kind=config_number):
+    """``kind(value)`` of a channel spec field (``config_number`` or
     ``config_integer``); a value of the wrong JSON type raises ``ValueError``
     naming the field."""
     try:

@@ -21,7 +21,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .channels import NoiseModel, SpamModel, channel_from_spec, config_integer
+from .channels import NoiseModel, SpamModel, channel_from_spec, config_integer, config_number
 from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, run_standard_rb
@@ -95,8 +95,19 @@ def _int_list(value) -> tuple:
     return tuple(config_integer(m) for m in value)
 
 
+def _boolean(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError("not a boolean")
+    return value
+
+
 # what each converter of ``_field`` expects, for its error message
-_EXPECTED = {config_integer: "an integer", float: "a number", _int_list: "a list of integers"}
+_EXPECTED = {config_integer: "an integer", config_number: "a number",
+             _int_list: "a list of integers", _boolean: "true or false"}
+
+# the converter of each ``ResourcePlan`` field that is not a number
+_PLAN_KINDS = {"q": config_integer, "n": config_integer, "m": config_integer,
+               "with_spam": _boolean, "stabilizer_weights": _int_list}
 
 
 def _field(cfg: dict, name: str, default=None, required: bool = False, kind=None,
@@ -123,7 +134,7 @@ def _noise_model(cfg: dict, n: int) -> NoiseModel:
     if not isinstance(spec, dict):
         raise ConfigError("field 'noise' must be an object")
     _reject_unknown(spec, ("gate", "prep", "meas", "p_meas"), "noise.")
-    p_meas = _field(spec, "p_meas", 0.0, kind=float, prefix="noise.")
+    p_meas = _field(spec, "p_meas", 0.0, kind=config_number, prefix="noise.")
     channels = {}
     for key, default in (("gate", {"kind": "ideal"}), ("prep", None), ("meas", None)):
         try:
@@ -174,8 +185,8 @@ def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
     if not isinstance(policy_spec, dict):
         raise ConfigError("field 'R_policy' must be an object")
     _reject_unknown(policy_spec, ("kind", "R", "cap"), "R_policy.")
-    fixed = _field(policy_spec, "R", 100.0, kind=float, prefix="R_policy.")
-    cap = _field(policy_spec, "cap", 1.0e4, kind=float, prefix="R_policy.")
+    fixed = _field(policy_spec, "R", 100.0, kind=config_number, prefix="R_policy.")
+    cap = _field(policy_spec, "cap", 1.0e4, kind=config_number, prefix="R_policy.")
     n_m = _field(cfg, "N_m", 100, kind=config_integer)
     try:
         policy = RPolicy(kind=str(policy_spec.get("kind", "optimal")), fixed=fixed, cap=cap)
@@ -183,8 +194,8 @@ def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
             **fields,
             n_m=n_m,
             r_policy=policy,
-            include_identity_stabilizer=bool(
-                _field(cfg, "include_identity_stabilizer", True)),
+            include_identity_stabilizer=_field(cfg, "include_identity_stabilizer", True,
+                                               kind=_boolean),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -407,8 +418,10 @@ def _cmd_irbgs(cfg: dict, args) -> int:
 
 
 def _cmd_plan(cfg: dict, args) -> int:
+    _reject_unknown(cfg, ResourcePlan.__dataclass_fields__)
+    plan = ResourcePlan(**{name: _field(cfg, name, kind=_PLAN_KINDS.get(name, config_number))
+                           for name in cfg})
     try:
-        plan = ResourcePlan.from_dict(cfg)
         values = plan.evaluate()
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"resource plan: {exc}") from exc

@@ -193,14 +193,3 @@ class ResourcePlan:
         if self.stabilizer_weights:
             out["P_perf"] = perf_probability(self.p_meas, self.stabilizer_weights)
         return out
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ResourcePlan":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown resource-plan fields: {sorted(unknown)}")
-        if "stabilizer_weights" in data:
-            data = dict(data)
-            data["stabilizer_weights"] = tuple(data["stabilizer_weights"])
-        return cls(**data)

@@ -184,12 +184,42 @@ class TestConfigErrors:
          "channel field 'axis' must be one of 'X', 'Y', 'Z', not 'Q' (in 'noise.gate')"),
         ("rbsv", {"noise": {"prep": {"kind": "warp"}}},
          "field 'noise': unknown channel kind 'warp' (in 'noise.prep')"),
+        # a string is not a boolean: "false" would run as true
+        ("rbsv", {"include_identity_stabilizer": "false"},
+         "field 'include_identity_stabilizer' must be true or false, not 'false'"),
+        ("rbsv", {"include_identity_stabilizer": 0},
+         "field 'include_identity_stabilizer' must be true or false, not 0"),
+        # nor is a string or a boolean a number
+        ("rbsv", {"R_policy": {"kind": "fixed", "R": "100"}},
+         "field 'R_policy.R' must be a number, not '100'"),
+        ("rbsv", {"noise": {"p_meas": True}}, "field 'noise.p_meas' must be a number, not True"),
+        ("rbsv", {"noise": {"gate": {"kind": "depolarizing", "epsilon": "0.01"}}},
+         "field 'noise': channel field 'epsilon' must be a number, not '0.01'"),
     ])
     def test_wrong_json_type_names_its_field(self, tmp_path, capsys, command, edit, fragment):
         cfg = dict(small_rbsv_config() if command == "rbsv" else IRBGS_CONFIG, **edit)
         path = write_config(tmp_path, "types.json", cfg)
         assert main([command, "--config", path]) == 2
         assert_one_error(capsys, fragment)
+
+    @pytest.mark.parametrize("edit, fragment", [
+        ({"n": 2.5}, "field 'n' must be an integer, not 2.5"),
+        ({"q": 2.5}, "field 'q' must be an integer, not 2.5"),
+        ({"m": "10"}, "field 'm' must be an integer, not '10'"),
+        ({"stabilizer_weights": [1.5, 2]}, "field 'stabilizer_weights' must be a list of integers"),
+        ({"stabilizer_weights": 3}, "field 'stabilizer_weights' must be a list of integers, not 3"),
+        ({"with_spam": "false"}, "field 'with_spam' must be true or false, not 'false'"),
+        ({"t": None}, "field 't' must be a number, not None"),
+        ({"t": "0.01"}, "field 't' must be a number, not '0.01'"),
+        ({"bogus": 1}, "unknown config field 'bogus'"),
+    ])
+    def test_plan_field_of_the_wrong_json_type(self, tmp_path, capsys, edit, fragment):
+        cfg = dict(json.loads((ROOT / "configs" / "plan_two_qubit.json").read_text()), **edit)
+        assert main(["plan", "--config", write_config(tmp_path, "plan.json", cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and fragment in lines[0]
 
     @pytest.mark.parametrize("edit, number", [
         ({"noise": {"gate": {"kind": "pauli", "probabilities": {"II": "@", "XI": 0.1}}}}, "NaN"),
@@ -431,6 +461,13 @@ class TestRuns:
         values = json.load(open(os.path.join(out, "plan.json")))
         assert values["N_m"] == 10000
         assert values["K_m"] == 182
+
+    def test_plan_reads_integral_weights_and_booleans(self, tmp_path, capsys):
+        cfg = {"n": 2, "upsilon": 0.005, "p_meas": 0.01, "stabilizer_weights": [1, 2.0],
+               "with_spam": False}
+        assert main(["plan", "--config", write_config(tmp_path, "plan.json", cfg)]) == 0
+        rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+        assert [row for row in rows if row[0] == "P_perf"] == [["P_perf", str(0.99 ** 3)]]
 
     def test_plan_rejects_unknown_fields(self, tmp_path, capsys):
         path = write_config(tmp_path, "plan.json", {"bogus": 1})

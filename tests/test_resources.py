@@ -262,7 +262,3 @@ class TestResourcePlan:
         plan = ResourcePlan(upsilon=None, m=10, r=0.001, n=2)
         out = plan.evaluate()
         assert abs(out["upsilon"] - variance_bound(10, 0.001, 4)) < 1e-15
-
-    def test_from_dict_rejects_unknown_fields(self):
-        with pytest.raises(ValueError):
-            ResourcePlan.from_dict({"nonsense": 1})
