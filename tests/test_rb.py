@@ -7,7 +7,8 @@ import pytest
 from rbsim.channels import Depolarizing, Ideal, NoiseModel, SpamModel
 from rbsim.cliffords import CliffordElement, compose, inverse, parse_circuit
 from rbsim.engines import SequenceBatch
-from rbsim.rb import RBConfig, _draw_elements, generator_gate_set, run_standard_rb
+from rbsim.fitting import fit_decay, r_from_p
+from rbsim.rb import RBConfig, RBData, _draw_elements, generator_gate_set, run_standard_rb
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import batch_sequence, seed_with_word, stream_seeds
@@ -210,3 +211,53 @@ class TestRunStandardRB:
         for lengths in ((2, 4), (5, 5, 5)):
             with pytest.raises(ValueError, match="need at least 3 points with 3 distinct"):
                 RBConfig(n=2, lengths=lengths)
+
+
+FIT_LENGTHS = tuple(range(5, 51, 5))
+# a line: the free fit's optimum lies far outside the [0, 1] box
+LINE = 0.9 - 0.004 * np.array(FIT_LENGTHS)
+UNIT_BOX = ((0.0, 1.0), (0.0, 1.0))
+
+
+class TestFitRule:
+    """``RBData.fitted``, the drivers' one fit rule, at each ``fit_strategy``."""
+
+    @pytest.mark.parametrize("spam", [SpamModel(), SpamModel(meas_flip=0.02)],
+                             ids=["trivial-spam", "spam"])
+    @pytest.mark.parametrize("strategy, bounds", [
+        ("auto", {True: ((0.25, 0.25), (0.0, 1.0)), False: UNIT_BOX}),
+        ("box", {True: UNIT_BOX, False: UNIT_BOX}),
+        ("free", {True: None, False: None}),
+    ])
+    def test_strategy_picks_the_bounds(self, strategy, bounds, spam):
+        cfg = RBConfig(n=2, lengths=FIT_LENGTHS, fit_strategy=strategy,
+                       noise=NoiseModel(spam=spam))
+        data = RBData.fitted(cfg, np.repeat(LINE[:, None], 3, axis=1))
+        fit = data.fit
+        if strategy == "auto" and spam.is_trivial:
+            assert fit.a0 == 0.25  # pinned to 1/d
+        elif strategy == "free":
+            assert not (0.0 <= fit.a0 <= 1.0 and 0.0 <= fit.b0 <= 1.0)
+        else:
+            assert 0.0 <= fit.a0 <= 1.0 and 0.0 <= fit.b0 <= 1.0
+        # every value of a length is the same: the stderrs are round-off, and
+        # the means are fitted unweighted
+        assert np.all(data.stderr <= 1e-12)
+        assert fit == fit_decay(zip(FIT_LENGTHS, data.mean),
+                                coefficient_bounds=bounds[spam.is_trivial])
+        assert data.r == r_from_p(fit.p, 4)
+
+    def test_means_are_weighted_only_above_round_off(self):
+        values = LINE[:, None] + np.random.default_rng(3).normal(0.0, 1e-3, (len(LINE), 4))
+        cfg = RBConfig(n=2, lengths=FIT_LENGTHS, fit_strategy="box")
+        data = RBData.fitted(cfg, values)
+        stderr = values.std(axis=1, ddof=1) / 2.0
+        assert np.array_equal(data.mean, values.mean(axis=1))
+        assert np.array_equal(data.stderr, stderr)
+        assert data.fit == fit_decay(zip(FIT_LENGTHS, data.mean), weights=1.0 / stderr ** 2,
+                                     coefficient_bounds=UNIT_BOX)
+        # one length without spread: its stderr is round-off, so no length is weighted
+        values[4] = values[4, 0]
+        data = RBData.fitted(cfg, values)
+        assert data.stderr[4] <= 1e-12
+        assert data.fit == fit_decay(zip(FIT_LENGTHS, data.mean), coefficient_bounds=UNIT_BOX)
