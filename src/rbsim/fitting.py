@@ -83,7 +83,9 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit:
     box-constrained, without them free.  ``weights`` follow the usual
     1/stderr^2 convention, one per point; the points may come in any order.
     """
-    ms, ys = np.array([(float(m), float(v)) for m, v in points]).reshape(-1, 2).T
+    pts = [(float(m), float(v)) for m, v in points]
+    ms = np.array([m for m, _ in pts])
+    ys = np.array([v for _, v in pts])
     if len(set(ms.tolist())) < 3:
         raise ValueError("need at least 3 points with 3 distinct lengths")
     if weights is None:

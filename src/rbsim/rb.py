@@ -123,8 +123,9 @@ class RBData:
             bounds = ((1.0 / d, 1.0 / d), (0.0, 1.0))
         weights = 1.0 / stderr ** 2 if np.all(stderr > ROUNDOFF_STDERR) else None
         fit = fit_decay(zip(config.lengths, mean), weights=weights, coefficient_bounds=bounds)
-        return cls(list(config.lengths), mean, stderr, per_sequence,
-                   engine or engine_for(config.noise.channels), fit, r_from_p(fit.p, d))
+        return cls(lengths=list(config.lengths), mean=mean, stderr=stderr,
+                   per_sequence=per_sequence, engine=engine or engine_for(config.noise.channels),
+                   fit=fit, r=r_from_p(fit.p, d))
 
 
 def generator_gate_set(n: int) -> list:

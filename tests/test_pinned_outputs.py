@@ -176,9 +176,9 @@ PINNED_SUMMARY_DIGESTS = {
     'compare-sampled-generator-pauli-spam': 'a96711acf508cb4bf914c34cce55041a2a3f672f52c1053a0fc290a1e0892ffb',
     'irbgs-delta': '384cae22f8b616babca3041d46ad7215562357d74244135126c276b2ac659991',
     'irbgs-depolarizing': '014d343edb14073729e24e08dd2aeb08ec2405767552bf96ca7381a174ad6f1c',
-    'irbgs-pauli-spam': '2ce79e84f1a7a2bc62218256ea158d10fbff8c3407079ed27f2e77112781e3eb',
+    'irbgs-pauli-spam': '52314c59b539d069a442c10d2ff1790ad75fab1c7476ed3c637f47b43f36aec1',
     'rb-exact-clifford-delta-n1': 'ff2932bf30f677d88e8eccf0b5d1a9e4333036a6cfe0278201bd55aecdd302bf',
-    'rb-exact-generator-pauli-spam': 'dbf1ea482eb2f4fa7cef688327f7ba8831b01e109ff336aa70c4b469859be1b0',
+    'rb-exact-generator-pauli-spam': 'ecc0f66c75209f9e26259968463588465eee5045e478244ef92950e50969f8b6',
     'rb-sampled-clifford-depolarizing': '28a243f6a827ee7d08928bbceae6f57f103de27e509e33200b96a54aad12cde8',
     'rb-sampled-generator-delta': '5b48d44d455abf433433ffa055d4b43f4058018c14eee2b2896682b73248e1f6',
     'rbsv-exact-clifford-delta': '7965b6f8da2fd99575eeb14744246c535ee732bd30c46de5b3be909d1810d625',
