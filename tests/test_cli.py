@@ -542,11 +542,11 @@ def test_unrotated_delta_channel_runs_as_depolarizing_beyond_the_dense_limit(tmp
                        ("depolarizing", {"kind": "depolarizing", "epsilon": (1 - 0.1) * (1 - 0.9)})):
         cfg = {"protocol": "rb", "n": 7, "lengths": [1, 2, 3], "K_m": 2, "mode": "exact",
                "noise": {"gate": gate}}
-        out = str(tmp_path / name)
+        out = tmp_path / name
         assert main(["rb", "--config", write_config(tmp_path, f"{name}.json", cfg),
-                     "--out", out]) == 0
-        assert json.load(open(os.path.join(out, "rb_summary.json")))["engine"] == "pauli"
-        csvs[name] = open(os.path.join(out, "rb.csv")).read()
+                     "--out", str(out)]) == 0
+        assert json.loads((out / "rb_summary.json").read_text())["engine"] == "pauli"
+        csvs[name] = (out / "rb.csv").read_text()
     assert csvs["delta"] == csvs["depolarizing"]
 
 
