@@ -33,6 +33,7 @@ __all__ = [
     "channel_from_spec",
     "config_integer",
     "config_number",
+    "config_value",
     "rotation_unitary",
 ]
 
@@ -443,15 +444,18 @@ def config_number(value) -> float:
     return float(value)
 
 
-def _spec_value(value, name: str, kind=config_number):
-    """``kind(value)`` of a channel spec field (``config_number`` or
-    ``config_integer``); a value of the wrong JSON type raises ``ValueError``
-    naming the field."""
+# what each converter expects, for ``config_value``'s message
+config_integer.expected, config_number.expected = "an integer", "a number"
+
+
+def config_value(value, kind, what: str):
+    """``kind(value)`` for a config converter that names what it ``expected``
+    (``config_integer``, ``config_number``, ...); a value it refuses raises
+    ``ValueError``: ``<what> must be <expected>, not <value>``."""
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
-        noun = "an integer" if kind is config_integer else "a number"
-        raise ValueError(f"channel field {name!r} must be {noun}, not {value!r}") from exc
+        raise ValueError(f"{what} must be {kind.expected}, not {value!r}") from exc
 
 
 def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
@@ -478,7 +482,7 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     if kind == "ideal":
         return Ideal()
     if kind == "depolarizing":
-        return Depolarizing(_spec_value(spec["epsilon"], "epsilon"))
+        return Depolarizing(config_value(spec["epsilon"], config_number, "channel field 'epsilon'"))
     if kind == "pauli":
         if not isinstance(spec["probabilities"], dict):
             raise ValueError("channel field 'probabilities' must be an object of "
@@ -488,16 +492,17 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
             key = PauliString.from_label(label)
             if key.n != n:
                 raise ValueError(f"Pauli key {label!r} does not act on {n} qubits")
-            probs[key] = _spec_value(prob, f"probabilities.{label}")
+            probs[key] = config_value(prob, config_number,
+                                      f"channel field 'probabilities.{label}'")
         return PauliChannel(probs)
     axis = spec.get("axis", "X")
     if not isinstance(axis, str) or axis.upper() not in ("X", "Y", "Z"):
         raise ValueError(f"channel field 'axis' must be one of 'X', 'Y', 'Z', not {axis!r}")
-    rotation = PauliString.single(n, _spec_value(spec.get("qubit", 0), "qubit", config_integer),
-                                  axis)
-    return DeltaDepolarizing(_spec_value(spec["delta"], "delta"),
-                             _spec_value(spec["p_prime"], "p_prime"), rotation,
-                             _spec_value(spec.get("angle", 1e-2), "angle"))
+    qubit = config_value(spec.get("qubit", 0), config_integer, "channel field 'qubit'")
+    delta, p_prime, angle = (
+        config_value(spec.get(name, default), config_number, f"channel field {name!r}")
+        for name, default in (("delta", None), ("p_prime", None), ("angle", 1e-2)))
+    return DeltaDepolarizing(delta, p_prime, PauliString.single(n, qubit, axis), angle)
 
 
 def apply_channel(ch: NoiseChannel, rho: np.ndarray) -> np.ndarray:

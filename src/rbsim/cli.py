@@ -21,7 +21,8 @@ import time
 import numpy as np
 
 from . import __version__
-from .channels import NoiseModel, SpamModel, channel_from_spec, config_integer, config_number
+from .channels import (NoiseModel, SpamModel, channel_from_spec, config_integer, config_number,
+                       config_value)
 from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, run_standard_rb
@@ -32,20 +33,6 @@ __all__ = ["main", "load_config", "build_rb_config", "build_rbsv_config",
            "build_irbgs_config"]
 
 log = logging.getLogger("rbsim")
-
-DEFAULT_LENGTHS = tuple(range(5, 51, 5))
-
-# top-level config fields each subcommand reads; anything else is a typo
-_RB_FIELDS = frozenset({"protocol", "n", "lengths", "K_m", "shots", "mode", "noise",
-                        "rb_mode", "b", "seed", "fit_strategy"})
-_RBSV_FIELDS = _RB_FIELDS | {"N_m", "R_policy", "include_identity_stabilizer"}
-_CONFIG_FIELDS = {
-    "rb": _RB_FIELDS,
-    "rbsv": _RBSV_FIELDS,
-    "compare": _RBSV_FIELDS,
-    "irbgs": frozenset({"protocol", "n", "lengths", "K_m", "noise", "noise_n", "recipe",
-                        "seed", "fit_strategy"}),
-}
 
 
 class ConfigError(ValueError):
@@ -101,104 +88,89 @@ def _boolean(value) -> bool:
     return value
 
 
-# what each converter of ``_field`` expects, for its error message
-_EXPECTED = {config_integer: "an integer", config_number: "a number",
-             _int_list: "a list of integers", _boolean: "true or false"}
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError("not a string")
+    return value
+
+
+def _exact(mode) -> bool:
+    """The ``mode`` field: True for ``exact``."""
+    if mode not in ("exact", "sampled"):
+        raise ValueError(f"not a mode: {mode!r}")
+    return mode == "exact"
+
+
+# what each converter expects, for ``config_value``'s message
+_int_list.expected, _boolean.expected = "a list of integers", "true or false"
+_string.expected, _exact.expected = "a string", "'exact' or 'sampled'"
 
 # the converter of each ``ResourcePlan`` field that is not a number
 _PLAN_KINDS = {"q": config_integer, "n": config_integer, "m": config_integer,
                "with_spam": _boolean, "stabilizer_weights": _int_list}
 
 
-def _field(cfg: dict, name: str, default=None, required: bool = False, kind=None,
-           prefix: str = ""):
-    """``cfg[name]``, or ``default`` when absent.  With ``kind`` (a key of
-    ``_EXPECTED``) a present value is converted, and one of the wrong JSON
-    type raises a ``ConfigError`` naming the field ``prefix + name``."""
+def _field(cfg: dict, name: str, kind, default=None, prefix: str = "", n: int | None = None):
+    """``cfg[name]`` read by ``kind``, or ``default`` when absent.  A JSON-type
+    converter (one with an ``expected`` noun) names the field ``prefix + name``
+    when the value is of the wrong type (``config_value``); any other is an
+    object reader, given the value and the register size ``n``, whose errors
+    name the field themselves."""
     if name not in cfg:
-        if required:
-            raise ConfigError(f"missing required config field {prefix + name!r}")
         return default
-    value = cfg[name]
-    if kind is None:
-        return value
-    try:
-        return kind(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field {prefix + name!r} must be {_EXPECTED[kind]}, "
-                          f"not {value!r}") from exc
+    if hasattr(kind, "expected"):
+        return config_value(cfg[name], kind, f"field {prefix + name!r}")
+    return kind(cfg[name], n)
 
 
-def _noise_model(cfg: dict, n: int) -> NoiseModel:
-    spec = _field(cfg, "noise", required=True)
+def _build(cls, cfg: dict, keys: dict, prefix: str = "", **fixed):
+    """``cls`` from each key of ``keys`` present in ``cfg``, read by its
+    converter (``_field``) into the class field it names, and from ``fixed``,
+    which wins.  Every other field takes the class default, so each default
+    and each check is written once, in ``cls``.  ``n`` comes first in a table:
+    the readers after it take its value."""
+    fields = {}
+    for key, (name, kind) in keys.items():
+        if key in cfg:
+            fields[name] = _field(cfg, key, kind, prefix=prefix, n=fields.get("n"))
+    return cls(**{**fields, **fixed})
+
+
+def _noise_model(spec, n: int) -> NoiseModel:
+    """The ``noise`` object: ``gate``, ``prep`` and ``meas`` channels (absent:
+    ideal) and the ``p_meas`` flip probability."""
     if not isinstance(spec, dict):
         raise ConfigError("field 'noise' must be an object")
     _reject_unknown(spec, ("gate", "prep", "meas", "p_meas"), "noise.")
-    p_meas = _field(spec, "p_meas", 0.0, kind=config_number, prefix="noise.")
+    flip = _field(spec, "p_meas", config_number, SpamModel.meas_flip, "noise.")
     channels = {}
-    for key, default in (("gate", {"kind": "ideal"}), ("prep", None), ("meas", None)):
+    for key in ("gate", "prep", "meas"):
         try:
-            channels[key] = channel_from_spec(spec.get(key, default), n)
+            channels[key] = channel_from_spec(spec.get(key), n)
         except ValueError as exc:
             raise ConfigError(f"field 'noise': {exc} (in 'noise.{key}')") from exc
     try:
-        spam = SpamModel(prep=channels["prep"], meas=channels["meas"], meas_flip=p_meas)
+        return NoiseModel(channels["gate"], SpamModel(channels["prep"], channels["meas"], flip))
     except ValueError as exc:
         raise ConfigError(f"field 'noise': {exc}") from exc
-    return NoiseModel(gate=channels["gate"], spam=spam)
 
 
-def _common_rb_fields(cfg: dict, overrides) -> dict:
-    n = _field(cfg, "n", 2, kind=config_integer)
-    mode = _field(cfg, "mode", "sampled")
-    if mode not in ("exact", "sampled"):
-        raise ConfigError(f"field 'mode' must be 'exact' or 'sampled', not {mode!r}")
-    fields = dict(
-        n=n,
-        lengths=_field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list),
-        k_m=_field(cfg, "K_m", 100, kind=config_integer),
-        shots=_field(cfg, "shots", 100, kind=config_integer),
-        exact=mode == "exact",
-        noise=_noise_model(cfg, n),
-        mode=str(_field(cfg, "rb_mode", "clifford")),
-        generator_block=_field(cfg, "b", 10, kind=config_integer),
-        seed=_field(cfg, "seed", 0, kind=config_integer),
-        fit_strategy=str(_field(cfg, "fit_strategy", "auto")),
-    )
-    if overrides.seed is not None:
-        fields["seed"] = overrides.seed
-    if overrides.exact:
-        fields["exact"] = True
-    return fields
-
-
-def build_rb_config(cfg: dict, overrides) -> RBConfig:
+def _noise_n(spec, n: int):
     try:
-        return RBConfig(**_common_rb_fields(cfg, overrides))
+        return channel_from_spec(spec, n)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"field 'noise_n': {exc}") from exc
 
 
-def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
-    fields = _common_rb_fields(cfg, overrides)
-    policy_spec = _field(cfg, "R_policy", {"kind": "optimal"})
-    if not isinstance(policy_spec, dict):
+_POLICY_KEYS = {"kind": ("kind", _string), "R": ("fixed", config_number),
+                "cap": ("cap", config_number)}
+
+
+def _r_policy(spec, n: int) -> RPolicy:
+    if not isinstance(spec, dict):
         raise ConfigError("field 'R_policy' must be an object")
-    _reject_unknown(policy_spec, ("kind", "R", "cap"), "R_policy.")
-    fixed = _field(policy_spec, "R", 100.0, kind=config_number, prefix="R_policy.")
-    cap = _field(policy_spec, "cap", 1.0e4, kind=config_number, prefix="R_policy.")
-    n_m = _field(cfg, "N_m", 100, kind=config_integer)
-    try:
-        policy = RPolicy(kind=str(policy_spec.get("kind", "optimal")), fixed=fixed, cap=cap)
-        return RBSVConfig(
-            **fields,
-            n_m=n_m,
-            r_policy=policy,
-            include_identity_stabilizer=_field(cfg, "include_identity_stabilizer", True,
-                                               kind=_boolean),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    _reject_unknown(spec, _POLICY_KEYS, "R_policy.")
+    return _build(RPolicy, spec, _POLICY_KEYS, "R_policy.")
 
 
 def _load_recipe_file(path: str, source: str) -> list:
@@ -212,15 +184,14 @@ def _load_recipe_file(path: str, source: str) -> list:
         raise ConfigError(f"{source}: recipe file {path!r}: {exc}") from exc
 
 
-def _resolve_recipe(cfg: dict):
-    spec = _field(cfg, "recipe", "cnot")
+def _recipe(spec, n: int):
     if isinstance(spec, str):
         for recipe in builtin_recipes():
             if recipe.name == spec or recipe.target_name == spec:
                 return recipe
         raise ConfigError(f"unknown built-in recipe {spec!r}")
     if isinstance(spec, dict) and isinstance(spec.get("path"), str):
-        index = _field(spec, "index", 0, kind=config_integer, prefix="recipe.")
+        index = _field(spec, "index", config_integer, 0, "recipe.")
         recipes = _load_recipe_file(spec["path"], "field 'recipe'")
         if not 0 <= index < len(recipes):
             raise ConfigError(f"recipe index {index} out of range")
@@ -228,31 +199,49 @@ def _resolve_recipe(cfg: dict):
     raise ConfigError("field 'recipe' must be a built-in name or {path, index}")
 
 
+# config key -> (the config-class field it sets, the converter that reads it)
+_RB_KEYS = {
+    "n": ("n", config_integer), "lengths": ("lengths", _int_list),
+    "K_m": ("k_m", config_integer), "shots": ("shots", config_integer),
+    "mode": ("exact", _exact), "noise": ("noise", _noise_model), "rb_mode": ("mode", _string),
+    "b": ("generator_block", config_integer), "seed": ("seed", config_integer),
+    "fit_strategy": ("fit_strategy", _string),
+}
+_RBSV_KEYS = {**_RB_KEYS, "N_m": ("n_m", config_integer), "R_policy": ("r_policy", _r_policy),
+              "include_identity_stabilizer": ("include_identity_stabilizer", _boolean)}
+_IRBGS_KEYS = {**{key: _RB_KEYS[key] for key in ("n", "lengths", "K_m", "noise", "seed",
+                                                  "fit_strategy")},
+               "noise_n": ("noise_n", _noise_n), "recipe": ("recipe", _recipe)}
+# the top-level fields each run subcommand reads; anything else is a typo
+_CONFIG_FIELDS = {command: frozenset(keys) | {"protocol"} for command, keys in (
+    ("rb", _RB_KEYS), ("rbsv", _RBSV_KEYS), ("compare", _RBSV_KEYS), ("irbgs", _IRBGS_KEYS))}
+# the CLI's defaults where a run's config class has none (RBConfig: n and
+# lengths; IRBGSConfig: lengths and recipe); every other default is the class's
+_DEFAULTS = {"n": 2, "lengths": list(range(5, 51, 5)), "recipe": "cnot"}
+
+
+def _run_config(cls, cfg: dict, keys: dict, overrides):
+    """``cls`` from a run config (see ``_build``), whose ``noise`` is required,
+    with the ``--seed`` and ``--exact`` overrides; irbgs has no ``mode``: its
+    runs are always exact."""
+    if "noise" not in cfg:
+        raise ConfigError("missing required config field 'noise'")
+    fixed = {} if overrides.seed is None else {"seed": overrides.seed}
+    if overrides.exact and "mode" in keys:
+        fixed["exact"] = True
+    return _build(cls, {**_DEFAULTS, **cfg}, keys, **fixed)
+
+
+def build_rb_config(cfg: dict, overrides) -> RBConfig:
+    return _run_config(RBConfig, cfg, _RB_KEYS, overrides)
+
+
+def build_rbsv_config(cfg: dict, overrides) -> RBSVConfig:
+    return _run_config(RBSVConfig, cfg, _RBSV_KEYS, overrides)
+
+
 def build_irbgs_config(cfg: dict, overrides) -> IRBGSConfig:
-    n = _field(cfg, "n", 2, kind=config_integer)
-    noise = _noise_model(cfg, n)
-    try:
-        noise_n = channel_from_spec(_field(cfg, "noise_n", {"kind": "ideal"}), n)
-    except ValueError as exc:
-        raise ConfigError(f"field 'noise_n': {exc}") from exc
-    seed = _field(cfg, "seed", 0, kind=config_integer)
-    if overrides.seed is not None:
-        seed = overrides.seed
-    lengths = _field(cfg, "lengths", DEFAULT_LENGTHS, kind=_int_list)
-    k_m = _field(cfg, "K_m", 30, kind=config_integer)
-    try:
-        return IRBGSConfig(
-            lengths=lengths,
-            k_m=k_m,
-            seed=seed,
-            noise=noise,
-            noise_n=noise_n,
-            recipe=_resolve_recipe(cfg),
-            n=n,
-            fit_strategy=str(_field(cfg, "fit_strategy", "auto")),
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _run_config(IRBGSConfig, cfg, _IRBGS_KEYS, overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -331,95 +320,76 @@ def _emit(out: str, summary_name: str, summary: dict, **csvs):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_rb(cfg: dict, args) -> int:
-    config = build_rb_config(cfg, args)
-    out = _artifact_dir(args)
-    t0 = time.perf_counter()
-    data = run_standard_rb(config)
-    wall = time.perf_counter() - t0
-    summary = _fit_summary(data.fit, "r_rb", data.r)
-    summary.update(engine=data.engine, wall_time_s=wall,
-                   reproducibility=_repro_block(cfg, config.seed))
-    _emit(out, "rb_summary.json", summary, rb=rb_csv(data, 0 if config.exact else config.shots))
-    print(f"r_rb = {data.r!r} (p = {data.fit.p!r})")
-    return 0
+def _rb_report(config: RBConfig, data: RBData):
+    """A run's summary fields (without the run facts ``_cmd_run`` adds), its
+    CSVs by name and its stdout line; one such report per run subcommand."""
+    summary = dict(_fit_summary(data.fit, "r_rb", data.r), engine=data.engine)
+    csvs = {"rb": rb_csv(data, 0 if config.exact else config.shots)}
+    return summary, csvs, f"r_rb = {data.r!r} (p = {data.fit.p!r})"
 
 
-def _cmd_rbsv(cfg: dict, args) -> int:
-    config = build_rbsv_config(cfg, args)
-    out = _artifact_dir(args)
-    t0 = time.perf_counter()
-    result = run_rbsv(config)
-    wall = time.perf_counter() - t0
+def _rbsv_report(config: RBSVConfig, result: RBSVResult):
     bounds = result.bounds
-    summary = _fit_summary(bounds.fit, "r_rbsv", bounds.r)
-    summary.update(
-        engine=bounds.engine,
-        wall_time_s=wall,
-        n_saturated_total=int(np.sum(result.n_saturated)),
-        reproducibility=_repro_block(cfg, config.seed),
-    )
-    _emit(out, "rbsv_summary.json", summary, rbsv=rbsv_csv(result))
-    print(f"r_rbsv = {bounds.r!r} (p = {bounds.fit.p!r})")
-    return 0
+    summary = dict(_fit_summary(bounds.fit, "r_rbsv", bounds.r), engine=bounds.engine,
+                   n_saturated_total=int(np.sum(result.n_saturated)))
+    return summary, {"rbsv": rbsv_csv(result)}, f"r_rbsv = {bounds.r!r} (p = {bounds.fit.p!r})"
 
 
-def _cmd_compare(cfg: dict, args) -> int:
-    # RBSVConfig extends RBConfig, and both protocols read the same sequences
-    config = build_rbsv_config(cfg, args)
-    out = _artifact_dir(args)
-    t0 = time.perf_counter()
-    result = run_rbsv(config, with_rb=True)
+def _compare_report(config: RBSVConfig, result: RBSVResult):
     data, bounds = result.rb, result.bounds
-    wall = time.perf_counter() - t0
-    summary = {
-        "rb": _fit_summary(data.fit, "r_rb", data.r),
-        "rbsv": _fit_summary(bounds.fit, "r_rbsv", bounds.r),
-        "r_rb": data.r,
-        "r_rbsv": bounds.r,
-        "ratio_rbsv_over_rb": (bounds.r / data.r) if data.r else None,
-        "engine": data.engine,
-        "wall_time_s": wall,
-        "reproducibility": _repro_block(cfg, config.seed),
-    }
-    _emit(out, "compare_summary.json", summary,
-          rb=rb_csv(data, 0 if config.exact else config.shots), rbsv=rbsv_csv(result))
-    print(f"r_rb = {data.r!r}  r_rbsv = {bounds.r!r}")
-    return 0
+    summary = {"rb": _fit_summary(data.fit, "r_rb", data.r), "r_rb": data.r,
+               "rbsv": _fit_summary(bounds.fit, "r_rbsv", bounds.r), "r_rbsv": bounds.r,
+               "ratio_rbsv_over_rb": (bounds.r / data.r) if data.r else None,
+               "engine": data.engine}
+    csvs = {"rb": rb_csv(data, 0 if config.exact else config.shots), "rbsv": rbsv_csv(result)}
+    return summary, csvs, f"r_rb = {data.r!r}  r_rbsv = {bounds.r!r}"
 
 
-def _cmd_irbgs(cfg: dict, args) -> int:
-    config = build_irbgs_config(cfg, args)
+def _irbgs_report(config: IRBGSConfig, estimate):
+    summary = {key: getattr(estimate, key) for key in
+               ("p", "p_bar_c", "d", "nonclifford_count", "r_c_est", "r_n_est", "noise_class")}
+    # the interleaved run's channels include the baseline's
+    summary.update(error_bound=estimate.bound, recipe=config.recipe.name,
+                   engine=estimate.interleaved_data.engine)
+    # both runs are exact
+    csvs = {"irbgs_baseline": rb_csv(estimate.baseline_data, 0),
+            "irbgs_interleaved": rb_csv(estimate.interleaved_data, 0)}
+    return summary, csvs, (f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
+                           f"class {estimate.noise_class})")
+
+
+# run subcommand -> (config reader, protocol run, report).  The runs look up
+# run_standard_rb, run_rbsv and run_irbgs when called, so the wrappers that
+# bench/tracing.py installs on them see the call; compare runs RBSVConfig,
+# which extends RBConfig, and reads both protocols off the same sequences
+_RUNS = {
+    "rb": (build_rb_config, lambda config: run_standard_rb(config), _rb_report),
+    "rbsv": (build_rbsv_config, lambda config: run_rbsv(config), _rbsv_report),
+    "compare": (build_rbsv_config, lambda config: run_rbsv(config, with_rb=True),
+                _compare_report),
+    "irbgs": (build_irbgs_config, lambda config: run_irbgs(config), _irbgs_report),
+}
+
+
+def _cmd_run(cfg: dict, args) -> int:
+    """Build the subcommand's config, check ``--out``, time the run, then
+    write its report with the wall time and the reproducibility block."""
+    build, run, report = _RUNS[args.command]
+    config = build(cfg, args)
     out = _artifact_dir(args)
     t0 = time.perf_counter()
-    estimate = run_irbgs(config)
+    result = run(config)
     wall = time.perf_counter() - t0
-    summary = {
-        "p": estimate.p,
-        "p_bar_c": estimate.p_bar_c,
-        "d": estimate.d,
-        "nonclifford_count": estimate.nonclifford_count,
-        "r_c_est": estimate.r_c_est,
-        "r_n_est": estimate.r_n_est,
-        "error_bound": estimate.bound,
-        "noise_class": estimate.noise_class,
-        "recipe": config.recipe.name,
-        # the interleaved run's channels include the baseline's
-        "engine": estimate.interleaved_data.engine,
-        "wall_time_s": wall,
-        "reproducibility": _repro_block(cfg, config.seed),
-    }
-    # both runs are exact
-    _emit(out, "irbgs_summary.json", summary, irbgs_baseline=rb_csv(estimate.baseline_data, 0),
-          irbgs_interleaved=rb_csv(estimate.interleaved_data, 0))
-    print(f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
-          f"class {estimate.noise_class})")
+    summary, csvs, line = report(config, result)
+    summary.update(wall_time_s=wall, reproducibility=_repro_block(cfg, config.seed))
+    _emit(out, f"{args.command}_summary.json", summary, **csvs)
+    print(line)
     return 0
 
 
 def _cmd_plan(cfg: dict, args) -> int:
     _reject_unknown(cfg, ResourcePlan.__dataclass_fields__)
-    plan = ResourcePlan(**{name: _field(cfg, name, kind=_PLAN_KINDS.get(name, config_number))
+    plan = ResourcePlan(**{name: _field(cfg, name, _PLAN_KINDS.get(name, config_number))
                            for name in cfg})
     try:
         values = plan.evaluate()
@@ -468,7 +438,7 @@ def main(argv=None) -> int:
                     "and interleaved protocols plus resource planning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("rb", "rbsv", "compare", "irbgs"):
+    for name in _RUNS:
         _add_common(sub.add_parser(name))
     _add_common(sub.add_parser("plan"), run=False)
     vs = sub.add_parser("verify-synthesis")
@@ -482,13 +452,13 @@ def main(argv=None) -> int:
         if args.command == "plan":
             return _cmd_plan(cfg, args)
         protocol = cfg.get("protocol", args.command)
-        if protocol != args.command and args.command != "compare":
+        # compare reads the rb and rbsv fields of either protocol's config
+        if protocol not in ((args.command,) if args.command != "compare"
+                            else ("rb", "rbsv", "compare")):
             raise ConfigError(
                 f"config 'protocol' is {protocol!r} but subcommand is {args.command!r}")
         _reject_unknown(cfg, _CONFIG_FIELDS[args.command])
-        handler = {"rb": _cmd_rb, "rbsv": _cmd_rbsv,
-                   "compare": _cmd_compare, "irbgs": _cmd_irbgs}[args.command]
-        return handler(cfg, args)
+        return _cmd_run(cfg, args)
     except (ValueError, FailureSignatureError) as exc:
         # ConfigError, UnsupportedChannelError and other run-time ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -24,11 +24,12 @@ from .channels import (
     NoiseModel,
     PauliChannel,
     config_integer,
+    config_value,
 )
 from .cliffords import CliffordElement
 from .engines import engine_for
 from .paulis import pauli_basis
-from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, fit_lengths, run_standard_rb
+from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, run_standard_rb
 from .seeding import run_ensemble
 
 __all__ = [
@@ -84,9 +85,11 @@ class RecipeGate:
 
     def __post_init__(self):
         object.__setattr__(self, "gate", self.gate.upper())
-        object.__setattr__(self, "qubits", tuple(self._integer("qubit", q) for q in self.qubits))
+        what = f"recipe gate {self.gate}:"
+        object.__setattr__(self, "qubits", tuple(config_value(q, config_integer, f"{what} qubit")
+                                                 for q in self.qubits))
         if self.k is not None:
-            object.__setattr__(self, "k", self._integer("k", self.k))
+            object.__setattr__(self, "k", config_value(self.k, config_integer, f"{what} k"))
         if any(q not in (0, 1) for q in self.qubits):
             raise ValueError(f"recipe gate {self.gate}: qubits must be 0 or 1, not "
                              f"{list(self.qubits)}")
@@ -100,14 +103,6 @@ class RecipeGate:
                 raise ValueError(f"{self.gate} acts on one qubit")
         else:
             raise ValueError(f"unknown recipe gate {self.gate!r}")
-
-    def _integer(self, name: str, value) -> int:
-        """``config_integer(value)``; anything else names the gate and field."""
-        try:
-            return config_integer(value)
-        except ValueError:
-            raise ValueError(f"recipe gate {self.gate}: {name} must be an integer, "
-                             f"not {value!r}") from None
 
     def matrix(self) -> np.ndarray:
         """Dense 4x4 matrix on the two-qubit register (qubit 0 leftmost)."""
@@ -383,7 +378,11 @@ class IrbEstimate:
 
 @dataclass(frozen=True)
 class IRBGSConfig:
-    """Two exact-mode runs: baseline RB and the interleaved variant."""
+    """Two exact-mode runs: baseline RB and the interleaved variant.
+
+    ``baseline`` is the baseline run's ``RBConfig``, built (and so checked)
+    with the config; the interleaved run draws its elements under it too.
+    """
 
     lengths: tuple
     k_m: int = 30
@@ -393,11 +392,15 @@ class IRBGSConfig:
     recipe: SynthesisRecipe = None
     n: int = 2
     fit_strategy: str = "auto"
+    baseline: RBConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "lengths", fit_lengths(self.lengths))
         if self.n != 2:
             raise ValueError("the synthesis construction targets two qubits")
+        baseline = RBConfig(n=self.n, lengths=self.lengths, k_m=self.k_m, exact=True,
+                            noise=self.noise, seed=self.seed, fit_strategy=self.fit_strategy)
+        object.__setattr__(self, "baseline", baseline)
+        object.__setattr__(self, "lengths", baseline.lengths)
         if self.recipe is None:
             raise ValueError("an interleaved run needs a synthesis recipe")
 
@@ -422,10 +425,7 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         np.asarray(config.recipe.target, dtype=complex), config.n
     )
 
-    base_cfg = RBConfig(
-        n=config.n, lengths=config.lengths, k_m=config.k_m, exact=True,
-        noise=config.noise, seed=config.seed, fit_strategy=config.fit_strategy,
-    )
+    base_cfg = config.baseline
     baseline = run_standard_rb(base_cfg)
 
     gate_channel = config.noise.gate

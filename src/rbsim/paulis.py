@@ -100,22 +100,10 @@ class PauliString:
     def is_hermitian(self) -> bool:
         return self.phase % 2 == 0
 
-    def commutes_with(self, other: "PauliString") -> bool:
-        if self.n != other.n:
-            raise ValueError("qubit count mismatch")
-        return not symplectic_inner(self.bits, other.bits, self.n)
-
     # -- algebra -------------------------------------------------------
 
     def __mul__(self, other: "PauliString") -> "PauliString":
         return pauli_multiply(self, other)
-
-    def adjoint(self) -> "PauliString":
-        # conjugating i^phase flips odd phases; letters are Hermitian
-        return PauliString(self.n, self.bits, -self.phase)
-
-    def with_phase(self, phase: int) -> "PauliString":
-        return PauliString(self.n, self.bits, phase)
 
     # -- dense form ------------------------------------------------------
 

@@ -34,8 +34,12 @@ ROUNDOFF_STDERR = 1e-12
 
 
 def fit_lengths(lengths) -> tuple:
-    """``lengths`` as ints, each m >= 1, with the 3 distinct ones a fit needs."""
-    lengths = tuple(int(m) for m in lengths)
+    """``lengths`` as ints, each m >= 1, with the 3 distinct ones a fit needs;
+    a length that is not integral raises rather than being truncated."""
+    given = tuple(lengths)
+    lengths = tuple(int(m) for m in given)
+    if lengths != given:
+        raise ValueError(f"lengths must be integers, not {list(given)}")
     if not lengths or any(m < 1 for m in lengths):
         raise ValueError("lengths must be a non-empty list of m >= 1")
     if len(set(lengths)) < 3:

@@ -112,6 +112,20 @@ class TestConfigErrors:
         assert main([command, "--config", path]) == 2
         assert_one_error(capsys, f"unknown config field {field}")
 
+    @pytest.mark.parametrize("protocol", ["banana", "irbgs"])
+    def test_compare_refuses_other_protocols(self, tmp_path, capsys, protocol):
+        path = write_config(tmp_path, "banana.json", dict(small_rbsv_config(), protocol=protocol))
+        assert main(["compare", "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert_one_error(capsys, f"config 'protocol' is {protocol!r} but subcommand is 'compare'")
+        assert not (tmp_path / "out").exists()
+
+    def test_irbgs_checked_before_out_is_made(self, tmp_path, capsys):
+        path = write_config(tmp_path, "k0.json", dict(IRBGS_CONFIG, K_m=0))
+        out = tmp_path / "out"
+        assert main(["irbgs", "--config", path, "--out", str(out)]) == 2
+        assert_one_error(capsys, "k_m must be >= 1")
+        assert not out.exists()
+
     def test_irbgs_rejects_rbsv_fields(self, tmp_path, capsys):
         cfg = dict(IRBGS_CONFIG, N_m=100)
         path = write_config(tmp_path, "irbgs.json", cfg)
@@ -195,6 +209,11 @@ class TestConfigErrors:
         ("rbsv", {"noise": {"p_meas": True}}, "field 'noise.p_meas' must be a number, not True"),
         ("rbsv", {"noise": {"gate": {"kind": "depolarizing", "epsilon": "0.01"}}},
          "field 'noise': channel field 'epsilon' must be a number, not '0.01'"),
+        # nor is a number a string: 1 would read as the unknown fit strategy '1'
+        ("rbsv", {"fit_strategy": 1}, "field 'fit_strategy' must be a string, not 1"),
+        ("rbsv", {"rb_mode": True}, "field 'rb_mode' must be a string, not True"),
+        ("rbsv", {"R_policy": {"kind": None}}, "field 'R_policy.kind' must be a string, not None"),
+        ("irbgs", {"fit_strategy": ["box"]}, "field 'fit_strategy' must be a string, not ['box']"),
     ])
     def test_wrong_json_type_names_its_field(self, tmp_path, capsys, command, edit, fragment):
         cfg = dict(small_rbsv_config() if command == "rbsv" else IRBGS_CONFIG, **edit)

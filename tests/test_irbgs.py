@@ -298,6 +298,19 @@ class TestRunIRBGS:
         with pytest.raises(ValueError, match="verification"):
             run_irbgs(cfg)
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"k_m": 0, "fit_strategy": "bogus"}, "k_m must be >= 1"),
+        ({"fit_strategy": "bogus"}, "unknown fit strategy 'bogus'"),
+        ({"lengths": (1.5, 2.9, 3)}, "lengths must be integers"),
+    ])
+    def test_config_checked_when_built(self, fields, message):
+        # the baseline RBConfig is built, and so checked, with the config
+        with pytest.raises(ValueError, match=message):
+            IRBGSConfig(**{"lengths": (2, 4, 6), "recipe": builtin_recipes()[0], **fields})
+        cfg = IRBGSConfig(lengths=(2.0, 4, 6), recipe=builtin_recipes()[0], fit_strategy="box")
+        assert cfg.lengths == cfg.baseline.lengths == (2, 4, 6)
+        assert cfg.baseline.exact and cfg.baseline.fit_strategy == "box"
+
 
 class TestCliffordFromUnitary:
     def test_recipe_targets_are_clifford(self):

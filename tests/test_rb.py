@@ -212,6 +212,13 @@ class TestRunStandardRB:
             with pytest.raises(ValueError, match="need at least 3 points with 3 distinct"):
                 RBConfig(n=2, lengths=lengths)
 
+    def test_non_integral_lengths_refused(self):
+        # truncating (1.5, 2.9, 3) would run (1, 2, 3) without a word
+        with pytest.raises(ValueError, match=r"lengths must be integers, not \[1\.5, 2\.9, 3\]"):
+            RBConfig(n=1, lengths=(1.5, 2.9, 3), exact=True)
+        config = RBConfig(n=1, lengths=np.arange(1, 4), exact=True)
+        assert config.lengths == (1, 2, 3) and all(type(m) is int for m in config.lengths)
+
 
 FIT_LENGTHS = tuple(range(5, 51, 5))
 # a line: the free fit's optimum lies far outside the [0, 1] box
