@@ -191,6 +191,7 @@ def _recipe(spec, n: int):
                 return recipe
         raise ConfigError(f"unknown built-in recipe {spec!r}")
     if isinstance(spec, dict) and isinstance(spec.get("path"), str):
+        _reject_unknown(spec, ("path", "index"), "recipe.")
         index = _field(spec, "index", config_integer, 0, "recipe.")
         recipes = _load_recipe_file(spec["path"], "field 'recipe'")
         if not 0 <= index < len(recipes):

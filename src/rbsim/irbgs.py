@@ -29,7 +29,7 @@ from .channels import (
 from .cliffords import CliffordElement
 from .engines import engine_for
 from .paulis import pauli_basis
-from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals, run_standard_rb
+from .rb import RBConfig, RBData, _compile, _draw_elements, _rb_ensemble, _survivals
 from .seeding import run_ensemble
 
 __all__ = [
@@ -406,8 +406,9 @@ class IRBGSConfig:
 
 
 def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
-    """Baseline + interleaved exact-mode runs (each fitted, see
-    ``RBData.fitted``), estimate and bound.
+    """Baseline + interleaved exact-mode runs (the baseline's survivals as
+    ``run_standard_rb`` draws them; both curves fitted in one
+    ``RBData.fitted`` call), estimate and bound.
 
     The fixed element is the recipe's ideal Clifford product; its channel is
     ``noise_n`` once per CP or CP† instance of the recipe, whose single-qubit
@@ -426,7 +427,7 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
     )
 
     base_cfg = config.baseline
-    baseline = run_standard_rb(base_cfg)
+    baseline = _rb_ensemble(base_cfg)
 
     gate_channel = config.noise.gate
     fixed_channel = ComposedChannel([config.noise_n] * n_cp)
@@ -444,9 +445,10 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
                           seeds[1])
 
     # its own stream, so the interleaved sequences are not the baseline's
-    interleaved = RBData.fitted(
-        base_cfg, run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, run_units),
-        engine=engine_for(config.noise.channels + (fixed_channel,)))
+    interleaved = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, run_units)
+    baseline, interleaved = RBData.fitted(  # both curves in one fit call
+        base_cfg, np.stack([baseline, interleaved]),
+        engine=[None, engine_for(config.noise.channels + (fixed_channel,))])
 
     p, p_bar_c = baseline.fit.p, interleaved.fit.p
     noise_class, delta = _noise_class_of(config.noise_n)

@@ -103,33 +103,40 @@ class RBData:
     r: float
 
     @classmethod
-    def fitted(cls, config: RBConfig, per_sequence, engine: str | None = None) -> "RBData":
+    def fitted(cls, config: RBConfig, per_sequence, engine=None):
         """The curve of ``(L, K)`` values run under ``config`` (by default on
-        its noise's engine), fitted by the drivers' one rule (d = 2^n).
+        its noise's engine), fitted by the drivers' one rule (d = 2^n); or C
+        such curves, ``(C, L, K)``, fitted in one ``fit_decay`` call and
+        returned as a list, each as if fitted alone.  ``engine`` names every
+        curve's engine, or each curve's with one entry per curve.
 
         ``config.fit_strategy`` bounds the coefficients: ``auto`` pins A0 to
         its no-SPAM value 1/d when the SPAM model is trivial (a
         three-parameter exponential is not identifiable on a shallow decay
         arc) and else boxes A0 and B0 to [0, 1], the scale of survivals and
         fidelity bounds; ``box`` always boxes; ``free`` leaves them free.
-        The means are weighted by 1/stderr^2 only when every stderr is above
-        round-off.
+        A curve's means are weighted by 1/stderr^2 only when every stderr is
+        above round-off.
         """
-        per_sequence = np.asarray(per_sequence, dtype=float)
-        k = per_sequence.shape[1]
-        mean = per_sequence.mean(axis=1)
-        stderr = per_sequence.std(axis=1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(len(mean))
+        values = np.asarray(per_sequence, dtype=float)
+        curves = values.reshape(-1, *values.shape[-2:])
+        k = curves.shape[-1]
+        mean = curves.mean(axis=-1)
+        stderr = curves.std(axis=-1, ddof=1) / np.sqrt(k) if k > 1 else np.zeros(mean.shape)
         d = 2 ** config.n
         bounds = ((0.0, 1.0), (0.0, 1.0))
         if config.fit_strategy == "free":
             bounds = None
         elif config.fit_strategy == "auto" and config.noise.spam.is_trivial:
             bounds = ((1.0 / d, 1.0 / d), (0.0, 1.0))
-        weights = 1.0 / stderr ** 2 if np.all(stderr > ROUNDOFF_STDERR) else None
-        fit = fit_decay(zip(config.lengths, mean), weights=weights, coefficient_bounds=bounds)
-        return cls(lengths=list(config.lengths), mean=mean, stderr=stderr,
-                   per_sequence=per_sequence, engine=engine or engine_for(config.noise.channels),
-                   fit=fit, r=r_from_p(fit.p, d))
+        weights = [1.0 / se ** 2 if np.all(se > ROUNDOFF_STDERR) else None for se in stderr]
+        fits = fit_decay(zip(config.lengths, mean.T), weights=weights,
+                         coefficient_bounds=[bounds] * len(curves))
+        engines = engine if isinstance(engine, (list, tuple)) else [engine] * len(curves)
+        data = [cls(lengths=list(config.lengths), mean=m, stderr=se, per_sequence=v,
+                    engine=e or engine_for(config.noise.channels), fit=fit, r=r_from_p(fit.p, d))
+                for m, se, v, e, fit in zip(mean, stderr, curves, engines, fits)]
+        return data[0] if values.ndim == 2 else data
 
 
 def generator_gate_set(n: int) -> list:
@@ -219,9 +226,8 @@ def _survivals(config: RBConfig, compiled: CompiledSequence, seeds) -> np.ndarra
     return compiled.survival_samples(config.shots, seeds) / config.shots
 
 
-def run_standard_rb(config: RBConfig) -> RBData:
-    """Run the full protocol, average survival over k_m sequences per length
-    and fit the decay.
+def _rb_ensemble(config: RBConfig) -> np.ndarray:
+    """The ``(L, K)`` survivals of the full protocol under ``config``.
 
     Every sequence of every length is drawn, propagated and counted in one
     batch (``seeding.run_ensemble``).  Each sequence's survival is exact in
@@ -234,4 +240,10 @@ def run_standard_rb(config: RBConfig) -> RBData:
         compiled = _compile(config, *_draw_elements(config, lengths, seeds[0]), close=True)
         return _survivals(config, compiled, seeds[1])
 
-    return RBData.fitted(config, run_ensemble(config.seed, config.lengths, config.k_m, run_units))
+    return run_ensemble(config.seed, config.lengths, config.k_m, run_units)
+
+
+def run_standard_rb(config: RBConfig) -> RBData:
+    """Run the full protocol (``_rb_ensemble``), average survival over k_m
+    sequences per length and fit the decay."""
+    return RBData.fitted(config, _rb_ensemble(config))

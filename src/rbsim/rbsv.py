@@ -127,7 +127,7 @@ class RBSVConfig(RBConfig):
             warnings.warn(
                 f"N_m={self.n_m} is below the stabilizer-group size 2^{self.n}; "
                 "the acceptance estimate may converge poorly",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the caller
             )
 
 
@@ -179,11 +179,16 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
         p_acc, survivals = np.array(np.moveaxis(p_acc, 2, 0))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays
         [[config.r_policy.choose(p) for p in row] for row in p_acc.tolist()]).transpose(2, 0, 1)
+    bounds = np.vectorize(fidelity_lower_bound)(p_acc, copies)
+    if with_rb:  # both curves in one fit call
+        bounds, rb = RBData.fitted(config, np.stack([bounds, survivals]))
+    else:
+        bounds, rb = RBData.fitted(config, bounds), None
     return RBSVResult(
-        bounds=RBData.fitted(config, np.vectorize(fidelity_lower_bound)(p_acc, copies)),
+        bounds=bounds,
         per_sequence_p_acc=p_acc,
         mean_p_acc=p_acc.mean(axis=1),
         mean_copies=copies.mean(axis=1),
         n_saturated=saturated.sum(axis=1).astype(int),
-        rb=RBData.fitted(config, survivals) if with_rb else None,
+        rb=rb,
     )

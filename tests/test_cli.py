@@ -126,6 +126,16 @@ class TestConfigErrors:
         assert_one_error(capsys, "k_m must be >= 1")
         assert not out.exists()
 
+    def test_recipe_object_rejects_unknown_keys(self, tmp_path, capsys):
+        # a misspelt index must not run recipe 0 without a word
+        recipe_path = write_config(tmp_path, "recipes.json", json.loads(bundled_recipe_text()))
+        cfg = dict(IRBGS_CONFIG, recipe={"path": recipe_path, "indx": 3})
+        path = write_config(tmp_path, "irbgs.json", cfg)
+        out = tmp_path / "out"
+        assert main(["irbgs", "--config", path, "--out", str(out)]) == 2
+        assert_one_error(capsys, "unknown config field 'recipe.indx'")
+        assert not out.exists()
+
     def test_irbgs_rejects_rbsv_fields(self, tmp_path, capsys):
         cfg = dict(IRBGS_CONFIG, N_m=100)
         path = write_config(tmp_path, "irbgs.json", cfg)

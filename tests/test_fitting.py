@@ -231,23 +231,112 @@ def test_bench_fits_keep_their_earlier_p(ms, ys, weights, bounds, p):
     assert abs(fit.p - p) <= 1e-9
 
 
-@pytest.mark.parametrize("ys", [
-    SEED7_FITS[0].values[1],
-    SEED7_FITS[1].values[1],
-    [0.25 + 0.75 * 0.5 ** m for m in range(5, 51, 5)],  # the widest refinement bracket
-], ids=["compare-n2/rb", "compare-n2/rbsv", "fast-decay"])
-def test_bounded_fit_profiles_in_a_few_array_calls(monkeypatch, ys):
+def _count_profile_rounds(monkeypatch):
+    """Record the number of p points per curve of every ``_profile`` call."""
     sizes = []
     profile = fitting._profile
 
     def counting(ps, *args):
-        sizes.append(len(ps))
+        sizes.append(np.shape(ps)[-1])
         return profile(ps, *args)
 
     monkeypatch.setattr(fitting, "_profile", counting)
+    return sizes
+
+
+FAST_DECAY = [0.25 + 0.75 * 0.5 ** m for m in range(5, 51, 5)]  # the widest refinement bracket
+
+
+@pytest.mark.parametrize("ys", [SEED7_FITS[0].values[1], SEED7_FITS[1].values[1], FAST_DECAY],
+                         ids=["compare-n2/rb", "compare-n2/rbsv", "fast-decay"])
+def test_bounded_fit_profiles_in_a_few_array_calls(monkeypatch, ys):
+    sizes = _count_profile_rounds(monkeypatch)
     fit_decay(list(zip(range(5, 51, 5), ys)), coefficient_bounds=PINNED_A0)
     assert sizes[0] == fitting._GRID_SIZE
+    assert sizes[1:-1] == [fitting._ZOOM_SIZE] * (len(sizes) - 2) and sizes[-1] == 1
     assert len(sizes) <= 12  # the grid, at most ten zoom rounds, the final call
+
+
+def _fit_counting_rounds(monkeypatch, points, weights=None, bounds=None):
+    """``fit_decay``'s result and its number of ``_profile`` calls."""
+    sizes = _count_profile_rounds(monkeypatch)
+    fit = fit_decay(points, weights=weights, coefficient_bounds=bounds)
+    monkeypatch.undo()
+    return fit, len(sizes)
+
+
+def test_curves_fitted_together_profile_once_per_round(monkeypatch):
+    # the rounds of a call are those of its slowest curve, not their sum
+    curves = [SEED7_FITS[0].values[1], FAST_DECAY]
+    alone = [_fit_counting_rounds(monkeypatch, list(zip(range(5, 51, 5), ys)),
+                                  bounds=PINNED_A0)[1] for ys in curves]
+    _, together = _fit_counting_rounds(monkeypatch, list(zip(range(5, 51, 5), zip(*curves))),
+                                       bounds=[PINNED_A0] * 2)
+    assert alone[0] != alone[1] and together == max(alone)
+
+
+def test_curves_fitted_together_each_get_their_fit_alone(monkeypatch):
+    ms = [2, 4, 6, 9, 13, 18, 25]
+    rng = np.random.default_rng(5)
+    curves = [  # values, weights, bounds
+        ([0.6] * len(ms), None, UNIT_BOX),  # constant: degenerate
+        (_noisy(ms, 0.25, 0.74, 0.5, 1), None, PINNED_A0),  # fast decay, wide bracket
+        (_noisy(ms, 0.25, 0.7, 0.999, 2, 1e-4), rng.uniform(1e4, 1e6, len(ms)), UNIT_BOX),
+        (_noisy(ms, 0.2, 0.75, 0.97, 3), rng.uniform(1.0, 3.0, len(ms)), None),  # free
+        (_noisy(ms, 1.1, 0.5, 0.9, 5), None, UNIT_BOX),  # A0 clamped at 1
+        ([0.2 + 0.001 * m for m in ms], None, PINNED_A0),  # rising: B0 clamped at 0
+    ]
+    alone = [_fit_counting_rounds(monkeypatch, list(zip(ms, ys)), w, b) for ys, w, b in curves]
+    fits, rounds = zip(*alone)
+    assert fits[0].degenerate and not any(f.degenerate for f in fits[1:])
+    assert fits[4].a0 == 1.0 and fits[5].b0 == 0.0
+    assert len(set(rounds[1:])) > 1  # the brackets converge in different rounds
+    values, weights, bounds = zip(*curves)
+    together = fit_decay(list(zip(ms, zip(*values))), weights=weights, coefficient_bounds=bounds)
+    assert together == list(fits)
+    # any subset, in any order, gives the same fits
+    for pick in ([3, 1], [5], [2, 0, 4]):
+        subset = fit_decay(list(zip(ms, zip(*(values[i] for i in pick)))),
+                           weights=[weights[i] for i in pick],
+                           coefficient_bounds=[bounds[i] for i in pick])
+        assert subset == [fits[i] for i in pick]
+
+
+def test_curve_axis_needs_one_entry_per_curve():
+    points = list(zip([1, 2, 3, 4], zip([0.9, 0.8, 0.7, 0.65], [0.8, 0.7, 0.6, 0.5])))
+    with pytest.raises(ValueError, match="one weights and one bounds entry per curve"):
+        fit_decay(points, weights=[None])
+    with pytest.raises(ValueError, match="coefficient bounds must be"):
+        fit_decay(points, coefficient_bounds=UNIT_BOX)  # one box is not one per curve
+    with pytest.raises(ValueError, match="weights must match points"):
+        fit_decay(points, weights=[None, [1.0, 2.0]])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_profile_sse_is_the_direct_sse_and_beats_a_box_scan(seed):
+    rng = np.random.default_rng(seed)
+    ms = np.sort(rng.choice(np.arange(1.0, 40.0), size=int(rng.integers(3, 9)), replace=False))
+    ys = rng.uniform(-0.2, 1.2) + rng.uniform(-1.0, 1.0) * rng.uniform(0.5, 1.0) ** ms \
+        + rng.normal(0.0, 0.05, ms.size)
+    w = rng.uniform(0.1, 10.0, ms.size)
+    a_lo, b_lo = rng.uniform(-0.5, 0.5, 2)
+    box = ((a_lo, a_lo + rng.choice([0.0, rng.uniform(0.0, 1.0)])),
+           (b_lo, b_lo + rng.uniform(0.0, 1.0)))
+    ps = rng.uniform(0.0, 1.0, 5)
+    curves = fitting._Curves(ms, ys[None], w[None], [box])
+    # (5, C, P) candidates of the one curve, one row of five per p
+    cand_a, cand_b, cand_sse = (c[:, 0].T for c in fitting._profile(ps, curves))
+    grid_a = np.linspace(*box[0], 101)
+    grid_b = np.linspace(*box[1], 101)
+    for p, a, b, sse in zip(ps, cand_a, cand_b, cand_sse):
+        k = int(np.argmin(sse))
+        a0, b0 = a[k] + curves.shift[0, 0], b[k]
+        assert box[0][0] <= a0 <= box[0][1] and box[1][0] <= b0 <= box[1][1]
+        # every candidate's SSE is the direct SSE of its own coefficients
+        for ak, bk, sk in zip(a + curves.shift[0, 0], b, sse):
+            assert abs(sk - w @ (ys - ak - bk * p ** ms) ** 2) <= 1e-12 * sk
+        resid = ys - grid_a[:, None, None] - grid_b[None, :, None] * p ** ms
+        assert sse[k] <= np.min((resid * resid) @ w) * (1 + 1e-12)
 
 
 class TestRFromP:

@@ -31,6 +31,7 @@ from rbsim.irbgs import (
     verify_synthesis,
 )
 from rbsim import irbgs as irbgs_module
+from rbsim import rb as rb_module
 from rbsim.engines import CompiledSequence
 from rbsim.paulis import PauliString
 from rbsim.rb import _compile as compile_batch
@@ -356,3 +357,18 @@ def test_recipe_gate_validation():
         with pytest.raises(ValueError):
             RecipeGate("CP" if k is not None else "H", qubits, k)
     assert RecipeGate("CP", (0.0, 1), 2.0) == RecipeGate("CP", (0, 1), 2)
+
+
+def test_run_irbgs_fits_its_two_curves_in_one_call(monkeypatch):
+    calls = []
+    fit = rb_module.fit_decay
+    monkeypatch.setattr(rb_module, "fit_decay", lambda *a, **k: calls.append(1) or fit(*a, **k))
+    cfg = IRBGSConfig(lengths=(2, 5, 8, 11), k_m=3, seed=4,
+                      noise=NoiseModel(gate=Depolarizing(0.002)),
+                      noise_n=Depolarizing(0.001), recipe=builtin_recipes()[0])
+    est = run_irbgs(cfg)
+    assert len(calls) == 1
+    # the baseline curve is the one run_standard_rb fits alone
+    baseline = rb_module.run_standard_rb(cfg.baseline)
+    assert est.baseline_data.fit == baseline.fit
+    assert np.array_equal(est.baseline_data.per_sequence, baseline.per_sequence)

@@ -12,7 +12,9 @@ from conftest import (
 
 from rbsim.channels import Depolarizing, NoiseModel, measurement_success_probability
 from rbsim.cliffords import compose, random_clifford, stabilizer_group
+from rbsim import rb as rb_module
 from rbsim.engines import CompiledSequence, run_sequence_exact
+from rbsim.rb import run_standard_rb
 from rbsim.rbsv import (
     DEFAULT_COPY_CAP,
     FailureSignatureError,
@@ -218,6 +220,24 @@ class TestRunRBSV:
         with pytest.warns(UserWarning):
             RBSVConfig(n=2, lengths=(2, 4, 6), k_m=1, n_m=3,
                        noise=depolarizing_model(0.01))
+
+    def test_small_n_m_warning_names_the_callers_file(self):
+        # not the dataclass-generated __init__, which has no file
+        with pytest.warns(UserWarning, match="below the stabilizer-group size") as record:
+            RBSVConfig(n=3, lengths=(2, 4, 6), k_m=1, n_m=4)
+        assert [w.filename for w in record] == [__file__]
+
+    def test_compare_fits_both_curves_in_one_call(self, monkeypatch):
+        calls = []
+        fit = rb_module.fit_decay
+        monkeypatch.setattr(rb_module, "fit_decay",
+                            lambda *a, **k: calls.append(1) or fit(*a, **k))
+        cfg = RBSVConfig(n=2, lengths=(2, 4, 6), k_m=3, n_m=8, shots=8,
+                         noise=depolarizing_model(0.01), seed=3)
+        result = run_rbsv(cfg, with_rb=True)
+        assert len(calls) == 1
+        assert result.rb.fit == run_standard_rb(cfg).fit
+        assert result.bounds.fit == run_rbsv(cfg).bounds.fit
 
 
 def test_rbsv_supports_generator_mode_exact():
