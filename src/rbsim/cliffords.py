@@ -32,6 +32,7 @@ the draws' mixed radix, then applies levels n - 3 .. 0 by transvection.
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,6 +77,14 @@ MAX_SAMPLED_QUBITS = 31
 _DRAW_ELEMENTS = 1 << 11
 
 
+def _integers(values, what: str) -> tuple:
+    """``values`` as ints (numpy integers too); a float raises, not truncated."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} must be integers, not {list(values)}") from None
+
+
 @dataclass(frozen=True)
 class GeneratorGate:
     """One gate from the Clifford generating set {H, P, P†, CNOT} plus X."""
@@ -86,7 +95,7 @@ class GeneratorGate:
     def __post_init__(self):
         name = self.name.upper()
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        object.__setattr__(self, "qubits", _integers(self.qubits, f"{name} qubits"))
         if name not in GENERATOR_GATE_NAMES:
             raise ValueError(f"unknown gate {self.name!r}")
         want = 1 if name in _ONE_QUBIT_RULES else 2
@@ -147,8 +156,8 @@ class CliffordElement:
     phases: tuple
 
     def __init__(self, n: int, rows, phases):
-        rows = tuple(int(v) for v in rows)
-        phases = tuple(int(p) & 3 for p in phases)
+        rows = _integers(rows, "tableau rows")
+        phases = tuple(p & 3 for p in _integers(phases, "tableau phases"))
         if len(rows) != 2 * n or any(v < 0 or v >> (2 * n) for v in rows):
             raise ValueError("need 2n packed image rows of 2n bits")
         if len(phases) != 2 * n:

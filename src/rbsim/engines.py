@@ -61,9 +61,14 @@ _COUNT_WORDS = 1 << 13
 _STATE_WORDS = 1 << 13
 
 
-def engine_for(channels) -> str:
-    """``"pauli"`` when every channel is Pauli-diagonal, else ``"dense"``."""
-    return "pauli" if all(ch.is_pauli_diagonal for ch in channels) else "dense"
+def engine_for(channels, n: int) -> str:
+    """The engine that runs ``channels`` on n qubits, ``"pauli"`` when every
+    channel is Pauli-diagonal, else ``"dense"``; n beyond its limit raises."""
+    engine = "pauli" if all(ch.is_pauli_diagonal for ch in channels) else "dense"
+    limit = MAX_TABLE_QUBITS if engine == "pauli" else MAX_DENSE_QUBITS
+    if n > limit:
+        raise ValueError(f"n = {n} exceeds the {engine} engine's limit of {limit} qubits")
+    return engine
 
 
 def _flip_factors(group: np.ndarray, n: int, p: float) -> np.ndarray:
@@ -203,7 +208,7 @@ class CompiledSequence:
 
     @property
     def engine(self) -> str:
-        return engine_for(self.channels + [self.batch.spam.prep, self.batch.spam.meas])
+        return engine_for(self.channels + [self.batch.spam.prep, self.batch.spam.meas], self.n)
 
     def append_inverse(self, channel: NoiseChannel):
         """Close every sequence: append the inverse of its ideal product as one
@@ -262,8 +267,6 @@ class CompiledSequence:
         position are a prefix of it (``_started``), which alone is stepped.
         """
         n, batch = self.n, self.batch
-        if n > (limit := MAX_DENSE_QUBITS if signed else MAX_TABLE_QUBITS):
-            raise ValueError(f"{self.engine} engine limited to n <= {limit}")
         size = 1 << n
         elements = batch.elements
         length, count = elements.shape

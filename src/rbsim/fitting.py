@@ -166,7 +166,9 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit | list:
     points log-spaced in 1 - p, p = 0 included, for every curve, then zoomed
     in on around each curve's best grid point: each round evaluates it at 33
     points of every curve's bracket and keeps the best one's two neighbours,
-    until the curve's bracket is narrower than 1e-12 in p.
+    until the curve's bracket is narrower than 1e-12 in p.  A fit whose B0
+    comes out 0 has the same SSE at every p, so no p is read off it: it is
+    degenerate too, reported as p = 1 with its fitted A0 and residual.
     """
     # in order of length, each value and weight with its own point, so
     # that the order the points come in changes no sum
@@ -196,7 +198,8 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit | list:
         a0, b0, p = _search(ms, ys[live], w[live], [boxes[k] for k in live])
         resid = a0[:, None] + b0[:, None] * p[:, None] ** ms - ys[live]
         rms = np.sqrt(np.mean(resid ** 2, axis=1))
-        for k, *fit in zip(live, a0.tolist(), b0.tolist(), p.tolist(), rms.tolist()):
-            fits[k] = DecayFit(*fit, degenerate=False,
-                               at_boundary=fit[2] <= 0.0 or fit[2] >= 1.0 - 1e-12)
+        for k, a, b, pk, r in zip(live, a0.tolist(), b0.tolist(), p.tolist(), rms.tolist()):
+            no_decay = b == 0.0  # every p fits alike, so none is read off
+            fits[k] = DecayFit(a, b, 1.0 if no_decay else pk, r, degenerate=no_decay,
+                               at_boundary=no_decay or pk <= 0.0 or pk >= 1.0 - 1e-12)
     return fits[0] if one else fits

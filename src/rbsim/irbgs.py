@@ -29,8 +29,7 @@ from .channels import (
 from .cliffords import CliffordElement
 from .engines import engine_for
 from .paulis import pauli_basis
-from .rb import RBConfig, RBData, _compile, _draw_elements, _rb_ensemble, _survivals
-from .seeding import run_ensemble
+from .rb import RBConfig, RBData, _rb_ensemble
 
 __all__ = [
     "cp_matrix",
@@ -406,9 +405,9 @@ class IRBGSConfig:
 
 
 def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
-    """Baseline + interleaved exact-mode runs (the baseline's survivals as
-    ``run_standard_rb`` draws them; both curves fitted in one
-    ``RBData.fitted`` call), estimate and bound.
+    """Baseline RB and interleaved RB in exact mode (``rb._rb_ensemble``,
+    the baseline's survivals as ``run_standard_rb`` draws them; both curves
+    fitted in one ``RBData.fitted`` call), estimate and bound.
 
     The fixed element is the recipe's ideal Clifford product; its channel is
     ``noise_n`` once per CP or CP† instance of the recipe, whose single-qubit
@@ -420,47 +419,22 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
             f"recipe {config.recipe.name!r} failed verification "
             f"(max deviation {report.max_deviation:.3g}); refusing to run"
         )
-    d = 2 ** config.n
-    n_cp = config.recipe.nonclifford_count
-    fixed_element = clifford_element_from_unitary(
-        np.asarray(config.recipe.target, dtype=complex), config.n
-    )
-
+    d, n_cp = 2 ** config.n, config.recipe.nonclifford_count
+    target = np.asarray(config.recipe.target, dtype=complex)
+    fixed_channel = ComposedChannel([config.noise_n] * n_cp)
+    fixed = (clifford_element_from_unitary(target, config.n), fixed_channel)
     base_cfg = config.baseline
     baseline = _rb_ensemble(base_cfg)
-
-    gate_channel = config.noise.gate
-    fixed_channel = ComposedChannel([config.noise_n] * n_cp)
-
-    def run_units(lengths, seeds, units):
-        # random elements at the even positions, the fixed element, one more
-        # table row, at the odd: each unit's 2m positions keep the pattern
-        rows, phases, picks = _draw_elements(base_cfg, lengths, seeds[0])
-        channels = [gate_channel, fixed_channel] * len(picks)
-        fixed = np.where(picks < 0, -1, len(rows))
-        picks = np.stack([picks, fixed], axis=1).reshape(len(channels), -1)
-        rows = np.append(rows, [fixed_element.rows], axis=0)
-        phases = np.append(phases, [fixed_element.phases], axis=0)
-        return _survivals(base_cfg, _compile(base_cfg, rows, phases, picks, channels, close=True),
-                          seeds[1])
-
     # its own stream, so the interleaved sequences are not the baseline's
-    interleaved = run_ensemble(config.seed ^ 0x1B9, config.lengths, config.k_m, run_units)
+    interleaved = _rb_ensemble(base_cfg, config.seed ^ 0x1B9, fixed)
     baseline, interleaved = RBData.fitted(  # both curves in one fit call
         base_cfg, np.stack([baseline, interleaved]),
-        engine=[None, engine_for(config.noise.channels + (fixed_channel,))])
+        engine=[None, engine_for(config.noise.channels + (fixed_channel,), config.n)])
 
     p, p_bar_c = baseline.fit.p, interleaved.fit.p
     noise_class, delta = _noise_class_of(config.noise_n)
-    return IrbEstimate(
-        p=p,
-        p_bar_c=p_bar_c,
-        d=d,
-        nonclifford_count=n_cp,
-        r_c_est=irb_estimate(p, p_bar_c, d),
-        r_n_est=irbgs_estimate(p, p_bar_c, d, n_cp),
-        bound=error_bound(noise_class, p, d, delta),
-        noise_class=noise_class,
-        baseline_data=baseline,
-        interleaved_data=interleaved,
-    )
+    return IrbEstimate(p=p, p_bar_c=p_bar_c, d=d, nonclifford_count=n_cp,
+                       r_c_est=irb_estimate(p, p_bar_c, d),
+                       r_n_est=irbgs_estimate(p, p_bar_c, d, n_cp),
+                       bound=error_bound(noise_class, p, d, delta), noise_class=noise_class,
+                       baseline_data=baseline, interleaved_data=interleaved)

@@ -2,11 +2,11 @@
 generator-sequence variant; produces per-length average survival data.
 
 A run draws the elements of every sequence of every length in one pass and
-compiles them into one ``SequenceBatch``, end-aligned: ordered longest
-first, a sequence of L_k positions starts at position L - L_k, so the
-sequences under way at any position are a prefix of the batch and all of
-them close at the last one.  Each sequence still draws only from its own
-streams, so its survival does not depend on the others.
+compiles them into one ``SequenceBatch`` (``_draw_batch``), end-aligned:
+ordered longest first, a sequence of L_k positions starts at position
+L - L_k, so the sequences under way at any position are a prefix of the
+batch and all of them close at the last one.  Each sequence still draws
+only from its own streams, so its survival does not depend on the others.
 
 Every fitted per-length curve of the drivers is an ``RBData``: survivals
 here and in ``irbgs``, fidelity bounds in ``rbsv``.  ``RBData.fitted`` is
@@ -21,8 +21,8 @@ from functools import lru_cache
 import numpy as np
 
 from .channels import NoiseModel
-from .cliffords import MAX_DENSE_QUBITS, CliffordElement, GeneratorGate, random_clifford_table
-from .engines import MAX_TABLE_QUBITS, CompiledSequence, SequenceBatch, engine_for
+from .cliffords import CliffordElement, GeneratorGate, random_clifford_table
+from .engines import CompiledSequence, SequenceBatch, engine_for
 from .fitting import DecayFit, fit_decay, r_from_p
 from .seeding import redraw, run_ensemble, stream_rows
 
@@ -82,10 +82,7 @@ class RBConfig:
             raise ValueError("generator mode requires a block length b >= 1")
         if self.fit_strategy not in ("auto", "box", "free"):
             raise ValueError(f"unknown fit strategy {self.fit_strategy!r}")
-        engine = engine_for(self.noise.channels)
-        limit = MAX_TABLE_QUBITS if engine == "pauli" else MAX_DENSE_QUBITS
-        if self.n > limit:
-            raise ValueError(f"n = {self.n} exceeds the {engine} engine's limit of {limit} qubits")
+        engine_for(self.noise.channels, self.n)  # raises beyond the engine's limit
 
 
 @dataclass
@@ -133,8 +130,9 @@ class RBData:
         fits = fit_decay(zip(config.lengths, mean.T), weights=weights,
                          coefficient_bounds=[bounds] * len(curves))
         engines = engine if isinstance(engine, (list, tuple)) else [engine] * len(curves)
+        default = engine_for(config.noise.channels, config.n)
         data = [cls(lengths=list(config.lengths), mean=m, stderr=se, per_sequence=v,
-                    engine=e or engine_for(config.noise.channels), fit=fit, r=r_from_p(fit.p, d))
+                    engine=e or default, fit=fit, r=r_from_p(fit.p, d))
                 for m, se, v, e, fit in zip(mean, stderr, curves, engines, fits)]
         return data[0] if values.ndim == 2 else data
 
@@ -203,13 +201,22 @@ def _draw_elements(config: RBConfig, lengths, seeds) -> tuple:
     return table_rows, table_phases, picks
 
 
-def _compile(config: RBConfig, rows: np.ndarray, phases: np.ndarray, picks: np.ndarray,
-             channels=None, close: bool = False) -> CompiledSequence:
-    """The drawn sequences (a table and its ``(L, K)`` picks, see
-    ``_draw_elements``) as one compiled batch, with one channel per position
-    (default: the gate channel everywhere) and the config's SPAM; with
-    ``close``, each closed by the inverse of its product and the gate channel."""
-    channels = channels or [config.noise.gate] * len(picks)
+def _draw_batch(config: RBConfig, lengths, seeds, close=False, fixed=None) -> CompiledSequence:
+    """The sequences ``_draw_elements`` draws from the element streams
+    ``seeds``, compiled with the gate channel after every element and the
+    config's SPAM.  With ``fixed``, an element and its channel (interleaved
+    RB), that element, one more table row, and its channel follow every
+    drawn one; with ``close``, the inverse and the gate channel end each."""
+    rows, phases, picks = _draw_elements(config, lengths, seeds)
+    channels = [config.noise.gate] * len(picks)
+    if fixed is not None:
+        # drawn elements at the even positions, the fixed one at the odd:
+        # each sequence's 2m positions keep the pattern
+        element, channel = fixed
+        channels = [config.noise.gate, channel] * len(picks)
+        picks = np.stack([picks, np.where(picks < 0, -1, len(rows))], 1).reshape(len(channels), -1)
+        rows = np.append(rows, [element.rows], axis=0)
+        phases = np.append(phases, [element.phases], axis=0)
     compiled = CompiledSequence(SequenceBatch(config.n, rows, phases, picks, channels,
                                               config.noise.spam))
     if close:
@@ -226,8 +233,10 @@ def _survivals(config: RBConfig, compiled: CompiledSequence, seeds) -> np.ndarra
     return compiled.survival_samples(config.shots, seeds) / config.shots
 
 
-def _rb_ensemble(config: RBConfig) -> np.ndarray:
-    """The ``(L, K)`` survivals of the full protocol under ``config``.
+def _rb_ensemble(config: RBConfig, seed: int | None = None, fixed=None) -> np.ndarray:
+    """The ``(L, K)`` survivals of the full protocol under ``config``, its
+    streams drawn from ``seed`` (default: ``config.seed``); with ``fixed``,
+    an element and its channel, of interleaved RB (see ``_draw_batch``).
 
     Every sequence of every length is drawn, propagated and counted in one
     batch (``seeding.run_ensemble``).  Each sequence's survival is exact in
@@ -237,10 +246,11 @@ def _rb_ensemble(config: RBConfig) -> np.ndarray:
     """
 
     def run_units(lengths, seeds, units):
-        compiled = _compile(config, *_draw_elements(config, lengths, seeds[0]), close=True)
+        compiled = _draw_batch(config, lengths, seeds[0], close=True, fixed=fixed)
         return _survivals(config, compiled, seeds[1])
 
-    return run_ensemble(config.seed, config.lengths, config.k_m, run_units)
+    seed = config.seed if seed is None else seed
+    return run_ensemble(seed, config.lengths, config.k_m, run_units)
 
 
 def run_standard_rb(config: RBConfig) -> RBData:

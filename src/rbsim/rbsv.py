@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rb import RBConfig, RBData, _compile, _draw_elements, _survivals
+from .rb import RBConfig, RBData, _draw_batch, _survivals
 from .seeding import run_ensemble
 
 __all__ = [
@@ -131,23 +131,17 @@ class RBSVConfig(RBConfig):
             )
 
 
-def _acceptances(config: RBSVConfig, lengths, seeds, units, close: bool = False) -> np.ndarray:
-    """Acceptance of each sequence: exact, or the accepted fraction of
-    ``n_m`` repetitions.  Unit ``units[k]`` has ``lengths[k]`` elements
-    (longest first, see ``rb._draw_elements``), drawn from the stream seeded
-    by ``seeds[0, k]``, and its repetitions from ``seeds[1, k]``.  A zero
-    acceptance raises ``FailureSignatureError`` naming the lowest such unit.
-
-    With ``close`` the same batch is also closed by its inverse and the gate
-    channel, and row k holds sequence k's acceptance and its RB survival
-    (``rb._survivals``, from the same repetition stream and propagation).
-    """
-    compiled = _compile(config, *_draw_elements(config, lengths, seeds[0]), close=close)
+def _acceptances(config: RBSVConfig, compiled, seeds, lengths, units) -> np.ndarray:
+    """Acceptance of each open sequence of ``compiled``: exact, or the
+    accepted fraction of ``n_m`` repetitions drawn from its repetition
+    stream ``seeds[k]``.  Sequence k is unit ``units[k]``, of ``lengths[k]``
+    elements; a zero acceptance raises ``FailureSignatureError`` naming the
+    lowest such unit."""
     include = config.include_identity_stabilizer
     if config.exact:
         p_acc = compiled.acceptance_probability(include)
     else:
-        p_acc = compiled.acceptance_samples(config.n_m, seeds[1], include) / config.n_m
+        p_acc = compiled.acceptance_samples(config.n_m, seeds, include) / config.n_m
     zero = np.flatnonzero(p_acc == 0.0)
     if zero.size:
         k = zero[np.argmin(units[zero])]
@@ -155,9 +149,7 @@ def _acceptances(config: RBSVConfig, lengths, seeds, units, close: bool = False)
             f"sequence {units[k]} (m={lengths[k]}) accepted 0/{config.n_m} repetitions; "
             "the noise is too strong for verification to proceed"
         )
-    if not close:
-        return p_acc
-    return np.stack([p_acc, _survivals(config, compiled, seeds[1])], axis=1)
+    return p_acc
 
 
 def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
@@ -172,9 +164,14 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
     propagation serve both protocols.
     """
 
-    p_acc = run_ensemble(
-        config.seed, config.lengths, config.k_m,
-        lambda lengths, seeds, units: _acceptances(config, lengths, seeds, units, close=with_rb))
+    def run_units(lengths, seeds, units):
+        compiled = _draw_batch(config, lengths, seeds[0], close=with_rb)
+        p_acc = _acceptances(config, compiled, seeds[1], lengths, units)
+        if not with_rb:
+            return p_acc
+        return np.stack([p_acc, _survivals(config, compiled, seeds[1])], axis=1)
+
+    p_acc = run_ensemble(config.seed, config.lengths, config.k_m, run_units)
     if with_rb:  # (lengths, K, 2) -> two contiguous (lengths, K) arrays
         p_acc, survivals = np.array(np.moveaxis(p_acc, 2, 0))
     copies, saturated = np.array(  # (lengths, K, 2) -> two (lengths, K) arrays

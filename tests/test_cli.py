@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rbsim import irbgs as irbgs_module, rb as rb_module, rbsv as rbsv_module
+from rbsim import rb as rb_module
 from rbsim.cli import main
 from rbsim.engines import CompiledSequence
 from rbsim.channels import NoiseModel, PauliChannel
@@ -326,8 +326,7 @@ class TestConfigErrors:
         def refuse(*args):
             raise AssertionError("elements drawn before the artifact directory was checked")
 
-        for module in (rb_module, rbsv_module, irbgs_module):
-            monkeypatch.setattr(module, "_draw_elements", refuse)
+        monkeypatch.setattr(rb_module, "_draw_elements", refuse)
         taken = tmp_path / "taken"
         taken.write_text("kept")
         for command in ("rb", "rbsv", "compare", "irbgs"):
@@ -347,8 +346,7 @@ class TestConfigErrors:
         def refuse(*args):
             raise AssertionError("elements drawn for a config the fit cannot take")
 
-        for module in (rb_module, rbsv_module, irbgs_module):
-            monkeypatch.setattr(module, "_draw_elements", refuse)
+        monkeypatch.setattr(rb_module, "_draw_elements", refuse)
         cfg = IRBGS_CONFIG if command == "irbgs" else dict(small_rbsv_config(), protocol=command)
         cfg = dict(cfg, lengths=lengths)
         if command == "rb":
@@ -665,8 +663,7 @@ def test_compare_draws_and_propagates_each_unit_once(mode, tmp_path, monkeypatch
         init(self, spec)
 
     init = CompiledSequence.__init__
-    for module in (rb_module, rbsv_module):
-        monkeypatch.setattr(module, "_draw_elements", draw)
+    monkeypatch.setattr(rb_module, "_draw_elements", draw)
     monkeypatch.setattr(CompiledSequence, "_propagate", counted_propagate)
     monkeypatch.setattr(CompiledSequence, "__init__", counted_init)
     # Pauli noise and noise that is not Pauli-diagonal alike
@@ -699,7 +696,7 @@ def test_zero_acceptance_names_the_lowest_unit_in_config_order(command, tmp_path
     for im, m in enumerate(config.lengths):
         units = range(im * 3, (im + 1) * 3)
         seeds = unit_seeds(config.seed, units)
-        compiled = rb_module._compile(config, *rb_module._draw_elements(config, m, seeds[0]))
+        compiled = rb_module._draw_batch(config, m, seeds[0])
         failing += [(u, m) for u, p in zip(units, compiled.acceptance_probability(False))
                     if p == 0.0]
     assert len({m for _, m in failing}) == 2 and max(m for _, m in failing) != failing[0][1]

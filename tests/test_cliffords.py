@@ -198,6 +198,17 @@ class TestPackedCore:
         with pytest.raises(ValueError):
             CliffordElement(n, rows[:-1] + [1 << (2 * n)], [0] * 6)
 
+    def test_non_integral_rows_and_phases_refused(self):
+        # int() would truncate [1.5, 2.2] to the identity's rows (1, 2)
+        with pytest.raises(ValueError, match=r"tableau rows must be integers, not \[1\.5, 2\.2\]"):
+            CliffordElement(1, [1.5, 2.2], [0, 0])
+        with pytest.raises(ValueError, match="tableau phases must be integers"):
+            CliffordElement(1, [1, 2], [0, 2.0])
+        # numpy integers are integral
+        elem = CliffordElement(np.int64(1), np.array([2, 1]), np.array([0, 6], dtype=np.int32))
+        assert elem.rows == (2, 1) and elem.phases == (0, 2)
+        assert all(type(v) is int for v in elem.rows + elem.phases)
+
 
 def element_keys(n, rng, size):
     """Rows and phases of ``size`` elements drawn as one batch from a stream
@@ -466,6 +477,13 @@ def test_generator_gate_validation():
         GeneratorGate("CNOT", (2, 2))
     with pytest.raises(ValueError):
         GeneratorGate("P", (-1,))
+    # int() would truncate 0.7 to qubit 0
+    with pytest.raises(ValueError, match=r"H qubits must be integers, not \[0\.7\]"):
+        GeneratorGate("H", (0.7,))
+    with pytest.raises(ValueError, match="CNOT qubits must be integers"):
+        GeneratorGate("CNOT", (0, np.float64(1.0)))
+    gate = GeneratorGate("CNOT", (np.int64(1), np.uint8(0)))
+    assert gate.qubits == (1, 0) and all(type(q) is int for q in gate.qubits)
 
 
 def test_gate_words_preserve_tableau_validity(rng):

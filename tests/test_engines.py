@@ -35,7 +35,7 @@ from rbsim.engines import (
     run_sequence_exact,
 )
 from rbsim.paulis import PauliString
-from rbsim.rb import RBConfig, _compile, _draw_elements
+from rbsim.rb import RBConfig, _draw_batch, _draw_elements
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import (
@@ -573,10 +573,10 @@ class TestGateTable:
         config = RBConfig(n=n, lengths=(1, 2, 3), mode="generator", generator_block=b,
                           noise=NoiseModel(gate=pauli, spam=SpamModel(prep=Depolarizing(0.01))))
         seeds = seed_plans(3, range(k_m))
-        _compile(config, *_draw_elements(config, 1, seeds)).propagate_faults()  # warm caches
+        _draw_batch(config, 1, seeds).propagate_faults()  # warm caches
         tracemalloc.start()
         try:
-            compiled = _compile(config, *_draw_elements(config, m, seeds))
+            compiled = _draw_batch(config, m, seeds)
             assert compiled.batch.elements.shape == (m * b, k_m)
             compiled.propagate_faults()
             _, peak = tracemalloc.get_traced_memory()
@@ -655,10 +655,10 @@ class TestNonPauliNoise:
         gate = DeltaDepolarizing(0.02, 0.99, PauliString.single(n, 0, "X"), 0.01)
         config = RBConfig(n=n, lengths=(1, 2, 3), noise=NoiseModel(gate=gate))
         seeds = seed_plans(3, range(k_m))
-        _compile(config, *_draw_elements(config, 1, seeds[:2])).propagate_faults()  # warm caches
+        _draw_batch(config, 1, seeds[:2]).propagate_faults()  # warm caches
         tracemalloc.start()
         try:
-            compiled = _compile(config, *_draw_elements(config, m, seeds), close=True)
+            compiled = _draw_batch(config, m, seeds, close=True)
             assert compiled.engine == "dense"
             compiled.acceptance_probability()
             compiled.survival_probability()
@@ -678,6 +678,20 @@ class TestNonPauliNoise:
 
 
 class TestSequenceBatch:
+    @pytest.mark.parametrize("n, engine, limit", [(MAX_TABLE_QUBITS + 1, "pauli", 8),
+                                                  (MAX_DENSE_QUBITS + 1, "dense", 6)])
+    @pytest.mark.parametrize("readout", ["propagate_faults", "acceptance_probability",
+                                         "survival_probability"])
+    def test_register_beyond_the_engine_limit_refused_at_first_readout(
+            self, n, engine, limit, readout):
+        gate = (Depolarizing(0.01) if engine == "pauli"
+                else DeltaDepolarizing(0.02, 0.99, PauliString.single(n, 0, "Z"), 0.1))
+        compiled = CompiledSequence(batch_of_one(n, [CliffordElement.identity(n)], gate))
+        compiled.append_inverse(gate)  # building and closing the batch run nothing
+        with pytest.raises(ValueError, match=f"^n = {n} exceeds the {engine} engine's "
+                                             f"limit of {limit} qubits$"):
+            getattr(compiled, readout)()
+
     def test_per_element_noise_list(self, rng):
         elements = random_elements(2, 3, rng)
         channels = [Depolarizing(0.1), Ideal(), Depolarizing(0.2)]

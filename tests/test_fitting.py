@@ -108,6 +108,16 @@ class TestFitDecay:
         assert fit.p == 1.0
         assert fit.at_boundary
 
+    def test_no_decay_term_is_degenerate(self):
+        # below a pinned A0 the best B0 is clamped to 0, and then every p has
+        # the same SSE: p = 1, not the grid's first point, and not converged
+        ms = range(5, 51, 5)
+        ys = [0.2 - 0.001 * m for m in ms]
+        fit = fit_decay(list(zip(ms, ys)), coefficient_bounds=PINNED_A0)
+        assert fit.degenerate and fit.at_boundary
+        assert (fit.a0, fit.b0, fit.p) == (0.25, 0.0, 1.0)
+        assert fit.residual_rms == pytest.approx(np.sqrt(np.mean((0.25 - np.array(ys)) ** 2)))
+
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             fit_decay([(1, 0.9), (2, 0.8)])
@@ -284,12 +294,12 @@ def test_curves_fitted_together_each_get_their_fit_alone(monkeypatch):
         (_noisy(ms, 0.25, 0.7, 0.999, 2, 1e-4), rng.uniform(1e4, 1e6, len(ms)), UNIT_BOX),
         (_noisy(ms, 0.2, 0.75, 0.97, 3), rng.uniform(1.0, 3.0, len(ms)), None),  # free
         (_noisy(ms, 1.1, 0.5, 0.9, 5), None, UNIT_BOX),  # A0 clamped at 1
-        ([0.2 + 0.001 * m for m in ms], None, PINNED_A0),  # rising: B0 clamped at 0
+        ([0.2 + 0.001 * m for m in ms], None, PINNED_A0),  # rising: B0 clamped at 0, degenerate
     ]
     alone = [_fit_counting_rounds(monkeypatch, list(zip(ms, ys)), w, b) for ys, w, b in curves]
     fits, rounds = zip(*alone)
-    assert fits[0].degenerate and not any(f.degenerate for f in fits[1:])
-    assert fits[4].a0 == 1.0 and fits[5].b0 == 0.0
+    assert [f.degenerate for f in fits] == [True, False, False, False, False, True]
+    assert fits[4].a0 == 1.0 and fits[5].b0 == 0.0 and fits[5].p == 1.0
     assert len(set(rounds[1:])) > 1  # the brackets converge in different rounds
     values, weights, bounds = zip(*curves)
     together = fit_decay(list(zip(ms, zip(*values))), weights=weights, coefficient_bounds=bounds)

@@ -30,11 +30,9 @@ from rbsim.irbgs import (
     run_irbgs,
     verify_synthesis,
 )
-from rbsim import irbgs as irbgs_module
 from rbsim import rb as rb_module
 from rbsim.engines import CompiledSequence
 from rbsim.paulis import PauliString
-from rbsim.rb import _compile as compile_batch
 
 from conftest import (average_fidelity, bundled_recipe_text, equal_up_to_global_phase,
                       pauli_matrix, position_major_batch)
@@ -254,27 +252,31 @@ class TestRunIRBGS:
         # position of each; their survivals equal, bit for bit, those of the
         # same sequences with one table row per position and sequence (at
         # K = 30 and m = 60, 100 the table outgrows one span block)
-        batches = []
+        batches, draw_batch = [], rb_module._draw_batch
 
         def spy(*args, **kwargs):
-            compiled = compile_batch(*args, **kwargs)
+            compiled = draw_batch(*args, **kwargs)
             batches.append(compiled.batch)
             return compiled
 
-        monkeypatch.setattr(irbgs_module, "_compile", spy)
+        monkeypatch.setattr(rb_module, "_draw_batch", spy)
         lam_n = PauliChannel({"II": 0.99, "ZZ": 0.01})
         cfg = IRBGSConfig(lengths=lengths, k_m=k_m, seed=8,
                           noise=NoiseModel(gate=Depolarizing(0.001)),
                           noise_n=lam_n, recipe=builtin_recipes()[0])
         est = run_irbgs(cfg)
         fixed = clifford_element_from_unitary(np.asarray(cfg.recipe.target, dtype=complex), 2)
-        assert len(batches) == 1
-        batch = batches[0]
+        assert len(batches) == 2  # the baseline's, then the interleaved one
+        baseline, batch = batches
         # the batch holds the units longest first, ties in unit order
         per_unit = np.repeat(lengths, k_m)
         units = np.argsort(-per_unit, kind="stable")
+        assert len(baseline.rows) == sum(lengths) * k_m
+        assert baseline.elements.shape == (max(lengths), len(units))
         assert len(batch.rows) == sum(lengths) * k_m + 1
         assert batch.elements.shape == (2 * max(lengths), len(units))
+        fixed_channel = ComposedChannel([lam_n] * cfg.recipe.nonclifford_count)
+        assert batch.channels == [cfg.noise.gate, fixed_channel] * max(lengths)
         assert (batch.rows[-1].tolist(), batch.phases[-1].tolist()) == \
             (list(fixed.rows), list(fixed.phases))
         got = est.interleaved_data.per_sequence.ravel()[units]

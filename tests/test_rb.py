@@ -4,11 +4,13 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from rbsim.channels import Depolarizing, Ideal, NoiseModel, SpamModel
+from rbsim.channels import DeltaDepolarizing, Depolarizing, Ideal, NoiseModel, SpamModel
 from rbsim.cliffords import CliffordElement, compose, inverse, parse_circuit
 from rbsim.engines import SequenceBatch
 from rbsim.fitting import fit_decay, r_from_p
-from rbsim.rb import RBConfig, RBData, _draw_elements, generator_gate_set, run_standard_rb
+from rbsim.paulis import PauliString
+from rbsim.rb import (RBConfig, RBData, _draw_elements, _rb_ensemble, generator_gate_set,
+                       run_standard_rb)
 from rbsim.seeding import seed_plans, stream_words
 
 from conftest import batch_sequence, seed_with_word, stream_seeds
@@ -186,13 +188,25 @@ class TestRunStandardRB:
         assert abs(data.fit.p - (1 - eps) ** b) < 1e-6
 
     def test_non_pauli_noise_uses_exact_fallback(self):
-        from rbsim.channels import DeltaDepolarizing
-        from rbsim.paulis import PauliString
-
         noise = NoiseModel(gate=DeltaDepolarizing(0.02, 0.99, PauliString.single(2, 0, "Z"), 0.1))
         cfg = RBConfig(n=2, lengths=(2, 4, 6), k_m=2, shots=200, noise=noise, seed=8)
         data = run_standard_rb(cfg)
         assert np.all(data.mean <= 1.0) and np.all(data.mean >= 0.0)
+
+    @pytest.mark.parametrize("gate", [
+        Depolarizing(0.03), DeltaDepolarizing(0.02, 0.99, PauliString.single(2, 1, "Y"), 0.1)])
+    @pytest.mark.parametrize("mode", ["clifford", "generator"])
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_interleaving_the_ideal_identity_changes_nothing(self, gate, mode, exact):
+        # interleaved RB with a noiseless identity as its fixed element runs
+        # the same sequences as plain RB, one more table row aside
+        noise = NoiseModel(gate=gate, spam=SpamModel(prep=Depolarizing(0.02), meas_flip=0.01))
+        cfg = RBConfig(n=2, lengths=(1, 4, 3, 4), k_m=3, shots=50, exact=exact, noise=noise,
+                       mode=mode, generator_block=2, seed=6)
+        plain = _rb_ensemble(cfg, 11)
+        interleaved = _rb_ensemble(cfg, 11, (CliffordElement.identity(2), Ideal()))
+        assert np.array_equal(interleaved, plain)
+        assert not np.array_equal(plain, _rb_ensemble(cfg))  # the seed is the one given
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

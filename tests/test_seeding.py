@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rbsim.channels import NoiseModel, PauliChannel, SpamModel
-from rbsim.rb import _compile, _draw_elements, _survivals, run_standard_rb
+from rbsim.rb import _draw_batch, _survivals, run_standard_rb
 from rbsim.rbsv import RBSVConfig, _acceptances, run_rbsv
 from rbsim.seeding import (
     generator_for,
@@ -166,10 +166,11 @@ def unit_outputs(config, lengths, indices):
     and its sampled RBSV accept count, from one batch of the given units
     (``lengths[j]`` elements for unit ``indices[j]``, longest first)."""
     seeds = unit_seeds(config.seed, indices)
-    rows, phases, picks = _draw_elements(config, lengths, seeds[0])
-    compiled = _compile(config, rows, phases, picks, close=True)
+    compiled = _draw_batch(config, lengths, seeds[0], close=True)
+    rows, phases, picks = compiled.batch.rows, compiled.batch.phases, compiled.batch.elements
     survived = _survivals(config, compiled, seeds[1]) * config.shots
-    accepted = _acceptances(config, lengths, seeds, np.asarray(indices)) * config.n_m
+    accepted = _acceptances(config, compiled, seeds[1], np.broadcast_to(lengths, len(indices)),
+                            np.asarray(indices)) * config.n_m
     started = [picks[:, j][picks[:, j] >= 0] for j in range(len(indices))]
     return [(rows[p].tolist(), phases[p].tolist(), survived[j], accepted[j])
             for j, p in enumerate(started)]
