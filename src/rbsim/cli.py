@@ -288,6 +288,11 @@ def rbsv_csv(result: RBSVResult) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _fit_status(fit: DecayFit) -> dict:
+    return {"converged": not fit.degenerate, "degenerate": fit.degenerate,
+            "at_boundary": fit.at_boundary}
+
+
 def _fit_summary(fit: DecayFit, r_name: str, r_value: float) -> dict:
     return {
         r_name: r_value,
@@ -295,10 +300,14 @@ def _fit_summary(fit: DecayFit, r_name: str, r_value: float) -> dict:
         "B0": fit.b0,
         "p": fit.p,
         "fit_residual": fit.residual_rms,
-        "converged": not fit.degenerate,
-        "degenerate": fit.degenerate,
-        "at_boundary": fit.at_boundary,
+        **_fit_status(fit),
     }
+
+
+def _shown(value, fit: DecayFit) -> str:
+    """``value``, read off ``fit``, for a stdout line: marked when the fit is
+    degenerate, whose p = 1 is no measurement and whose r of 0 reads as perfect."""
+    return f"{value!r} (degenerate fit)" if fit.degenerate else repr(value)
 
 
 def _emit(out: str, summary_name: str, summary: dict, **csvs):
@@ -326,37 +335,47 @@ def _rb_report(config: RBConfig, data: RBData):
     CSVs by name and its stdout line; one such report per run subcommand."""
     summary = dict(_fit_summary(data.fit, "r_rb", data.r), engine=data.engine)
     csvs = {"rb": rb_csv(data, 0 if config.exact else config.shots)}
-    return summary, csvs, f"r_rb = {data.r!r} (p = {data.fit.p!r})"
+    return summary, csvs, f"r_rb = {_shown(data.r, data.fit)} (p = {data.fit.p!r})"
 
 
 def _rbsv_report(config: RBSVConfig, result: RBSVResult):
     bounds = result.bounds
     summary = dict(_fit_summary(bounds.fit, "r_rbsv", bounds.r), engine=bounds.engine,
                    n_saturated_total=int(np.sum(result.n_saturated)))
-    return summary, {"rbsv": rbsv_csv(result)}, f"r_rbsv = {bounds.r!r} (p = {bounds.fit.p!r})"
+    line = f"r_rbsv = {_shown(bounds.r, bounds.fit)} (p = {bounds.fit.p!r})"
+    return summary, {"rbsv": rbsv_csv(result)}, line
 
 
 def _compare_report(config: RBSVConfig, result: RBSVResult):
     data, bounds = result.rb, result.bounds
+    # a degenerate fit's r of 0 would read as a perfect bound: no ratio
+    ratio = (bounds.r / data.r if data.r and not (data.fit.degenerate or bounds.fit.degenerate)
+             else None)
     summary = {"rb": _fit_summary(data.fit, "r_rb", data.r), "r_rb": data.r,
                "rbsv": _fit_summary(bounds.fit, "r_rbsv", bounds.r), "r_rbsv": bounds.r,
-               "ratio_rbsv_over_rb": (bounds.r / data.r) if data.r else None,
-               "engine": data.engine}
+               "ratio_rbsv_over_rb": ratio, "engine": data.engine}
     csvs = {"rb": rb_csv(data, 0 if config.exact else config.shots), "rbsv": rbsv_csv(result)}
-    return summary, csvs, f"r_rb = {data.r!r}  r_rbsv = {bounds.r!r}"
+    line = f"r_rb = {_shown(data.r, data.fit)}  r_rbsv = {_shown(bounds.r, bounds.fit)}"
+    return summary, csvs, line
 
 
 def _irbgs_report(config: IRBGSConfig, estimate):
+    runs = {"baseline": estimate.baseline_data, "interleaved": estimate.interleaved_data}
     summary = {key: getattr(estimate, key) for key in
                ("p", "p_bar_c", "d", "nonclifford_count", "r_c_est", "r_n_est", "noise_class")}
     # the interleaved run's channels include the baseline's
     summary.update(error_bound=estimate.bound, recipe=config.recipe.name,
                    engine=estimate.interleaved_data.engine)
+    summary.update({f"{name}_fit": _fit_status(data.fit) for name, data in runs.items()})
+    degenerate = [name for name, data in runs.items() if data.fit.degenerate]
+    line = (f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
+            f"class {estimate.noise_class})")
+    if degenerate:  # a degenerate fit's p = 1 is no measurement
+        summary.update(r_c_est=None, r_n_est=None, error_bound=None)
+        line = f"r_n_est = None (degenerate fit: {', '.join(degenerate)})"
     # both runs are exact
-    csvs = {"irbgs_baseline": rb_csv(estimate.baseline_data, 0),
-            "irbgs_interleaved": rb_csv(estimate.interleaved_data, 0)}
-    return summary, csvs, (f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
-                           f"class {estimate.noise_class})")
+    csvs = {f"irbgs_{name}": rb_csv(data, 0) for name, data in runs.items()}
+    return summary, csvs, line
 
 
 # run subcommand -> (config reader, protocol run, report).  The runs look up

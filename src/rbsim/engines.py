@@ -16,8 +16,12 @@ table row that sequence applies there: one row per drawn Clifford, or one
 per generator gate however many sequences and positions pick it.  The engine
 works in the Pauli basis, in the frame of each sequence's ideal product U:
 for packed Paulis b (bit q = x_q, bit n+q = z_q) it carries the image
-``U P_b U† = i^e P_g``, one lookup per half in the two half tables spanned
-from the picked row, and the coefficient ``Tr(U P_b U† rho)``.
+``U P_b U† = i^e P_g`` and the coefficient ``Tr(U P_b U† rho)``.  Each row's
+2n image rows are spanned into two 2^n-entry half tables, the images of
+every x-half and every z-half, so an image is one lookup per half.  Under
+Pauli-diagonal noise a table small enough (``_IMAGE_WORDS``), such as the
+generator gates' up to n = 6, is spanned on into one 4^n-entry image table
+per row, so an image is a single lookup.
 A Pauli-diagonal channel scales a coefficient by its eigenvalue at the
 image, so Pauli-diagonal noise (``pauli``) tracks only the Z group, whose
 coefficients are the stabilizer expectations, with no signs.  Other noise
@@ -47,6 +51,11 @@ __all__ = ["run_sequence_exact", "engine_for", "SequenceBatch", "CompiledSequenc
 # every sequence and, per table row in use, two 2^n-entry half tables (noise
 # that is not Pauli-diagonal: 4^n Paulis, up to ``MAX_DENSE_QUBITS``)
 MAX_TABLE_QUBITS = 8
+
+# full image tables' uint16 entries built at most: the bytes of one
+# 4^MAX_TABLE_QUBITS eigenvalue table (512 KB).  The generator gates' fit up
+# to n = 6 (384 KB there); at n = 8 they would take 10.5 MB
+_IMAGE_WORDS = 4 ** MAX_TABLE_QUBITS * np.dtype(float).itemsize // np.dtype(np.uint16).itemsize
 
 # half-table words built at once: the rows of a block of positions, so that
 # small batches pay few array calls per position while large ones stay
@@ -155,6 +164,14 @@ def _halves(rows: np.ndarray, phases: np.ndarray | None, n: int) -> tuple:
     return tuple(t.ravel() for t in _span(rows, n, phases.reshape(rows.shape)))
 
 
+def _images(half: np.ndarray, n: int) -> np.ndarray:
+    """The full image tables of the flat half tables ``half`` (``_halves``),
+    flat: row t's image of the packed Pauli g, the XOR of its x half's and its
+    z half's, at entry ``t << 2n | g``, as uint16 (2n <= 16 bits)."""
+    x, z = np.moveaxis(half.astype(np.uint16).reshape(-1, 2, 1 << n), 1, 0)
+    return (z[:, :, None] ^ x[:, None, :]).ravel()
+
+
 def _started(elements: np.ndarray) -> np.ndarray:
     """Per position, the number of sequences under way: the end-aligned layout
     of ``SequenceBatch``, checked."""
@@ -238,15 +255,19 @@ class CompiledSequence:
             self._readouts = self._propagate(self.engine == "dense")
         return self._readouts[closed]
 
+    def _table(self, ch: NoiseChannel):
+        """``ch``'s eigenvalues when Pauli-diagonal, else its ``pauli_action``."""
+        if id(ch) not in self._tables:
+            self._tables[id(ch)] = (pauli_eigenvalues(ch, self.n) if ch.is_pauli_diagonal
+                                    else pauli_action(ch, self.n))
+        return self._tables[id(ch)]
+
     def _apply(self, ch: NoiseChannel, group, phases, coefficients) -> np.ndarray:
         """``coefficients`` on the images ``i^phases P_group`` after ``ch``, as
         a new array unless ``ch`` is ideal."""
         if isinstance(ch, Ideal):
             return coefficients
-        if id(ch) not in self._tables:
-            self._tables[id(ch)] = (pauli_eigenvalues(ch, self.n) if ch.is_pauli_diagonal
-                                    else pauli_action(ch, self.n))
-        table = self._tables[id(ch)]
+        table = self._table(ch)
         if ch.is_pauli_diagonal:
             return coefficients * table[group]
         sign = 1 - (phases & 2)
@@ -279,12 +300,21 @@ class CompiledSequence:
         block = max(1, min(count, _STATE_WORDS // paulis.size))
         # row t's x-half table starts at word t << (n + 1), its z-half table
         # 2^n words later.  A table no larger than a block of positions' rows,
-        # or than one 4^n eigenvalue table (the generator gates' always), is
-        # spanned once; any other, one block's picked rows at a time
+        # or than one 4^n eigenvalue table, is spanned once (the generator
+        # gates' is, by the first bound up to n = 7 and by the second at n = 8)
+        # and read over all positions at once; any other, one block's picked
+        # rows at a time.  Without signs, one spanned once is spanned on to
+        # its rows' full image tables (row t's at entry t << 2n) while they
+        # fit in ``_IMAGE_WORDS``
         step = max(1, _TABLE_WORDS // (block << (n + 1)))
         whole = len(batch.rows) <= max(step * block, size >> 1)
+        full = whole and not signed and len(batch.rows) * size * size <= _IMAGE_WORDS
         if whole:
+            step = length
             halves = _halves(batch.rows, batch.phases if signed else None, n)
+        if full:
+            image = _images(halves[0], n)
+            index = np.empty((block, paulis.size), dtype=np.int64)
         tails = {False: [batch.spam.meas]}
         if self.closed:  # every image back at its Pauli, unsigned
             tails[True] = [self.channels[-1], batch.spam.meas]
@@ -293,7 +323,8 @@ class CompiledSequence:
         for low in range(0, count, block):
             high = min(low + block, count)
             tracked = np.broadcast_to(paulis, (high - low, paulis.size))
-            group = tracked.copy()
+            # C order keeps each position's prefix group[:w] contiguous
+            group = tracked.astype(image.dtype if full else paulis.dtype, order="C")
             phases = np.zeros(group.shape, dtype=np.int64) if signed else None
             # |0..0><0..0| has coefficient 1 on the Z group, 0 elsewhere
             coefficients = self._apply(batch.spam.prep, group, phases,
@@ -304,7 +335,7 @@ class CompiledSequence:
                 picks = elements[start:stop, low:high]
                 picks = picks[picks >= 0]  # each position's prefix, position-major
                 if whole:
-                    bases = picks << (n + 1)
+                    bases = np.left_shift(picks, 2 * n if full else n + 1, out=picks)
                 else:
                     halves = _halves(batch.rows.take(picks, axis=0),
                                      batch.phases.take(picks, axis=0) if signed else None, n)
@@ -313,20 +344,27 @@ class CompiledSequence:
                 widths_here = active[start:stop]
                 for first, w, ch in zip(np.cumsum(widths_here) - widths_here, widths_here,
                                         self.channels[start:stop]):
-                    x_base = bases[first:first + w, None]
-                    x, z = group[:w] & (size - 1), group[:w] >> n
+                    if full:  # one lookup per image, into the block's index scratch
+                        np.add(bases[first:first + w, None], group[:w], out=index[:w])
+                        np.take(image, index[:w], out=group[:w])
+                    else:
+                        x_base = bases[first:first + w, None]
+                        x, z = group[:w] & (size - 1), group[:w] >> n
+                        if signed:
+                            # P_g = i^popcount(x & z) X^x Z^z: its image is the halves' product
+                            y = np.bitwise_count(x & z)
+                        x += x_base  # the two halves' addresses in the table
+                        z += x_base + size
+                        x_image, z_image = half[x], half[z]
+                        if signed:
+                            phases[:w] += (half_phases[x] + half_phases[z] + y
+                                           + packed_phase_exponent(x_image, z_image, n))
+                        np.bitwise_xor(x_image, z_image, out=group[:w])
                     if signed:
-                        # P_g = i^popcount(x & z) X^x Z^z: its image is the halves' product
-                        y = np.bitwise_count(x & z)
-                    x += x_base  # the two halves' addresses in the table
-                    z += x_base + size
-                    x_image, z_image = half[x], half[z]
-                    if signed:
-                        phases[:w] += (half_phases[x] + half_phases[z] + y
-                                       + packed_phase_exponent(x_image, z_image, n))
-                    np.bitwise_xor(x_image, z_image, out=group[:w])
-                    coefficients[:w] = self._apply(ch, group[:w], None if phases is None
-                                                   else phases[:w], coefficients[:w])
+                        coefficients[:w] = self._apply(ch, group[:w], phases[:w],
+                                                       coefficients[:w])
+                    elif not isinstance(ch, Ideal):  # the eigenvalues at the images, in place
+                        coefficients[:w] *= self._table(ch).take(group[:w])
             for closed, tail in tails.items():
                 images, signs = (tracked, 0) if closed else (group, phases)
                 out = coefficients

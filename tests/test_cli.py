@@ -53,7 +53,7 @@ IRBGS_CONFIG = {
 
 
 def read_csv(path):
-    header, *rows = open(path).read().splitlines()
+    header, *rows = Path(path).read_text().splitlines()
     return [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
 
 
@@ -281,7 +281,7 @@ class TestConfigErrors:
             path = write_config(tmp_path, f"{name}.json", dict(small_rbsv_config(), K_m=k_m))
             out = str(tmp_path / name)
             assert main(["rbsv", "--config", path, "--out", out]) == 0
-            runs[name] = open(os.path.join(out, "rbsv.csv")).read()
+            runs[name] = Path(out, "rbsv.csv").read_text()
         assert runs["int"] == runs["float"]
 
     @pytest.mark.parametrize("recipes, fragment", [
@@ -419,10 +419,10 @@ class TestRuns:
         path = write_config(tmp_path, "rbsv.json", cfg)
         out = str(tmp_path / "out")
         assert main(["rbsv", "--config", path, "--out", out]) == 0
-        csv = open(os.path.join(out, "rbsv.csv")).read()
+        csv = Path(out, "rbsv.csv").read_text()
         assert csv.splitlines()[0] == "m,F_bar_m,mean_p_acc,mean_R,n_saturated"
         assert len(csv.splitlines()) == 1 + len(cfg["lengths"])
-        summary = json.load(open(os.path.join(out, "rbsv_summary.json")))
+        summary = json.loads(Path(out, "rbsv_summary.json").read_text())
         assert {"r_rbsv", "A0", "B0", "p", "fit_residual",
                 "reproducibility"} <= set(summary)
         assert "r_rb" not in summary
@@ -434,16 +434,16 @@ class TestRuns:
         path = write_config(tmp_path, "rb.json", cfg)
         out = str(tmp_path / "out")
         assert main(["rb", "--config", path, "--out", out]) == 0
-        csv = open(os.path.join(out, "rb.csv")).read()
+        csv = Path(out, "rb.csv").read_text()
         assert csv.splitlines()[0] == "m,P_m,stderr,K_m,shots"
-        summary = json.load(open(os.path.join(out, "rb_summary.json")))
+        summary = json.loads(Path(out, "rb_summary.json").read_text())
         assert "r_rb" in summary
 
     def test_compare_has_both_values_and_ratio(self, tmp_path):
         path = write_config(tmp_path, "cmp.json", small_rbsv_config())
         out = str(tmp_path / "out")
         assert main(["compare", "--config", path, "--out", out]) == 0
-        summary = json.load(open(os.path.join(out, "compare_summary.json")))
+        summary = json.loads(Path(out, "compare_summary.json").read_text())
         assert {"r_rb", "r_rbsv", "ratio_rbsv_over_rb"} <= set(summary)
 
     def test_exact_flag_and_seed_override(self, tmp_path):
@@ -453,9 +453,9 @@ class TestRuns:
         out2 = str(tmp_path / "b")
         assert main(["rbsv", "--config", path, "--out", out1, "--exact", "--seed", "99"]) == 0
         assert main(["rbsv", "--config", path, "--out", out2, "--exact", "--seed", "99"]) == 0
-        assert open(os.path.join(out1, "rbsv.csv")).read() == \
-            open(os.path.join(out2, "rbsv.csv")).read()
-        summary = json.load(open(os.path.join(out1, "rbsv_summary.json")))
+        assert Path(out1, "rbsv.csv").read_text() == \
+            Path(out2, "rbsv.csv").read_text()
+        summary = json.loads(Path(out1, "rbsv_summary.json").read_text())
         assert summary["reproducibility"]["seed"] == 99
 
     def test_determinism_bit_identical_csv(self, tmp_path):
@@ -464,14 +464,14 @@ class TestRuns:
         for sub in ("x", "y"):
             out = str(tmp_path / sub)
             assert main(["rbsv", "--config", path, "--out", out]) == 0
-            outs.append(open(os.path.join(out, "rbsv.csv"), "rb").read())
+            outs.append(Path(out, "rbsv.csv").read_bytes())
         assert outs[0] == outs[1]
 
     def test_irbgs_run(self, tmp_path):
         path = write_config(tmp_path, "irbgs.json", IRBGS_CONFIG)
         out = str(tmp_path / "out")
         assert main(["irbgs", "--config", path, "--out", out]) == 0
-        summary = json.load(open(os.path.join(out, "irbgs_summary.json")))
+        summary = json.loads(Path(out, "irbgs_summary.json").read_text())
         assert {"p", "p_bar_c", "r_c_est", "r_n_est", "error_bound",
                 "noise_class"} <= set(summary)
         assert os.path.exists(os.path.join(out, "irbgs_baseline.csv"))
@@ -485,7 +485,7 @@ class TestRuns:
         assert main(["plan", "--config", path, "--out", out]) == 0
         text = capsys.readouterr().out
         assert "N_m" in text and "K_m" in text
-        values = json.load(open(os.path.join(out, "plan.json")))
+        values = json.loads(Path(out, "plan.json").read_text())
         assert values["N_m"] == 10000
         assert values["K_m"] == 182
 
@@ -526,9 +526,52 @@ def test_degenerate_fit_exits_zero_with_flag(tmp_path):
     path = write_config(tmp_path, "noiseless.json", cfg)
     out = str(tmp_path / "out")
     assert main(["rbsv", "--config", path, "--out", out]) == 0
-    summary = json.load(open(os.path.join(out, "rbsv_summary.json")))
+    summary = json.loads(Path(out, "rbsv_summary.json").read_text())
     assert summary["degenerate"] is True
     assert summary["r_rbsv"] == 0.0
+
+
+def test_irbgs_degenerate_fits_give_no_estimate(tmp_path, capsys):
+    # without noise both curves are constant, so p = p_bar_c = 1 is no
+    # measurement: both fits say so, and nothing is estimated off them
+    cfg = dict(IRBGS_CONFIG, noise={"gate": {"kind": "depolarizing", "epsilon": 0.0}},
+               noise_n={"kind": "depolarizing", "epsilon": 0.0})
+    out = tmp_path / "out"
+    assert main(["irbgs", "--config", write_config(tmp_path, "irbgs.json", cfg),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "irbgs_summary.json").read_text())
+    for fit in ("baseline_fit", "interleaved_fit"):
+        assert summary[fit] == {"converged": False, "degenerate": True, "at_boundary": True}
+    assert summary["p"] == summary["p_bar_c"] == 1.0
+    assert summary["r_c_est"] is summary["r_n_est"] is summary["error_bound"] is None
+    assert capsys.readouterr().out == "r_n_est = None (degenerate fit: baseline, interleaved)\n"
+
+
+def test_irbgs_summary_carries_both_fits_status(tmp_path):
+    out = tmp_path / "out"
+    assert main(["irbgs", "--config", write_config(tmp_path, "irbgs.json", IRBGS_CONFIG),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "irbgs_summary.json").read_text())
+    for fit in ("baseline_fit", "interleaved_fit"):
+        assert summary[fit] == {"converged": True, "degenerate": False, "at_boundary": False}
+    assert summary["r_n_est"] > 0.0 and summary["error_bound"] > 0.0
+
+
+def test_compare_ratio_needs_both_fits(tmp_path, capsys):
+    # exact generator-mode RBSV under delta noise: the bound's curve fits to
+    # a constant (B0 = 0), whose r of 0 must not read as a perfect ratio
+    cfg = dict(small_rbsv_config(seed=5), lengths=[3, 6, 2, 6], K_m=4, N_m=30, shots=30,
+               mode="exact", rb_mode="generator", b=3,
+               noise={"gate": {"kind": "delta_depolarizing", "delta": 0.02, "p_prime": 0.01,
+                               "axis": "Y", "angle": 0.05}})
+    out = tmp_path / "out"
+    assert main(["compare", "--config", write_config(tmp_path, "cmp.json", cfg),
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "compare_summary.json").read_text())
+    assert summary["rbsv"]["degenerate"] and not summary["rb"]["degenerate"]
+    assert summary["r_rbsv"] == 0.0 and summary["ratio_rbsv_over_rb"] is None
+    line = capsys.readouterr().out
+    assert line == f"r_rb = {summary['r_rb']!r}  r_rbsv = 0.0 (degenerate fit)\n"
 
 
 def test_rbsv_with_pauli_channel_config(tmp_path):
@@ -538,7 +581,7 @@ def test_rbsv_with_pauli_channel_config(tmp_path):
     path = write_config(tmp_path, "pauli.json", cfg)
     out = str(tmp_path / "out")
     assert main(["rbsv", "--config", path, "--out", out]) == 0
-    summary = json.load(open(os.path.join(out, "rbsv_summary.json")))
+    summary = json.loads(Path(out, "rbsv_summary.json").read_text())
     assert 0.0 <= summary["p"] <= 1.0
 
 
@@ -556,7 +599,7 @@ def test_summary_names_engine(tmp_path, engine, channel):
         path = write_config(tmp_path, f"{command}.json", cfg)
         out = str(tmp_path / command)
         assert main([command, "--config", path, "--out", out]) == 0
-        summary = json.load(open(os.path.join(out, f"{command}_summary.json")))
+        summary = json.loads(Path(out, f"{command}_summary.json").read_text())
         assert summary["engine"] == engine, command
 
 

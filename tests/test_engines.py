@@ -585,6 +585,68 @@ class TestGateTable:
         assert peak < 3 << 20
 
 
+def one_row_per_pick(batch):
+    """``batch`` with one table row per pick, position-major, as drawn
+    Cliffords are laid out: a table this large is spanned a block of
+    positions at a time, on half tables."""
+    started = batch.elements >= 0
+    elements = np.full(batch.elements.shape, -1)
+    elements[started] = np.arange(np.count_nonzero(started))
+    picks = batch.elements[started]
+    return SequenceBatch(batch.n, batch.rows[picks], batch.phases[picks], elements,
+                         batch.channels, batch.spam)
+
+
+class TestImageTables:
+    """A shared table small enough is spanned on to full 4^n image tables."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6, 7])
+    def test_full_images_equal_half_tables(self, n, rng, monkeypatch):
+        # the same interleaved generator sequences as picks from the shared
+        # table (full images up to n = 6; at n = 7 they exceed the cap) and
+        # with one row per pick (half tables) give the same bits, open and closed
+        gate = PauliChannel({"I" * n: 0.998, "X" + "I" * (n - 1): 0.001, "Z" * n: 0.001})
+        spam = SpamModel(prep=Depolarizing(0.05),
+                         meas=PauliChannel({"I" * n: 0.92, "Y" * n: 0.08}), meas_flip=0.03)
+        fixed = (random_clifford(n, rng),
+                 PauliChannel({"I" * n: 0.995, "I" * (n - 1) + "Y": 0.005}))
+        config = RBConfig(n=n, lengths=(1, 2, 3), mode="generator", generator_block=5,
+                          noise=NoiseModel(gate=gate, spam=spam))
+        lengths, seeds = np.arange(40, 24, -1), stream_seeds(rng, 16)
+        spanned, images = [], engines._images
+        monkeypatch.setattr(engines, "_images",
+                            lambda half, n: spanned.append(n) or images(half, n))
+        for close in (False, True):
+            shared = _draw_batch(config, lengths, seeds, close=close, fixed=fixed)
+            picked = CompiledSequence(one_row_per_pick(shared.batch))
+            if close:
+                picked.append_inverse(gate)
+            got = {}
+            for name, compiled, full in (("shared", shared, n <= 6), ("picked", picked, False)):
+                spanned.clear()
+                got[name] = compiled.propagate_faults()
+                assert spanned == ([n] if full else []), name
+            assert np.array_equal(got["shared"], got["picked"])
+            assert np.ptp(got["shared"][:, 1:]) > 1e-3  # the sequences differ
+
+    def test_image_tables_stay_within_their_cap(self, rng):
+        # n = 8: the 80 generator gates' full image tables would take
+        # 80 * 4^8 uint16 words (10.5 MB); under the cap they stay half tables,
+        # and the eigenvalue tables (512 KB per channel) lead the peak
+        n = 8
+        gate = PauliChannel({"I" * n: 0.9, "X" + "I" * (n - 1): 0.06, "Z" * n: 0.04})
+        batch = drawn_batch(n, 4, "generator", [gate] * 6,
+                            SpamModel(prep=Depolarizing(0.01), meas_flip=0.01), rng)
+        CompiledSequence(batch).propagate_faults()  # first-call costs stay out of the trace
+        tracemalloc.start()
+        try:
+            CompiledSequence(batch).propagate_faults()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 << 20  # 2.9 MB under the cap, 12.9 MB without it
+
+
 def oracle_expectations(seq, closing=None):
     """Dense ``<s>`` of each stabilizer of the ideal output state of a batch
     of one, in the engine's order, from the +1 probability after meas and

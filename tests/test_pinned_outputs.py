@@ -9,7 +9,9 @@ were re-pinned when the fit stopped pairing sorted points with unsorted
 weights, and thirteen when a run's curves came to be fitted in one call,
 whose profile sums in another order (r moved by at most 5e-8 of itself).
 Six were re-pinned when a fit whose B0 comes out 0 became degenerate
-(p = 1, converged false) instead of reporting the grid's first p.  The
+(p = 1, converged false) instead of reporting the grid's first p, and six
+more when the irbgs summaries gained both fits' status and a compare ratio
+off a degenerate fit became null.  The
 cases cover every protocol, sampled and exact mode, Clifford
 and generator elements, Pauli-diagonal and dense noise with SPAM, unsorted
 and repeated lengths, and the three benchmark workloads' configs at seed 7.
@@ -171,16 +173,16 @@ PINNED_CSV_DIGESTS = {
 
 PINNED_SUMMARY_DIGESTS = {
     'bench-compare-n2': '6370e5c01d0432fd722390068e42945b9242478ba28c7a5b32b80af42c10017c',
-    'bench-irbgs-exact-n2': 'd9cb44d0b466878db1ee187d55efcdb7de00ef6f1332c97938821cfaa0a7c3ed',
+    'bench-irbgs-exact-n2': '3f2c26e1b44d73e90ec7f6972e6b646e0d2c56979b20ee38068cf65f76ee4121',
     'bench-rbsv-gen-n6': 'b0644d8110e0eb6b00a624deb4bcfacc674352ad8c48994714b1382128247633',
     'compare-exact-clifford-pauli-spam': 'e4c4df2ffb39688b69adcbd5d7a78dff859d943acc28b9aaac9c5864d5f5ca2c',
-    'compare-exact-generator-delta': 'f3cd5308db861c61c49477a09f5e9371fa99517eac87e2f1678274860eebe7db',
-    'compare-sampled-clifford-delta-n3': 'a8c89c591fbf09084cefb33f6c583d99915553b46a0091499e892f1457f148e3',
+    'compare-exact-generator-delta': '6d375159ea92ca0d2ed1310d85d56ca263c4722290ccd833b5cf8d4109e09973',
+    'compare-sampled-clifford-delta-n3': '9eb27a5c926ed9ea5d7759bff04c48f9e0277d6a1157fb39be6964e006b75984',
     'compare-sampled-clifford-depolarizing': 'aa2b22ed7ff1b97f9cbce888a0bd4b91786a98af423f6709bfe0b6fc637f1ff0',
     'compare-sampled-generator-pauli-spam': '84433f8bc1cab4a65859ad69fee569f509fc826f753adca61125e40d3fceee03',
-    'irbgs-delta': '3945431db27e4a454fae1c6375b23890685f19d439c218b7d50f4f2b6cc3d7d3',
-    'irbgs-depolarizing': '014d343edb14073729e24e08dd2aeb08ec2405767552bf96ca7381a174ad6f1c',
-    'irbgs-pauli-spam': '8152547f9d5a5edef2cbb2e6b8ce39a95fab165669f076786b45e4a4cc6e37d5',
+    'irbgs-delta': '7f56ffae9482620b5e0a5a14219c8f31145dc42271b2eb69436fe3683a2d6b47',
+    'irbgs-depolarizing': '19c68680495316e10b7b42b919ce4c57bff9a9438ba84dbbb3389a5f070b79b4',
+    'irbgs-pauli-spam': 'd65eeded93504e2e102f4de2cb06bb71e883013c13712e8968ed67fddc269d10',
     'rb-exact-clifford-delta-n1': 'b942f7dd39af42bf931848c8bb77a893800f554733404e4c04549f86599ee3f6',
     'rb-exact-generator-pauli-spam': 'd0f65666203e9fa3be4d1408260b0233960b0cbd3974f75afb2070ea1c36f205',
     'rb-sampled-clifford-depolarizing': '6a4bfee9c9295122da8def47a20a8908dc1e7ef0f107c2774df61b0e39fffd96',
