@@ -8,6 +8,7 @@ channel holds a dense matrix.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -32,8 +33,10 @@ __all__ = [
     "pauli_action",
     "channel_from_spec",
     "config_integer",
+    "config_json",
     "config_number",
     "config_value",
+    "reject_unknown_fields",
     "rotation_unitary",
 ]
 
@@ -57,8 +60,8 @@ def zero_state(n: int) -> np.ndarray:
 def rotation_unitary(rotation: PauliString, angle: float) -> np.ndarray:
     """The dense exp(-i*angle/2 * rotation) on the full register."""
     d = 2 ** rotation.n
-    return (np.cos(angle / 2) * np.eye(d, dtype=complex)
-            - 1j * np.sin(angle / 2) * rotation.to_matrix())
+    return (math.cos(angle / 2) * np.eye(d, dtype=complex)
+            - 1j * math.sin(angle / 2) * rotation.to_matrix())
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +344,7 @@ def pauli_action(ch: NoiseChannel, n: int) -> list:
     if ch.rotation.n != n:
         raise ValueError("rotation dimension does not match state")
     # U = cos(angle/2) I - i sin(angle/2) P, identity term first
-    terms = [(0, np.cos(ch.angle / 2)), (ch.rotation.bits, -1j * np.sin(ch.angle / 2))]
+    terms = [(0, math.cos(ch.angle / 2)), (ch.rotation.bits, -1j * math.sin(ch.angle / 2))]
     diagonal = np.full(4 ** n, ch.p_prime)
     diagonal[0] = 1.0
     weights = {0: (1.0 - ch.delta) * diagonal}
@@ -444,6 +447,29 @@ def config_number(value) -> float:
     return float(value)
 
 
+def reject_unknown_fields(obj: dict, known, what: str, prefix: str = ""):
+    """Raise ``ValueError`` naming every key of ``obj`` not in ``known``
+    (``unknown <what> field '<prefix><key>'``): a misspelt field of a config
+    or recipe file never falls back to a default."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {what} field " + ", ".join(repr(prefix + k) for k in unknown))
+
+
+def _finite_number(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"config number {text} is not finite")
+    return value
+
+
+def config_json(text: str):
+    """A config or recipe file's ``text`` parsed as JSON; ``NaN``,
+    ``Infinity`` and numbers that overflow a float (``1e400``), which
+    Python's json reads, raise ``ValueError``."""
+    return json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
+
+
 # what each converter expects, for ``config_value``'s message
 config_integer.expected, config_number.expected = "an integer", "a number"
 
@@ -476,9 +502,7 @@ def channel_from_spec(spec: dict | None, n: int) -> NoiseChannel:
     missing = [key for key in required if key not in spec]
     if missing:
         raise ValueError(f"channel kind {kind!r} needs field(s) {', '.join(missing)}")
-    unknown = sorted(set(spec) - {"kind", *required, *optional})
-    if unknown:
-        raise ValueError("unknown channel field " + ", ".join(repr(k) for k in unknown))
+    reject_unknown_fields(spec, {"kind", *required, *optional}, "channel")
     if kind == "ideal":
         return Ideal()
     if kind == "depolarizing":

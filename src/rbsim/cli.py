@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import logging
-import math
 import os
 import sys
 import tempfile
@@ -21,8 +20,9 @@ import time
 import numpy as np
 
 from . import __version__
-from .channels import (NoiseModel, SpamModel, channel_from_spec, config_integer, config_number,
-                       config_value)
+from .channels import (NoiseModel, SpamModel, channel_from_spec, config_integer, config_json,
+                       config_number, config_value, reject_unknown_fields)
+from .engines import engine_for
 from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, run_standard_rb
@@ -45,19 +45,10 @@ def _setup_logging():
                         format="%(asctime)s %(name)s %(levelname)s %(message)s")
 
 
-def _finite_number(text: str) -> float:
-    """A JSON number as a float; ``NaN``, ``Infinity`` and numbers that
-    overflow a float (``1e400``) raise a ``ConfigError``."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ConfigError(f"config number {text} is not finite")
-    return value
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+            cfg = config_json(fh.read())
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except OSError as exc:
@@ -67,13 +58,6 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg
-
-
-def _reject_unknown(obj: dict, known, prefix: str = ""):
-    unknown = sorted(set(obj) - set(known))
-    if unknown:
-        raise ConfigError("unknown config field "
-                          + ", ".join(repr(prefix + k) for k in unknown))
 
 
 def _int_list(value) -> tuple:
@@ -141,7 +125,7 @@ def _noise_model(spec, n: int) -> NoiseModel:
     ideal) and the ``p_meas`` flip probability."""
     if not isinstance(spec, dict):
         raise ConfigError("field 'noise' must be an object")
-    _reject_unknown(spec, ("gate", "prep", "meas", "p_meas"), "noise.")
+    reject_unknown_fields(spec, ("gate", "prep", "meas", "p_meas"), "config", "noise.")
     flip = _field(spec, "p_meas", config_number, SpamModel.meas_flip, "noise.")
     channels = {}
     for key in ("gate", "prep", "meas"):
@@ -169,7 +153,7 @@ _POLICY_KEYS = {"kind": ("kind", _string), "R": ("fixed", config_number),
 def _r_policy(spec, n: int) -> RPolicy:
     if not isinstance(spec, dict):
         raise ConfigError("field 'R_policy' must be an object")
-    _reject_unknown(spec, _POLICY_KEYS, "R_policy.")
+    reject_unknown_fields(spec, _POLICY_KEYS, "config", "R_policy.")
     return _build(RPolicy, spec, _POLICY_KEYS, "R_policy.")
 
 
@@ -191,7 +175,7 @@ def _recipe(spec, n: int):
                 return recipe
         raise ConfigError(f"unknown built-in recipe {spec!r}")
     if isinstance(spec, dict) and isinstance(spec.get("path"), str):
-        _reject_unknown(spec, ("path", "index"), "recipe.")
+        reject_unknown_fields(spec, ("path", "index"), "config", "recipe.")
         index = _field(spec, "index", config_integer, 0, "recipe.")
         recipes = _load_recipe_file(spec["path"], "field 'recipe'")
         if not 0 <= index < len(recipes):
@@ -223,12 +207,11 @@ _DEFAULTS = {"n": 2, "lengths": list(range(5, 51, 5)), "recipe": "cnot"}
 
 def _run_config(cls, cfg: dict, keys: dict, overrides):
     """``cls`` from a run config (see ``_build``), whose ``noise`` is required,
-    with the ``--seed`` and ``--exact`` overrides; irbgs has no ``mode``: its
-    runs are always exact."""
+    with the ``--seed`` and ``--exact`` overrides."""
     if "noise" not in cfg:
         raise ConfigError("missing required config field 'noise'")
     fixed = {} if overrides.seed is None else {"seed": overrides.seed}
-    if overrides.exact and "mode" in keys:
+    if overrides.exact:
         fixed["exact"] = True
     return _build(cls, {**_DEFAULTS, **cfg}, keys, **fixed)
 
@@ -330,17 +313,22 @@ def _emit(out: str, summary_name: str, summary: dict, **csvs):
 # ---------------------------------------------------------------------------
 
 
+def _engine(config: RBConfig, *channels) -> str:
+    """The engine that ran ``config``'s noise and any further ``channels``."""
+    return engine_for(config.noise.channels + channels, config.n)
+
+
 def _rb_report(config: RBConfig, data: RBData):
     """A run's summary fields (without the run facts ``_cmd_run`` adds), its
     CSVs by name and its stdout line; one such report per run subcommand."""
-    summary = dict(_fit_summary(data.fit, "r_rb", data.r), engine=data.engine)
+    summary = dict(_fit_summary(data.fit, "r_rb", data.r), engine=_engine(config))
     csvs = {"rb": rb_csv(data, 0 if config.exact else config.shots)}
     return summary, csvs, f"r_rb = {_shown(data.r, data.fit)} (p = {data.fit.p!r})"
 
 
 def _rbsv_report(config: RBSVConfig, result: RBSVResult):
     bounds = result.bounds
-    summary = dict(_fit_summary(bounds.fit, "r_rbsv", bounds.r), engine=bounds.engine,
+    summary = dict(_fit_summary(bounds.fit, "r_rbsv", bounds.r), engine=_engine(config),
                    n_saturated_total=int(np.sum(result.n_saturated)))
     line = f"r_rbsv = {_shown(bounds.r, bounds.fit)} (p = {bounds.fit.p!r})"
     return summary, {"rbsv": rbsv_csv(result)}, line
@@ -353,7 +341,7 @@ def _compare_report(config: RBSVConfig, result: RBSVResult):
              else None)
     summary = {"rb": _fit_summary(data.fit, "r_rb", data.r), "r_rb": data.r,
                "rbsv": _fit_summary(bounds.fit, "r_rbsv", bounds.r), "r_rbsv": bounds.r,
-               "ratio_rbsv_over_rb": ratio, "engine": data.engine}
+               "ratio_rbsv_over_rb": ratio, "engine": _engine(config)}
     csvs = {"rb": rb_csv(data, 0 if config.exact else config.shots), "rbsv": rbsv_csv(result)}
     line = f"r_rb = {_shown(data.r, data.fit)}  r_rbsv = {_shown(bounds.r, bounds.fit)}"
     return summary, csvs, line
@@ -365,7 +353,7 @@ def _irbgs_report(config: IRBGSConfig, estimate):
                ("p", "p_bar_c", "d", "nonclifford_count", "r_c_est", "r_n_est", "noise_class")}
     # the interleaved run's channels include the baseline's
     summary.update(error_bound=estimate.bound, recipe=config.recipe.name,
-                   engine=estimate.interleaved_data.engine)
+                   engine=_engine(config, config.noise_n))
     summary.update({f"{name}_fit": _fit_status(data.fit) for name, data in runs.items()})
     degenerate = [name for name, data in runs.items() if data.fit.degenerate]
     line = (f"r_n_est = {estimate.r_n_est!r} (bound {estimate.bound!r}, "
@@ -408,7 +396,7 @@ def _cmd_run(cfg: dict, args) -> int:
 
 
 def _cmd_plan(cfg: dict, args) -> int:
-    _reject_unknown(cfg, ResourcePlan.__dataclass_fields__)
+    reject_unknown_fields(cfg, ResourcePlan.__dataclass_fields__, "config")
     plan = ResourcePlan(**{name: _field(cfg, name, _PLAN_KINDS.get(name, config_number))
                            for name in cfg})
     try:
@@ -477,7 +465,7 @@ def main(argv=None) -> int:
                             else ("rb", "rbsv", "compare")):
             raise ConfigError(
                 f"config 'protocol' is {protocol!r} but subcommand is {args.command!r}")
-        _reject_unknown(cfg, _CONFIG_FIELDS[args.command])
+        reject_unknown_fields(cfg, _CONFIG_FIELDS[args.command], "config")
         return _cmd_run(cfg, args)
     except (ValueError, FailureSignatureError) as exc:
         # ConfigError, UnsupportedChannelError and other run-time ValueErrors

@@ -141,7 +141,7 @@ def _apply_gate_rows(gate: GeneratorGate, n: int, rows: list, phases: list):
         phases[r] = (phases[r] + 2 * flip) & 3
 
 
-@dataclass(frozen=True, init=False, slots=True)
+@dataclass(frozen=True, slots=True)
 class CliffordElement:
     """An n-qubit Clifford group element in generator-image form.
 
@@ -155,26 +155,23 @@ class CliffordElement:
     rows: tuple
     phases: tuple
 
-    def __init__(self, n: int, rows, phases):
-        rows = _integers(rows, "tableau rows")
-        phases = tuple(p & 3 for p in _integers(phases, "tableau phases"))
+    def __post_init__(self):
+        n = self.n
+        rows = _integers(self.rows, "tableau rows")
+        phases = tuple(p & 3 for p in _integers(self.phases, "tableau phases"))
         if len(rows) != 2 * n or any(v < 0 or v >> (2 * n) for v in rows):
             raise ValueError("need 2n packed image rows of 2n bits")
         if len(phases) != 2 * n:
             raise ValueError("need one phase per image row")
-        _fill(self, int(n), rows, phases)
+        object.__setattr__(self, "n", int(n))
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "phases", phases)
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def _trusted(cls, n: int, rows: tuple, phases: tuple) -> "CliffordElement":
-        """Skip the checks of ``__init__``: ``rows`` and ``phases`` are
-        tuples of 2n in-range ints, as this module's operations produce."""
-        return _fill(object.__new__(cls), n, rows, phases)
-
-    @classmethod
     def identity(cls, n: int) -> "CliffordElement":
-        return cls._trusted(n, tuple(_identity_rows(n)), (0,) * (2 * n))
+        return cls(n, _identity_rows(n), (0,) * (2 * n))
 
     @classmethod
     def from_gates(cls, n: int, gates) -> "CliffordElement":
@@ -184,7 +181,7 @@ class CliffordElement:
             if max(gate.qubits) >= n:
                 raise ValueError(f"gate {gate!r} out of range for n={n}")
             _apply_gate_rows(gate, n, rows, phases)
-        return cls._trusted(n, tuple(rows), tuple(phases))
+        return cls(n, rows, phases)
 
     # -- row access -------------------------------------------------------
 
@@ -214,19 +211,6 @@ class CliffordElement:
         rows = [self.image_of_x(i).label() for i in range(self.n)]
         rows += [self.image_of_z(i).label() for i in range(self.n)]
         return f"CliffordElement(n={self.n}, images={rows})"
-
-
-# the frozen class refuses attribute assignment; its slot descriptors set
-# the fields of a new element directly
-_SET_FIELDS = tuple(CliffordElement.__dict__[f].__set__ for f in ("n", "rows", "phases"))
-
-
-def _fill(elem: CliffordElement, n: int, rows: tuple, phases: tuple) -> CliffordElement:
-    set_n, set_rows, set_phases = _SET_FIELDS
-    set_n(elem, n)
-    set_rows(elem, rows)
-    set_phases(elem, phases)
-    return elem
 
 
 def _conjugate_row(c: CliffordElement, v: int, phase: int) -> tuple:
@@ -260,7 +244,7 @@ def compose(first: CliffordElement, then: CliffordElement) -> CliffordElement:
     if first.n != then.n:
         raise ValueError("qubit count mismatch")
     rows, phases = zip(*[_conjugate_row(then, v, p) for v, p in zip(first.rows, first.phases)])
-    return CliffordElement._trusted(first.n, rows, phases)
+    return CliffordElement(first.n, rows, phases)
 
 
 def inverse(c: CliffordElement) -> CliffordElement:
@@ -275,7 +259,7 @@ def inverse(c: CliffordElement) -> CliffordElement:
                 rows[(b + n) % (2 * n)] |= 1 << ((r + n) % (2 * n))
     # fix signs: conjugating each candidate image by c must return the bare generator
     phases = tuple(-_conjugate_row(c, v, 0)[1] & 3 for v in rows)
-    return CliffordElement._trusted(n, tuple(rows), phases)
+    return CliffordElement(n, rows, phases)
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +422,7 @@ def random_clifford(n: int, rng: np.random.Generator) -> CliffordElement:
     a uniformly random symplectic matrix dressed with 2n uniform signs, from
     the stream whose seed is one 64-bit draw from ``rng``."""
     rows, phases = random_clifford_rows(n, [rng.integers(1 << 64, dtype=np.uint64)], 1)
-    return CliffordElement._trusted(n, tuple(rows[0, 0].tolist()), tuple(phases[0, 0].tolist()))
+    return CliffordElement(n, rows[0, 0].tolist(), phases[0, 0].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -82,10 +82,11 @@ def engine_for(channels, n: int) -> str:
 
 def _flip_factors(group: np.ndarray, n: int, p: float) -> np.ndarray:
     """``(1 - 4p/3)`` per qubit each packed stabilizer touches: per-qubit
-    depolarizing flips with probability ``p`` before the measurement."""
-    touched = group | (group >> n)
-    weight = sum((touched >> q) & 1 for q in range(n))
-    return (1.0 - 4.0 * p / 3.0) ** weight
+    depolarizing flips with probability ``p`` before the measurement.  The
+    w-th power is w repeated products, which round alike on every host,
+    unlike numpy's float ``power``, whose kernel depends on the CPU."""
+    powers = np.cumprod([1.0] + [1.0 - 4.0 * p / 3.0] * n)
+    return powers[np.bitwise_count((group | (group >> n)) & ((1 << n) - 1))]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,10 @@ _GRID_SIZE = 512
 _ZOOM_SIZE = 33
 _STEP_TOL = 1e-12
 
+# 512 points log-spaced in 1 - p from 1e-9 to 1 (p = 0), each 10^e a
+# scalar libm power: numpy's vector power rounds by the host's CPU
+_GRID = 1.0 - np.array([10.0 ** e for e in np.linspace(-9.0, 0.0, _GRID_SIZE).tolist()])
+
 
 @dataclass(frozen=True)
 class DecayFit:
@@ -30,6 +34,39 @@ def r_from_p(p: float, d: int) -> float:
     if d < 2:
         raise ValueError("dimension must be at least 2")
     return (d - 1) * (1.0 - p) / d
+
+
+def _steps(ms) -> list:
+    """The steps between sorted lengths ``ms``, the first one from 0, as
+    ints; a length that is not a non-negative integer raises."""
+    ms = ms.tolist()
+    if not all(m >= 0 and m.is_integer() for m in ms):
+        raise ValueError(f"lengths must be non-negative integers, not {ms}")
+    return [int(m - before) for before, m in zip([0.0] + ms, ms)]
+
+
+def _powers(ps, steps) -> np.ndarray:
+    """p^m at every p of ``ps`` (P,) or (C, P) and every length m whose
+    ``_steps`` these are, as (M, P) or (C, M, P).  Only products, so every
+    host rounds alike (numpy's float ``power`` rounds by its CPU's kernel):
+    p^s by repeated squaring for each distinct step s, then a running
+    product over the lengths, one row of all the p at a time."""
+    row = ps.reshape(-1)
+    table = {}
+    for s in set(steps):
+        power, base, bits = np.ones_like(row), row, s
+        while bits:
+            if bits & 1:
+                power = power * base
+            bits >>= 1
+            if bits:
+                base = base * base
+        table[s] = power
+    x = np.empty((len(steps), row.size))
+    x[0] = table[steps[0]]
+    for i in range(1, len(steps)):
+        np.multiply(x[i - 1], table[steps[i]], out=x[i])
+    return np.ascontiguousarray(x.reshape(len(steps), *ps.shape).swapaxes(0, -2))
 
 
 def _ratio(num, den):
@@ -56,7 +93,7 @@ class _Curves:
         box[:, 0] -= self.shift
         self.lo, self.hi = box
         self.a_fixed, self.b_fixed = np.where(np.isfinite(box), box, 0.0).transpose(1, 0, 2, 3)
-        self.ms, self.w = ms[:, None], w[..., None]
+        self.steps, self.w = _steps(ms), w[..., None]
         ys = (ys - self.shift)[..., None]
         self.w_sum = self.w.sum(axis=1)
         self.y_bar = (self.w * ys).sum(axis=1) / self.w_sum
@@ -84,7 +121,7 @@ def _profile(ps, curves: _Curves):
     a point of an edge).
     """
     w, y_bar, w_sum = curves.w, curves.y_bar, curves.w_sum
-    x = ps[..., None, :] ** curves.ms
+    x = _powers(ps, curves.steps)
     x_bar = (x * w).sum(axis=1) / w_sum
     dx = x - x_bar[:, None]
     wdx = w * dx
@@ -116,11 +153,10 @@ def _search(ms, ys, w, boxes):
     none of them constant: the grid, then the zoom rounds, of ``fit_decay``."""
     curves = _Curves(ms, ys, w, boxes)
     rows = np.arange(len(ys))
-    grid = 1.0 - np.logspace(-9.0, 0.0, _GRID_SIZE)
-    best = _best(_profile(grid, curves)[2])
+    best = _best(_profile(_GRID, curves)[2])
     # the grid decreases in p, so its neighbours bracket the best point
-    lo = grid[np.minimum(best + 1, _GRID_SIZE - 1)]
-    hi = grid[np.maximum(best - 1, 0)]
+    lo = _GRID[np.minimum(best + 1, _GRID_SIZE - 1)]
+    hi = _GRID[np.maximum(best - 1, 0)]
     zooming = hi - lo >= _STEP_TOL
     while zooming.any():
         ps = np.linspace(lo, hi, _ZOOM_SIZE, axis=1)
@@ -158,7 +194,8 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit | list:
     row of C, one per curve; ``weights`` and ``coefficient_bounds`` are None
     or one entry per curve, each as for one curve, and the result is a list
     of C fits, each the fit of its curve alone.  The points may come in any
-    order.
+    order; their lengths are non-negative integers, since every p^m is a
+    product of p's (``_powers``).
 
     A curve whose values are constant to 1e-15 is degenerate, fitted as
     p = 1.  For the others the profile (the best A0, B0 and weighted SSE for
@@ -178,6 +215,7 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit | list:
     values = np.array([pts[i][1] for i in order], dtype=float)
     if len(set(ms.tolist())) < 3:
         raise ValueError("need at least 3 points with 3 distinct lengths")
+    steps = _steps(ms)
     ys = np.ascontiguousarray(values.T).reshape(-1, ms.size)
     one = values.ndim == 1
     if one:
@@ -196,7 +234,7 @@ def fit_decay(points, weights=None, coefficient_bounds=None) -> DecayFit | list:
     live = np.flatnonzero(~flat)
     if live.size:
         a0, b0, p = _search(ms, ys[live], w[live], [boxes[k] for k in live])
-        resid = a0[:, None] + b0[:, None] * p[:, None] ** ms - ys[live]
+        resid = a0[:, None] + b0[:, None] * _powers(p[:, None], steps)[..., 0] - ys[live]
         rms = np.sqrt(np.mean(resid ** 2, axis=1))
         for k, a, b, pk, r in zip(live, a0.tolist(), b0.tolist(), p.tolist(), rms.tolist()):
             no_decay = b == 0.0  # every p fits alike, so none is read off

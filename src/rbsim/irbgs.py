@@ -7,7 +7,6 @@ and the three closed-form error bounds on the non-Clifford estimate.
 
 from __future__ import annotations
 
-import json
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -21,13 +20,13 @@ from .channels import (
     DeltaDepolarizing,
     Ideal,
     NoiseChannel,
-    NoiseModel,
     PauliChannel,
     config_integer,
+    config_json,
     config_value,
+    reject_unknown_fields,
 )
 from .cliffords import CliffordElement
-from .engines import engine_for
 from .paulis import pauli_basis
 from .rb import RBConfig, RBData, _rb_ensemble
 
@@ -100,6 +99,8 @@ class RecipeGate:
         elif self.gate in _ONE_QUBIT:
             if len(self.qubits) != 1:
                 raise ValueError(f"{self.gate} acts on one qubit")
+            if self.k is not None:
+                raise ValueError(f"{self.gate} takes no rotation index k")
         else:
             raise ValueError(f"unknown recipe gate {self.gate!r}")
 
@@ -175,10 +176,11 @@ class SynthesisRecipe:
 
     @classmethod
     def from_json(cls, entry: dict) -> "SynthesisRecipe":
-        """Parse one recipe object; a missing or mistyped field raises
-        ``ValueError`` naming it."""
+        """Parse one recipe object; an unknown, missing or mistyped field
+        raises ``ValueError`` naming it."""
         if not isinstance(entry, dict):
             raise ValueError(f"a recipe must be an object, not {entry!r}")
+        reject_unknown_fields(entry, ("name", "target", "gates"), "recipe")
         missing = [key for key in ("gates", "target") if key not in entry]
         if missing:
             raise ValueError(f"recipe needs field(s) {', '.join(map(repr, missing))}")
@@ -189,6 +191,7 @@ class SynthesisRecipe:
                     and isinstance(g.get("qubits"), list)):
                 raise ValueError(f"recipe gate {i} must be an object with a 'gate' name "
                                  f"and a 'qubits' list, not {g!r}")
+            reject_unknown_fields(g, ("gate", "qubits", "k"), f"recipe gate {i}")
         gates = tuple(
             RecipeGate(g["gate"], tuple(g["qubits"]), g.get("k")) for g in entry["gates"]
         )
@@ -263,7 +266,7 @@ def load_recipes(path=None) -> list:
     else:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    entries = json.loads(text)
+    entries = config_json(text)
     if not isinstance(entries, list):
         raise ValueError("recipe file must hold a JSON list")
     return [SynthesisRecipe.from_json(e) for e in entries]
@@ -375,33 +378,28 @@ class IrbEstimate:
     interleaved_data: RBData | None = None   # the interleaved run, with its fit
 
 
-@dataclass(frozen=True)
-class IRBGSConfig:
-    """Two exact-mode runs: baseline RB and the interleaved variant.
+@dataclass(frozen=True, kw_only=True)
+class IRBGSConfig(RBConfig):
+    """Two exact-mode runs of Clifford elements on two qubits, both under
+    this config: baseline RB and the interleaved variant, whose fixed element
+    is the recipe's Clifford product with ``noise_n`` once per CP gate."""
 
-    ``baseline`` is the baseline run's ``RBConfig``, built (and so checked)
-    with the config; the interleaved run draws its elements under it too.
-    """
-
-    lengths: tuple
+    n: int = 2
     k_m: int = 30
-    seed: int = 0
-    noise: NoiseModel = field(default_factory=NoiseModel)
+    exact: bool = True
     noise_n: NoiseChannel = field(default_factory=Ideal)
     recipe: SynthesisRecipe = None
-    n: int = 2
-    fit_strategy: str = "auto"
-    baseline: RBConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n != 2:
             raise ValueError("the synthesis construction targets two qubits")
-        baseline = RBConfig(n=self.n, lengths=self.lengths, k_m=self.k_m, exact=True,
-                            noise=self.noise, seed=self.seed, fit_strategy=self.fit_strategy)
-        object.__setattr__(self, "baseline", baseline)
-        object.__setattr__(self, "lengths", baseline.lengths)
+        super().__post_init__()
         if self.recipe is None:
             raise ValueError("an interleaved run needs a synthesis recipe")
+        if not self.exact:
+            raise ValueError("interleaved runs are exact")
+        if self.mode != "clifford":
+            raise ValueError("interleaved runs draw Clifford elements")
 
 
 def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
@@ -421,15 +419,13 @@ def run_irbgs(config: IRBGSConfig) -> IrbEstimate:
         )
     d, n_cp = 2 ** config.n, config.recipe.nonclifford_count
     target = np.asarray(config.recipe.target, dtype=complex)
-    fixed_channel = ComposedChannel([config.noise_n] * n_cp)
-    fixed = (clifford_element_from_unitary(target, config.n), fixed_channel)
-    base_cfg = config.baseline
-    baseline = _rb_ensemble(base_cfg)
+    fixed = (clifford_element_from_unitary(target, config.n),
+             ComposedChannel([config.noise_n] * n_cp))
+    baseline = _rb_ensemble(config)
     # its own stream, so the interleaved sequences are not the baseline's
-    interleaved = _rb_ensemble(base_cfg, config.seed ^ 0x1B9, fixed)
-    baseline, interleaved = RBData.fitted(  # both curves in one fit call
-        base_cfg, np.stack([baseline, interleaved]),
-        engine=[None, engine_for(config.noise.channels + (fixed_channel,), config.n)])
+    interleaved = _rb_ensemble(config, config.seed ^ 0x1B9, fixed)
+    # both curves in one fit call
+    baseline, interleaved = RBData.fitted(config, np.stack([baseline, interleaved]))
 
     p, p_bar_c = baseline.fit.p, interleaved.fit.p
     noise_class, delta = _noise_class_of(config.noise_n)

@@ -95,17 +95,15 @@ class RBData:
     mean: np.ndarray
     stderr: np.ndarray
     per_sequence: np.ndarray  # (L, K), one row of per-sequence values per length
-    engine: str  # "pauli" or "dense", see engines.engine_for
     fit: DecayFit
     r: float
 
     @classmethod
-    def fitted(cls, config: RBConfig, per_sequence, engine=None):
-        """The curve of ``(L, K)`` values run under ``config`` (by default on
-        its noise's engine), fitted by the drivers' one rule (d = 2^n); or C
-        such curves, ``(C, L, K)``, fitted in one ``fit_decay`` call and
-        returned as a list, each as if fitted alone.  ``engine`` names every
-        curve's engine, or each curve's with one entry per curve.
+    def fitted(cls, config: RBConfig, per_sequence):
+        """The curve of ``(L, K)`` values run under ``config``, fitted by the
+        drivers' one rule (d = 2^n); or C such curves, ``(C, L, K)``, fitted
+        in one ``fit_decay`` call and returned as a list, each as if fitted
+        alone.
 
         ``config.fit_strategy`` bounds the coefficients: ``auto`` pins A0 to
         its no-SPAM value 1/d when the SPAM model is trivial (a
@@ -129,11 +127,8 @@ class RBData:
         weights = [1.0 / se ** 2 if np.all(se > ROUNDOFF_STDERR) else None for se in stderr]
         fits = fit_decay(zip(config.lengths, mean.T), weights=weights,
                          coefficient_bounds=[bounds] * len(curves))
-        engines = engine if isinstance(engine, (list, tuple)) else [engine] * len(curves)
-        default = engine_for(config.noise.channels, config.n)
-        data = [cls(lengths=list(config.lengths), mean=m, stderr=se, per_sequence=v,
-                    engine=e or default, fit=fit, r=r_from_p(fit.p, d))
-                for m, se, v, e, fit in zip(mean, stderr, curves, engines, fits)]
+        data = [cls(lengths=list(config.lengths), mean=m, stderr=se, per_sequence=v, fit=fit,
+                    r=r_from_p(fit.p, d)) for m, se, v, fit in zip(mean, stderr, curves, fits)]
         return data[0] if values.ndim == 2 else data
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from rbsim import cli
+from rbsim.channels import reject_unknown_fields
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -54,7 +55,7 @@ def test_workload_config_loads(name, tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     cfg = cli.load_config(str(path))
-    cli._reject_unknown(cfg, cli._CONFIG_FIELDS[workload.command])
+    reject_unknown_fields(cfg, cli._CONFIG_FIELDS[workload.command], "config")
     overrides = argparse.Namespace(seed=None, exact=False, threads=1)
     builders = {"compare": (cli.build_rb_config, cli.build_rbsv_config),
                 "rbsv": (cli.build_rbsv_config,), "irbgs": (cli.build_irbgs_config,)}

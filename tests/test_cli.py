@@ -307,6 +307,26 @@ class TestConfigErrors:
         assert main(["irbgs", "--config", path]) == 2
         assert_one_error(capsys, f"field 'recipe': recipe file {recipe_path!r}: {fragment}")
 
+    @pytest.mark.parametrize("edit, fragment", [
+        (lambda r: r.update(tagret_name="IxP"), "unknown recipe field 'tagret_name'"),
+        (lambda r: r["gates"][1].update(phase=1), "unknown recipe gate 1 field 'phase'"),
+        (lambda r: r["gates"][1].update(k=5), "X takes no rotation index k"),
+        (lambda r: r.update(target=[[[float("nan"), 0.0]] * 4] * 4),
+         "config number NaN is not finite"),
+    ])
+    def test_recipe_file_read_like_a_run_config(self, tmp_path, capsys, edit, fragment):
+        # the bundled recipe verifies; each edit was ignored (or printed
+        # FAIL with a NaN deviation) when recipe files were read leniently
+        recipe = json.loads(bundled_recipe_text())[0]
+        edit(recipe)
+        recipe_path = write_config(tmp_path, "recipes.json", [recipe])
+        assert main(["verify-synthesis", "--recipes", recipe_path]) == 2
+        assert_one_error(capsys, f"--recipes: recipe file {recipe_path!r}: {fragment}")
+        path = write_config(tmp_path, "irbgs.json",
+                            dict(IRBGS_CONFIG, recipe={"path": recipe_path}))
+        assert main(["irbgs", "--config", path]) == 2
+        assert_one_error(capsys, f"field 'recipe': recipe file {recipe_path!r}: {fragment}")
+
     def test_missing_recipes_for_verify_synthesis(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.json")
         assert main(["verify-synthesis", "--recipes", missing]) == 2

@@ -207,7 +207,19 @@ class TestPackedCore:
         # numpy integers are integral
         elem = CliffordElement(np.int64(1), np.array([2, 1]), np.array([0, 6], dtype=np.int32))
         assert elem.rows == (2, 1) and elem.phases == (0, 2)
-        assert all(type(v) is int for v in elem.rows + elem.phases)
+        assert all(type(v) is int for v in elem.rows + elem.phases + (elem.n,))
+
+    def test_every_operation_builds_a_checked_element(self, monkeypatch):
+        # one constructor: identity, from_gates, compose, inverse and the
+        # sampler all go through the checks of __post_init__
+        checked = []
+        check = CliffordElement.__post_init__
+        monkeypatch.setattr(CliffordElement, "__post_init__",
+                            lambda self: checked.append(1) or check(self))
+        a = CliffordElement.from_gates(2, parse_circuit("H 0\nCNOT 0 1"))
+        inverse(compose(CliffordElement.identity(2), a))
+        random_clifford(2, np.random.default_rng(3))
+        assert len(checked) == 5
 
 
 def element_keys(n, rng, size):

@@ -349,6 +349,26 @@ def test_profile_sse_is_the_direct_sse_and_beats_a_box_scan(seed):
         assert sse[k] <= np.min((resid * resid) @ w) * (1 + 1e-12)
 
 
+def test_powers_are_running_products():
+    # p^m from products alone, lengths repeated and unevenly spaced
+    ms = np.array([0.0, 2.0, 3.0, 3.0, 7.0, 12.0])
+    ps = np.array([[0.0, 0.3, 0.97, 1.0], [0.5, 0.9, 0.999, 1.0 - 1e-9]])
+    x = fitting._powers(ps, fitting._steps(ms))
+    assert x.shape == (2, 6, 4)
+    for c, row in enumerate(ps.tolist()):
+        for j, p in enumerate(row):
+            for i, m in enumerate(ms.tolist()):
+                assert abs(x[c, i, j] - p ** m) <= 1e-14 * p ** m
+    # one row of p gives the same values as a row of rows
+    assert np.array_equal(fitting._powers(ps[0], fitting._steps(ms)), x[0])
+
+
+@pytest.mark.parametrize("m", [1.5, -1.0, float("nan"), float("inf")])
+def test_lengths_must_be_non_negative_integers(m):
+    with pytest.raises(ValueError, match="lengths must be non-negative integers"):
+        fit_decay([(1, 0.9), (2, 0.8), (3, 0.7), (m, 0.6)])
+
+
 class TestRFromP:
     def test_examples(self):
         assert r_from_p(1.0, 4) == 0.0

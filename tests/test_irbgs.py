@@ -305,14 +305,26 @@ class TestRunIRBGS:
         ({"k_m": 0, "fit_strategy": "bogus"}, "k_m must be >= 1"),
         ({"fit_strategy": "bogus"}, "unknown fit strategy 'bogus'"),
         ({"lengths": (1.5, 2.9, 3)}, "lengths must be integers"),
+        # the register size first, then RBConfig's checks, then the recipe
+        ({"n": 3, "k_m": 0, "recipe": None}, "the synthesis construction targets two qubits"),
+        ({"k_m": 0, "recipe": None}, "k_m must be >= 1"),
+        ({"recipe": None}, "an interleaved run needs a synthesis recipe"),
+        # only exact Clifford-element runs
+        ({"exact": False}, "interleaved runs are exact"),
+        ({"mode": "generator"}, "interleaved runs draw Clifford elements"),
     ])
     def test_config_checked_when_built(self, fields, message):
-        # the baseline RBConfig is built, and so checked, with the config
+        # the config is an RBConfig, checked as one when built
         with pytest.raises(ValueError, match=message):
             IRBGSConfig(**{"lengths": (2, 4, 6), "recipe": builtin_recipes()[0], **fields})
         cfg = IRBGSConfig(lengths=(2.0, 4, 6), recipe=builtin_recipes()[0], fit_strategy="box")
-        assert cfg.lengths == cfg.baseline.lengths == (2, 4, 6)
-        assert cfg.baseline.exact and cfg.baseline.fit_strategy == "box"
+        assert cfg.lengths == (2, 4, 6)
+        assert cfg.exact and cfg.fit_strategy == "box"
+
+    def test_config_is_its_own_rb_config(self):
+        cfg = IRBGSConfig(lengths=(2, 4, 6), recipe=builtin_recipes()[0])
+        assert isinstance(cfg, rb_module.RBConfig) and not hasattr(cfg, "baseline")
+        assert (cfg.n, cfg.k_m, cfg.exact, cfg.mode) == (2, 30, True, "clifford")
 
 
 class TestCliffordFromUnitary:
@@ -354,6 +366,8 @@ def test_recipe_gate_validation():
         RecipeGate("H", (0, 1))
     with pytest.raises(ValueError):
         RecipeGate("FOO", (0,))
+    with pytest.raises(ValueError, match="H takes no rotation index k"):
+        RecipeGate("H", (0,), 5)
     for qubits, k in (((0.5,), None), ((2,), None), ((-1,), None), ((True,), None),
                       ((0, 1), "2"), ((0, 1), 2.5), ((0, 1), True)):
         with pytest.raises(ValueError):
@@ -371,6 +385,6 @@ def test_run_irbgs_fits_its_two_curves_in_one_call(monkeypatch):
     est = run_irbgs(cfg)
     assert len(calls) == 1
     # the baseline curve is the one run_standard_rb fits alone
-    baseline = rb_module.run_standard_rb(cfg.baseline)
+    baseline = rb_module.run_standard_rb(cfg)
     assert est.baseline_data.fit == baseline.fit
     assert np.array_equal(est.baseline_data.per_sequence, baseline.per_sequence)

@@ -11,7 +11,29 @@ whose profile sums in another order (r moved by at most 5e-8 of itself).
 Six were re-pinned when a fit whose B0 comes out 0 became degenerate
 (p = 1, converged false) instead of reporting the grid's first p, and six
 more when the irbgs summaries gained both fits' status and a compare ratio
-off a degenerate fit became null.  The
+off a degenerate fit became null.  Five CSVs and ten summaries were
+re-pinned when the outputs stopped depending on the kernels numpy picks by
+CPU for its float ``power`` (the measurement flips and every p^m of the
+fit became repeated products, the fit's grid scalar powers); the CSVs are
+those of the three cases with measurement flips (sha256 prefixes, old ->
+new):
+
+- compare-exact-clifford-pauli-spam rb.csv 976f7b790579 -> 16933ff8a6d1,
+  rbsv.csv d9d94a968f95 -> ece6494df1dc, summary e4c4df2ffb39 -> ca7e70c8bb79;
+- irbgs-pauli-spam irbgs_baseline.csv 976f7b790579 -> 16933ff8a6d1,
+  irbgs_interleaved.csv c36a2ec527ad -> 5efd964c7a21, summary
+  d65eeded9350 -> 7087c91b6699;
+- rb-exact-generator-pauli-spam rb.csv f47e4327b401 -> 20f26d30672e,
+  summary d0f65666203e -> 5fefc9547fd9;
+- summaries only: bench-compare-n2 6370e5c01d04 -> 466a6fed8356,
+  bench-rbsv-gen-n6 b0644d8110e0 -> f63b922aabef,
+  compare-sampled-clifford-delta-n3 9eb27a5c926e -> fdc1e85c6c03,
+  compare-sampled-clifford-depolarizing aa2b22ed7ff1 -> af1a7c927b82,
+  compare-sampled-generator-pauli-spam 84433f8bc1ca -> 113df8106ba1,
+  rb-sampled-clifford-depolarizing 6a4bfee9c929 -> 83fa4320804e,
+  rbsv-sampled-generator-depolarizing 77f51530cc6c -> b624ae9b103e.
+
+The last test reruns every case with numpy's SIMD kernels switched off.  The
 cases cover every protocol, sampled and exact mode, Clifford
 and generator elements, Pauli-diagonal and dense noise with SPAM, unsorted
 and repeated lengths, and the three benchmark workloads' configs at seed 7.
@@ -19,6 +41,10 @@ and repeated lengths, and the three benchmark workloads' configs at seed 7.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -114,8 +140,8 @@ PINNED_CSV_DIGESTS = {
         'rbsv.csv': '21e1ffeee795e8812ecfeea90a015c1ce3a85159aa72587182e40a59cb82b381',
     },
     'compare-exact-clifford-pauli-spam': {
-        'rb.csv': '976f7b790579dce27d64273765c74a83c8544d596a8d7f2df694e58107506f74',
-        'rbsv.csv': 'd9d94a968f95f916c1e64065b7a08780a56a240a79342ad48ba5d6ab2a18d84a',
+        'rb.csv': '16933ff8a6d1729b200853a4267003ea4facadfcba9392ec28b5ad999acf7461',
+        'rbsv.csv': 'ece6494df1dc676a1b9a8bc4279ef00a9c5d9231fea8ea6785ea636821717c0b',
     },
     'compare-exact-generator-delta': {
         'rb.csv': '898e0febf6f214b730bdab4386f93e76742994c62276bb989d03a4bc42b37e25',
@@ -142,14 +168,14 @@ PINNED_CSV_DIGESTS = {
         'irbgs_interleaved.csv': '909d574e98ee39ec82b03f47ae76ef216f62a168573b073620fd3f08c506d7fa',
     },
     'irbgs-pauli-spam': {
-        'irbgs_baseline.csv': '976f7b790579dce27d64273765c74a83c8544d596a8d7f2df694e58107506f74',
-        'irbgs_interleaved.csv': 'c36a2ec527ad56e6d68fb91fd9da51536b5dc034053a380f77245d68b81e04a4',
+        'irbgs_baseline.csv': '16933ff8a6d1729b200853a4267003ea4facadfcba9392ec28b5ad999acf7461',
+        'irbgs_interleaved.csv': '5efd964c7a210426588536d44d09f7e09822aae9a8fb6e3cf1a68f918dd0ed80',
     },
     'rb-exact-clifford-delta-n1': {
         'rb.csv': '8dc3a26c5461d9a6270e9a0332e55a39c3d6d79b2922c4deabc9d58f3239802d',
     },
     'rb-exact-generator-pauli-spam': {
-        'rb.csv': 'f47e4327b401a492f6656fd90e64bcded9fd129a9da8b6ed68f0c3458ebaf214',
+        'rb.csv': '20f26d30672e3b1d20c2675071bb90da1568d411089f6e5e6866dd3d886d8451',
     },
     'rb-sampled-clifford-depolarizing': {
         'rb.csv': 'f301f35a736e09fd503cd71774739a9028ff1a665fd206c4f0bb4a8f49ba56fb',
@@ -172,25 +198,25 @@ PINNED_CSV_DIGESTS = {
 }
 
 PINNED_SUMMARY_DIGESTS = {
-    'bench-compare-n2': '6370e5c01d0432fd722390068e42945b9242478ba28c7a5b32b80af42c10017c',
+    'bench-compare-n2': '466a6fed8356fb02b574d3f9d4e590bbbe16482cb77b192b438399483b82c73b',
     'bench-irbgs-exact-n2': '3f2c26e1b44d73e90ec7f6972e6b646e0d2c56979b20ee38068cf65f76ee4121',
-    'bench-rbsv-gen-n6': 'b0644d8110e0eb6b00a624deb4bcfacc674352ad8c48994714b1382128247633',
-    'compare-exact-clifford-pauli-spam': 'e4c4df2ffb39688b69adcbd5d7a78dff859d943acc28b9aaac9c5864d5f5ca2c',
+    'bench-rbsv-gen-n6': 'f63b922aabefe93b0716cf34251f31dd24ef94e6cc2f89e78aaa95b89935cbcb',
+    'compare-exact-clifford-pauli-spam': 'ca7e70c8bb7932b10d437b85504a76f3e7783a86ee3e8bc9bf0db8672e219462',
     'compare-exact-generator-delta': '6d375159ea92ca0d2ed1310d85d56ca263c4722290ccd833b5cf8d4109e09973',
-    'compare-sampled-clifford-delta-n3': '9eb27a5c926ed9ea5d7759bff04c48f9e0277d6a1157fb39be6964e006b75984',
-    'compare-sampled-clifford-depolarizing': 'aa2b22ed7ff1b97f9cbce888a0bd4b91786a98af423f6709bfe0b6fc637f1ff0',
-    'compare-sampled-generator-pauli-spam': '84433f8bc1cab4a65859ad69fee569f509fc826f753adca61125e40d3fceee03',
+    'compare-sampled-clifford-delta-n3': 'fdc1e85c6c03d137e8eefbe716514e217a35856ad1af3254bf9aa21b2768915c',
+    'compare-sampled-clifford-depolarizing': 'af1a7c927b82211cbb69b7e1c5a7e0431e2e64db5c0c1dd9516db10d5c9d3ab9',
+    'compare-sampled-generator-pauli-spam': '113df8106ba13d2cc75ce9af2b044a6d667e1e764a47eba06a478fc679752868',
     'irbgs-delta': '7f56ffae9482620b5e0a5a14219c8f31145dc42271b2eb69436fe3683a2d6b47',
     'irbgs-depolarizing': '19c68680495316e10b7b42b919ce4c57bff9a9438ba84dbbb3389a5f070b79b4',
-    'irbgs-pauli-spam': 'd65eeded93504e2e102f4de2cb06bb71e883013c13712e8968ed67fddc269d10',
+    'irbgs-pauli-spam': '7087c91b669903c960f727499bd50d5cb59a165e33fa97ee19ab5680e25acb1f',
     'rb-exact-clifford-delta-n1': 'b942f7dd39af42bf931848c8bb77a893800f554733404e4c04549f86599ee3f6',
-    'rb-exact-generator-pauli-spam': 'd0f65666203e9fa3be4d1408260b0233960b0cbd3974f75afb2070ea1c36f205',
-    'rb-sampled-clifford-depolarizing': '6a4bfee9c9295122da8def47a20a8908dc1e7ef0f107c2774df61b0e39fffd96',
+    'rb-exact-generator-pauli-spam': '5fefc9547fd9f90c5766b9661b71cdfafad0c0701fd4c9cacdef1ff37bf63ee9',
+    'rb-sampled-clifford-depolarizing': '83fa4320804e7c4b914cb76fd60427c570ccb33028c38ab7f8bdd86f2e9ff3d4',
     'rb-sampled-generator-delta': 'bef65925835d9c031038c26cda4c301b3dc42ce1d65fc1c92c65adf970987803',
     'rbsv-exact-clifford-delta': '660347edb3cf9067e3bf2053359bb480681c85c5f671795f76444d0793e17d1a',
     'rbsv-exact-generator-delta-no-identity': '1df191e391c55d7acf6ab1bb9ed32945e9f337ab11dc621e573e075e8e9595cb',
     'rbsv-sampled-clifford-pauli-spam': '213414d090cac8826ae1f8a6d47c5734875bb32f14d73036c3040e12b2e9bd28',
-    'rbsv-sampled-generator-depolarizing': '77f51530cc6cbebabc963f37d64df4ec087fc5e15e36c9b8b05390953de63518',
+    'rbsv-sampled-generator-depolarizing': 'b624ae9b103e2d755375800663782b459b1501fc3fd278c569e21b6126469297',
 }
 
 
@@ -226,3 +252,43 @@ def test_csv_outputs_are_pinned(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_summary_outputs_are_pinned(case, tmp_path):
     assert summary_digest(*CASES[case], tmp_path) == PINNED_SUMMARY_DIGESTS[case]
+
+
+# reruns every case in a fresh process and writes each one's CSV and summary
+# digests, as this module computes them, to the JSON file argv[1]
+_RERUN = """
+import json, sys
+from pathlib import Path
+import test_pinned_outputs as pinned
+out = Path(sys.argv[1])
+got = {}
+for case, (command, cfg) in pinned.CASES.items():
+    for part in ("csv", "summary"):
+        (out / case / part).mkdir(parents=True)
+    got[case] = [pinned.csv_digests(command, cfg, out / case / "csv"),
+                 pinned.summary_digest(command, cfg, out / case / "summary")]
+(out / "digests.json").write_text(json.dumps(got))
+"""
+
+
+def simd_targets() -> list:
+    """The SIMD targets this numpy dispatches to on this host (those it was
+    built for that the CPU has); none on a host with only the baseline."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
+def test_outputs_are_pinned_with_simd_kernels_off(tmp_path):
+    # numpy picks its float kernels by CPU; with every dispatched target off
+    # it runs its baseline ones, and every output must still be the pinned one
+    tests = Path(__file__).resolve().parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)),
+               NPY_DISABLE_CPU_FEATURES=" ".join(simd_targets()))
+    run = subprocess.run([sys.executable, "-c", _RERUN, str(tmp_path)], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    got = json.loads((tmp_path / "digests.json").read_text())
+    moved = [case for case in CASES
+             if got[case] != [PINNED_CSV_DIGESTS[case], PINNED_SUMMARY_DIGESTS[case]]]
+    assert moved == []

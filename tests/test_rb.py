@@ -288,13 +288,12 @@ class TestFitRule:
         weighted = LINE[:, None] + rng.normal(0.0, 1e-3, (len(LINE), 4))
         unweighted = np.repeat((0.25 + 0.7 * 0.97 ** np.array(FIT_LENGTHS))[:, None], 4, axis=1)
         cfg = RBConfig(n=2, lengths=FIT_LENGTHS)
-        alone = [RBData.fitted(cfg, weighted), RBData.fitted(cfg, unweighted, engine="dense")]
+        alone = [RBData.fitted(cfg, weighted), RBData.fitted(cfg, unweighted)]
         calls = []
         monkeypatch.setattr("rbsim.rb.fit_decay",
                             lambda *args, **kwargs: calls.append(1) or fit_decay(*args, **kwargs))
-        together = RBData.fitted(cfg, np.stack([weighted, unweighted]), engine=[None, "dense"])
+        together = RBData.fitted(cfg, np.stack([weighted, unweighted]))
         assert len(calls) == 1
-        assert [d.engine for d in together] == ["pauli", "dense"]
         for got, want in zip(together, alone):
             assert got.fit == want.fit and got.r == want.r
             for name in ("mean", "stderr", "per_sequence"):
