@@ -471,6 +471,10 @@ def main(argv=None) -> int:
         # ConfigError, UnsupportedChannelError and other run-time ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (OverflowError, MemoryError) as exc:
+        # a count beyond int64 or an array beyond memory, such as K_m = 1e30
+        print(f"error: a config number is too large to run: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

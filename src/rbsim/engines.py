@@ -6,10 +6,10 @@ sequences with one channel per position), the engine's one input.
 Acceptance and RB survival are means over them.  Sampled mode counts,
 per sequence, the words of its repetition stream that fall below its
 probability (``_binomials``): one Binomial(reps, p) draw, at O(reps) cost.
-The sequences of a batch may differ in length: end-aligned and longest
-first, those under way at a position are a prefix of the batch, and only
-they are stepped.  They are propagated a block at a time, so that the
-engine's state stays within ``_STATE_WORDS`` tracked Paulis whatever K.
+The sequences of a batch may differ in length and come in any order; the
+engine runs them longest first, so that those under way at a position are a
+prefix, and steps only them.  They are propagated a block at a time, so that
+the engine's state stays within ``_STATE_WORDS`` tracked Paulis whatever K.
 
 A batch is a table of element rows plus, per position and sequence, the
 table row that sequence applies there: one row per drawn Clifford, or one
@@ -113,17 +113,17 @@ def run_sequence_exact(batch: SequenceBatch, k: int = 0) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceBatch:
     """K noisy sequences of L positions that share one channel per position.
 
     ``rows[t]`` holds the 2n packed image rows of table entry t (the layout
     of ``CliffordElement.rows``), ``phases[t]`` their exponents of i;
     ``elements[l, k]`` is the entry sequence k applies at position l, and
-    ``channels[l]`` acts after position l.  Sequences may be shorter than L:
-    ``elements[l, k]`` is -1 before sequence k starts, and they are
-    end-aligned, longest first, so that the sequences under way at any
-    position are a prefix of the batch and all of them end at position L - 1.
+    ``channels[l]`` acts after position l.  Sequences, in any order, end at
+    position L - 1: ``elements[l, k]`` is -1 before sequence k starts.  Built,
+    a batch checks this and derives ``order``, longest first (ties in column
+    order), in which the first ``widths[l]`` sequences are under way at l.
     """
 
     n: int
@@ -132,6 +132,8 @@ class SequenceBatch:
     elements: np.ndarray  # (L, K) table indices
     channels: list
     spam: SpamModel = field(default_factory=SpamModel)
+    order: np.ndarray = field(init=False, repr=False, compare=False)
+    widths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         table = (len(self.rows), 2 * self.n)
@@ -139,6 +141,12 @@ class SequenceBatch:
             raise ValueError(f"rows and phases must be (T, 2n) = (T, {2 * self.n})")
         if len(self.channels) != len(self.elements):
             raise ValueError("need one noise channel per position")
+        started = np.asarray(self.elements) >= 0
+        spans = started.sum(axis=0)
+        if not np.array_equal(started, np.arange(len(started))[:, None] >= len(started) - spans):
+            raise ValueError("sequences must be end-aligned")
+        object.__setattr__(self, "order", np.argsort(-spans, kind="stable"))
+        object.__setattr__(self, "widths", started.sum(axis=1))
 
 
 def _span(words: np.ndarray, n: int, phases: np.ndarray | None = None):
@@ -171,17 +179,6 @@ def _images(half: np.ndarray, n: int) -> np.ndarray:
     z half's, at entry ``t << 2n | g``, as uint16 (2n <= 16 bits)."""
     x, z = np.moveaxis(half.astype(np.uint16).reshape(-1, 2, 1 << n), 1, 0)
     return (z[:, :, None] ^ x[:, None, :]).ravel()
-
-
-def _started(elements: np.ndarray) -> np.ndarray:
-    """Per position, the number of sequences under way: the end-aligned layout
-    of ``SequenceBatch``, checked."""
-    started = elements >= 0
-    widths = started.sum(axis=1)
-    if np.any(np.diff(widths) < 0) or not np.array_equal(
-            started, np.arange(elements.shape[1]) < widths[:, None]):
-        raise ValueError("sequences must be end-aligned, longest first")
-    return widths
 
 
 def _binomials(reps: int, seeds, probabilities: np.ndarray) -> np.ndarray:
@@ -285,14 +282,14 @@ class CompiledSequence:
         Each sequence tracks the Z group's Paulis, or all 4^n when ``signed``,
         through prep and its positions: their images, exponents of i (signed
         only) and coefficients.  Sequences are propagated ``_STATE_WORDS``
-        tracked Paulis at a time, and the sequences of a block under way at a
-        position are a prefix of it (``_started``), which alone is stepped.
+        tracked Paulis at a time in ``SequenceBatch.order``, in which those of
+        a block under way at a position are a prefix of it, which alone is
+        stepped; each readout row goes to its sequence's own column.
         """
         n, batch = self.n, self.batch
         size = 1 << n
-        elements = batch.elements
+        widths, elements = batch.widths, batch.elements[:, batch.order]
         length, count = elements.shape
-        widths = _started(elements)
         # a stabilizer group is the span of its n generators, in subset order;
         # the span is linear, so mapping every element of it keeps that order
         z_group = _span(np.int64(1) << np.arange(n, 2 * n), n)
@@ -372,8 +369,8 @@ class CompiledSequence:
                 for ch in tail:
                     out = self._apply(ch, images, signs, out)
                 readout_group, readout = readouts[closed]
-                readout_group[low:high] = images[:, z_columns]
-                readout[low:high] = out[:, z_columns]
+                readout_group[batch.order[low:high]] = images[:, z_columns]
+                readout[batch.order[low:high]] = out[:, z_columns]
         return readouts
 
     def acceptance_probability(self, include_identity: bool = True) -> np.ndarray:

@@ -60,17 +60,18 @@ VERIFY_ATOL = 1e-12
 
 
 def p_matrix(k: int) -> np.ndarray:
-    """Single-qubit rotation P(k) = diag(1, exp(i 2 pi / 2^k)); P(2) is the phase gate."""
+    """Single-qubit rotation P(k) = diag(1, exp(i 2 pi / 2^k)); P(2) is the phase gate.
+    Its angle is ``math.ldexp``'s 2 pi 2^-k, which takes any k (0.0 from k = 1078 on)."""
     if k < 1:
         raise ValueError("rotation index k must be >= 1")
-    return np.diag([1.0, np.exp(2j * np.pi / 2 ** k)]).astype(complex)
+    return np.diag([1.0, np.exp(1j * math.ldexp(2 * math.pi, -k))]).astype(complex)
 
 
 def cp_matrix(k: int) -> np.ndarray:
     """Controlled-P(k): diag(1, 1, 1, exp(i 2 pi / 2^k)); Clifford only for k = 1."""
     if k < 1:
         raise ValueError("rotation index k must be >= 1")
-    return np.diag([1.0, 1.0, 1.0, np.exp(2j * np.pi / 2 ** k)]).astype(complex)
+    return np.diag([1.0, 1.0, 1.0, np.exp(1j * math.ldexp(2 * math.pi, -k))]).astype(complex)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,10 @@
 generator-sequence variant; produces per-length average survival data.
 
 A run draws the elements of every sequence of every length in one pass and
-compiles them into one ``SequenceBatch`` (``_draw_batch``), end-aligned:
-ordered longest first, a sequence of L_k positions starts at position
-L - L_k, so the sequences under way at any position are a prefix of the
-batch and all of them close at the last one.  Each sequence still draws
-only from its own streams, so its survival does not depend on the others.
+compiles them into one ``SequenceBatch`` (``_draw_batch``), end-aligned, in
+any order: a sequence of L_k positions starts at position L - L_k, so all
+of them close at the last one.  Each sequence still draws only from its
+own streams, so its survival does not depend on the others.
 
 Every fitted per-length curve of the drivers is an ``RBData``: survivals
 here and in ``irbgs``, fidelity bounds in ``rbsv``.  ``RBData.fitted`` is
@@ -168,7 +167,7 @@ def _end_aligned(spans: np.ndarray) -> np.ndarray:
 
 def _draw_elements(config: RBConfig, lengths, seeds) -> tuple:
     """One sequence per element stream in ``seeds``, of ``lengths[k]``
-    elements (one length for all, or one per stream, longest first), as a
+    elements (one length for all, or one per stream, in any order), as a
     ``SequenceBatch``'s table: packed rows and phases ``(T, 2n)`` and the
     ``(L, K)`` end-aligned row each sequence picks at each position (-1
     before it starts).  Clifford mode draws ``lengths[k]`` random Cliffords
@@ -240,7 +239,7 @@ def _rb_ensemble(config: RBConfig, seed: int | None = None, fixed=None) -> np.nd
     application.
     """
 
-    def run_units(lengths, seeds, units):
+    def run_units(lengths, seeds):
         compiled = _draw_batch(config, lengths, seeds[0], close=True, fixed=fixed)
         return _survivals(config, compiled, seeds[1])
 

@@ -131,12 +131,12 @@ class RBSVConfig(RBConfig):
             )
 
 
-def _acceptances(config: RBSVConfig, compiled, seeds, lengths, units) -> np.ndarray:
+def _acceptances(config: RBSVConfig, compiled, seeds, lengths) -> np.ndarray:
     """Acceptance of each open sequence of ``compiled``: exact, or the
     accepted fraction of ``n_m`` repetitions drawn from its repetition
-    stream ``seeds[k]``.  Sequence k is unit ``units[k]``, of ``lengths[k]``
-    elements; a zero acceptance raises ``FailureSignatureError`` naming the
-    lowest such unit."""
+    stream ``seeds[k]``.  Sequence k has ``lengths[k]`` elements; a zero
+    acceptance raises ``FailureSignatureError`` naming the first such
+    sequence, which in a run is the lowest failing unit."""
     include = config.include_identity_stabilizer
     if config.exact:
         p_acc = compiled.acceptance_probability(include)
@@ -144,9 +144,9 @@ def _acceptances(config: RBSVConfig, compiled, seeds, lengths, units) -> np.ndar
         p_acc = compiled.acceptance_samples(config.n_m, seeds, include) / config.n_m
     zero = np.flatnonzero(p_acc == 0.0)
     if zero.size:
-        k = zero[np.argmin(units[zero])]
+        k = zero[0]
         raise FailureSignatureError(
-            f"sequence {units[k]} (m={lengths[k]}) accepted 0/{config.n_m} repetitions; "
+            f"sequence {k} (m={lengths[k]}) accepted 0/{config.n_m} repetitions; "
             "the noise is too strong for verification to proceed"
         )
     return p_acc
@@ -164,9 +164,9 @@ def run_rbsv(config: RBSVConfig, *, with_rb: bool = False) -> RBSVResult:
     propagation serve both protocols.
     """
 
-    def run_units(lengths, seeds, units):
+    def run_units(lengths, seeds):
         compiled = _draw_batch(config, lengths, seeds[0], close=with_rb)
-        p_acc = _acceptances(config, compiled, seeds[1], lengths, units)
+        p_acc = _acceptances(config, compiled, seeds[1], lengths)
         if not with_rb:
             return p_acc
         return np.stack([p_acc, _survivals(config, compiled, seeds[1])], axis=1)

@@ -10,9 +10,9 @@ from its seed (Steele, Lea & Flood 2014), read as a counter-based generator
 evaluation and no generator object is built per unit.  A result therefore
 depends only on the master seed and the unit's index, never on the order
 units run in or on the batch they run in.  ``run_ensemble`` hands every
-unit of every length to one batched call, longest first, returns the
-results as one ``(L, K)`` array in unit order and logs one INFO line per
-length (m, K_m, seconds of that one call).
+unit of every length to one batched call, in unit order, returns the
+results as one ``(L, K)`` array and logs one INFO line per length (m, K_m,
+seconds of that one call).
 """
 
 from __future__ import annotations
@@ -154,22 +154,18 @@ def parallel_map(fn, items) -> list:
 def run_ensemble(seed: int, lengths, k_m: int, run_units) -> np.ndarray:
     """``k_m`` independent sequences per length, one ``(L, K, ...)`` array.
 
-    Sequence ``j`` at the ``im``-th length is work unit ``im * k_m + j``.
-    Every unit of every length goes to one call ``run_units(lengths, seeds,
-    units)``, longest first (ties in unit order): unit ``units[i]`` has
-    length ``lengths[i]`` and streams ``seeds[:, i]``, with ``seeds =
-    unit_seeds(seed, units)``, so its elements come from the stream seeded
-    by ``seeds[0, i]`` and its sampled repetitions from ``seeds[1, i]``.  The
-    call returns its units' results, unit first in the order given; they come
-    back in unit order, row ``im`` of the result for the im-th length.
+    Sequence ``j`` at the ``im``-th length is work unit ``i = im * k_m + j``.
+    Every unit of every length goes, in unit order (the engine takes a batch
+    in any order), to one call ``run_units(lengths, seeds)``: unit i has length
+    ``lengths[i]`` and streams ``seeds[:, i]``, with ``seeds = unit_seeds(seed,
+    range(K))``, so its elements come from the stream seeded by ``seeds[0, i]``
+    and its sampled repetitions from ``seeds[1, i]``.  The call returns its
+    units' results, unit first; row ``im`` of the result is the im-th length's.
     """
     t0 = time.perf_counter()
     per_unit = np.repeat(np.asarray(lengths, dtype=np.int64), k_m)
-    units = np.argsort(-per_unit, kind="stable")
-    results = run_units(per_unit[units], unit_seeds(seed, units), units)
-    ordered = np.empty_like(results)
-    ordered[units] = results
+    results = run_units(per_unit, unit_seeds(seed, np.arange(len(per_unit))))
     seconds = time.perf_counter() - t0
     for m in lengths:
         log.info("m=%d K_m=%d %.3f s", m, k_m, seconds)
-    return ordered.reshape(len(lengths), k_m, *results.shape[1:])
+    return results.reshape(len(lengths), k_m, *results.shape[1:])

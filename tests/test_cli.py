@@ -375,6 +375,23 @@ class TestConfigErrors:
         assert main([command, "--config", path]) == 2
         assert_one_error(capsys, "need at least 3 points with 3 distinct lengths")
 
+    @pytest.mark.parametrize("command, edit, fragment", [
+        ("compare", {"K_m": 1e30}, "Python int too large to convert to C long"),
+        ("compare", {"lengths": [1e30, 2, 3]}, "Python int too large to convert to C long"),
+        ("rb", {"rb_mode": "generator", "b": 1e30}, "Python int too large to convert to C long"),
+        # the first array, 4e15 int64 units, is beyond the address space: it
+        # is refused, never allocated
+        ("rbsv", {"K_m": 1e15}, "Unable to allocate 28.4 PiB"),
+        ("plan", {"n": 2000}, "int too large to convert to float"),
+    ])
+    def test_numbers_too_large_to_run(self, tmp_path, capsys, command, edit, fragment):
+        cfg = dict(small_rbsv_config(), protocol=command, **edit)
+        if command == "rb":
+            del cfg["N_m"]  # an rbsv field
+        path = write_config(tmp_path, "large.json", edit if command == "plan" else cfg)
+        assert main([command, "--config", path, "--out", str(tmp_path / "out")]) == 2
+        assert_one_error(capsys, f"a config number is too large to run: {fragment}")
+
     def test_threads_other_than_one_rejected(self, tmp_path):
         path = write_config(tmp_path, "rbsv.json", small_rbsv_config())
         with pytest.raises(SystemExit) as exc:
@@ -531,6 +548,23 @@ class TestRuns:
         assert main(["verify-synthesis"]) == 0
         out = capsys.readouterr().out
         assert out.count("pass") == 7
+
+    def test_rotation_index_beyond_the_float_range(self, tmp_path, capsys):
+        # CP(1024) pairs make the identity: 2^1024 is no float, 2 pi 2^-1024 is
+        recipe = json.loads(bundled_recipe_text())[0]
+        for gate in recipe["gates"]:
+            gate.update({"k": 1024} if gate["gate"] == "CP" else {})
+        recipe["target"] = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+        path = write_config(tmp_path, "k1024.json", [recipe])
+        assert main(["verify-synthesis", "--recipes", path]) == 0
+        assert re.fullmatch(r"phase-on-j +pass  max_deviation=\S+  L=2\n", capsys.readouterr().out)
+        cfg = {"protocol": "irbgs", "lengths": [1, 2, 3], "K_m": 2, "recipe": {"path": path},
+               "noise": {"gate": {"kind": "depolarizing", "epsilon": 0.01}},
+               "noise_n": {"kind": "depolarizing", "epsilon": 0.01}}
+        out = tmp_path / "out"
+        assert main(["irbgs", "--config", write_config(tmp_path, "irb.json", cfg),
+                     "--out", str(out)]) == 0
+        assert (out / "irbgs_summary.json").exists()
 
     def test_verify_synthesis_failure_exit_code(self, tmp_path):
         base = json.loads(bundled_recipe_text())[0]
@@ -748,7 +782,7 @@ def test_zero_acceptance_names_the_lowest_unit_in_config_order(command, tmp_path
     # a certain X flip after every element leaves each sequence's one
     # non-identity stabilizer at +1 or -1, so whole units accept nothing; at
     # this seed they lie at two lengths, and the longest length, which the
-    # batch holds first, is not the one the lowest failing unit has
+    # engine runs first, is not the one the lowest failing unit has
     cfg = {"protocol": "rbsv", "n": 1, "lengths": [3, 7, 5], "K_m": 3, "N_m": 10,
            "mode": "exact", "include_identity_stabilizer": False, "seed": 0,
            "noise": {"gate": {"kind": "pauli", "probabilities": {"X": 1.0}}}}

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -798,3 +799,63 @@ class TestSequenceBatch:
         # a 2-qubit table does not make a 3-qubit batch
         with pytest.raises(ValueError, match=r"\(T, 2n\)"):
             SequenceBatch(3, rows, phases, picks, [Ideal()] * 3)
+
+    def test_layout_checked_when_built(self, rng):
+        rows, phases = random_clifford_rows(2, stream_seeds(rng, 2), 3)
+        rows, phases = rows.reshape(-1, 4), phases.reshape(-1, 4)
+        # a -1 after a pick: a gap, or a sequence ending before the last position
+        for picks in ([[0, -1], [-1, 1], [2, 3]], [[0, 1], [2, 3], [4, -1]]):
+            with pytest.raises(ValueError, match="^sequences must be end-aligned$"):
+                SequenceBatch(2, rows, phases, np.array(picks), [Ideal()] * 3)
+        # any column order: the engine's order is longest first, ties in column order
+        batch = SequenceBatch(2, rows, phases, np.array([[-1, 0, -1], [1, 2, 3], [4, 5, 0]]),
+                              [Ideal()] * 3)
+        assert batch.order.tolist() == [1, 0, 2] and batch.widths.tolist() == [1, 3, 3]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.elements = batch.elements[:, ::-1]
+
+
+def all_readouts(batch, closing, seeds):
+    """``readouts`` and the open and the closed stabilizer groups."""
+    compiled = closed_by_inverse(batch, closing)
+    return readouts(batch, closing, seeds) + [compiled._readout(c)[0] for c in (False, True)]
+
+
+class TestBatchOrder:
+    """The engine orders a batch's sequences itself, in any column order."""
+
+    @pytest.mark.parametrize("words", [None, 8])
+    @pytest.mark.parametrize("noise", ["pauli", "delta"])
+    @pytest.mark.parametrize("mode", ["clifford", "generator"])
+    def test_shuffled_batch_reads_as_sorted_and_alone(self, mode, noise, words, rng,
+                                                      monkeypatch):
+        # per sequence, every readout of a shuffled batch, open and closed,
+        # equals, bit for bit, the sorted batch's (repetition streams permuted
+        # alike) and its own alone; with 8 state words, the blocks are one or
+        # two sequences
+        n, lengths = 2, [2, 5, 1, 5, 3, 4]
+        if noise == "pauli":
+            gate = PauliChannel({"II": 0.9, "XI": 0.06, "ZZ": 0.04})
+        else:
+            gate = DeltaDepolarizing(0.2, 0.9, PauliString.single(n, 1, "Y"), 0.3)
+        spam = SpamModel(prep=Depolarizing(0.05), meas=PauliChannel({"II": 0.92, "YY": 0.08}),
+                         meas_flip=0.03)
+        channels = [gate, Depolarizing(0.03), gate, Ideal(), gate]
+        config = RBConfig(n=n, lengths=(1, 2, 3), mode=mode, generator_block=1)
+        rows, phases, picks = _draw_elements(config, lengths, stream_seeds(rng, len(lengths)))
+        shuffled = SequenceBatch(n, rows, phases, picks, channels, spam)
+        order = np.argsort(-np.array(lengths), kind="stable")
+        assert shuffled.order.tolist() == order.tolist() != list(range(len(lengths)))
+        seeds = stream_seeds(rng, len(lengths))
+        if words is not None:
+            monkeypatch.setattr(engines, "_STATE_WORDS", words)
+        got = all_readouts(shuffled, gate, seeds)
+        # the sequences differ, so a readout paired with the wrong one shows
+        assert len({(*e, *g) for e, g in zip(got[0].tolist(), got[-2].tolist())}) == len(lengths)
+        want = all_readouts(SequenceBatch(n, rows, phases, picks[:, order], channels, spam),
+                            gate, seeds[order])
+        assert all(np.array_equal(a[order], b) for a, b in zip(got, want))
+        for k, m in enumerate(lengths):
+            alone = SequenceBatch(n, rows, phases, picks[-m:, [k]], channels[-m:], spam)
+            want = all_readouts(alone, gate, seeds[k:k + 1])
+            assert all(np.array_equal(a[k], b[0]) for a, b in zip(got, want))

@@ -73,11 +73,20 @@ class TestVerifySynthesis:
             assert report.max_deviation <= 1e-12
             assert recipe.nonclifford_count == 2
 
-    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 1024, 5000])
     def test_rotation_pair_identity(self, k):
         # (X x I) CP(k) (X x I) CP(k) applies P(k) on the target
         report = verify_synthesis(rotation_expansion_recipe(k))
         assert report.passed and report.max_deviation <= 1e-12
+
+    def test_rotation_angle_takes_every_k(self):
+        # 2 pi / 2^k as a power-of-two scaling: the bits of the float division
+        # while 2^k converts to a float, and past k = 1077 the angle 0
+        for k in range(1, 1024):
+            assert p_matrix(k)[1, 1] == np.exp(2j * np.pi / 2 ** k), k
+            assert cp_matrix(k)[3, 3] == p_matrix(k)[1, 1], k
+        for k in (1078, 5000):
+            assert np.array_equal(p_matrix(k), np.eye(2)) and np.array_equal(cp_matrix(k), np.eye(4))
 
     def test_corrupted_recipe_fails_loudly(self):
         base = builtin_recipes()[0]
@@ -268,20 +277,19 @@ class TestRunIRBGS:
         fixed = clifford_element_from_unitary(np.asarray(cfg.recipe.target, dtype=complex), 2)
         assert len(batches) == 2  # the baseline's, then the interleaved one
         baseline, batch = batches
-        # the batch holds the units longest first, ties in unit order
+        # the batch holds the units in unit order
         per_unit = np.repeat(lengths, k_m)
-        units = np.argsort(-per_unit, kind="stable")
         assert len(baseline.rows) == sum(lengths) * k_m
-        assert baseline.elements.shape == (max(lengths), len(units))
+        assert baseline.elements.shape == (max(lengths), len(per_unit))
         assert len(batch.rows) == sum(lengths) * k_m + 1
-        assert batch.elements.shape == (2 * max(lengths), len(units))
+        assert batch.elements.shape == (2 * max(lengths), len(per_unit))
         fixed_channel = ComposedChannel([lam_n] * cfg.recipe.nonclifford_count)
         assert batch.channels == [cfg.noise.gate, fixed_channel] * max(lengths)
         assert (batch.rows[-1].tolist(), batch.phases[-1].tolist()) == \
             (list(fixed.rows), list(fixed.phases))
-        got = est.interleaved_data.per_sequence.ravel()[units]
+        got = est.interleaved_data.per_sequence.ravel()
         for m in lengths:
-            columns = np.flatnonzero(per_unit[units] == m)
+            columns = np.flatnonzero(per_unit == m)
             assert np.all(batch.elements[:-2 * m, columns] == -1)
             picks = batch.elements[-2 * m:, columns]
             assert np.all(picks[1::2] == len(batch.rows) - 1)

@@ -135,15 +135,15 @@ def test_run_ensemble_chunk_layout_and_seeding():
     lengths, k_m, seed = (4, 1, 9, 4), 3, 123
     calls = []
 
-    def run_units(unit_lengths, seeds, units):
-        calls.append(units.tolist())
+    def run_units(unit_lengths, seeds):
+        calls.append(unit_lengths.tolist())
         words = stream_words(seeds[0], 0, 1)[:, 0]
-        columns = (unit_lengths, units, words, seeds[1])
+        columns = (unit_lengths, np.arange(len(unit_lengths)), words, seeds[1])
         return np.stack([np.asarray(c, dtype=np.uint64) for c in columns], axis=1)
 
     results = run_ensemble(seed, lengths, k_m, run_units)
-    # one call for every unit of every length, longest first, ties in unit order
-    assert calls == [[6, 7, 8, 0, 1, 2, 9, 10, 11, 3, 4, 5]]
+    # one call for every unit of every length, in unit order
+    assert calls == [[4, 4, 4, 1, 1, 1, 9, 9, 9, 4, 4, 4]]
     assert isinstance(results, np.ndarray)
     assert results.shape == (len(lengths), k_m, 4) and results.dtype == np.uint64
     for im, (m, rows) in enumerate(zip(lengths, results)):
@@ -164,13 +164,13 @@ PAULI_NOISE = NoiseModel(gate=PauliChannel({"II": 0.9, "XI": 0.07, "IZ": 0.03}),
 def unit_outputs(config, lengths, indices):
     """Per unit: rows and signs of its elements, its sampled RB survival count
     and its sampled RBSV accept count, from one batch of the given units
-    (``lengths[j]`` elements for unit ``indices[j]``, longest first)."""
+    (``lengths[j]`` elements for unit ``indices[j]``, in any order)."""
     seeds = unit_seeds(config.seed, indices)
     compiled = _draw_batch(config, lengths, seeds[0], close=True)
     rows, phases, picks = compiled.batch.rows, compiled.batch.phases, compiled.batch.elements
     survived = _survivals(config, compiled, seeds[1]) * config.shots
-    accepted = _acceptances(config, compiled, seeds[1], np.broadcast_to(lengths, len(indices)),
-                            np.asarray(indices)) * config.n_m
+    accepted = _acceptances(config, compiled, seeds[1],
+                            np.broadcast_to(lengths, len(indices))) * config.n_m
     started = [picks[:, j][picks[:, j] >= 0] for j in range(len(indices))]
     return [(rows[p].tolist(), phases[p].tolist(), survived[j], accepted[j])
             for j, p in enumerate(started)]
@@ -185,12 +185,12 @@ def test_unit_results_do_not_depend_on_the_batch(mode):
     batched = {m: unit_outputs(config, m, units[m]) for m in lengths}
     reverse = {m: unit_outputs(config, m, units[m]) for m in reversed(lengths)}
     alone = {m: [unit_outputs(config, m, [i])[0] for i in units[m]] for m in lengths}
-    # every length in one end-aligned batch, longest first
-    longest_first = sorted(lengths, reverse=True)
-    together = unit_outputs(config, np.repeat(longest_first, k_m),
-                            [u for m in longest_first for u in units[m]])
-    joined = {m: together[i * k_m:(i + 1) * k_m] for i, m in enumerate(longest_first)}
-    assert batched == reverse == alone == joined
+    assert batched == reverse == alone
+    # every length in one end-aligned batch: in unit order, as the drivers
+    # run it, and longest first
+    for order in (lengths, sorted(lengths, reverse=True)):
+        together = unit_outputs(config, np.repeat(order, k_m), [u for m in order for u in units[m]])
+        assert {m: together[i * k_m:(i + 1) * k_m] for i, m in enumerate(order)} == batched
     # the units differ, and the drivers report the same per-unit values
     assert len({tuple(map(tuple, u[0])) for u in batched[6]}) == k_m
     data = run_standard_rb(config)
