@@ -27,7 +27,6 @@ from .fitting import DecayFit
 from .irbgs import IRBGSConfig, builtin_recipes, load_recipes, run_irbgs, verify_synthesis
 from .rb import RBConfig, RBData, run_standard_rb
 from .rbsv import FailureSignatureError, RBSVConfig, RBSVResult, RPolicy, run_rbsv
-from .resources import ResourcePlan
 
 __all__ = ["main", "load_config", "build_rb_config", "build_rbsv_config",
            "build_irbgs_config"]
@@ -396,6 +395,8 @@ def _cmd_run(cfg: dict, args) -> int:
 
 
 def _cmd_plan(cfg: dict, args) -> int:
+    from .resources import ResourcePlan  # only plan reads it, so runs never import it
+
     reject_unknown_fields(cfg, ResourcePlan.__dataclass_fields__, "config")
     plan = ResourcePlan(**{name: _field(cfg, name, _PLAN_KINDS.get(name, config_number))
                            for name in cfg})
@@ -438,19 +439,35 @@ def _add_common(parser: argparse.ArgumentParser, run: bool = True):
         parser.add_argument("--exact", action="store_true", help="force exact mode")
 
 
+def _add_recipes(parser: argparse.ArgumentParser):
+    parser.add_argument("--recipes", default=None, help="recipe JSON (default: bundled)")
+
+
+# subcommand -> the function that adds its arguments to its parser
+_SUBCOMMANDS = {**{name: _add_common for name in _RUNS},
+                "plan": lambda parser: _add_common(parser, run=False),
+                "verify-synthesis": _add_recipes}
+
+
 def main(argv=None) -> int:
     _setup_logging()
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="rbsim",
         description="Clifford benchmarking simulator: plain, verification-based "
                     "and interleaved protocols plus resource planning.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _RUNS:
-        _add_common(sub.add_parser(name))
-    _add_common(sub.add_parser("plan"), run=False)
-    vs = sub.add_parser("verify-synthesis")
-    vs.add_argument("--recipes", default=None, help="recipe JSON (default: bundled)")
+    # every subcommand gets a parser, for the choices and the help, but only the
+    # one that will parse the rest of argv gets its arguments.  argparse hands
+    # the rest to the subcommand that the first positional argument names, and
+    # no top-level option takes a value, so that is the first argument naming
+    # one (a first positional that names none fails before any subcommand)
+    asked = next((arg for arg in argv if arg in _SUBCOMMANDS), None)
+    for name, add_arguments in _SUBCOMMANDS.items():
+        subparser = sub.add_parser(name)
+        if name == asked:
+            add_arguments(subparser)
     args = parser.parse_args(argv)
 
     try:

@@ -836,3 +836,33 @@ def test_shipped_configs_run(tmp_path, command, config, artifacts):
             assert json.loads(path.read_text())
         else:
             assert len(read_csv(path)) == len(lengths)
+
+
+# each argv's exit code, stdout and stderr from the parser, at 80 columns, as
+# the full parser tree (every subcommand's arguments added) printed them
+PARSER_OUTPUTS = json.loads((ROOT / "tests" / "cli_parser_outputs.json").read_text())
+
+
+@pytest.mark.parametrize("case", PARSER_OUTPUTS,
+                         ids=[" ".join(case["argv"]) or "(none)" for case in PARSER_OUTPUTS])
+def test_parser_prints_what_the_full_tree_printed(case, capsys, monkeypatch):
+    # main adds the arguments of the subcommand asked for only
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_:
+        main(case["argv"])
+    out, err = capsys.readouterr()
+    assert (exit_.value.code, out, err) == (case["code"], case["stdout"], case["stderr"])
+
+
+@pytest.mark.parametrize("command", ["rbsv", "compare"])
+def test_runs_leave_the_resource_planner_unimported(tmp_path, command):
+    config = write_config(tmp_path, "config.json", small_rbsv_config())
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from rbsim.cli import main; "
+            f"code = main([{command!r}, '--config', {config!r}, '--out', {str(tmp_path)!r}]); "
+            "print(code, 'rbsim.resources' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]

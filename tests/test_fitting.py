@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -173,15 +174,14 @@ class TestFitDecay:
 
     @pytest.mark.parametrize("bounds", [None, UNIT_BOX, PINNED_A0])
     def test_each_weight_stays_with_its_point_in_any_order(self, bounds):
-        # least squares does not depend on the order of its (point, weight) pairs
+        # least squares does not depend on the order of its (point, weight) pairs;
+        # the fit sorts them by length first, so every order gives the same bits
         pairs = list(zip([(5, 0.9), (10, 0.83), (20, 0.6), (40, 0.5)], [1.0, 1.0, 1.0, 1000.0]))
         fits = []
         for order in itertools.permutations(pairs):
             points, weights = zip(*order)
             fits.append(fit_decay(points, weights=weights, coefficient_bounds=bounds))
-        for fit in fits[1:]:
-            assert abs(fit.p - fits[0].p) < 1e-9
-            assert abs(fit.a0 - fits[0].a0) < 1e-9 and abs(fit.b0 - fits[0].b0) < 1e-9
+        assert fits == [fits[0]] * len(fits)
         # the heavy point at m = 40 is fitted almost exactly
         assert abs(fits[0].a0 + fits[0].b0 * fits[0].p ** 40 - 0.5) < 1e-3
 
@@ -246,25 +246,70 @@ def _count_profile_rounds(monkeypatch):
     sizes = []
     profile = fitting._profile
 
-    def counting(ps, *args):
+    def counting(ps, *args, **kwargs):
         sizes.append(np.shape(ps)[-1])
-        return profile(ps, *args)
+        return profile(ps, *args, **kwargs)
 
     monkeypatch.setattr(fitting, "_profile", counting)
     return sizes
 
 
-FAST_DECAY = [0.25 + 0.75 * 0.5 ** m for m in range(5, 51, 5)]  # the widest refinement bracket
+FAST_DECAY = [0.25 + 0.75 * 0.5 ** m for m in range(5, 51, 5)]  # a wide grid bracket
+
+# fits at the search's edges: (lengths, values, weights, bounds, check of the
+# case's premise)
+EDGE_CASES = {
+    # rbsv-gen-n6 at seed 1: the best candidate turns from the free point to
+    # the B0 = 1 edge between the two points where the slope turns
+    "b0-kink": ([2, 4, 6, 8, 10, 12],
+                [0.9145578888556928, 0.8411792664722363, 0.7559596533240762,
+                 0.6856319004294434, 0.6220211733908498, 0.5593185492676145],
+                [13254.454026532761, 4910.137807419285, 6634.414022949256,
+                 5069.212173738068, 4028.2142767238383, 3417.563407311856],
+                UNIT_BOX, lambda f: f.b0 == 1.0),
+    # the grid's last bracket, [0, 0.0397], where p dSSE/dp is 0 at p = 0
+    "fast-decay-to-0": (range(1, 11), _noisy(range(1, 11), 0.25, 0.75, 0.02, 4, 1e-4), None,
+                        PINNED_A0, lambda f: 0.0 < f.p < 0.0397),
+    "p-at-0": ([0, 1, 2, 3, 4], [1.0, 0.25, 0.25, 0.25, 0.25], None, PINNED_A0,
+               lambda f: f.p == 0.0 and f.at_boundary),
+    # the SSE falls toward p = 0 as B0 runs away, but at p = 0 itself, with no
+    # length 0, the fit is a constant
+    "b0-runaway-at-0": ([1, 2, 3], [0.5, 0.3, 0.31], None, None,
+                        lambda f: 0.0 < f.p < 1e-12 and not f.degenerate),
+    # the grid's first bracket, next to its top point 1 - 1e-9
+    "p-near-1": (range(5, 51, 5), [0.25 + 0.74 * (1.0 - 2e-9) ** m for m in range(5, 51, 5)],
+                 None, PINNED_A0, lambda f: abs(f.p - (1.0 - 2e-9)) < 1e-12),
+}
+
+SEARCH_CASES = {
+    "compare-n2/rb": (range(5, 51, 5), SEED7_FITS[0].values[1], None, PINNED_A0),
+    "compare-n2/rbsv": (range(5, 51, 5), SEED7_FITS[1].values[1], None, PINNED_A0),
+    "fast-decay": (range(5, 51, 5), FAST_DECAY, None, PINNED_A0),
+    **{name: case[:4] for name, case in EDGE_CASES.items()},
+}
 
 
-@pytest.mark.parametrize("ys", [SEED7_FITS[0].values[1], SEED7_FITS[1].values[1], FAST_DECAY],
-                         ids=["compare-n2/rb", "compare-n2/rbsv", "fast-decay"])
-def test_bounded_fit_profiles_in_a_few_array_calls(monkeypatch, ys):
+@pytest.mark.parametrize("name", list(SEARCH_CASES))
+def test_bounded_fit_profiles_in_a_few_array_calls(monkeypatch, name):
+    ms, ys, weights, bounds = SEARCH_CASES[name]
     sizes = _count_profile_rounds(monkeypatch)
-    fit_decay(list(zip(range(5, 51, 5), ys)), coefficient_bounds=PINNED_A0)
+    fit_decay(list(zip(ms, ys)), weights=weights, coefficient_bounds=bounds)
     assert sizes[0] == fitting._GRID_SIZE
-    assert sizes[1:-1] == [fitting._ZOOM_SIZE] * (len(sizes) - 2) and sizes[-1] == 1
-    assert len(sizes) <= 12  # the grid, at most ten zoom rounds, the final call
+    # then at most five slope rounds, the last of which gives (A0, B0) too
+    assert sizes[1:] == [fitting._ROUND_SIZE] * (len(sizes) - 1) and len(sizes) <= 6
+
+
+@pytest.mark.parametrize("name", list(EDGE_CASES))
+def test_fit_at_the_search_edges_reaches_the_scan_minimum(name):
+    ms, ys, weights, bounds, premise = EDGE_CASES[name]
+    ms, ys = np.asarray(ms, dtype=float), np.asarray(ys, dtype=float)
+    w = np.ones_like(ys) if weights is None else np.asarray(weights)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow or a 0/0 in the search
+        fit = fit_decay(list(zip(ms, ys)), weights=weights, coefficient_bounds=bounds)
+    assert premise(fit)
+    fit_sse = float(w @ (ys - fit.a0 - fit.b0 * fit.p ** ms) ** 2)
+    assert fit_sse <= scan_minimum(ms, ys, w, bounds) * (1 + 1e-9) + 1e-30
 
 
 def _fit_counting_rounds(monkeypatch, points, weights=None, bounds=None):
@@ -277,7 +322,7 @@ def _fit_counting_rounds(monkeypatch, points, weights=None, bounds=None):
 
 def test_curves_fitted_together_profile_once_per_round(monkeypatch):
     # the rounds of a call are those of its slowest curve, not their sum
-    curves = [SEED7_FITS[0].values[1], FAST_DECAY]
+    curves = [SEED7_FITS[0].values[1], FAST_DECAY]  # two and four rounds alone
     alone = [_fit_counting_rounds(monkeypatch, list(zip(range(5, 51, 5), ys)),
                                   bounds=PINNED_A0)[1] for ys in curves]
     _, together = _fit_counting_rounds(monkeypatch, list(zip(range(5, 51, 5), zip(*curves))),
@@ -361,6 +406,33 @@ def test_powers_are_running_products():
                 assert abs(x[c, i, j] - p ** m) <= 1e-14 * p ** m
     # one row of p gives the same values as a row of rows
     assert np.array_equal(fitting._powers(ps[0], fitting._steps(ms)), x[0])
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("values,weights,bounds,named", [
+    ([0.9, 0.8, NAN, 0.6], None, None, "values must be finite"),
+    ([0.9, 0.8, INF, 0.6], None, None, "values must be finite"),
+    ([0.9, 0.8, 0.7, 0.6], None, ((0.25, 0.25), (0.0, NAN)), "coefficient bounds"),
+    ([0.9, 0.8, 0.7, 0.6], None, ((1.0, 0.0), (0.0, 1.0)), "coefficient bounds"),
+    ([0.9, 0.8, 0.7, 0.6], [1.0, INF, 1.0, 1.0], None, "weights must be finite"),
+    ([0.9, 0.8, 0.7, 0.6], [1.0, NAN, 1.0, 1.0], PINNED_A0, "weights must be finite"),
+], ids=["nan-value", "inf-value", "nan-bound", "inverted-box", "inf-weight", "nan-weight"])
+def test_inputs_are_checked(values, weights, bounds, named):
+    # each once came back as a fit (some not degenerate) or a bare RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=named):
+            fit_decay(list(zip([1, 2, 3, 4], values)), weights=weights,
+                      coefficient_bounds=bounds)
+
+
+def test_infinite_bounds_are_allowed():
+    pts = curve(range(5, 51, 5), 0.25, 0.74, 0.99)
+    fit = fit_decay(pts, coefficient_bounds=((0.25, INF), (-INF, INF)))
+    assert fit.a0 >= 0.25 and abs(fit.p - 0.99) < 1e-9 and not fit.degenerate
+    assert fit_decay(pts, coefficient_bounds=((0.3, INF), (0.0, INF))).a0 == 0.3
 
 
 @pytest.mark.parametrize("m", [1.5, -1.0, float("nan"), float("inf")])

@@ -33,6 +33,11 @@ new):
   rb-sampled-clifford-depolarizing 6a4bfee9c929 -> 83fa4320804e,
   rbsv-sampled-generator-depolarizing 77f51530cc6c -> b624ae9b103e.
 
+Fifteen summaries were re-pinned, and no CSV, when the fit's p search stopped
+zooming on the SSE and found the root of the profile's slope instead (r moved
+by at most 2.3e-8 of itself; the exact-mode irbgs runs came closer to their
+exact r).
+
 The last test reruns every case with numpy's SIMD kernels switched off.  The
 cases cover every protocol, sampled and exact mode, Clifford
 and generator elements, Pauli-diagonal and dense noise with SPAM, unsorted
@@ -198,25 +203,25 @@ PINNED_CSV_DIGESTS = {
 }
 
 PINNED_SUMMARY_DIGESTS = {
-    'bench-compare-n2': '466a6fed8356fb02b574d3f9d4e590bbbe16482cb77b192b438399483b82c73b',
-    'bench-irbgs-exact-n2': '3f2c26e1b44d73e90ec7f6972e6b646e0d2c56979b20ee38068cf65f76ee4121',
-    'bench-rbsv-gen-n6': 'f63b922aabefe93b0716cf34251f31dd24ef94e6cc2f89e78aaa95b89935cbcb',
-    'compare-exact-clifford-pauli-spam': 'ca7e70c8bb7932b10d437b85504a76f3e7783a86ee3e8bc9bf0db8672e219462',
-    'compare-exact-generator-delta': '6d375159ea92ca0d2ed1310d85d56ca263c4722290ccd833b5cf8d4109e09973',
-    'compare-sampled-clifford-delta-n3': 'fdc1e85c6c03d137e8eefbe716514e217a35856ad1af3254bf9aa21b2768915c',
-    'compare-sampled-clifford-depolarizing': 'af1a7c927b82211cbb69b7e1c5a7e0431e2e64db5c0c1dd9516db10d5c9d3ab9',
-    'compare-sampled-generator-pauli-spam': '113df8106ba13d2cc75ce9af2b044a6d667e1e764a47eba06a478fc679752868',
-    'irbgs-delta': '7f56ffae9482620b5e0a5a14219c8f31145dc42271b2eb69436fe3683a2d6b47',
-    'irbgs-depolarizing': '19c68680495316e10b7b42b919ce4c57bff9a9438ba84dbbb3389a5f070b79b4',
-    'irbgs-pauli-spam': '7087c91b669903c960f727499bd50d5cb59a165e33fa97ee19ab5680e25acb1f',
-    'rb-exact-clifford-delta-n1': 'b942f7dd39af42bf931848c8bb77a893800f554733404e4c04549f86599ee3f6',
-    'rb-exact-generator-pauli-spam': '5fefc9547fd9f90c5766b9661b71cdfafad0c0701fd4c9cacdef1ff37bf63ee9',
-    'rb-sampled-clifford-depolarizing': '83fa4320804e7c4b914cb76fd60427c570ccb33028c38ab7f8bdd86f2e9ff3d4',
+    'bench-compare-n2': '06dade6d5c531057bb24bf8222ab2e211b4f4a3cffd7e434a2aa854f84ede7a0',
+    'bench-irbgs-exact-n2': '89dafbb6dcd48c982d814de4abd390e198ccb6fc2952092922c470fb80efa40a',
+    'bench-rbsv-gen-n6': '499bbdf5ece786b028add7ba5431eab10e88a66096de02f961ad56b31f26fc58',
+    'compare-exact-clifford-pauli-spam': 'be4aa1898111455898c2ef83fa38e5a821bf22e66a75322e12116d226c1f380f',
+    'compare-exact-generator-delta': '311eadba1457208a907c355b32af9df50b36f0d8a09c01e5188ca1ec12c93025',
+    'compare-sampled-clifford-delta-n3': 'eaf9fd3f5106de04fedbf3d7d8808fefefaec1d42dc0928b7b7dc0a127baa879',
+    'compare-sampled-clifford-depolarizing': 'd6caa4ddaa20c87437ae729bfab4c869bfb6b038b2d3a6d982f7822eb8271e47',
+    'compare-sampled-generator-pauli-spam': '7c91db4c4b9ebe31f2009a82eba438175f9b7f2f8a302bd1ac4ef77b40de54a9',
+    'irbgs-delta': 'd22089f6ed27d5905f1661266d06a02fe265e8628f78e8b248f6b6276d7cb235',
+    'irbgs-depolarizing': '7b8664415f8101631a03d8c957e8246b5646460c10898580439c1b712fb8a054',
+    'irbgs-pauli-spam': '1a7ef1156237a5b7805a4e2e1473699137151b94d257abdf5e0b967e0638bbf9',
+    'rb-exact-clifford-delta-n1': 'fab4e527dd438cb53443668a6cb1762bc3dc4f03f6f88b878abf1c711236dcbd',
+    'rb-exact-generator-pauli-spam': '17d9de8d8749fd7016356a8bc626a0711cf34938f4daa1fd628e58f0fef0ade1',
+    'rb-sampled-clifford-depolarizing': 'bbdc3eb02df4eaffbf9283e8c254977d183cf7a77521542cd7445d36b23772fb',
     'rb-sampled-generator-delta': 'bef65925835d9c031038c26cda4c301b3dc42ce1d65fc1c92c65adf970987803',
     'rbsv-exact-clifford-delta': '660347edb3cf9067e3bf2053359bb480681c85c5f671795f76444d0793e17d1a',
     'rbsv-exact-generator-delta-no-identity': '1df191e391c55d7acf6ab1bb9ed32945e9f337ab11dc621e573e075e8e9595cb',
     'rbsv-sampled-clifford-pauli-spam': '213414d090cac8826ae1f8a6d47c5734875bb32f14d73036c3040e12b2e9bd28',
-    'rbsv-sampled-generator-depolarizing': 'b624ae9b103e2d755375800663782b459b1501fc3fd278c569e21b6126469297',
+    'rbsv-sampled-generator-depolarizing': 'da7a5c0f5a0bcc616856cf2530f41d9e6a543ad53f3adc269f9f011002952f17',
 }
 
 
